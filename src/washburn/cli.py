@@ -5,9 +5,6 @@ All file output is deterministic (17 significant digits, LF endings, no
 timestamps); run metadata is echoed into a separate .meta.json sidecar.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
-
-The environment variable WASHBURN_SEED is reserved but unused: every
-algorithm in the package is deterministic.
 """
 from __future__ import annotations
 

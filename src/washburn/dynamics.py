@@ -157,12 +157,8 @@ class RegimeSpec:
 
     @property
     def first_order(self) -> bool:
+        """Cases 2 and 3 reduce to first-order equations in u* = (h*)^2/2."""
         return self.case in _FIRST_ORDER_CASES
-
-
-def regime_is_first_order(case: RegimeCase) -> bool:
-    """Cases 2 and 3 reduce to first-order equations in u* = (h*)^2/2."""
-    return RegimeCase(case) in _FIRST_ORDER_CASES
 
 
 def rhs_regime(spec: RegimeSpec, state, beta: float) -> tuple:

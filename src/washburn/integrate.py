@@ -17,8 +17,8 @@ from scipy.integrate import solve_ivp
 
 from . import dynamics, stability
 from .dynamics import RegimeSpec, State
-from .errors import DomainError, HorizonError, StepSizeUnderflowError
-from .params import ModelParams
+from .errors import DomainError, HorizonError, NumericError, StepSizeUnderflowError
+from .params import ModelParams, check_alpha
 
 DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
 HORIZON_CAP = 1e6
@@ -287,16 +287,15 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
                      tolerances: tuple[float, float] = REGIME_TOLERANCES,
                      sample_step: float | None = None) -> RegimeTrajectory:
     """Integrate a reduced regime from u*(0) = alpha^2/2 at rest."""
-    if not beta > 0.0:
-        raise DomainError("beta", f"must be > 0, got {beta!r}")
-    if not 0.0 <= alpha:
-        raise DomainError("alpha", f"must be >= 0, got {alpha!r}")
+    if not math.isfinite(beta) or beta <= 0.0:
+        raise DomainError("beta", f"must be finite and > 0, got {beta!r}")
+    check_alpha(alpha)
     if not math.isfinite(horizon) or horizon <= 0.0:
         raise DomainError("horizon", f"must be finite and > 0, got {horizon!r}")
     if sample_step is None:
         sample_step = horizon / 4096.0
-    if sample_step <= 0.0:
-        raise DomainError("sample_step", f"must be > 0, got {sample_step!r}")
+    if not math.isfinite(sample_step) or sample_step <= 0.0:
+        raise DomainError("sample_step", f"must be finite and > 0, got {sample_step!r}")
     abs_tol, rel_tol = tolerances
 
     u0 = 0.5 * alpha * alpha
@@ -332,17 +331,30 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
 
 
 def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:
-    """Residual of the regime's closed-form / implicit / conservation oracle."""
+    """Residual of the regime's closed-form / implicit / conservation oracle.
+
+    Raises NumericError where the oracle is not finite: the case-2
+    relation holds only for h* < 1.
+    """
     case = traj.spec.case
     beta = traj.beta
     if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
         exact = dynamics.case1_closed_form_u(traj.t, beta, u0=0.5 * traj.h0**2)
-        return "closed_form_u", np.abs(traj.u - exact)
-    if case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
-        times = dynamics.case2_implicit_time(traj.h, beta, traj.h0)
-        return "implicit_time", np.abs(times - traj.t)
-    if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
+        name, resid = "closed_form_u", np.abs(traj.u - exact)
+    elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            times = dynamics.case2_implicit_time(traj.h, beta, traj.h0)
+        name, resid = "implicit_time", np.abs(times - traj.t)
+    elif case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
         exact = dynamics.case3_closed_form_h(traj.t, beta, traj.h0)
-        return "closed_form_h", np.abs(traj.h - exact)
-    drift = dynamics.case4_energy(traj.u, traj.v) - dynamics.case4_energy(0.5 * traj.h0**2, 0.0)
-    return "energy_drift", np.abs(drift)
+        name, resid = "closed_form_h", np.abs(traj.h - exact)
+    else:
+        drift = (dynamics.case4_energy(traj.u, traj.v)
+                 - dynamics.case4_energy(0.5 * traj.h0**2, 0.0))
+        name, resid = "energy_drift", np.abs(drift)
+    bad = np.flatnonzero(~np.isfinite(resid))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(f"{name} oracle is not finite from t* = {float(traj.t[i])!r} "
+                           f"(h* = {float(traj.h[i])!r})")
+    return name, resid

@@ -29,6 +29,12 @@ _OMEGA_CONSISTENCY_RTOL = 1e-12
 PHYSICAL_JSON_KEYS = ("rho", "mu", "gamma", "theta_deg", "g", "R", "L", "h0")
 
 
+def check_alpha(alpha: float):
+    """Reject an initial height ratio outside [0, ALPHA_MAX] (NaN included)."""
+    if not 0.0 <= alpha <= ALPHA_MAX:
+        raise DomainError("alpha", f"must lie in [0, {ALPHA_MAX}], got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional description of the fluid and pipe (SI units).
@@ -83,10 +89,7 @@ class ModelParams:
             raise DomainError("omega", f"must be finite and > 0, got {self.omega!r}")
         if not math.isfinite(self.beta) or not 0.0 < self.beta <= 1.0:
             raise DomainError("beta", f"must lie in (0, 1], got {self.beta!r}")
-        if not math.isfinite(self.alpha) or not 0.0 <= self.alpha <= ALPHA_MAX:
-            raise DomainError(
-                "alpha", f"must lie in [0, {ALPHA_MAX}], got {self.alpha!r}"
-            )
+        check_alpha(self.alpha)
         for name in ("h_e", "tau", "Oh", "Bo"):
             value = getattr(self, name)
             if value is not None and (not math.isfinite(value) or value <= 0.0):

@@ -18,7 +18,7 @@ import numpy as np
 from . import params as params_module
 from .dynamics import TWO_SQRT2_OVER_3, energy
 from .errors import ConsistencyError, DomainError, InconclusiveError
-from .params import ALPHA_MAX, U_BOUND, U_EQUILIBRIUM
+from .params import U_BOUND, U_EQUILIBRIUM
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -148,8 +148,7 @@ def basin(alpha: float) -> BasinSpec:
     boundary points are alpha^2/2 itself and the closed-form second root
     of the level equation.
     """
-    if not 0.0 <= alpha <= ALPHA_MAX:
-        raise DomainError("alpha", f"must lie in [0, {ALPHA_MAX}], got {alpha!r}")
+    params_module.check_alpha(alpha)
     u_init = 0.5 * alpha * alpha
     _, C = lyapunov(u_init, 0.0)
     other = (9.0 / 8.0) * (0.5 - alpha / 3.0

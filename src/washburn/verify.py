@@ -313,14 +313,8 @@ def check_volterra_quadrature_order() -> dict:
 def _picard_vs_ode(points, horizon, nodes):
     worst = 0.0
     per_point = []
-    operators = {}
     for beta, omega, alpha in points:
-        key = (beta, omega)
-        if key not in operators:
-            grid = np.linspace(0.0, horizon, nodes + 1)
-            operators[key] = volterra.KernelOperator(grid, omega, beta)
-        res = volterra.picard_solve(omega, beta, alpha, horizon,
-                                    operator=operators[key])
+        res = volterra.picard_solve(omega, beta, alpha, horizon, step=horizon / nodes)
         traj_dense, _ = _solve(_mp(omega, beta, alpha), 0.0, horizon,
                                      (1e-12, 1e-10))
         u_ode = traj_dense(res.solution.grid)[0]

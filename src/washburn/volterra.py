@@ -8,10 +8,12 @@ The trajectory u solves u = T(u) with
 
 T is discretized by composite trapezoid on a uniform grid with the kernel
 evaluated exactly at the nodes, and solved by plain successive
-substitution. The operator is order-reversing; on [0, s*] with s* =
-min(1/2, sqrt(omega)/beta) it maps the parabola interval
-[s^2/6, s^2/2] into itself and satisfies the sublinear scaling bound
-T(lambda f) <= lambda^{-1/2} T(f), both of which are checkable nodewise.
+substitution. The kernel is separable, so one first-order recurrence
+gives the sums at all N+1 nodes in O(N) time and memory. The operator is
+order-reversing; on [0, s*] with s* = min(1/2, sqrt(omega)/beta) it maps
+the parabola interval [s^2/6, s^2/2] into itself and satisfies the
+sublinear scaling bound T(lambda f) <= lambda^{-1/2} T(f), both of which
+are checkable nodewise.
 """
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import ALPHA_MAX
+from .params import check_alpha
 
 DEFAULT_GRID_NODES = 4096  # intervals per solve => step = horizon/4096
+MAX_GRID_NODES = 2**20
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
@@ -61,54 +64,44 @@ class GridFunction:
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    @classmethod
-    def from_callable(cls, fn, horizon: float, nodes: int) -> "GridFunction":
-        grid = np.linspace(0.0, horizon, nodes + 1)
-        return cls(grid, np.asarray(fn(grid), dtype=float))
-
 
 class KernelOperator:
-    """Precomputed trapezoid discretization of T on one grid.
+    """Trapezoid discretization of T on one uniform grid, applied in O(N).
 
-    Row i holds the trapezoid weights for integral_0^{s_i}; the kernel
-    vanishes on the diagonal, so only the t = 0 endpoint needs halving.
-    Building the dense lower-triangular matrix costs O(N^2) memory, which
-    is the intended desk scale (N <= 2^14).
+    With g_j = w_j (1 - sqrt(2 [f_j]_+)), w_0 = h/2 and w_j = h otherwise
+    (the kernel vanishes on the diagonal), node i sums
+    c sum_{j<i} g_j (1 - q^{i-j}) with q = exp(-h/c). That is c D_i for
+    D_{i+1} = D_i + r (B_i + g_i), B_{i+1} = q (B_i + g_i), D_0 = B_0 = 0,
+    where r = 1 - q comes from expm1 so that large c does not cancel.
     """
 
     def __init__(self, grid: np.ndarray, omega: float, beta: float):
-        if not omega > 0.0:
-            raise DomainError("omega", f"must be > 0, got {omega!r}")
-        if not beta > 0.0:
-            raise DomainError("beta", f"must be > 0, got {beta!r}")
-        grid = np.asarray(grid, dtype=float)
-        c = math.sqrt(omega) / beta
-        lag = grid[:, None] - grid[None, :]
-        kernel = c * -np.expm1(-np.maximum(lag, 0.0) / c)
-        kernel[lag <= 0.0] = 0.0
-        h = grid[1] - grid[0]
-        kernel *= h
-        kernel[:, 0] *= 0.5
-        self.grid = grid
-        self.weights = kernel
-        self.omega = omega
-        self.beta = beta
+        if not math.isfinite(omega) or omega <= 0.0:
+            raise DomainError("omega", f"must be finite and > 0, got {omega!r}")
+        if not math.isfinite(beta) or beta <= 0.0:
+            raise DomainError("beta", f"must be finite and > 0, got {beta!r}")
+        self.grid = np.asarray(grid, dtype=float)
+        self.c = math.sqrt(omega) / beta
 
     def apply(self, values: np.ndarray, alpha: float) -> np.ndarray:
-        forcing = 1.0 - np.sqrt(2.0 * np.maximum(values, 0.0))
-        out = self.weights @ forcing
-        out += 0.5 * alpha * alpha
-        return out
-
-
-def _check_alpha(alpha: float):
-    if not 0.0 <= alpha <= ALPHA_MAX:
-        raise DomainError("alpha", f"must lie in [0, {ALPHA_MAX}], got {alpha!r}")
+        h = self.grid[1] - self.grid[0]
+        r = -math.expm1(-h / self.c)
+        q = 1.0 - r
+        g = h * (1.0 - np.sqrt(2.0 * np.maximum(values, 0.0)))
+        g[0] *= 0.5
+        sums = []
+        d = b = 0.0
+        for g_j in g.tolist():
+            sums.append(d)
+            b += g_j
+            d += r * b
+            b *= q
+        return 0.5 * alpha * alpha + self.c * np.array(sums)
 
 
 def apply_T(f: GridFunction, omega: float, beta: float, alpha: float) -> GridFunction:
     """One application of the integral operator to a grid function."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     op = KernelOperator(f.grid, omega, beta)
     return GridFunction(f.grid, op.apply(f.values, alpha))
 
@@ -129,31 +122,31 @@ class PicardResult:
 
 def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
                  step: float | None = None, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 operator: KernelOperator | None = None) -> PicardResult:
+                 max_iter: int = DEFAULT_MAX_ITER) -> PicardResult:
     """Iterate f <- T(f) from the constant alpha^2/2 until sup-norm stalls.
 
-    A prebuilt KernelOperator may be passed to amortize the O(N^2) kernel
-    across solves that share (grid, omega, beta).
+    The grid has horizon/step intervals (DEFAULT_GRID_NODES without a
+    step), at most MAX_GRID_NODES.
     """
     if not tol > 0.0:
         raise DomainError("tol", f"must be > 0, got {tol!r}")
-    if not horizon > 0.0:
-        raise DomainError("horizon", f"must be > 0, got {horizon!r}")
+    if not math.isfinite(horizon) or horizon <= 0.0:
+        raise DomainError("horizon", f"must be finite and > 0, got {horizon!r}")
     if max_iter < 1:
         raise DomainError("max_iter", f"must be >= 1, got {max_iter!r}")
-    _check_alpha(alpha)
-    if operator is None:
-        if step is None:
-            nodes = DEFAULT_GRID_NODES
-        else:
-            nodes = int(round(horizon / step))
-            if nodes < 2 or abs(nodes * step - horizon) > 1e-9 * max(1.0, horizon):
-                raise DomainError("step", f"{step!r} does not tile [0, {horizon!r}]")
-        grid = np.linspace(0.0, horizon, nodes + 1)
-        operator = KernelOperator(grid, omega, beta)
+    check_alpha(alpha)
+    if step is None:
+        nodes = DEFAULT_GRID_NODES
     else:
-        grid = operator.grid
+        if not math.isfinite(step) or step <= 0.0:
+            raise DomainError("step", f"must be finite and > 0, got {step!r}")
+        if not horizon / step <= MAX_GRID_NODES + 0.5:
+            raise DomainError("step", f"{step!r} gives over {MAX_GRID_NODES} intervals")
+        nodes = int(round(horizon / step))
+        if nodes < 2 or abs(nodes * step - horizon) > 1e-9 * max(1.0, horizon):
+            raise DomainError("step", f"{step!r} does not tile [0, {horizon!r}]")
+    grid = np.linspace(0.0, horizon, nodes + 1)
+    operator = KernelOperator(grid, omega, beta)
 
     values = np.full(grid.shape, 0.5 * alpha * alpha)
     diffs = []
@@ -166,6 +159,8 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
             return PicardResult(solution=GridFunction(grid, values),
                                 diffs=np.asarray(diffs), iterations=len(diffs),
                                 step=float(grid[1] - grid[0]))
+        if not math.isfinite(diff):
+            break
     raise ConvergenceError(len(diffs), diffs[-1])
 
 

@@ -14,6 +14,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_rejected(argv, capsys):
+    """Exit code and stderr of an argv that must fail with a message."""
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
 class TestNondim:
     def test_report_fields_and_precision(self, tmp_path, capsys):
         src = tmp_path / "water.json"
@@ -118,6 +126,16 @@ class TestPicard:
                     "--horizon", "5", "--max-iter", "1",
                     "-o", str(tmp_path / "fp")]) == 3
 
+    @pytest.mark.parametrize("grid_args", [["--horizon", "10", "--step", "nan"],
+                                           ["--horizon", "10", "--step", "1e-9"],
+                                           ["--horizon", "inf"]])
+    def test_unbounded_grid_exits_2(self, tmp_path, capsys, grid_args):
+        code, err = run_rejected(["picard", "--omega", "1", "--beta", "1", "--alpha", "0",
+                                  *grid_args, "-o", str(tmp_path / "fp")], capsys)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert not (tmp_path / "fp.csv").exists()
+
 
 class TestClassifyCommand:
     def test_oscillatory(self, capsys):
@@ -166,6 +184,22 @@ class TestRegimeCommand:
     def test_unknown_case_exits_2(self, tmp_path):
         assert run(["regime", "--case", "5", "--beta", "1",
                     "-o", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("bad_args", [["--case", "1", "--beta", "inf"],
+                                          ["--case", "2", "--beta", "1", "--alpha", "2"],
+                                          ["--case", "1", "--beta", "1", "--sample-step", "nan"]])
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, bad_args):
+        code, err = run_rejected(["regime", *bad_args, "-o", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("run_args", [["--beta", "0.5"],
+                                          ["--beta", "1", "--alpha", "1.2", "--horizon", "4"]])
+    def test_case2_oracle_past_asymptote_exits_3(self, tmp_path, capsys, run_args):
+        code, err = run_rejected(["regime", "--case", "2", *run_args,
+                                  "-o", str(tmp_path / "c2")], capsys)
+        assert code == 3
+        assert "implicit_time oracle is not finite from t* = " in err
 
 
 class TestVerifyCommand:

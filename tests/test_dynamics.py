@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from washburn.dynamics import (ExponentFamily, RegimeCase, RegimeSpec, State,
                                case1_closed_form_u, case2_implicit_time,
                                case3_closed_form_h, case4_energy, energy,
-                               regime_exponents, regime_is_first_order, rhs_H,
-                               rhs_regime, rhs_u)
-from washburn.errors import DomainError, SingularityError
+                               regime_exponents, rhs_H, rhs_regime, rhs_u)
+from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
 from washburn.params import ModelParams
 
@@ -97,10 +96,11 @@ class TestRegimeSpecs:
             RegimeSpec(RegimeCase.NEGLIGIBLE_GRAVITY, Fraction(1, 2), Fraction(0))
 
     def test_order_flags(self):
-        assert not regime_is_first_order(RegimeCase.NEGLIGIBLE_GRAVITY)
-        assert regime_is_first_order(RegimeCase.NEGLIGIBLE_INERTIA)
-        assert regime_is_first_order(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA)
-        assert not regime_is_first_order(RegimeCase.NEGLIGIBLE_VISCOSITY)
+        flags = {case: RegimeSpec.standard(case).first_order for case in RegimeCase}
+        assert flags == {RegimeCase.NEGLIGIBLE_GRAVITY: False,
+                         RegimeCase.NEGLIGIBLE_INERTIA: True,
+                         RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA: True,
+                         RegimeCase.NEGLIGIBLE_VISCOSITY: False}
 
 
 class TestRegimeRhs:
@@ -146,6 +146,25 @@ class TestRegimeOracles:
         traj = integrate_regime(spec, beta=1.0, alpha=0.1, horizon=5.0,
                                 tolerances=(1e-13, 1e-12))
         assert np.max(np.abs(case2_implicit_time(traj.h, 1.0, 0.1) - traj.t)) < 1e-8
+
+    @pytest.mark.parametrize("beta,alpha,horizon", [
+        (0.5, 0.0, 20.0),  # h* rounds up to 1 mid-run
+        (1.0, 1.2, 4.0),   # starts above the asymptote h* = 1
+    ])
+    def test_case2_oracle_beyond_asymptote_raises(self, beta, alpha, horizon):
+        spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA)
+        traj = integrate_regime(spec, beta=beta, alpha=alpha, horizon=horizon)
+        t_bad = float(traj.t[np.flatnonzero(traj.h >= 1.0)[0]])
+        with pytest.raises(NumericError, match=f"t\\* = {t_bad!r} "):
+            regime_oracle_residuals(traj)
+
+    @pytest.mark.parametrize("beta,alpha", [(math.inf, 0.0), (math.nan, 0.0),
+                                            (0.0, 0.0), (1.0, 2.0), (1.0, math.inf),
+                                            (1.0, math.nan), (1.0, -0.1)])
+    def test_regime_rejects_out_of_range_input(self, beta, alpha):
+        spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA)
+        with pytest.raises(DomainError):
+            integrate_regime(spec, beta=beta, alpha=alpha)
 
     def test_case4_energy_constant(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_VISCOSITY)

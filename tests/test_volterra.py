@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from washburn.errors import ConvergenceError, DomainError
 from washburn.integrate import integrate
 from washburn.params import ModelParams
-from washburn.volterra import (GridFunction, KernelOperator, apply_T,
-                               bracket_lower, bracket_upper,
+from washburn.volterra import (MAX_GRID_NODES, GridFunction, KernelOperator,
+                               apply_T, bracket_lower, bracket_upper,
                                check_scaling_inequality, order_interval_check,
                                picard_solve, uniqueness_window)
 
@@ -15,6 +16,20 @@ from washburn.volterra import (GridFunction, KernelOperator, apply_T,
 def grid_fn(fn, horizon, nodes):
     grid = np.linspace(0.0, horizon, nodes + 1)
     return GridFunction(grid, fn(grid))
+
+
+def dense_trapezoid(grid, omega, beta, values, alpha):
+    """Reference T: the composite-trapezoid sum as a dense (N+1)^2 matrix."""
+    c = math.sqrt(omega) / beta
+    lag = grid[:, None] - grid[None, :]
+    kernel = np.maximum(lag, 0.0) / -c  # then in place: at N = 4096 each array is 134 MB
+    np.expm1(kernel, out=kernel)
+    kernel *= -c
+    kernel[lag <= 0.0] = 0.0
+    kernel *= grid[1] - grid[0]
+    kernel[:, 0] *= 0.5
+    forcing = 1.0 - np.sqrt(2.0 * np.maximum(values, 0.0))
+    return kernel @ forcing + 0.5 * alpha * alpha
 
 
 class TestGridFunction:
@@ -68,6 +83,34 @@ class TestApplyT:
         f = grid_fn(np.zeros_like, 1.0, 16)
         with pytest.raises(DomainError):
             apply_T(f, 1.0, 1.0, 2.0)
+
+
+class TestKernelOperator:
+    @pytest.mark.parametrize("nodes", [256, 4096])
+    @pytest.mark.parametrize("omega,beta", [(1.0, 1.0), (0.1, 1.0), (0.1, 0.5),
+                                            (4.0, 1.0), (100.0, 0.01)])
+    def test_matches_dense_trapezoid(self, omega, beta, nodes):
+        rng = np.random.default_rng(nodes)
+        grid = np.linspace(0.0, 10.0, nodes + 1)
+        values = rng.uniform(-0.1, 1.2, grid.size)
+        ref = dense_trapezoid(grid, omega, beta, values, 0.7)
+        out = KernelOperator(grid, omega, beta).apply(values, 0.7)
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_long_horizon_against_small_c_stays_finite(self):
+        omega, beta = 1e-4, 1.0  # c = 0.01, so horizon/c = 1000
+        grid = np.linspace(0.0, 10.0, 1025)
+        values = np.random.default_rng(3).uniform(0.0, 1.0, grid.size)
+        out = KernelOperator(grid, omega, beta).apply(values, 0.0)
+        assert np.all(np.isfinite(out))
+        ref = dense_trapezoid(grid, omega, beta, values, 0.0)
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("omega,beta", [(math.inf, 1.0), (1.0, math.inf),
+                                            (math.nan, 1.0), (1.0, 0.0)])
+    def test_rejects_bad_parameters(self, omega, beta):
+        with pytest.raises(DomainError):
+            KernelOperator(np.linspace(0.0, 1.0, 9), omega, beta)
 
 
 class TestOrderInterval:
@@ -170,3 +213,29 @@ class TestPicard:
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             picard_solve(1.0, 1.0, 0.0, 10.0, step=3.0)
+
+    @pytest.mark.parametrize("horizon,step", [(math.inf, None), (math.nan, None),
+                                              (10.0, math.nan), (10.0, math.inf),
+                                              (10.0, 0.0), (10.0, -0.1), (10.0, 1e-9),
+                                              (10.0, 1e-320)])
+    def test_unbounded_grid_rejected(self, horizon, step):
+        with pytest.raises(DomainError):
+            picard_solve(1.0, 1.0, 0.0, horizon, step=step)
+
+    def test_grid_cap_is_inclusive(self):
+        with pytest.raises(ConvergenceError):
+            picard_solve(1.0, 1.0, 0.0, 1.0, step=1.0 / MAX_GRID_NODES, max_iter=1)
+
+    def test_nonfinite_iterate_stops_early(self):
+        with pytest.raises(ConvergenceError) as info, np.errstate(all="ignore"):
+            picard_solve(1.0, 1.0, 0.0, 1e300)
+        assert info.value.iterations < 10
+
+    def test_memory_is_linear_in_nodes(self):
+        tracemalloc.start()
+        try:
+            picard_solve(1.0, 1.0, 0.0, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

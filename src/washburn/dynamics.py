@@ -5,6 +5,10 @@ s = T/sqrt(omega), in which the model reads
 
     u'' + (beta/sqrt(omega)) u' + sqrt(2 u) = 1.
 
+`u_form_field` is the one implementation of this right-hand side: the
+integrator steps it and `rhs_u` is its validated single-point form.
+`energy` is the one implementation of the first integral, which the
+Lyapunov function, the basin level set and the case-4 oracle all use.
 The H-form is kept for cross-validation and output only; it is singular
 at H = 0. The four reduced regimes (negligible gravity / inertia /
 both / viscosity) are integrated in the analogous u-type coordinate
@@ -18,7 +22,10 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, SingularityError
+from .params import check_nonnegative, check_positive
 
 TWO_SQRT2_OVER_3 = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -33,26 +40,33 @@ class State(NamedTuple):
     v: float
 
 
-def _check_model_args(omega: float, beta: float, epsilon: float = 0.0):
-    if not omega > 0.0:
-        raise DomainError("omega", f"must be > 0, got {omega!r}")
-    if not beta > 0.0:
-        raise DomainError("beta", f"must be > 0, got {beta!r}")
-    if not epsilon >= 0.0:
-        raise DomainError("epsilon", f"must be >= 0, got {epsilon!r}")
+def u_form_field(gamma: float, epsilon: float):
+    """The u-form vector field for damping gamma = beta/sqrt(omega).
+
+    Returns f(s, y) = (v, 1 - gamma v - sqrt(2 [u]_+ + epsilon)) for y = (u, v),
+    the function the integrator steps. It validates nothing, so it costs
+    one tuple per evaluation; callers check gamma and epsilon once. The
+    positive-part clamp makes it a total function of (u, v), so tiny
+    negative excursions cannot poison the integrator; a NaN u stays NaN.
+    """
+    sqrt_ = math.sqrt
+
+    def field(s, y):
+        u, v = y
+        return (v, 1.0 - gamma * v - sqrt_(2.0 * (0.0 if u < 0.0 else u) + epsilon))
+
+    return field
 
 
 def rhs_u(state, omega: float, beta: float, epsilon: float = 0.0) -> State:
-    """Right-hand side of the (optionally regularized) u-form model.
+    """Right-hand side (u', v') of the (optionally regularized) u-form model.
 
-    Returns (u', v') = (v, 1 - (beta/sqrt(omega)) v - sqrt(2 max(u,0) + epsilon)).
-    The positive-part clamp makes this a total function of (u, v), so tiny
-    negative excursions cannot poison the integrator.
+    Validates (omega, beta, epsilon), then evaluates `u_form_field` at state.
     """
-    _check_model_args(omega, beta, epsilon)
-    u, v = state
-    dv = 1.0 - (beta / math.sqrt(omega)) * v - math.sqrt(2.0 * max(u, 0.0) + epsilon)
-    return State(v, dv)
+    check_positive("omega", omega)
+    check_positive("beta", beta)
+    check_nonnegative("epsilon", epsilon)
+    return State(*u_form_field(beta / math.sqrt(omega), epsilon)(0.0, state))
 
 
 def rhs_H(H: float, Hdot: float, omega: float, beta: float) -> float:
@@ -61,7 +75,8 @@ def rhs_H(H: float, Hdot: float, omega: float, beta: float) -> float:
     Only valid away from H = 0; callers starting from a dry pipe must use
     the u-form instead.
     """
-    _check_model_args(omega, beta)
+    check_positive("omega", omega)
+    check_positive("beta", beta)
     if H <= H_SINGULARITY_FLOOR:
         raise SingularityError(
             f"H = {H!r} is too close to the H = 0 singularity; "
@@ -70,14 +85,20 @@ def rhs_H(H: float, Hdot: float, omega: float, beta: float) -> float:
     return (1.0 - H - beta * H * Hdot - omega * Hdot * Hdot) / (omega * H)
 
 
-def energy(u: float, v: float) -> float:
-    """First integral E = v^2/2 - u + (2 sqrt2 / 3) u^{3/2} of the undamped model.
+def energy(u, v):
+    """First integral E = v^2/2 - u + (2 sqrt2 / 3) [u]_+^{3/2} of the undamped model.
 
-    Nonincreasing along damped trajectories. Accepts slightly negative u
-    (clamped) so it can be evaluated on raw integrator output.
+    Nonincreasing along damped trajectories and conserved in the undamped
+    regime. Takes scalars (returns a float) or arrays, and clamps slightly
+    negative u so it can be evaluated on raw integrator output.
     """
-    up = max(u, 0.0)
-    return 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * math.sqrt(up)
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        up = np.maximum(u, 0.0)
+        root = np.sqrt(up)
+    else:  # math on floats: several times faster than numpy scalars
+        up = max(u, 0.0)
+        root = math.sqrt(up)
+    return 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * root
 
 
 class RegimeCase(IntEnum):
@@ -168,8 +189,7 @@ def rhs_regime(spec: RegimeSpec, state, beta: float) -> tuple:
     v and return the 1-tuple (du*/dt*,). Negative u* is clamped inside the
     square roots, as in rhs_u.
     """
-    if not beta > 0.0:
-        raise DomainError("beta", f"must be > 0, got {beta!r}")
+    check_positive("beta", beta)
     u, v = state
     up = max(u, 0.0)
     case = spec.case
@@ -184,8 +204,6 @@ def rhs_regime(spec: RegimeSpec, state, beta: float) -> tuple:
 
 def case1_closed_form_u(t, beta: float, u0: float = 0.0):
     """Exact solution of u'' + beta u' = 1 with u(0) = u0, u'(0) = 0."""
-    import numpy as np
-
     t = np.asarray(t, dtype=float)
     return u0 + t / beta - (1.0 - np.exp(-beta * t)) / beta**2
 
@@ -195,8 +213,6 @@ def case2_implicit_time(h, beta: float, h0: float):
 
     Valid for heights in [0, 1); diverges logarithmically as h* -> 1.
     """
-    import numpy as np
-
     h = np.asarray(h, dtype=float)
     anti = lambda x: -x - np.log1p(-x)
     return beta * (anti(h) - anti(h0))
@@ -204,17 +220,5 @@ def case2_implicit_time(h, beta: float, h0: float):
 
 def case3_closed_form_h(t, beta: float, h0: float = 0.0):
     """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2)."""
-    import numpy as np
-
     t = np.asarray(t, dtype=float)
     return np.sqrt(2.0 * t / beta + h0 * h0)
-
-
-def case4_energy(u, v):
-    """Conserved quantity of the undamped regime; same form as `energy`."""
-    import numpy as np
-
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    up = np.maximum(u, 0.0)
-    return 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * np.sqrt(up)

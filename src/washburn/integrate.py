@@ -1,7 +1,8 @@
 """Adaptive trajectory integration with dense sampling and bookkeeping.
 
-The u-form model is integrated with an explicit embedded Runge-Kutta 5(4)
-pair (Dormand-Prince, via scipy) with quartic dense output. Trajectories
+The u-form model, with the vector field `dynamics.u_form_field`, is
+integrated with an explicit embedded Runge-Kutta 5(4) pair
+(Dormand-Prince, via scipy) with quartic dense output. Trajectories
 carry derived height/energy columns, equilibrium-crossing events detected
 with a hysteresis band and refined by bisection on the dense output, and
 the evaluation handle needed to re-detect crossings at other levels.
@@ -17,8 +18,8 @@ from scipy.integrate import solve_ivp
 
 from . import dynamics, stability
 from .dynamics import RegimeSpec, State
-from .errors import DomainError, HorizonError, NumericError, StepSizeUnderflowError
-from .params import ModelParams, check_alpha
+from .errors import HorizonError, NumericError, StepSizeUnderflowError
+from .params import ModelParams, check_alpha, check_nonnegative, check_positive
 
 DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
 HORIZON_CAP = 1e6
@@ -78,21 +79,18 @@ def default_horizon(params: ModelParams) -> float:
 
 
 def _resolve_run_args(params, epsilon, horizon, tolerances, sample_step):
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise DomainError("epsilon", f"must be finite and >= 0, got {epsilon!r}")
+    check_nonnegative("epsilon", epsilon)
     if horizon is None:
         horizon = default_horizon(params)
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise DomainError("horizon", f"must be finite and > 0, got {horizon!r}")
+    check_positive("horizon", horizon)
     if horizon > HORIZON_CAP:
         raise HorizonError(f"{horizon!r} exceeds the cap {HORIZON_CAP:g}")
     abs_tol, rel_tol = tolerances
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise DomainError("tolerances", f"must be positive, got {tolerances!r}")
+    check_positive("abs_tol", abs_tol)
+    check_positive("rel_tol", rel_tol)
     if sample_step is None:
         sample_step = horizon / 4096.0
-    if not math.isfinite(sample_step) or sample_step <= 0.0:
-        raise DomainError("sample_step", f"must be finite and > 0, got {sample_step!r}")
+    check_positive("sample_step", sample_step)
     return float(epsilon), float(horizon), (float(abs_tol), float(rel_tol)), float(sample_step)
 
 
@@ -126,12 +124,6 @@ def _solve(params: ModelParams, epsilon: float, horizon: float,
     """Run the RK5(4) solve; returns (dense evaluator, start state)."""
     gamma = params.damping
     u0 = 0.5 * params.alpha * params.alpha
-    sqrt_ = math.sqrt
-
-    def rhs(s, y):
-        u, v = y
-        return (v, 1.0 - gamma * v - sqrt_(2.0 * (u if u > 0.0 else 0.0) + epsilon))
-
     t_start = 0.0
     y_start = (u0, 0.0)
     series = None
@@ -142,7 +134,8 @@ def _solve(params: ModelParams, epsilon: float, horizon: float,
         y_start = tuple(series(t_start))
 
     abs_tol, rel_tol = tolerances
-    sol = solve_ivp(rhs, (t_start, horizon), y_start, method="RK45",
+    field = dynamics.u_form_field(gamma, epsilon)
+    sol = solve_ivp(field, (t_start, horizon), y_start, method="RK45",
                     rtol=rel_tol, atol=abs_tol, dense_output=True)
     if sol.status != 0 or not sol.success:
         raise StepSizeUnderflowError(sol.message)
@@ -287,16 +280,15 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
                      tolerances: tuple[float, float] = REGIME_TOLERANCES,
                      sample_step: float | None = None) -> RegimeTrajectory:
     """Integrate a reduced regime from u*(0) = alpha^2/2 at rest."""
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError("beta", f"must be finite and > 0, got {beta!r}")
+    check_positive("beta", beta)
     check_alpha(alpha)
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise DomainError("horizon", f"must be finite and > 0, got {horizon!r}")
+    check_positive("horizon", horizon)
     if sample_step is None:
         sample_step = horizon / 4096.0
-    if not math.isfinite(sample_step) or sample_step <= 0.0:
-        raise DomainError("sample_step", f"must be finite and > 0, got {sample_step!r}")
+    check_positive("sample_step", sample_step)
     abs_tol, rel_tol = tolerances
+    check_positive("abs_tol", abs_tol)
+    check_positive("rel_tol", rel_tol)
 
     u0 = 0.5 * alpha * alpha
     first_order = spec.first_order
@@ -349,8 +341,7 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:
         exact = dynamics.case3_closed_form_h(traj.t, beta, traj.h0)
         name, resid = "closed_form_h", np.abs(traj.h - exact)
     else:
-        drift = (dynamics.case4_energy(traj.u, traj.v)
-                 - dynamics.case4_energy(0.5 * traj.h0**2, 0.0))
+        drift = dynamics.energy(traj.u, traj.v) - dynamics.energy(0.5 * traj.h0**2, 0.0)
         name, resid = "energy_drift", np.abs(drift)
     bad = np.flatnonzero(~np.isfinite(resid))
     if bad.size:

@@ -29,6 +29,18 @@ _OMEGA_CONSISTENCY_RTOL = 1e-12
 PHYSICAL_JSON_KEYS = ("rho", "mu", "gamma", "theta_deg", "g", "R", "L", "h0")
 
 
+def check_positive(name: str, value: float):
+    """Reject a value that is not finite and > 0 (NaN included)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(name, f"must be finite and > 0, got {value!r}")
+
+
+def check_nonnegative(name: str, value: float):
+    """Reject a value that is not finite and >= 0 (NaN included)."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(name, f"must be finite and >= 0, got {value!r}")
+
+
 def check_alpha(alpha: float):
     """Reject an initial height ratio outside [0, ALPHA_MAX] (NaN included)."""
     if not 0.0 <= alpha <= ALPHA_MAX:
@@ -56,15 +68,11 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("rho", "mu", "gamma", "g", "R"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(name, f"must be finite and > 0, got {value!r}")
-        if not math.isfinite(self.theta) or not 0.0 <= self.theta < math.pi / 2.0:
+            check_positive(name, getattr(self, name))
+        if not 0.0 <= self.theta < math.pi / 2.0:
             raise DomainError("theta", f"must lie in [0, pi/2), got {self.theta!r}")
         for name in ("L", "h0"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise DomainError(name, f"must be finite and >= 0, got {value!r}")
+            check_nonnegative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -85,15 +93,14 @@ class ModelParams:
     Bo: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.omega) or self.omega <= 0.0:
-            raise DomainError("omega", f"must be finite and > 0, got {self.omega!r}")
-        if not math.isfinite(self.beta) or not 0.0 < self.beta <= 1.0:
+        check_positive("omega", self.omega)
+        if not 0.0 < self.beta <= 1.0:
             raise DomainError("beta", f"must lie in (0, 1], got {self.beta!r}")
         check_alpha(self.alpha)
         for name in ("h_e", "tau", "Oh", "Bo"):
             value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value <= 0.0):
-                raise DomainError(name, f"must be finite and > 0, got {value!r}")
+            if value is not None:
+                check_positive(name, value)
 
     @property
     def damping(self) -> float:
@@ -149,8 +156,7 @@ def nondimensionalize(p: PhysicalParams) -> ModelParams:
 
 def critical_omega(beta: float) -> float:
     """Critical omega* = beta^2/4 where the settling style changes."""
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError("beta", f"must be finite and > 0, got {beta!r}")
+    check_positive("beta", beta)
     return beta * beta / 4.0
 
 

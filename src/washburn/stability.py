@@ -60,10 +60,8 @@ class StabilityReport:
 
 def linearize(omega: float, beta: float) -> StabilityReport:
     """Eigenvalues and type of the equilibrium for given (omega, beta)."""
-    if not omega > 0.0:
-        raise DomainError("omega", f"must be > 0, got {omega!r}")
-    if not beta > 0.0:
-        raise DomainError("beta", f"must be > 0, got {beta!r}")
+    params_module.check_positive("omega", omega)
+    params_module.check_positive("beta", beta)
     rate = beta / (2.0 * math.sqrt(omega))
     disc = 1.0 - 4.0 * omega / (beta * beta)
     if abs(disc) <= INFLECTED_BAND:
@@ -110,7 +108,7 @@ def lyapunov_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     up = np.maximum(u, 0.0)
-    E = 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * np.sqrt(up)
+    E = energy(u, v)
     V = np.where(np.abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW,
                  _lyapunov_factored(up, v), E + 1.0 / 6.0)
     return E, V
@@ -130,15 +128,10 @@ class BasinSpec:
                 f"basin bounds out of order: ({self.u_min!r}, {self.u_max!r})"
             )
         for u in (self.u_min, self.u_max):
-            if abs(_level_function(u) - self.C) >= BASIN_RESIDUAL_TOL:
+            if abs(energy(u, 0.0) + 1.0 / 6.0 - self.C) >= BASIN_RESIDUAL_TOL:
                 raise ConsistencyError(
                     f"basin bound {u!r} misses the level equation for C = {self.C!r}"
                 )
-
-
-def _level_function(u: float) -> float:
-    """-u + (2 sqrt2/3) u^{3/2} + 1/6, whose C-level set bounds the basin."""
-    return -u + TWO_SQRT2_OVER_3 * u * math.sqrt(u) + 1.0 / 6.0
 
 
 def basin(alpha: float) -> BasinSpec:

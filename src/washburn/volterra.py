@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import check_alpha
+from .params import check_alpha, check_positive
 
 DEFAULT_GRID_NODES = 4096  # intervals per solve => step = horizon/4096
 MAX_GRID_NODES = 2**20
@@ -76,10 +76,8 @@ class KernelOperator:
     """
 
     def __init__(self, grid: np.ndarray, omega: float, beta: float):
-        if not math.isfinite(omega) or omega <= 0.0:
-            raise DomainError("omega", f"must be finite and > 0, got {omega!r}")
-        if not math.isfinite(beta) or beta <= 0.0:
-            raise DomainError("beta", f"must be finite and > 0, got {beta!r}")
+        check_positive("omega", omega)
+        check_positive("beta", beta)
         self.grid = np.asarray(grid, dtype=float)
         self.c = math.sqrt(omega) / beta
 
@@ -128,18 +126,15 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
     The grid has horizon/step intervals (DEFAULT_GRID_NODES without a
     step), at most MAX_GRID_NODES.
     """
-    if not tol > 0.0:
-        raise DomainError("tol", f"must be > 0, got {tol!r}")
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise DomainError("horizon", f"must be finite and > 0, got {horizon!r}")
+    check_positive("tol", tol)
+    check_positive("horizon", horizon)
     if max_iter < 1:
         raise DomainError("max_iter", f"must be >= 1, got {max_iter!r}")
     check_alpha(alpha)
     if step is None:
         nodes = DEFAULT_GRID_NODES
     else:
-        if not math.isfinite(step) or step <= 0.0:
-            raise DomainError("step", f"must be finite and > 0, got {step!r}")
+        check_positive("step", step)
         if not horizon / step <= MAX_GRID_NODES + 0.5:
             raise DomainError("step", f"{step!r} gives over {MAX_GRID_NODES} intervals")
         nodes = int(round(horizon / step))
@@ -150,17 +145,19 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
 
     values = np.full(grid.shape, 0.5 * alpha * alpha)
     diffs = []
-    for _ in range(max_iter):
-        new_values = operator.apply(values, alpha)
-        diff = float(np.max(np.abs(new_values - values)))
-        diffs.append(diff)
-        values = new_values
-        if diff < tol:
-            return PicardResult(solution=GridFunction(grid, values),
-                                diffs=np.asarray(diffs), iterations=len(diffs),
-                                step=float(grid[1] - grid[0]))
-        if not math.isfinite(diff):
-            break
+    # An overflowing iterate shows up as a non-finite diff, which ends the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            new_values = operator.apply(values, alpha)
+            diff = float(np.max(np.abs(new_values - values)))
+            diffs.append(diff)
+            values = new_values
+            if diff < tol:
+                return PicardResult(solution=GridFunction(grid, values),
+                                    diffs=np.asarray(diffs), iterations=len(diffs),
+                                    step=float(grid[1] - grid[0]))
+            if not math.isfinite(diff):
+                break
     raise ConvergenceError(len(diffs), diffs[-1])
 
 

@@ -1,40 +1,41 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Every check of `verify.CHECKS`, the set `washburn verify` runs, as one test.
 
-Criterion 11 is additionally broken out per grid point so that the
-points reachable at its stated horizon stay green individually.
+The acceptance checks keep their criterion (the first line of each
+docstring) as the test id. Criterion 11 is broken out per grid point
+instead, so that the points reachable at its stated horizon stay green
+individually.
 """
+from itertools import permutations
+
 import pytest
 
 from washburn import verify
 
-CRITERIA = [
-    ("criterion 01: equilibrium exactness",
-     verify.acceptance_c01_equilibrium_exactness),
-    ("criterion 02: positivity and upper bound",
-     verify.acceptance_c02_bounds),
-    ("criterion 03: energy decrease and Lyapunov derivative order",
-     verify.acceptance_c03_energy_lyapunov),
-    ("criterion 04: monotone/oscillatory bifurcation bracket",
-     verify.acceptance_c04_bifurcation),
-    ("criterion 05: double eigenvalue anchor",
-     verify.acceptance_c05_eigenvalue_anchor),
-    ("criterion 06: basin formulas",
-     verify.acceptance_c06_basin_formulas),
-    ("criterion 07: fixed-point / integrator cross-validation",
-     verify.acceptance_c07_volterra_cross_validation),
-    ("criterion 08: regularization convergence",
-     verify.acceptance_c08_regularization_convergence),
-    ("criterion 09: continuous dependence on initial height",
-     verify.acceptance_c09_continuous_dependence),
-    ("criterion 10: reduced-regime oracles",
-     verify.acceptance_c10_regime_oracles),
-]
+C11 = "acceptance.c11_convergence_to_equilibrium"
+INVARIANTS = [name for name in verify.CHECKS if not name.startswith("acceptance.")]
+ACCEPTANCE = [name for name in verify.CHECKS if name.startswith("acceptance.") and name != C11]
 
 
-@pytest.mark.parametrize("label,check", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_acceptance_criterion(label, check):
-    details = check()
-    print(f"PASS {label}: {details}")
+def criterion(name):
+    return verify.CHECKS[name].__doc__.splitlines()[0]
+
+
+@pytest.mark.parametrize("name", INVARIANTS)
+def test_invariant(name):
+    details = verify.CHECKS[name]()
+    print(f"PASS {name}: {details}")
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE, ids=[criterion(name) for name in ACCEPTANCE])
+def test_acceptance_criterion(name):
+    details = verify.CHECKS[name]()
+    print(f"PASS {criterion(name)}: {details}")
+
+
+def test_check_names_select_one_check_each():
+    # `washburn verify --only NAME` filters by substring.
+    clashes = [(a, b) for a, b in permutations(verify.CHECKS, 2) if a in b]
+    assert clashes == []
 
 
 @pytest.mark.parametrize("beta,omega,alpha", verify.ACCEPTANCE_GRID,

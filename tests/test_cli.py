@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestSimulate:
         assert run(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "2e6", "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    @pytest.mark.parametrize("tol_args", [["--abs-tol", "nan"], ["--rel-tol", "inf"],
+                                          ["--rel-tol", "0"]])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):
+        code, err = run_rejected([command, "--omega", "1", "--beta", "1", "--alpha", "0",
+                                  *tol_args, "--output", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPicard:
     def test_files(self, tmp_path):
@@ -125,6 +136,23 @@ class TestPicard:
         assert run(["picard", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "5", "--max-iter", "1",
                     "-o", str(tmp_path / "fp")]) == 3
+
+    def test_infinite_tol_exits_2(self, tmp_path, capsys):
+        code, err = run_rejected(["picard", "--omega", "1", "--beta", "1", "--alpha", "0",
+                                  "--tol", "inf", "-o", str(tmp_path / "fp")], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: tol:")
+
+    @pytest.mark.parametrize("run_args", [["--omega", "1", "--beta", "1", "--horizon", "1e300"],
+                                          ["--omega", "1e300", "--beta", "1e-300"]])
+    def test_overflowing_iterate_exits_3_without_warnings(self, tmp_path, capsys, run_args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape main()
+            code, err = run_rejected(["picard", *run_args, "--alpha", "0",
+                                      "-o", str(tmp_path / "fp")], capsys)
+        assert code == 3
+        assert err.startswith("numeric failure: no convergence")
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("grid_args", [["--horizon", "10", "--step", "nan"],
                                            ["--horizon", "10", "--step", "1e-9"],

@@ -96,14 +96,15 @@ class TestLyapunov:
         _, V = lyapunov(u, v)
         assert V > 0.0
 
-    def test_factored_and_direct_forms_agree(self):
-        rng = np.random.default_rng(3)
-        u = rng.uniform(0.0, 9.0 / 8.0, 20000)
-        v = rng.uniform(-2.0, 2.0, 20000)
-        E, V = lyapunov_columns(u, v)
-        direct = E + 1.0 / 6.0
-        gap = np.abs(direct - V) / np.maximum(1.0, np.abs(V))
-        assert np.max(gap) <= 1e-13
+    @pytest.mark.parametrize("u,v", [(0.5, 0.0), (0.5 + 1e-4, -1e-3), (0.5 - 9e-4, 0.2),
+                                     (0.5 + 2e-3, 0.0), (0.0, 0.0), (0.3, -1.0),
+                                     (9.0 / 8.0, 0.5)])
+    def test_point_matches_columns(self, u, v):
+        # inside FACTORED_WINDOW = 1e-3 (the first three) and outside it
+        E, V = lyapunov(u, v)
+        E_col, V_col = lyapunov_columns(np.array([u]), np.array([v]))
+        assert (type(E), type(V)) == (float, float)
+        assert (E, V) == (E_col[0], V_col[0])
 
 
 class TestBasin:

@@ -132,19 +132,6 @@ class TestOrderInterval:
         assert report.lower_margin >= -1e-10
         assert report.upper_margin >= -1e-10
 
-    def test_random_members_stay_inside(self):
-        rng = np.random.default_rng(11)
-        omega, beta = 1.0, 1.0
-        s_star = uniqueness_window(omega, beta)
-        grid = np.linspace(0.0, s_star, 257)
-        op = KernelOperator(grid, omega, beta)
-        lower, upper = bracket_lower(grid), bracket_upper(grid)
-        for _ in range(20):
-            f = lower + rng.uniform(0.0, 1.0, grid.size) * (upper - lower)
-            image = op.apply(f, 0.0)
-            assert np.all(image >= lower - 1e-10)
-            assert np.all(image <= upper + 1e-10)
-
 
 class TestScalingInequality:
     def test_near_one(self):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from washburn.dynamics import (ExponentFamily, RegimeCase, RegimeSpec, State,
-                               case1_closed_form_u, case3_closed_form_h, energy,
+                               case1_closed_form_u, case2_implicit_time,
+                               case3_closed_form_h, energy,
                                regime_exponents, rhs_H, rhs_regime, rhs_u)
 from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
@@ -147,6 +148,12 @@ class TestRegimeOracles:
         slip = integrate_regime(spec, beta=0.5, alpha=0.0, horizon=5.0)
         no_slip = integrate_regime(spec, beta=1.0, alpha=0.0, horizon=5.0)
         assert np.all(slip.h[1:] > no_slip.h[1:])
+
+    def test_case2_implicit_relation(self):
+        spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA)
+        traj = integrate_regime(spec, beta=1.0, alpha=0.1, horizon=5.0,
+                                tolerances=(1e-13, 1e-12))
+        assert np.max(np.abs(case2_implicit_time(traj.h, 1.0, 0.1) - traj.t)) < 1e-8
 
     @pytest.mark.parametrize("beta,alpha,horizon", [
         (0.5, 0.0, 20.0),  # h* rounds up to 1 mid-run

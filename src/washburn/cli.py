@@ -18,7 +18,7 @@ from . import __version__, params as params_module, stability, verify, volterra
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
-from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, Trajectory,
+from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, Trajectory,
                         integrate, integrate_regime, regime_oracle_residuals)
 
 EXIT_OK = 0
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial h* (default: 0)")
     p.add_argument("--b-exponent", type=float, default=None,
                    help="free exponent b for case 3 (default: 1/4)")
-    p.add_argument("--horizon", type=float, default=20.0)
+    p.add_argument("--horizon", type=float, default=20.0,
+                   help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} (default: 20)")
     p.add_argument("--sample-step", type=float, default=None)
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")
     p.set_defaults(fn=cmd_regime)

@@ -6,7 +6,8 @@ s = T/sqrt(omega), in which the model reads
     u'' + (beta/sqrt(omega)) u' + sqrt(2 u) = 1.
 
 `u_form_field` is the one implementation of this right-hand side: the
-integrator steps it and `rhs_u` is its validated single-point form.
+integrator steps it and `rhs_u` is its validated single-point form;
+`regime_field` and `rhs_regime` are the same pair for the reduced regimes.
 `energy` is the one implementation of the first integral, which the
 Lyapunov function, the basin level set and the case-4 oracle all use.
 The H-form is kept for cross-validation and output only; it is singular
@@ -182,24 +183,45 @@ class RegimeSpec:
         return self.case in _FIRST_ORDER_CASES
 
 
-def rhs_regime(spec: RegimeSpec, state, beta: float) -> tuple:
-    """Reduced-regime right-hand side in u* coordinates.
+def regime_field(spec: RegimeSpec, beta: float):
+    """The reduced-regime vector field in u* coordinates, f(t*, y).
 
-    Second-order cases return (du*/dt*, dv*/dt*); first-order cases ignore
-    v and return the 1-tuple (du*/dt*,). Negative u* is clamped inside the
-    square roots, as in rhs_u.
+    Second-order cases step y = (u*, v*) and return (du*/dt*, dv*/dt*);
+    first-order cases read only u* = y[0] and return the 1-tuple
+    (du*/dt*,). Built once per run, like `u_form_field`: it validates
+    nothing, and negative u* is clamped inside the square roots.
     """
-    check_positive("beta", beta)
-    u, v = state
-    up = max(u, 0.0)
+    sqrt_ = math.sqrt
     case = spec.case
     if case is RegimeCase.NEGLIGIBLE_GRAVITY:
-        return (v, 1.0 - beta * v)
-    if case is RegimeCase.NEGLIGIBLE_INERTIA:
-        return ((1.0 - math.sqrt(2.0 * up)) / beta,)
-    if case is RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
-        return (1.0 / beta,)
-    return (v, 1.0 - math.sqrt(2.0 * up))
+        def field(t, y):
+            v = y[1]
+            return (v, 1.0 - beta * v)
+    elif case is RegimeCase.NEGLIGIBLE_INERTIA:
+        def field(t, y):
+            u = y[0]
+            return ((1.0 - sqrt_(2.0 * (0.0 if u < 0.0 else u))) / beta,)
+    elif case is RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
+        rate = (1.0 / beta,)
+
+        def field(t, y):
+            return rate
+    else:
+        def field(t, y):
+            u, v = y
+            return (v, 1.0 - sqrt_(2.0 * (0.0 if u < 0.0 else u)))
+    return field
+
+
+def rhs_regime(spec: RegimeSpec, state, beta: float) -> tuple:
+    """Reduced-regime right-hand side at state = (u*, v*).
+
+    Validates beta, then evaluates `regime_field`: second-order cases
+    return (du*/dt*, dv*/dt*), first-order cases ignore v* and return the
+    1-tuple (du*/dt*,).
+    """
+    check_positive("beta", beta)
+    return regime_field(spec, beta)(0.0, state)
 
 
 def case1_closed_form_u(t, beta: float, u0: float = 0.0):

@@ -1,8 +1,8 @@
 """Adaptive trajectory integration with dense sampling and bookkeeping.
 
 The u-form model, with the vector field `dynamics.u_form_field`, is
-integrated with an explicit embedded Runge-Kutta 5(4) pair
-(Dormand-Prince, via scipy) with quartic dense output. Trajectories
+integrated with the explicit embedded Runge-Kutta 5(4) pair of
+Dormand and Prince with quartic dense output (`_rk`). Trajectories
 carry derived height/energy columns, equilibrium-crossing events detected
 with a hysteresis band and refined by bisection on the dense output, and
 the evaluation handle needed to re-detect crossings at other levels.
@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import dynamics, stability
+from . import _rk, dynamics, stability
 from .dynamics import RegimeSpec, State
-from .errors import HorizonError, NumericError, StepSizeUnderflowError
+from .errors import HorizonError, NumericError
 from .params import ModelParams, check_alpha, check_nonnegative, check_positive
 
 DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
@@ -58,7 +57,7 @@ class Trajectory:
     epsilon: float
     tolerances: tuple[float, float]
     crossings: tuple[Crossing, ...]
-    dense: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    dense: _rk.DenseSolution = field(repr=False, compare=False)
 
     def final_state(self) -> State:
         return State(float(self.u[-1]), float(self.v[-1]))
@@ -78,13 +77,17 @@ def default_horizon(params: ModelParams) -> float:
     return min(HORIZON_EFOLDS / params.damping, HORIZON_CAP)
 
 
+def _check_horizon(horizon: float, cap: float):
+    check_positive("horizon", horizon)
+    if horizon > cap:
+        raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
+
+
 def _resolve_run_args(params, epsilon, horizon, tolerances, sample_step):
     check_nonnegative("epsilon", epsilon)
     if horizon is None:
         horizon = default_horizon(params)
-    check_positive("horizon", horizon)
-    if horizon > HORIZON_CAP:
-        raise HorizonError(f"{horizon!r} exceeds the cap {HORIZON_CAP:g}")
+    _check_horizon(horizon, HORIZON_CAP)
     abs_tol, rel_tol = tolerances
     check_positive("abs_tol", abs_tol)
     check_positive("rel_tol", rel_tol)
@@ -111,17 +114,17 @@ def _series_seed(gamma: float):
     c4 = (1.0 + gamma) * (3.0 * gamma + 1.0) / 72.0
 
     def eval_series(s):
-        s = np.asarray(s, dtype=float)
+        """(u, v) at a float or an array of times."""
         u = s * s * (0.5 + s * (c3 + s * c4))
         v = s * (1.0 + s * (3.0 * c3 + s * 4.0 * c4))
-        return np.stack([u, v])
+        return u, v
 
     return eval_series
 
 
 def _solve(params: ModelParams, epsilon: float, horizon: float,
            tolerances: tuple[float, float]):
-    """Run the RK5(4) solve; returns (dense evaluator, start state)."""
+    """Run the RK5(4) solve; returns (dense solution, start state)."""
     gamma = params.damping
     u0 = 0.5 * params.alpha * params.alpha
     t_start = 0.0
@@ -131,31 +134,11 @@ def _solve(params: ModelParams, epsilon: float, horizon: float,
         # Hoelder corner at u = 0: seed the first step analytically.
         series = _series_seed(gamma)
         t_start = min(1e-6, 0.01 / (1.0 + gamma), horizon / 2.0)
-        y_start = tuple(series(t_start))
+        y_start = series(t_start)
 
     abs_tol, rel_tol = tolerances
-    field = dynamics.u_form_field(gamma, epsilon)
-    sol = solve_ivp(field, (t_start, horizon), y_start, method="RK45",
-                    rtol=rel_tol, atol=abs_tol, dense_output=True)
-    if sol.status != 0 or not sol.success:
-        raise StepSizeUnderflowError(sol.message)
-
-    if series is None:
-        def dense(pts):
-            return sol.sol(np.asarray(pts, dtype=float))
-    else:
-        def dense(pts):
-            pts = np.asarray(pts, dtype=float)
-            scalar = pts.ndim == 0
-            pts = np.atleast_1d(pts)
-            out = np.empty((2, pts.size))
-            early = pts < t_start
-            if early.any():
-                out[:, early] = series(pts[early])
-            if (~early).any():
-                out[:, ~early] = sol.sol(pts[~early])
-            return out[:, 0] if scalar else out
-
+    dense = _rk.solve(dynamics.u_form_field(gamma, epsilon), t_start, y_start, horizon,
+                      rel_tol, abs_tol, head=series)
     return dense, u0
 
 
@@ -176,12 +159,9 @@ def _bisect_level(u_at: Callable[[float], float], level: float,
     return 0.5 * (lo + hi)
 
 
-def _detect_crossings(s: np.ndarray, u: np.ndarray, dense, level: float,
-                      band: float = CROSSING_BAND,
+def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
+                      level: float, band: float = CROSSING_BAND,
                       refine_tol: float = CROSSING_REFINE_TOL) -> tuple[Crossing, ...]:
-    def u_at(x):
-        return float(dense(x)[0])
-
     crossings = []
     side = 0
     armed_index = None
@@ -193,7 +173,7 @@ def _detect_crossings(s: np.ndarray, u: np.ndarray, dense, level: float,
         if side == 0:
             side = this_side
         elif this_side != side:
-            s_cross = _bisect_level(u_at, level, float(s[armed_index]),
+            s_cross = _bisect_level(dense.at, level, float(s[armed_index]),
                                     float(s[i]), refine_tol)
             crossings.append(Crossing(s_cross, this_side))
             side = this_side
@@ -273,16 +253,21 @@ class RegimeTrajectory:
 
 
 REGIME_TOLERANCES = (1e-12, 1e-11)
+REGIME_HORIZON_CAP = 1e3
 
 
 def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
                      horizon: float = 20.0,
                      tolerances: tuple[float, float] = REGIME_TOLERANCES,
                      sample_step: float | None = None) -> RegimeTrajectory:
-    """Integrate a reduced regime from u*(0) = alpha^2/2 at rest."""
+    """Integrate a reduced regime from u*(0) = alpha^2/2 at rest.
+
+    The horizon is capped at REGIME_HORIZON_CAP: the undamped case 4 takes
+    a number of steps proportional to it.
+    """
     check_positive("beta", beta)
     check_alpha(alpha)
-    check_positive("horizon", horizon)
+    _check_horizon(horizon, REGIME_HORIZON_CAP)
     if sample_step is None:
         sample_step = horizon / 4096.0
     check_positive("sample_step", sample_step)
@@ -292,22 +277,11 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
 
     u0 = 0.5 * alpha * alpha
     first_order = spec.first_order
-    if first_order:
-        def rhs(t, y):
-            return [dynamics.rhs_regime(spec, (y[0], 0.0), beta)[0]]
-        y0 = [u0]
-    else:
-        def rhs(t, y):
-            return list(dynamics.rhs_regime(spec, (y[0], y[1]), beta))
-        y0 = [u0, 0.0]
-
-    sol = solve_ivp(rhs, (0.0, horizon), y0, method="RK45",
-                    rtol=rel_tol, atol=abs_tol, dense_output=True)
-    if sol.status != 0 or not sol.success:
-        raise StepSizeUnderflowError(sol.message)
+    y0 = (u0,) if first_order else (u0, 0.0)
+    sol = _rk.solve(dynamics.regime_field(spec, beta), 0.0, y0, horizon, rel_tol, abs_tol)
 
     t = _sample_grid(horizon, sample_step)
-    y = sol.sol(t)
+    y = sol(t)
     u = y[0].copy()
     u[0] = u0
     v = None

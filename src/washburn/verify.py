@@ -15,9 +15,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import dynamics, params as params_module, stability, volterra
+from . import _rk, dynamics, params as params_module, stability, volterra
 from .dynamics import RegimeCase, RegimeSpec, State
 from .errors import WashburnError
 from .integrate import (_sample_grid, _solve, continuous_dependence, integrate,
@@ -157,12 +156,9 @@ def check_dynamics_h_u_consistency() -> dict:
     omega, beta, alpha = 1.0, 1.0, 0.5
     traj = integrate(_mp(omega, beta, alpha), horizon=20.0,
                            tolerances=(1e-12, 1e-10), sample_step=0.01)
-    sol = solve_ivp(
-        lambda T, y: (y[1], dynamics.rhs_H(y[0], y[1], omega, beta)),
-        (0.0, 20.0 * math.sqrt(omega)), [alpha, 0.0], method="RK45",
-        rtol=1e-10, atol=1e-12, dense_output=True)
-    _require(sol.success, "H-form integration failed")
-    H_direct = sol.sol(traj.s * math.sqrt(omega))[0]
+    sol = _rk.solve(lambda T, y: (y[1], dynamics.rhs_H(y[0], y[1], omega, beta)),
+                    0.0, (alpha, 0.0), 20.0 * math.sqrt(omega), rtol=1e-10, atol=1e-12)
+    H_direct = sol(traj.s * math.sqrt(omega))[0]
     worst = float(np.max(np.abs(traj.H - H_direct)))
     _require(worst <= 1e-7, f"H/u cross-integration differs by {worst:.3e}")
     return {"sup_difference": worst}

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from washburn import cli, verify
+from washburn.integrate import REGIME_HORIZON_CAP
 
 
 WATER_JSON = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 0.0,
@@ -221,6 +226,21 @@ class TestRegimeCommand:
         assert code == 2
         assert err.startswith("configuration error:")
 
+    def test_horizon_above_the_cap_exits_2(self, tmp_path, capsys):
+        code, err = run_rejected(["regime", "--case", "1", "--beta", "1", "--horizon", "1e300",
+                                  "-o", str(tmp_path / "r")], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: horizon:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_undamped_case4_at_the_horizon_cap(self, tmp_path):
+        prefix = str(tmp_path / "c4")
+        assert run(["regime", "--case", "4", "--beta", "1", "--alpha", "0.5",
+                    "--horizon", repr(REGIME_HORIZON_CAP), "-o", prefix]) == 0
+        summary = json.loads((tmp_path / "c4.json").read_text())
+        assert summary["horizon"] == REGIME_HORIZON_CAP
+        assert summary["oracle"] == "energy_drift"
+
     @pytest.mark.parametrize("run_args", [["--beta", "0.5"],
                                           ["--beta", "1", "--alpha", "1.2", "--horizon", "4"]])
     def test_case2_oracle_past_asymptote_exits_3(self, tmp_path, capsys, run_args):
@@ -253,3 +273,12 @@ class TestVerifyCommand:
 
     def test_unknown_filter_exits_2(self):
         assert run(["verify", "--only", "no-such-check"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, washburn.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

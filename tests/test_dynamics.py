@@ -1,4 +1,3 @@
-import importlib
 import math
 from fractions import Fraction
 
@@ -6,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
+from washburn import _rk
 from washburn.dynamics import (ExponentFamily, RegimeCase, RegimeSpec, State,
                                case1_closed_form_u, case2_implicit_time,
                                case3_closed_form_h, energy,
@@ -16,7 +15,18 @@ from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
 from washburn.params import ModelParams
 
-integrate_module = importlib.import_module("washburn.integrate")  # the package re-exports `integrate`
+
+def stepped_fields(monkeypatch):
+    """Record every field that the package hands to the RK stepper."""
+    fields = []
+    solve = _rk.solve
+
+    def recording_solve(fun, *args, **kwargs):
+        fields.append(fun)
+        return solve(fun, *args, **kwargs)
+
+    monkeypatch.setattr(_rk, "solve", recording_solve)
+    return fields
 
 
 class TestRhsU:
@@ -54,17 +64,11 @@ class TestRhsU:
                                                     (4.0, 0.25, 0.3)])
     def test_matches_the_integrated_field_bit_for_bit(self, monkeypatch, omega, beta,
                                                       epsilon):
-        fields = []
-
-        def recording_solve_ivp(fun, *args, **kwargs):
-            fields.append(fun)
-            return solve_ivp(fun, *args, **kwargs)
-
-        monkeypatch.setattr(integrate_module, "solve_ivp", recording_solve_ivp)
+        fields = stepped_fields(monkeypatch)
         integrate(ModelParams(omega, beta, 0.5), epsilon=epsilon, horizon=1.0)
         (field,) = fields
         states = np.random.default_rng(17).uniform([-0.5, -2.0], [1.2, 2.0], size=(1000, 2))
-        stepped = np.array([field(0.0, y) for y in states])  # the solver passes arrays
+        stepped = np.array([field(0.0, y) for y in states.tolist()])  # Python floats, as stepped
         checked = np.array([rhs_u(State(u, v), omega, beta, epsilon)
                             for u, v in states.tolist()])
         assert np.array_equal(checked.view(np.int64), stepped.view(np.int64))
@@ -126,6 +130,19 @@ class TestRegimeRhs:
         du, dv = rhs_regime(spec, State(0.2, 0.3), 1.0)
         assert du == 0.3
         assert dv == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("case", list(RegimeCase))
+    def test_matches_the_integrated_field_bit_for_bit(self, monkeypatch, case):
+        spec, beta = RegimeSpec.standard(case), 0.7
+        fields = stepped_fields(monkeypatch)
+        integrate_regime(spec, beta=beta, alpha=0.5, horizon=1.0)
+        (field,) = fields
+        states = np.random.default_rng(17).uniform([-0.5, -2.0], [1.2, 2.0], size=(1000, 2))
+        width = 1 if spec.first_order else 2  # first-order cases step u* alone
+        stepped = np.array([field(0.0, y[:width]) for y in states.tolist()])
+        checked = np.array([rhs_regime(spec, State(u, v), beta) for u, v in states.tolist()])
+        assert checked.shape == (1000, width)
+        assert np.array_equal(checked.view(np.int64), stepped.view(np.int64))
 
 
 class TestRegimeOracles:

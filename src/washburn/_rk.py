@@ -63,13 +63,17 @@ def _rms(xs) -> float:
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     """Hairer-Norsett-Wanner starting step for an error estimator of order 4;
-    makes one evaluation of fun."""
+    makes one evaluation of fun. Raises StepSizeUnderflowError when the
+    field is so large against the tolerances that the first guess is 0."""
     interval = t_bound - t0
     scale = [atol + abs(y) * rtol for y in y0]
     d0 = _rms([y / sc for y, sc in zip(y0, scale)])
     d1 = _rms([f / sc for f, sc in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if h0 == 0.0:
+        raise StepSizeUnderflowError(
+            f"initial step size is zero at t = {t0!r}: the scaled field norm overflows")
     f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
     d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -87,7 +91,7 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     `head`, if given, is the state for t < t0 (for example a series seed):
     head(t) returns a tuple of floats for a float and of arrays for an
     array. Raises StepSizeUnderflowError when the step falls below ten
-    units in the last place of t.
+    units in the last place of t, or the starting step to 0.
     """
     if not t_bound > t0:
         raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")

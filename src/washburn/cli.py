@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,24 +20,24 @@ from . import __version__, params as params_module, stability, verify, volterra
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
-from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, Trajectory,
-                        integrate, integrate_regime, regime_oracle_residuals)
+from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, MAX_SAMPLES, REGIME_HORIZON_CAP,
+                        Trajectory, integrate, integrate_regime, regime_oracle_residuals)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_CASE_NAMES = {
-    "1": RegimeCase.NEGLIGIBLE_GRAVITY,
-    "negligible-gravity": RegimeCase.NEGLIGIBLE_GRAVITY,
-    "2": RegimeCase.NEGLIGIBLE_INERTIA,
-    "negligible-inertia": RegimeCase.NEGLIGIBLE_INERTIA,
-    "3": RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA,
-    "negligible-gravity-inertia": RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA,
-    "4": RegimeCase.NEGLIGIBLE_VISCOSITY,
-    "negligible-viscosity": RegimeCase.NEGLIGIBLE_VISCOSITY,
-}
+SAMPLE_STEP_HELP = (f"output sampling step, at least horizon/{MAX_SAMPLES} "
+                    "(default: horizon/4096)")
+
+
+def _case_name(case: RegimeCase) -> str:
+    return case.name.lower().replace("_", "-")
+
+
+_CASE_NAMES = {spelling: case for case in RegimeCase
+               for spelling in (str(int(case)), _case_name(case))}
 
 
 def _parse_case(text: str) -> RegimeCase:
@@ -193,8 +195,12 @@ def cmd_basin(args) -> int:
 
 def cmd_regime(args) -> int:
     case = _parse_case(args.case)
-    spec = (RegimeSpec.standard(case, b=args.b_exponent)
-            if args.b_exponent is not None else RegimeSpec.standard(case))
+    b = args.b_exponent
+    if b is not None:
+        if not math.isfinite(b):
+            raise DomainError("b", f"must be finite, got {b!r}")
+        b = Fraction(repr(b))  # the decimal the user typed: 0.1 gives 1/10
+    spec = RegimeSpec.standard(case, b=b)
     traj = integrate_regime(spec, beta=args.beta, alpha=args.alpha,
                                   horizon=args.horizon,
                                   sample_step=args.sample_step)
@@ -210,7 +216,7 @@ def cmd_regime(args) -> int:
     write_csv(csv_path, header, columns)
     write_json(prefix + ".json", {
         "case": int(case),
-        "case_name": case.name.lower().replace("_", "-"),
+        "case_name": _case_name(case),
         "exponents": {"a": [spec.a.numerator, spec.a.denominator],
                       "b": [spec.b.numerator, spec.b.denominator]},
         "beta": args.beta,
@@ -266,7 +272,7 @@ def _add_run_args(parser):
     parser.add_argument("--horizon", type=float, default=None,
                         help="integration horizon (default: 30 damping e-folds)")
     parser.add_argument("--sample-step", type=float, default=None,
-                        help="output sampling step (default: horizon/4096)")
+                        help=SAMPLE_STEP_HELP)
     parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOLERANCES[0],
                         help="absolute tolerance (default: %(default)g)")
     parser.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCES[1],
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="free exponent b for case 3 (default: 1/4)")
     p.add_argument("--horizon", type=float, default=20.0,
                    help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} (default: 20)")
-    p.add_argument("--sample-step", type=float, default=None)
+    p.add_argument("--sample-step", type=float, default=None, help=SAMPLE_STEP_HELP)
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")
     p.set_defaults(fn=cmd_regime)
 

@@ -17,12 +17,13 @@ import numpy as np
 
 from . import _rk, dynamics, stability
 from .dynamics import RegimeSpec, State
-from .errors import HorizonError, NumericError
+from .errors import DomainError, HorizonError, NumericError
 from .params import ModelParams, check_alpha, check_nonnegative, check_positive
 
 DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
 HORIZON_CAP = 1e6
 HORIZON_EFOLDS = 30.0
+MAX_SAMPLES = 2**20
 
 EQUILIBRIUM_LEVEL = 0.5
 CROSSING_BAND = 1e-9
@@ -77,24 +78,24 @@ def default_horizon(params: ModelParams) -> float:
     return min(HORIZON_EFOLDS / params.damping, HORIZON_CAP)
 
 
-def _check_horizon(horizon: float, cap: float):
+def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
+               sample_step: float | None):
+    """Validate a run's horizon, tolerances and sample step, with the sample
+    step defaulting to horizon/4096 and the sample count capped at
+    MAX_SAMPLES; returns (horizon, tolerances, sample_step) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
         raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
-
-
-def _resolve_run_args(params, epsilon, horizon, tolerances, sample_step):
-    check_nonnegative("epsilon", epsilon)
-    if horizon is None:
-        horizon = default_horizon(params)
-    _check_horizon(horizon, HORIZON_CAP)
     abs_tol, rel_tol = tolerances
     check_positive("abs_tol", abs_tol)
     check_positive("rel_tol", rel_tol)
     if sample_step is None:
         sample_step = horizon / 4096.0
     check_positive("sample_step", sample_step)
-    return float(epsilon), float(horizon), (float(abs_tol), float(rel_tol)), float(sample_step)
+    if horizon / sample_step > MAX_SAMPLES:
+        raise DomainError("sample_step", f"{sample_step!r} asks for more than "
+                                         f"{MAX_SAMPLES} samples over the horizon {horizon!r}")
+    return float(horizon), (float(abs_tol), float(rel_tol)), float(sample_step)
 
 
 def _sample_grid(horizon: float, step: float) -> np.ndarray:
@@ -105,6 +106,18 @@ def _sample_grid(horizon: float, step: float) -> np.ndarray:
     if horizon - s[-1] > 1e-12 * max(1.0, horizon):
         s = np.append(s, horizon)
     return s
+
+
+def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0):
+    """Sample times, state rows and height sqrt(2u) from the dense output,
+    with the first sample pinned to the initial state y0; all read-only."""
+    s = _sample_grid(horizon, sample_step)
+    y = dense(s)
+    y[:, 0] = y0
+    h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
+    for arr in (s, y, h):
+        arr.setflags(write=False)
+    return s, y, h
 
 
 def _series_seed(gamma: float):
@@ -160,25 +173,17 @@ def _bisect_level(u_at: Callable[[float], float], level: float,
 
 
 def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
-                      level: float, band: float = CROSSING_BAND,
-                      refine_tol: float = CROSSING_REFINE_TOL) -> tuple[Crossing, ...]:
-    crossings = []
-    side = 0
-    armed_index = None
-    for i in range(s.size):
-        d = u[i] - level
-        if abs(d) <= band:
-            continue
-        this_side = 1 if d > 0.0 else -1
-        if side == 0:
-            side = this_side
-        elif this_side != side:
-            s_cross = _bisect_level(dense.at, level, float(s[armed_index]),
-                                    float(s[i]), refine_tol)
-            crossings.append(Crossing(s_cross, this_side))
-            side = this_side
-        armed_index = i
-    return tuple(crossings)
+                      level: float) -> tuple[Crossing, ...]:
+    # Samples within CROSSING_BAND of the level belong to neither side (NaN
+    # counts as below); a crossing lies between consecutive kept samples on
+    # opposite sides.
+    d = u - level
+    kept = np.flatnonzero(~(np.abs(d) <= CROSSING_BAND))
+    above = d[kept] > 0.0
+    return tuple(Crossing(_bisect_level(dense.at, level, float(s[kept[i]]),
+                                        float(s[kept[i + 1]]), CROSSING_REFINE_TOL),
+                          1 if above[i + 1] else -1)
+                 for i in np.flatnonzero(above[1:] != above[:-1]).tolist())
 
 
 def integrate(params: ModelParams, epsilon: float = 0.0,
@@ -191,27 +196,23 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     the integrator's quartic dense output; the first sample matches the
     initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
     """
-    epsilon, horizon, tolerances, sample_step = _resolve_run_args(
-        params, epsilon, horizon, tolerances, sample_step)
+    check_nonnegative("epsilon", epsilon)
+    epsilon = float(epsilon)
+    if horizon is None:
+        horizon = default_horizon(params)
+    horizon, tolerances, sample_step = _check_run(horizon, HORIZON_CAP, tolerances,
+                                                  sample_step)
     dense, u0 = _solve(params, epsilon, horizon, tolerances)
 
-    s = _sample_grid(horizon, sample_step)
-    y = dense(s)
-    u = y[0].copy()
-    v = y[1].copy()
-    u[0] = u0
-    v[0] = 0.0
-
-    H = np.sqrt(2.0 * np.maximum(u, 0.0))
+    s, (u, v), H = _sampled(dense, horizon, sample_step, (u0, 0.0))
     T = s * math.sqrt(params.omega)
     E, V = stability.lyapunov_columns(u, v)
-    crossings = _detect_crossings(s, u, dense, EQUILIBRIUM_LEVEL)
-
-    for arr in (s, u, v, H, T, E, V):
+    for arr in (T, E, V):
         arr.setflags(write=False)
     return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
                       epsilon=epsilon, tolerances=tolerances,
-                      crossings=crossings, dense=dense)
+                      crossings=_detect_crossings(s, u, dense, EQUILIBRIUM_LEVEL),
+                      dense=dense)
 
 
 def detect_crossings(traj: Trajectory, level: float = EQUILIBRIUM_LEVEL) -> tuple[Crossing, ...]:
@@ -267,33 +268,15 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
     """
     check_positive("beta", beta)
     check_alpha(alpha)
-    _check_horizon(horizon, REGIME_HORIZON_CAP)
-    if sample_step is None:
-        sample_step = horizon / 4096.0
-    check_positive("sample_step", sample_step)
-    abs_tol, rel_tol = tolerances
-    check_positive("abs_tol", abs_tol)
-    check_positive("rel_tol", rel_tol)
-
+    horizon, tolerances, sample_step = _check_run(horizon, REGIME_HORIZON_CAP, tolerances,
+                                                  sample_step)
     u0 = 0.5 * alpha * alpha
-    first_order = spec.first_order
-    y0 = (u0,) if first_order else (u0, 0.0)
-    sol = _rk.solve(dynamics.regime_field(spec, beta), 0.0, y0, horizon, rel_tol, abs_tol)
-
-    t = _sample_grid(horizon, sample_step)
-    y = sol(t)
-    u = y[0].copy()
-    u[0] = u0
-    v = None
-    if not first_order:
-        v = y[1].copy()
-        v[0] = 0.0
-        v.setflags(write=False)
-    h = np.sqrt(2.0 * np.maximum(u, 0.0))
-    for arr in (t, u, h):
-        arr.setflags(write=False)
-    return RegimeTrajectory(spec=spec, beta=beta, h0=math.sqrt(2.0 * u0), t=t,
-                            u=u, v=v, h=h, tolerances=(abs_tol, rel_tol))
+    y0 = (u0,) if spec.first_order else (u0, 0.0)
+    abs_tol, rel_tol = tolerances
+    dense = _rk.solve(dynamics.regime_field(spec, beta), 0.0, y0, horizon, rel_tol, abs_tol)
+    t, y, h = _sampled(dense, horizon, sample_step, y0)
+    return RegimeTrajectory(spec=spec, beta=beta, h0=math.sqrt(2.0 * u0), t=t, u=y[0],
+                            v=None if spec.first_order else y[1], h=h, tolerances=tolerances)
 
 
 def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:

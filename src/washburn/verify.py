@@ -5,8 +5,10 @@ raises CheckFailure when the property it guards does not hold. `CHECKS`
 is the one check set: the CLI `verify` command runs it (optionally
 filtered by a substring, so no name may contain another) and writes a
 machine-readable report, and tier-1 pytest runs each entry as one test
-(tests/test_acceptance.py). An acceptance check's docstring names its
-criterion.
+(tests/test_acceptance.py). A check joins the set by being defined here
+as a module-level `check_<module>_<rest>` or `acceptance_<rest>`
+function; it is keyed `<module>.<rest>` or `acceptance.<rest>`, in
+definition order. An acceptance check's docstring names its criterion.
 """
 from __future__ import annotations
 
@@ -640,40 +642,10 @@ def acceptance_c11_convergence_to_equilibrium() -> dict:
 # ---------------------------------------------------------------------------
 # registry and runner
 
-CHECKS = {
-    "params.roundtrip": check_params_roundtrip,
-    "params.omega_consistency": check_params_omega_consistency,
-    "params.beta_slip_monotone": check_params_beta_slip_monotone,
-    "params.critical_omega_scaling": check_params_critical_omega_scaling,
-    "dynamics.equilibrium_rhs": check_dynamics_equilibrium_rhs,
-    "dynamics.regularization_ordering": check_dynamics_regularization_ordering,
-    "dynamics.case4_conservation": check_dynamics_case4_conservation,
-    "dynamics.h_u_consistency": check_dynamics_h_u_consistency,
-    "integrate.positivity_and_bounds": check_integrate_positivity_and_bounds,
-    "integrate.energy_monotone": check_integrate_energy_monotone,
-    "integrate.epsilon_convergence": check_integrate_epsilon_convergence,
-    "integrate.tolerance_convergence": check_integrate_tolerance_convergence,
-    "volterra.operator_monotone": check_volterra_operator_monotone,
-    "volterra.self_mapping": check_volterra_self_mapping,
-    "volterra.quadrature_order": check_volterra_quadrature_order,
-    "volterra.picard_ode_equivalence": check_volterra_picard_ode_equivalence,
-    "stability.v_positivity": check_stability_v_positivity,
-    "stability.eigenvalue_real_part": check_stability_eigenvalue_real_part,
-    "stability.classification_boundary": check_stability_classification_boundary,
-    "stability.basin_residual": check_stability_basin_residual,
-    "stability.basin_geometry": check_stability_basin_geometry,
-    "acceptance.c01_equilibrium_exactness": acceptance_c01_equilibrium_exactness,
-    "acceptance.c02_bounds": acceptance_c02_bounds,
-    "acceptance.c03_energy_lyapunov": acceptance_c03_energy_lyapunov,
-    "acceptance.c04_bifurcation": acceptance_c04_bifurcation,
-    "acceptance.c05_eigenvalue_anchor": acceptance_c05_eigenvalue_anchor,
-    "acceptance.c06_basin_formulas": acceptance_c06_basin_formulas,
-    "acceptance.c07_volterra_cross_validation": acceptance_c07_volterra_cross_validation,
-    "acceptance.c08_regularization_convergence": acceptance_c08_regularization_convergence,
-    "acceptance.c09_continuous_dependence": acceptance_c09_continuous_dependence,
-    "acceptance.c10_regime_oracles": acceptance_c10_regime_oracles,
-    "acceptance.c11_convergence_to_equilibrium": acceptance_c11_convergence_to_equilibrium,
-}
+CHECKS = {name.removeprefix("check_").replace("_", ".", 1): fn
+          for name, fn in list(globals().items())
+          if name.startswith(("check_", "acceptance_"))
+          and getattr(fn, "__module__", None) == __name__}
 
 
 @dataclass(frozen=True)

@@ -115,12 +115,21 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "classify"])
     @pytest.mark.parametrize("tol_args", [["--abs-tol", "nan"], ["--rel-tol", "inf"],
-                                          ["--rel-tol", "0"]])
+                                          ["--rel-tol", "0"],
+                                          # more than MAX_SAMPLES samples
+                                          ["--sample-step", "1e-15"]])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):
         code, err = run_rejected([command, "--omega", "1", "--beta", "1", "--alpha", "0",
                                   *tol_args, "--output", str(tmp_path / "x")], capsys)
         assert code == 2
         assert err.startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_epsilon_exits_3(self, tmp_path, capsys):
+        code, err = run_rejected(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5",
+                                  "--epsilon", "1e300", "-o", str(tmp_path / "x")], capsys)
+        assert code == 3
+        assert err.startswith("numeric failure: initial step size is zero")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -220,11 +229,25 @@ class TestRegimeCommand:
 
     @pytest.mark.parametrize("bad_args", [["--case", "1", "--beta", "inf"],
                                           ["--case", "2", "--beta", "1", "--alpha", "2"],
-                                          ["--case", "1", "--beta", "1", "--sample-step", "nan"]])
+                                          ["--case", "1", "--beta", "1", "--sample-step", "nan"],
+                                          ["--case", "1", "--beta", "1", "--sample-step", "1e-15"],
+                                          ["--case", "3", "--beta", "1", "--b-exponent", "nan"],
+                                          ["--case", "3", "--beta", "1", "--b-exponent", "inf"]])
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, bad_args):
         code, err = run_rejected(["regime", *bad_args, "-o", str(tmp_path / "x")], capsys)
         assert code == 2
         assert err.startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text,a,b", [("0.1", [1, 5], [1, 10]), ("0.125", [1, 4], [1, 8]),
+                                          ("0.25", [1, 2], [1, 4])])
+    def test_b_exponent_is_the_typed_decimal(self, tmp_path, text, a, b):
+        prefix = str(tmp_path / "c3")
+        assert run(["regime", "--case", "negligible-gravity-inertia", "--beta", "1",
+                    "--horizon", "1", "--b-exponent", text, "-o", prefix]) == 0
+        summary = json.loads((tmp_path / "c3.json").read_text())
+        assert summary["case_name"] == "negligible-gravity-inertia"
+        assert summary["exponents"] == {"a": a, "b": b}
 
     def test_horizon_above_the_cap_exits_2(self, tmp_path, capsys):
         code, err = run_rejected(["regime", "--case", "1", "--beta", "1", "--horizon", "1e300",

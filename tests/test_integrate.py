@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from washburn.errors import DomainError, HorizonError
-from washburn.integrate import (Crossing, continuous_dependence, default_horizon,
-                                detect_crossings, integrate)
+from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, MAX_SAMPLES, Crossing,
+                                _bisect_level, _detect_crossings, continuous_dependence,
+                                default_horizon, detect_crossings, integrate)
 from washburn.params import ModelParams
 from washburn.stability import lyapunov
 
@@ -75,6 +77,8 @@ class TestIntegrate:
             integrate(mp(1.0, 1.0, 0.0), sample_step=0.0)
         with pytest.raises(DomainError):
             integrate(mp(1.0, 1.0, 0.0), epsilon=-1e-9)
+        with pytest.raises(DomainError):
+            integrate(mp(1.0, 1.0, 0.0), horizon=30.0, sample_step=30.0 / MAX_SAMPLES / 2)
 
     def test_regularized_equilibrium_shift(self):
         # With the square-root regularization the stationary level moves to
@@ -117,6 +121,86 @@ class TestCrossings:
         assert len(quarter) >= 1
         assert isinstance(quarter[0], Crossing)
         assert float(traj.dense(quarter[0].s)[0]) == pytest.approx(0.25, abs=1e-9)
+
+
+def crossings_by_loop(s, u, dense, level):
+    """The per-sample hysteresis loop that `_detect_crossings` replaced, kept
+    as its reference (as tests/test_volterra.py keeps the dense kernel)."""
+    crossings = []
+    side = 0
+    armed_index = None
+    for i in range(s.size):
+        d = u[i] - level
+        if abs(d) <= CROSSING_BAND:
+            continue
+        this_side = 1 if d > 0.0 else -1
+        if side == 0:
+            side = this_side
+        elif this_side != side:
+            s_cross = _bisect_level(dense.at, level, float(s[armed_index]),
+                                    float(s[i]), CROSSING_REFINE_TOL)
+            crossings.append(Crossing(s_cross, this_side))
+            side = this_side
+        armed_index = i
+    return tuple(crossings)
+
+
+class PiecewiseLinear:
+    """A stand-in for the dense output: linear interpolation through (s, u)."""
+
+    def __init__(self, s, u):
+        self.s, self.u = s, u
+
+    def at(self, t, i=0):
+        return float(np.interp(t, self.s, self.u))
+
+
+def synthetic(values):
+    """u on the unit-step grid, and its stand-in dense output; the tests take
+    the level 0, so that u - level is exact and +-CROSSING_BAND is the edge."""
+    u = np.asarray(values, dtype=float)
+    s = np.arange(u.size, dtype=float)
+    return s, u, PiecewiseLinear(s, u)
+
+
+B = CROSSING_BAND
+SYNTHETIC = {
+    "runs-inside-band": [-1.0, -0.5 * B, 0.0, 0.5 * B, B, 0.3, 0.9 * B, -B, -0.2, 0.0,
+                         -0.5 * B, 0.4, 2 * B, -2 * B],
+    "on-the-level": [-0.1, 0.0, 0.1, 0.0, 0.0, -0.1, 0.0, 0.1],
+    "nan": [-0.1, np.nan, 0.1, np.nan, -0.1, 0.1, np.nan],
+    "leading-nan": [np.nan, 0.0, 0.2, -0.2],
+    "all-inside-band": [0.0, 0.5 * B, -B, B, -0.25 * B],
+    "single-sample": [0.3],
+    "empty": [],
+    "seeded-mix": (np.random.default_rng(3).choice([-1.0, 1.0], 400)
+                   * np.random.default_rng(4).choice([0.0, 0.5 * B, B, 1.5 * B, 1e-3], 400)),
+}
+
+
+class TestCrossingScan:
+    """`_detect_crossings` against the loop it replaced, crossing for crossing."""
+
+    @pytest.mark.parametrize("point", [(0.1, 1.0, 0.0), (0.25, 1.0, 0.0), (1.0, 1.0, 0.0),
+                                       (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
+    def test_trajectories(self, point):
+        traj = integrate(mp(*point))
+        for level in (0.5, 0.25):
+            found = _detect_crossings(traj.s, traj.u, traj.dense, level)
+            assert found == crossings_by_loop(traj.s, traj.u, traj.dense, level)
+        assert traj.crossings == _detect_crossings(traj.s, traj.u, traj.dense, 0.5)
+
+    def test_lightly_damped_point_crosses_76_times(self):
+        assert len(integrate(mp(31.4, 0.7, 0.0)).crossings) == 76
+
+    @pytest.mark.parametrize("name", SYNTHETIC)
+    def test_synthetic_samples(self, name):
+        s, u, dense = synthetic(SYNTHETIC[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = _detect_crossings(s, u, dense, 0.0)
+        assert found == crossings_by_loop(s, u, dense, 0.0)
+        assert (found == ()) == (name in ("all-inside-band", "single-sample", "empty"))
 
 
 class TestContinuousDependence:

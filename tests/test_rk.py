@@ -83,3 +83,11 @@ def test_step_size_underflow_raises():
 
     with pytest.raises(StepSizeUnderflowError):
         _rk.solve(blow_up, 0.0, (1.0,), 2.0, 1e-8, 1e-10)
+
+
+def test_initial_step_underflow_raises():
+    def huge(t, y):
+        return (-1e200,)  # its scaled RMS norm overflows, so the first guess is 0
+
+    with pytest.raises(StepSizeUnderflowError, match="initial step size is zero"):
+        _rk.solve(huge, 0.0, (1.0,), 1.0, 1e-8, 1e-10)

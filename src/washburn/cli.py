@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, params as params_module, stability, verify, volterra
+from . import __version__, params as params_module, stability, volterra
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
@@ -236,6 +236,8 @@ def cmd_regime(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this subcommand pays for importing the check set
+
     outcomes = verify.run_checks(only=args.only)
     if not outcomes:
         raise DomainError("only", f"no checks match {args.only!r}")
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0,
                    help="initial h* (default: 0)")
     p.add_argument("--b-exponent", type=float, default=None,
-                   help="free exponent b for case 3 (default: 1/4)")
+                   help="free exponent b, case 3 only (default: 1/4)")
     p.add_argument("--horizon", type=float, default=20.0,
                    help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} (default: 20)")
     p.add_argument("--sample-step", type=float, default=None, help=SAMPLE_STEP_HELP)

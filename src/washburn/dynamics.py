@@ -174,6 +174,8 @@ class RegimeSpec:
             b = Fraction(1, 4) if b is None else Fraction(b)
             a, b = ExponentFamily().pair_for(b)
             return cls(case, a, b)
+        if b is not None:
+            raise DomainError("b", f"the free exponent is for case 3 only, not case {int(case)}")
         a, b_fixed = _FIXED_EXPONENTS[case]
         return cls(case, a, b_fixed)
 

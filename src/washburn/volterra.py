@@ -8,12 +8,12 @@ The trajectory u solves u = T(u) with
 
 T is discretized by composite trapezoid on a uniform grid with the kernel
 evaluated exactly at the nodes, and solved by plain successive
-substitution. The kernel is separable, so one first-order recurrence
-gives the sums at all N+1 nodes in O(N) time and memory. The operator is
-order-reversing; on [0, s*] with s* = min(1/2, sqrt(omega)/beta) it maps
-the parabola interval [s^2/6, s^2/2] into itself and satisfies the
-sublinear scaling bound T(lambda f) <= lambda^{-1/2} T(f), both of which
-are checkable nodewise.
+substitution. The kernel is separable, so a doubling prefix scan gives
+the sums at all N+1 nodes in ceil(log2 N) numpy passes and O(N)
+memory. The operator is order-reversing; on [0, s*] with
+s* = min(1/2, sqrt(omega)/beta) it maps the parabola interval
+[s^2/6, s^2/2] into itself and satisfies the sublinear scaling bound
+T(lambda f) <= lambda^{-1/2} T(f), both of which are checkable nodewise.
 """
 from __future__ import annotations
 
@@ -66,13 +66,18 @@ class GridFunction:
 
 
 class KernelOperator:
-    """Trapezoid discretization of T on one uniform grid, applied in O(N).
+    """Trapezoid discretization of T on one uniform grid, applied by a scan.
 
     With g_j = w_j (1 - sqrt(2 [f_j]_+)), w_0 = h/2 and w_j = h otherwise
     (the kernel vanishes on the diagonal), node i sums
-    c sum_{j<i} g_j (1 - q^{i-j}) with q = exp(-h/c). That is c D_i for
-    D_{i+1} = D_i + r (B_i + g_i), B_{i+1} = q (B_i + g_i), D_0 = B_0 = 0,
-    where r = 1 - q comes from expm1 so that large c does not cancel.
+    c sum_{j<i} g_j (1 - q^{i-j}) with q = exp(-h/c). That is c D_i with
+    D_i = r sum_{j<i} S_j and S_i = sum_{j<=i} q^{i-j} g_j, where r = 1 - q
+    comes from expm1 so that large c does not cancel. S_0..S_{N-1} is a
+    weighted prefix sum, built by a doubling scan (Hillis-Steele): pass k
+    adds q^k times the partial sums k nodes back, for k = 1, 2, 4, ... < N,
+    with q^k kept by squaring. D is then r times the exclusive cumulative
+    sum of S. That is ceil(log2 N) numpy passes and O(N) memory; every
+    weight q^k lies in [0, 1], so no pass can overflow at any h/c.
     """
 
     def __init__(self, grid: np.ndarray, omega: float, beta: float):
@@ -85,16 +90,17 @@ class KernelOperator:
         h = self.grid[1] - self.grid[0]
         r = -math.expm1(-h / self.c)
         q = 1.0 - r
-        g = h * (1.0 - np.sqrt(2.0 * np.maximum(values, 0.0)))
-        g[0] *= 0.5
-        sums = []
-        d = b = 0.0
-        for g_j in g.tolist():
-            sums.append(d)
-            b += g_j
-            d += r * b
-            b *= q
-        return 0.5 * alpha * alpha + self.c * np.array(sums)
+        # The last node's forcing never enters: the kernel vanishes on the diagonal.
+        s = h * (1.0 - np.sqrt(2.0 * np.maximum(values[:-1], 0.0)))
+        s[0] *= 0.5
+        shift = 1
+        while shift < s.size and q > 0.0:  # once q^k is 0, later passes add 0
+            s[shift:] += q * s[:-shift]
+            q *= q
+            shift *= 2
+        sums = np.zeros(s.size + 1)
+        np.cumsum(s, out=sums[1:])
+        return 0.5 * alpha * alpha + (r * self.c) * sums
 
 
 def apply_T(f: GridFunction, omega: float, beta: float, alpha: float) -> GridFunction:

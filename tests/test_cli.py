@@ -232,7 +232,11 @@ class TestRegimeCommand:
                                           ["--case", "1", "--beta", "1", "--sample-step", "nan"],
                                           ["--case", "1", "--beta", "1", "--sample-step", "1e-15"],
                                           ["--case", "3", "--beta", "1", "--b-exponent", "nan"],
-                                          ["--case", "3", "--beta", "1", "--b-exponent", "inf"]])
+                                          ["--case", "3", "--beta", "1", "--b-exponent", "inf"],
+                                          ["--case", "1", "--beta", "1", "--b-exponent", "0.3"],
+                                          ["--case", "2", "--beta", "1", "--b-exponent", "0.25"],
+                                          ["--case", "negligible-viscosity", "--beta", "1",
+                                           "--b-exponent", "0.25"]])
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, bad_args):
         code, err = run_rejected(["regime", *bad_args, "-o", str(tmp_path / "x")], capsys)
         assert code == 2
@@ -298,10 +302,18 @@ class TestVerifyCommand:
         assert run(["verify", "--only", "no-such-check"]) == 2
 
 
-def test_cli_import_loads_no_scipy():
+def modules_after_cli_import():
+    """Every module a fresh interpreter holds after `import washburn.cli`."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, washburn.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = "import json, sys, washburn.cli; print(json.dumps(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    assert [m for m in modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_verify():
+    assert "washburn.verify" not in modules_after_cli_import()

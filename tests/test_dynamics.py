@@ -107,6 +107,13 @@ class TestRegimeSpecs:
         with pytest.raises(DomainError):
             RegimeSpec(RegimeCase.NEGLIGIBLE_GRAVITY, Fraction(1, 2), Fraction(0))
 
+    @pytest.mark.parametrize("case", [RegimeCase.NEGLIGIBLE_GRAVITY,
+                                      RegimeCase.NEGLIGIBLE_INERTIA,
+                                      RegimeCase.NEGLIGIBLE_VISCOSITY])
+    def test_free_exponent_is_for_case_3_only(self, case):
+        with pytest.raises(DomainError, match="case 3 only"):
+            RegimeSpec.standard(case, b=Fraction(1, 4))
+
     def test_order_flags(self):
         flags = {case: RegimeSpec.standard(case).first_order for case in RegimeCase}
         assert flags == {RegimeCase.NEGLIGIBLE_GRAVITY: False,

@@ -32,6 +32,30 @@ def dense_trapezoid(grid, omega, beta, values, alpha):
     return kernel @ forcing + 0.5 * alpha * alpha
 
 
+def recurrence_by_loop(op, values, alpha):
+    """The per-node recurrence the scan replaced: D_{i+1} = D_i + r S_i."""
+    h = op.grid[1] - op.grid[0]
+    r = -math.expm1(-h / op.c)
+    q = 1.0 - r
+    g = h * (1.0 - np.sqrt(2.0 * np.maximum(values, 0.0)))
+    g[0] *= 0.5
+    sums = []
+    d = b = 0.0
+    for g_j in g.tolist():
+        sums.append(d)
+        b += g_j
+        d += r * b
+        b *= q
+    return 0.5 * alpha * alpha + op.c * np.array(sums)
+
+
+def assert_close_to_loop(grid, omega, beta, values, alpha):
+    op = KernelOperator(grid, omega, beta)
+    ref = recurrence_by_loop(op, values, alpha)
+    out = op.apply(values, alpha)
+    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 class TestGridFunction:
     def test_rejects_nonuniform(self):
         with pytest.raises(DomainError):
@@ -111,6 +135,48 @@ class TestKernelOperator:
     def test_rejects_bad_parameters(self, omega, beta):
         with pytest.raises(DomainError):
             KernelOperator(np.linspace(0.0, 1.0, 9), omega, beta)
+
+
+class TestScan:
+    @pytest.mark.parametrize("nodes", [2, 3, 1000, 4096, 4097])
+    @pytest.mark.parametrize("omega,beta", [(1.0, 1.0), (0.1, 0.5), (100.0, 0.01)])
+    def test_matches_the_loop(self, omega, beta, nodes):
+        grid = np.linspace(0.0, 10.0, nodes + 1)
+        values = np.random.default_rng(nodes).uniform(-0.1, 1.2, grid.size)
+        assert_close_to_loop(grid, omega, beta, values, 0.7)
+
+    @pytest.mark.parametrize("nodes", [2, 13])
+    def test_q_underflowing_to_zero(self, nodes):
+        omega, beta = 1e-6, 1.0  # c = 1e-3, so h/c >= 769
+        grid = np.linspace(0.0, 10.0, nodes + 1)
+        op = KernelOperator(grid, omega, beta)
+        assert math.exp(-(grid[1] - grid[0]) / op.c) == 0.0
+        values = np.random.default_rng(5).uniform(0.0, 1.0, grid.size)
+        assert_close_to_loop(grid, omega, beta, values, 0.3)
+
+    @pytest.mark.parametrize("nodes", [1000, 4097])
+    def test_horizon_a_thousand_times_c(self, nodes):
+        grid = np.linspace(0.0, 10.0, nodes + 1)  # c = 0.01
+        values = np.random.default_rng(11).uniform(-0.1, 1.2, grid.size)
+        assert_close_to_loop(grid, 1e-4, 1.0, values, 0.0)
+
+    def test_leaves_values_unmodified(self):
+        grid = np.linspace(0.0, 5.0, 257)
+        values = np.random.default_rng(2).uniform(-0.1, 1.2, grid.size)
+        before = values.copy()
+        KernelOperator(grid, 1.0, 1.0).apply(values, 0.5)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("omega,beta,alpha,horizon,nodes",
+                             [(0.15, 0.6, 0.0, 6.5, 256), (0.55, 0.8, 0.45, 8.0, 1024),
+                              (0.9, 0.95, 0.7, 9.5, 4096)])
+    def test_picard_iterations_match_the_loop(self, monkeypatch, omega, beta, alpha,
+                                              horizon, nodes):
+        scan = picard_solve(omega, beta, alpha, horizon, step=horizon / nodes)
+        monkeypatch.setattr(KernelOperator, "apply", recurrence_by_loop)
+        loop = picard_solve(omega, beta, alpha, horizon, step=horizon / nodes)
+        assert scan.iterations == loop.iterations
+        assert np.max(np.abs(scan.solution.values - loop.solution.values)) < 1e-12
 
 
 class TestOrderInterval:

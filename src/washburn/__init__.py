@@ -8,8 +8,7 @@ Lyapunov-based stability analysis of the equilibrium column.
 
 __version__ = "0.1.0"
 
-from .dynamics import (RegimeCase, RegimeSpec, State, energy, regime_exponents,
-                       rhs_H, rhs_regime, rhs_u)
+from .dynamics import RegimeCase, RegimeSpec, State, energy, rhs_H, rhs_u
 from .errors import (ConsistencyError, ConvergenceError, DomainError,
                      HorizonError, InconclusiveError, NumericError,
                      SingularityError, StepSizeUnderflowError, WashburnError)
@@ -37,6 +36,6 @@ __all__ = [
     "classify_approach", "continuous_dependence", "critical_omega",
     "detect_crossings", "energy", "integrate", "integrate_regime",
     "linearize", "lyapunov", "nondimensionalize", "order_interval_check",
-    "picard_solve", "regime_exponents", "regime_oracle_residuals", "rhs_H",
-    "rhs_regime", "rhs_u", "u_from_H", "uniqueness_window",
+    "picard_solve", "regime_oracle_residuals", "rhs_H", "rhs_u", "u_from_H",
+    "uniqueness_window",
 ]

@@ -23,13 +23,16 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import StepSizeUnderflowError
+from .errors import NumericError, StepSizeUnderflowError
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimator + 1)
 MIN_RTOL = 100 * 2.220446049250313e-16  # as scipy, 100 machine epsilons
+# Accepted plus rejected steps one solve may take. Every step's stages are
+# kept for the dense output, so this bounds time and memory alike.
+MAX_STEPS = 2**17
 
 C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 A21 = 1 / 5
@@ -91,11 +94,14 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     `head`, if given, is the state for t < t0 (for example a series seed):
     head(t) returns a tuple of floats for a float and of arrays for an
     array. Raises StepSizeUnderflowError when the step falls below ten
-    units in the last place of t, or the starting step to 0.
+    units in the last place of t, or the starting step to 0, and
+    NumericError when MAX_STEPS steps, accepted or rejected, do not
+    reach t_bound.
     """
     if not t_bound > t0:
         raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")
     rtol = max(rtol, MIN_RTOL)
+    max_steps = MAX_STEPS
     t = t0
     y = tuple([float(c) for c in y0])
     f = fun(t, y)
@@ -109,6 +115,9 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
             h_abs = min_step
         step_rejected = False
         while True:
+            if len(stages) + rejected >= max_steps:
+                raise NumericError(f"step budget of {max_steps} steps (accepted plus "
+                                   f"rejected) spent at t = {t!r} of {t_bound!r}")
             if h_abs < min_step:
                 raise StepSizeUnderflowError(
                     f"required step size is less than spacing between numbers at t = {t!r}")

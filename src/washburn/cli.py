@@ -12,16 +12,18 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, params as params_module, stability, volterra
+from . import __version__, _rk, params as params_module, stability, volterra
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
-from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, MAX_SAMPLES, REGIME_HORIZON_CAP,
-                        Trajectory, integrate, integrate_regime, regime_oracle_residuals)
+from .integrate import (CSV_HEADER, DEFAULT_SAMPLES, DEFAULT_TOLERANCES, MAX_SAMPLES,
+                        REGIME_HORIZON_CAP, Trajectory, integrate, integrate_regime,
+                        regime_oracle_residuals)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,7 +31,8 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 SAMPLE_STEP_HELP = (f"output sampling step, at least horizon/{MAX_SAMPLES} "
-                    "(default: horizon/4096)")
+                    f"(default: horizon/{DEFAULT_SAMPLES})")
+STEP_BUDGET_HELP = f"a run that needs more than {_rk.MAX_STEPS} RK steps exits 3"
 
 
 def _case_name(case: RegimeCase) -> str:
@@ -54,11 +57,20 @@ def _emit(obj: dict, path: str | None):
         sys.stdout.write(dumps_json(obj))
 
 
+def _model_params_from_input(path: str) -> params_module.ModelParams:
+    """Nondimensionalize the physical-parameter JSON file at path; a file
+    that does not decode or parse as JSON is a DomainError."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DomainError("input", f"{path}: {exc}") from None
+    return params_module.nondimensionalize(params_module.physical_params_from_json(obj))
+
+
 def _model_params_from_args(args) -> params_module.ModelParams:
     if getattr(args, "input", None):
-        with open(args.input) as fh:
-            phys = params_module.physical_params_from_json(json.load(fh))
-        return params_module.nondimensionalize(phys)
+        return _model_params_from_input(args.input)
     missing = [name for name in ("omega", "beta", "alpha")
                if getattr(args, name) is None]
     if missing:
@@ -82,8 +94,8 @@ def _classification_json(traj: Trajectory) -> dict:
         out["approach"] = "inconclusive"
         out["reason"] = str(exc)
     spec = stability.basin(traj.params.alpha)
-    out["basin"] = stability.basin_dict(spec)
-    out["audit"] = stability.audit_dict(stability.audit_trajectory(traj, spec))
+    out["basin"] = asdict(spec)
+    out["audit"] = asdict(stability.audit_trajectory(traj, spec))
     return out
 
 
@@ -107,9 +119,7 @@ def _sidecar(path_prefix: str, config: dict):
 
 
 def cmd_nondim(args) -> int:
-    with open(args.input) as fh:
-        phys = params_module.physical_params_from_json(json.load(fh))
-    mp = params_module.nondimensionalize(phys)
+    mp = _model_params_from_input(args.input)
     _emit(params_module.model_params_report(mp), args.output)
     return EXIT_OK
 
@@ -128,7 +138,7 @@ def cmd_simulate(args) -> int:
         "epsilon": traj.epsilon,
         "horizon": float(traj.s[-1]),
         "sample_step": args.sample_step if args.sample_step is not None
-        else float(traj.s[-1]) / 4096.0,
+        else float(traj.s[-1]) / DEFAULT_SAMPLES,
         "tolerances": {"abs": traj.tolerances[0], "rel": traj.tolerances[1]},
         "final_state": {"s": float(traj.s[-1]), "u": float(traj.u[-1]),
                         "v": float(traj.v[-1]), "H": float(traj.H[-1])},
@@ -189,7 +199,7 @@ def cmd_classify(args) -> int:
 
 def cmd_basin(args) -> int:
     spec = stability.basin(args.alpha)
-    _emit({"alpha": args.alpha, **stability.basin_dict(spec)}, args.output)
+    _emit({"alpha": args.alpha, **asdict(spec)}, args.output)
     return EXIT_OK
 
 
@@ -255,7 +265,7 @@ def cmd_verify(args) -> int:
 
 
 def _config_echo(args, names) -> dict:
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return {name: getattr(args, name) for name in names}
 
 
 def _add_model_args(parser, with_input=True):
@@ -272,7 +282,8 @@ def _add_model_args(parser, with_input=True):
 
 def _add_run_args(parser):
     parser.add_argument("--horizon", type=float, default=None,
-                        help="integration horizon (default: 30 damping e-folds)")
+                        help="integration horizon (default: 30 damping e-folds); "
+                             + STEP_BUDGET_HELP)
     parser.add_argument("--sample-step", type=float, default=None,
                         help=SAMPLE_STEP_HELP)
     parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOLERANCES[0],
@@ -341,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-exponent", type=float, default=None,
                    help="free exponent b, case 3 only (default: 1/4)")
     p.add_argument("--horizon", type=float, default=20.0,
-                   help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} (default: 20)")
+                   help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} (default: 20); "
+                        + STEP_BUDGET_HELP)
     p.add_argument("--sample-step", type=float, default=None, help=SAMPLE_STEP_HELP)
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")
     p.set_defaults(fn=cmd_regime)

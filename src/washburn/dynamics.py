@@ -6,8 +6,8 @@ s = T/sqrt(omega), in which the model reads
     u'' + (beta/sqrt(omega)) u' + sqrt(2 u) = 1.
 
 `u_form_field` is the one implementation of this right-hand side: the
-integrator steps it and `rhs_u` is its validated single-point form;
-`regime_field` and `rhs_regime` are the same pair for the reduced regimes.
+integrator steps it and `rhs_u` is its validated single-point form.
+`regime_field` is the one implementation of each reduced regime's field.
 `energy` is the one implementation of the first integral, which the
 Lyapunov function, the basin level set and the case-4 oracle all use.
 The H-form is kept for cross-validation and output only; it is singular
@@ -122,33 +122,12 @@ _FIXED_EXPONENTS = {
 
 
 @dataclass(frozen=True)
-class ExponentFamily:
-    """One-parameter scaling family a = 2b with a in the open interval (0, 1)."""
-
-    a_min: Fraction = Fraction(0)
-    a_max: Fraction = Fraction(1)
-
-    def pair_for(self, b: Fraction) -> tuple[Fraction, Fraction]:
-        a = 2 * Fraction(b)
-        if not self.a_min < a < self.a_max:
-            raise DomainError("b", f"a = 2b = {a} falls outside ({self.a_min}, {self.a_max})")
-        return a, Fraction(b)
-
-    def contains(self, a: Fraction, b: Fraction) -> bool:
-        return a == 2 * b and self.a_min < a < self.a_max
-
-
-def regime_exponents(case: RegimeCase):
-    """Scaling exponents (a, b) of a regime; case 3 returns its whole family."""
-    case = RegimeCase(case)
-    if case is RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
-        return ExponentFamily()
-    return _FIXED_EXPONENTS[case]
-
-
-@dataclass(frozen=True)
 class RegimeSpec:
-    """A regime together with one admissible exponent pair."""
+    """A regime together with one admissible exponent pair.
+
+    Cases 1, 2 and 4 fix (a, b); case 3 is the family a = 2b with a in the
+    open interval (0, 1).
+    """
 
     case: RegimeCase
     a: Fraction
@@ -158,26 +137,28 @@ class RegimeSpec:
         object.__setattr__(self, "case", RegimeCase(self.case))
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        exps = regime_exponents(self.case)
-        if isinstance(exps, ExponentFamily):
-            if not exps.contains(self.a, self.b):
-                raise DomainError(
-                    "a", f"case 3 needs a = 2b with a in (0, 1), got (a, b) = ({self.a}, {self.b})"
-                )
-        elif (self.a, self.b) != exps:
-            raise DomainError("a", f"case {int(self.case)} fixes (a, b) = {exps}")
+        fixed = _FIXED_EXPONENTS.get(self.case)
+        if fixed is not None:
+            if (self.a, self.b) != fixed:
+                raise DomainError("a", f"case {int(self.case)} fixes (a, b) = {fixed}")
+        elif self.a != 2 * self.b:
+            raise DomainError(
+                "a", f"case 3 needs a = 2b with a in (0, 1), got (a, b) = ({self.a}, {self.b})"
+            )
+        elif not 0 < self.a < 1:
+            raise DomainError("b", f"a = 2b = {self.a} falls outside (0, 1)")
 
     @classmethod
     def standard(cls, case: RegimeCase, b: Fraction | None = None) -> "RegimeSpec":
+        """The fixed pair of cases 1, 2 and 4, or case 3's pair (2b, b) with
+        b = 1/4 by default; b is refused for the fixed cases."""
         case = RegimeCase(case)
         if case is RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
             b = Fraction(1, 4) if b is None else Fraction(b)
-            a, b = ExponentFamily().pair_for(b)
-            return cls(case, a, b)
+            return cls(case, 2 * b, b)
         if b is not None:
             raise DomainError("b", f"the free exponent is for case 3 only, not case {int(case)}")
-        a, b_fixed = _FIXED_EXPONENTS[case]
-        return cls(case, a, b_fixed)
+        return cls(case, *_FIXED_EXPONENTS[case])
 
     @property
     def first_order(self) -> bool:
@@ -213,17 +194,6 @@ def regime_field(spec: RegimeSpec, beta: float):
             u, v = y
             return (v, 1.0 - sqrt_(2.0 * (0.0 if u < 0.0 else u)))
     return field
-
-
-def rhs_regime(spec: RegimeSpec, state, beta: float) -> tuple:
-    """Reduced-regime right-hand side at state = (u*, v*).
-
-    Validates beta, then evaluates `regime_field`: second-order cases
-    return (du*/dt*, dv*/dt*), first-order cases ignore v* and return the
-    1-tuple (du*/dt*,).
-    """
-    check_positive("beta", beta)
-    return regime_field(spec, beta)(0.0, state)
 
 
 def case1_closed_form_u(t, beta: float, u0: float = 0.0):

@@ -23,6 +23,7 @@ from .params import ModelParams, check_alpha, check_nonnegative, check_positive
 DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
 HORIZON_CAP = 1e6
 HORIZON_EFOLDS = 30.0
+DEFAULT_SAMPLES = 4096  # sample intervals over the horizon without a sample step
 MAX_SAMPLES = 2**20
 
 EQUILIBRIUM_LEVEL = 0.5
@@ -81,7 +82,7 @@ def default_horizon(params: ModelParams) -> float:
 def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
                sample_step: float | None):
     """Validate a run's horizon, tolerances and sample step, with the sample
-    step defaulting to horizon/4096 and the sample count capped at
+    step defaulting to horizon/DEFAULT_SAMPLES and the sample count capped at
     MAX_SAMPLES; returns (horizon, tolerances, sample_step) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
@@ -90,7 +91,7 @@ def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
     check_positive("abs_tol", abs_tol)
     check_positive("rel_tol", rel_tol)
     if sample_step is None:
-        sample_step = horizon / 4096.0
+        sample_step = horizon / DEFAULT_SAMPLES
     check_positive("sample_step", sample_step)
     if horizon / sample_step > MAX_SAMPLES:
         raise DomainError("sample_step", f"{sample_step!r} asks for more than "

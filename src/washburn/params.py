@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConsistencyError, DomainError
 
@@ -204,14 +204,5 @@ def physical_params_from_json(obj: dict) -> PhysicalParams:
 
 
 def model_params_report(mp: ModelParams) -> dict:
-    """Flat report dict with every ModelParams field."""
-    return {
-        "omega": mp.omega,
-        "beta": mp.beta,
-        "alpha": mp.alpha,
-        "h_e": mp.h_e,
-        "tau": mp.tau,
-        "Oh": mp.Oh,
-        "Bo": mp.Bo,
-        "omega_star": mp.omega_star,
-    }
+    """Flat report dict with every ModelParams field, plus omega_star."""
+    return {**asdict(mp), "omega_star": mp.omega_star}

@@ -227,15 +227,3 @@ def stability_report_dict(report: StabilityReport) -> dict:
         "omega_star": report.omega_star,
         "discriminant": report.discriminant,
     }
-
-
-def basin_dict(spec: BasinSpec) -> dict:
-    return {"C": spec.C, "u_min": spec.u_min, "u_max": spec.u_max}
-
-
-def audit_dict(audit: BasinAudit) -> dict:
-    return {
-        "max_level_excess": audit.max_level_excess,
-        "max_lyapunov_rise": audit.max_lyapunov_rise,
-        "final_distance": audit.final_distance,
-    }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -519,8 +519,8 @@ def acceptance_c06_basin_formulas() -> dict:
              and b32.u_min == 0.0 and b32.u_max == 9.0 / 8.0,
              f"basin(3/2) = {b32}")
     residual_details = check_stability_basin_residual()
-    return {"basin0": stability.basin_dict(b0), "basin1": stability.basin_dict(b1),
-            "basin32": stability.basin_dict(b32), **residual_details}
+    return {"basin0": asdict(b0), "basin1": asdict(b1), "basin32": asdict(b32),
+            **residual_details}
 
 
 def acceptance_c07_volterra_cross_validation() -> dict:

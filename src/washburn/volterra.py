@@ -60,10 +60,6 @@ class GridFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    @property
-    def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
 
 class KernelOperator:
     """Trapezoid discretization of T on one uniform grid, applied by a scan.

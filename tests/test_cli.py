@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from washburn import cli, verify
+from washburn import _rk, cli, verify
 from washburn.integrate import REGIME_HORIZON_CAP
 
 
@@ -46,6 +46,17 @@ class TestNondim:
         src = tmp_path / "bad.json"
         src.write_text(json.dumps({**WATER_JSON, "surprise": 1}))
         assert run(["nondim", "--input", str(src)]) == 2
+
+    @pytest.mark.parametrize("command", ["nondim", "simulate"])
+    @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}"])  # not JSON, not UTF-8
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, content):
+        src = tmp_path / "bad.json"
+        src.write_bytes(content)
+        code, err = run_rejected([command, "--input", str(src), "--output",
+                                  str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert err.startswith(f"configuration error: input: {src}: ")
+        assert list(tmp_path.iterdir()) == [src]
 
 
 class TestSimulate:
@@ -233,6 +244,9 @@ class TestRegimeCommand:
                                           ["--case", "1", "--beta", "1", "--sample-step", "1e-15"],
                                           ["--case", "3", "--beta", "1", "--b-exponent", "nan"],
                                           ["--case", "3", "--beta", "1", "--b-exponent", "inf"],
+                                          # a = 2b must lie in (0, 1)
+                                          ["--case", "3", "--beta", "1", "--b-exponent", "0.5"],
+                                          ["--case", "3", "--beta", "1", "--b-exponent=-0.1"],
                                           ["--case", "1", "--beta", "1", "--b-exponent", "0.3"],
                                           ["--case", "2", "--beta", "1", "--b-exponent", "0.25"],
                                           ["--case", "negligible-viscosity", "--beta", "1",
@@ -300,6 +314,40 @@ class TestVerifyCommand:
 
     def test_unknown_filter_exits_2(self):
         assert run(["verify", "--only", "no-such-check"]) == 2
+
+
+EDGE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300")
+
+# name: (base argv, numeric flags); each flag is appended with each edge
+# value, and argparse keeps the last occurrence.
+EDGE_TABLE = {
+    "simulate": (["simulate", "--omega=1", "--beta=1", "--alpha=0", "--horizon=2"],
+                 ["omega", "beta", "alpha", "epsilon", "horizon", "sample-step", "abs-tol",
+                  "rel-tol"]),
+    "classify": (["classify", "--omega=1", "--beta=1", "--alpha=0", "--horizon=40"],
+                 ["omega", "beta", "alpha", "horizon", "sample-step", "abs-tol", "rel-tol"]),
+    **{f"regime{case}": (["regime", f"--case={case}", "--beta=1", "--horizon=2"],
+                         ["beta", "alpha", "b-exponent", "horizon", "sample-step"])
+       for case in (2, 3)},
+    "picard": (["picard", "--omega=1", "--beta=1", "--alpha=0", "--horizon=1", "--step=0.01"],
+               ["omega", "beta", "alpha", "horizon", "step", "tol", "max-iter"]),
+    "basin": (["basin", "--alpha=0"], ["alpha"]),
+}
+
+
+@pytest.mark.parametrize("base,flag", [
+    pytest.param(base, flag, id=f"{name}-{flag}")
+    for name, (base, flags) in EDGE_TABLE.items() for flag in flags])
+def test_edge_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch, base, flag):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 2**12)  # a stiff run spends it in milliseconds
+    for i, value in enumerate(EDGE_VALUES):
+        argv = [*base, f"--{flag}={value}", f"--output={tmp_path / f'run{i}'}"]
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the value, e.g. nan for --max-iter
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def modules_after_cli_import():

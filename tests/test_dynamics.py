@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from washburn import _rk
-from washburn.dynamics import (ExponentFamily, RegimeCase, RegimeSpec, State,
-                               case1_closed_form_u, case2_implicit_time,
-                               case3_closed_form_h, energy,
-                               regime_exponents, rhs_H, rhs_regime, rhs_u)
+from washburn.dynamics import (RegimeCase, RegimeSpec, State, case1_closed_form_u,
+                               case2_implicit_time, case3_closed_form_h, energy,
+                               regime_field, rhs_H, rhs_u)
 from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
 from washburn.params import ModelParams
@@ -88,17 +87,20 @@ class TestRhsH:
 
 class TestRegimeSpecs:
     def test_fixed_exponents(self):
-        assert regime_exponents(RegimeCase.NEGLIGIBLE_GRAVITY) == (Fraction(1), Fraction(1, 2))
-        assert regime_exponents(RegimeCase.NEGLIGIBLE_INERTIA) == (Fraction(0), Fraction(0))
-        assert regime_exponents(RegimeCase.NEGLIGIBLE_VISCOSITY) == (Fraction(1, 2), Fraction(0))
+        def pair(case):
+            spec = RegimeSpec.standard(case)
+            return spec.a, spec.b
+
+        assert pair(RegimeCase.NEGLIGIBLE_GRAVITY) == (Fraction(1), Fraction(1, 2))
+        assert pair(RegimeCase.NEGLIGIBLE_INERTIA) == (Fraction(0), Fraction(0))
+        assert pair(RegimeCase.NEGLIGIBLE_VISCOSITY) == (Fraction(1, 2), Fraction(0))
 
     def test_family_constraint(self):
-        family = regime_exponents(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA)
-        assert isinstance(family, ExponentFamily)
-        a, b = family.pair_for(Fraction(1, 4))
-        assert a == Fraction(1, 2)
+        spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA, Fraction(1, 4))
+        assert (spec.a, spec.b) == (Fraction(1, 2), Fraction(1, 4))
         with pytest.raises(DomainError):
-            family.pair_for(Fraction(1, 2))  # a = 1 is excluded
+            RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA,
+                                Fraction(1, 2))  # a = 1 is excluded
 
     def test_spec_validation(self):
         RegimeSpec(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA, Fraction(1, 2), Fraction(1, 4))
@@ -125,16 +127,16 @@ class TestRegimeSpecs:
 class TestRegimeRhs:
     def test_case2_equilibrium(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA)
-        (du,) = rhs_regime(spec, State(0.5, 123.0), 1.0)
+        (du,) = regime_field(spec, 1.0)(0.0, State(0.5, 123.0))
         assert du == 0.0
 
     def test_case3_is_constant(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA)
-        assert rhs_regime(spec, State(0.7, 0.0), 0.5) == (2.0,)
+        assert regime_field(spec, 0.5)(0.0, State(0.7, 0.0)) == (2.0,)
 
     def test_case1_shape(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY)
-        du, dv = rhs_regime(spec, State(0.2, 0.3), 1.0)
+        du, dv = regime_field(spec, 1.0)(0.0, State(0.2, 0.3))
         assert du == 0.3
         assert dv == pytest.approx(0.7)
 
@@ -147,7 +149,8 @@ class TestRegimeRhs:
         states = np.random.default_rng(17).uniform([-0.5, -2.0], [1.2, 2.0], size=(1000, 2))
         width = 1 if spec.first_order else 2  # first-order cases step u* alone
         stepped = np.array([field(0.0, y[:width]) for y in states.tolist()])
-        checked = np.array([rhs_regime(spec, State(u, v), beta) for u, v in states.tolist()])
+        checked = np.array([regime_field(spec, beta)(0.0, State(u, v))
+                            for u, v in states.tolist()])
         assert checked.shape == (1000, width)
         assert np.array_equal(checked.view(np.int64), stepped.view(np.int64))
 

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 from washburn import _rk, dynamics
 from washburn.dynamics import RegimeCase, RegimeSpec
-from washburn.errors import StepSizeUnderflowError
+from washburn.errors import NumericError, StepSizeUnderflowError
 from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_TOLERANCES, _series_seed, _solve,
                                 default_horizon)
 from washburn.params import ModelParams
@@ -91,3 +91,15 @@ def test_initial_step_underflow_raises():
 
     with pytest.raises(StepSizeUnderflowError, match="initial step size is zero"):
         _rk.solve(huge, 0.0, (1.0,), 1.0, 1e-8, 1e-10)
+
+
+def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
+    _, field, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS["gamma=1,dry"]()
+    full = _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol)
+    steps = full.accepted + full.rejected
+    assert full.rejected > 0
+    monkeypatch.setattr(_rk, "MAX_STEPS", steps)
+    assert _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol).y == full.y
+    monkeypatch.setattr(_rk, "MAX_STEPS", steps - 1)
+    with pytest.raises(NumericError, match=f"step budget of {steps - 1} steps .* at t = "):
+        _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol)

@@ -1,8 +1,10 @@
 """Embedded Dormand-Prince 5(4) pair with quartic dense output.
 
-`solve` steps a vector field f(t, y) -> tuple of floats on states held as
-tuples of Python floats (any length; the package steps lengths 1 and 2),
-with the step-size controller of scipy's RK45: the Hairer-Norsett-Wanner
+`solve` steps a vector field f(t, y) -> tuple of floats on a state of one
+or two Python floats. Its loop is written out for two components as
+scalar locals, with no per-stage lists; a one-component state is stepped
+with a second component pinned at 0.0, which changes no bit of the result.
+It uses the step-size controller of scipy's RK45: the Hairer-Norsett-Wanner
 initial-step rule, safety factor 0.9, step factors bounded to [0.2, 10],
 the RMS norm of the error over atol + rtol max(|y_old|, |y_new|), the
 first-same-as-last stage, and the last step clipped to the bound. Given
@@ -60,25 +62,28 @@ P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
-def _rms(xs) -> float:
-    return math.sqrt(sum([x * x for x in xs])) / len(xs) ** 0.5
+def _rms(a: float, b: float, root_n: float) -> float:
+    """RMS norm of the pair (a, b) over a state of root_n**2 components;
+    the pad of a one-component state is 0.0 and adds nothing."""
+    return math.sqrt(a * a + b * b) / root_n
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
+def _initial_step(fun, t0, ya, yb, fa, fb, root_n, t_bound, rtol, atol) -> float:
     """Hairer-Norsett-Wanner starting step for an error estimator of order 4;
     makes one evaluation of fun. Raises StepSizeUnderflowError when the
     field is so large against the tolerances that the first guess is 0."""
     interval = t_bound - t0
-    scale = [atol + abs(y) * rtol for y in y0]
-    d0 = _rms([y / sc for y, sc in zip(y0, scale)])
-    d1 = _rms([f / sc for f, sc in zip(f0, scale)])
+    sa = atol + abs(ya) * rtol
+    sb = atol + abs(yb) * rtol
+    d0 = _rms(ya / sa, yb / sb, root_n)
+    d1 = _rms(fa / sa, fb / sb, root_n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     if h0 == 0.0:
         raise StepSizeUnderflowError(
             f"initial step size is zero at t = {t0!r}: the scaled field norm overflows")
-    f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
-    d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f0, scale)]) / h0
+    ga, gb = fun(t0 + h0, (ya + h0 * fa, yb + h0 * fb))
+    d2 = _rms((ga - fa) / sa, (gb - fb) / sb, root_n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -90,6 +95,11 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
           head=None) -> "DenseSolution":
     """Integrate y' = fun(t, y) from (t0, y0) to t_bound > t0.
 
+    The state has one or two components, and atol must be positive. The
+    loop is written out for two components (a and b) as scalar locals; a
+    one-component state (u,) is stepped as (u, 0.0), with fun called on
+    (u,) and the pad's field component fixed at 0.0, so the pad stays 0.0
+    and the error norm and starting step still divide by the true length.
     rtol below 100 machine epsilons is raised to that floor, as scipy does.
     `head`, if given, is the state for t < t0 (for example a series seed):
     head(t) returns a tuple of floats for a float and of arrays for an
@@ -100,12 +110,23 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     """
     if not t_bound > t0:
         raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")
+    n = len(y0)
+    if n == 1:
+        field = fun
+
+        def fun(t, y):
+            return field(t, y[:1])[0], 0.0
+        ya, yb = float(y0[0]), 0.0
+    elif n == 2:
+        ya, yb = float(y0[0]), float(y0[1])
+    else:
+        raise ValueError(f"the state has {n} components; solve steps 1 or 2")
+    root_n = n ** 0.5
     rtol = max(rtol, MIN_RTOL)
     max_steps = MAX_STEPS
     t = t0
-    y = tuple([float(c) for c in y0])
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    fa, fb = fun(t, (ya, yb))
+    h_abs = _initial_step(fun, t, ya, yb, fa, fb, root_n, t_bound, rtol, atol)
     nfev = 2
     rejected = 0
     ts, y_olds, stages = [t], [], []
@@ -126,25 +147,27 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = h
-            k2 = fun(t + C2 * h, [y_ + (A21 * k1) * h for y_, k1 in zip(y, f)])
-            k3 = fun(t + C3 * h, [y_ + (A31 * k1 + A32 * k2_) * h
-                                  for y_, k1, k2_ in zip(y, f, k2)])
-            k4 = fun(t + C4 * h, [y_ + (A41 * k1 + A42 * k2_ + A43 * k3_) * h
-                                  for y_, k1, k2_, k3_ in zip(y, f, k2, k3)])
-            k5 = fun(t + C5 * h, [y_ + (A51 * k1 + A52 * k2_ + A53 * k3_ + A54 * k4_) * h
-                                  for y_, k1, k2_, k3_, k4_ in zip(y, f, k2, k3, k4)])
-            k6 = fun(t + h, [y_ + (A61 * k1 + A62 * k2_ + A63 * k3_ + A64 * k4_
-                                   + A65 * k5_) * h
-                             for y_, k1, k2_, k3_, k4_, k5_ in zip(y, f, k2, k3, k4, k5)])
-            y_new = tuple([y_ + h * (B1 * k1 + B3 * k3_ + B4 * k4_ + B5 * k5_ + B6 * k6_)
-                           for y_, k1, k3_, k4_, k5_, k6_ in zip(y, f, k3, k4, k5, k6)])
-            f_new = fun(t + h, y_new)
+            k2a, k2b = fun(t + C2 * h, (ya + (A21 * fa) * h, yb + (A21 * fb) * h))
+            k3a, k3b = fun(t + C3 * h, (ya + (A31 * fa + A32 * k2a) * h,
+                                        yb + (A31 * fb + A32 * k2b) * h))
+            k4a, k4b = fun(t + C4 * h, (ya + (A41 * fa + A42 * k2a + A43 * k3a) * h,
+                                        yb + (A41 * fb + A42 * k2b + A43 * k3b) * h))
+            k5a, k5b = fun(t + C5 * h,
+                           (ya + (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a) * h,
+                            yb + (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b) * h))
+            k6a, k6b = fun(t + h, (ya + (A61 * fa + A62 * k2a + A63 * k3a + A64 * k4a
+                                         + A65 * k5a) * h,
+                                   yb + (A61 * fb + A62 * k2b + A63 * k3b + A64 * k4b
+                                         + A65 * k5b) * h))
+            na = ya + h * (B1 * fa + B3 * k3a + B4 * k4a + B5 * k5a + B6 * k6a)
+            nb = yb + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
+            ga, gb = fun(t + h, (na, nb))
             nfev += 6
-            error_norm = _rms([
-                (E1 * k1 + E3 * k3_ + E4 * k4_ + E5 * k5_ + E6 * k6_ + E7 * k7) * h
-                / (atol + max(abs(a), abs(b)) * rtol)
-                for k1, k3_, k4_, k5_, k6_, k7, a, b in zip(f, k3, k4, k5, k6, f_new,
-                                                            y, y_new)])
+            ea = ((E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * ga) * h
+                  / (atol + max(abs(ya), abs(na)) * rtol))
+            eb = ((E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * gb) * h
+                  / (atol + max(abs(yb), abs(nb)) * rtol))
+            error_norm = math.sqrt(ea * ea + eb * eb) / root_n
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = MAX_FACTOR
@@ -158,10 +181,10 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
             step_rejected = True
             rejected += 1
         ts.append(t_new)
-        y_olds.append(y)
-        stages.append((f, k3, k4, k5, k6, f_new))
-        t, y, f = t_new, y_new, f_new
-    return DenseSolution(ts, y_olds, stages, y, nfev, rejected, head)
+        y_olds.append((ya, yb))
+        stages.append((fa, fb, k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b, ga, gb))
+        t, ya, yb, fa, fb = t_new, na, nb, ga, gb
+    return DenseSolution(ts, y_olds, stages, (ya, yb)[:n], nfev, rejected, head)
 
 
 class DenseSolution:
@@ -179,6 +202,9 @@ class DenseSolution:
     """
 
     def __init__(self, ts, y_olds, stages, y, nfev, rejected, head=None):
+        """`y_olds` holds each step's start state and `stages` its six stages,
+        flattened stage by stage, both padded to two components as `solve`
+        steps them; the pad is dropped here, before Q is built."""
         self.y = y
         self.nfev = nfev
         self.accepted = m = len(stages)
@@ -189,10 +215,10 @@ class DenseSolution:
         self.t = np.array(ts)
         self._h = np.diff(self.t)
         n = len(y)
-        k = np.fromiter(chain.from_iterable(chain.from_iterable(stages)), float,
-                        m * 6 * n).reshape(m, 6, n)
+        k = np.fromiter(chain.from_iterable(stages), float, m * 12).reshape(m, 6, 2)
+        k = np.ascontiguousarray(k[:, :, :n])
         self._q = np.ascontiguousarray((k.transpose(0, 2, 1) @ P).transpose(2, 1, 0))
-        self._y0 = np.fromiter(chain.from_iterable(y_olds), float, m * n).reshape(m, n).T
+        self._y0 = np.fromiter(chain.from_iterable(y_olds), float, m * 2).reshape(m, 2)[:, :n].T
 
     @cached_property
     def _hs(self):

@@ -27,6 +27,7 @@ SMALL_ALPHA_GUIDELINE = 0.1
 _OMEGA_CONSISTENCY_RTOL = 1e-12
 
 PHYSICAL_JSON_KEYS = ("rho", "mu", "gamma", "theta_deg", "g", "R", "L", "h0")
+_SCALED_KEYS = ("rho", "mu", "gamma", "g", "R")  # the inputs every scale is built from
 
 
 def check_positive(name: str, value: float):
@@ -123,16 +124,27 @@ def nondimensionalize(p: PhysicalParams) -> ModelParams:
     h_e = 2 gamma cos(theta) / (rho g R) is the equilibrium height,
     tau = 8 mu h_e / (rho g R^2) the viscous time scale, and
     omega = h_e / (g tau^2). omega is cross-checked against its
-    Bond/Ohnesorge form (Bo/Oh)^2 / (128 cos theta).
+    Bond/Ohnesorge form (Bo/Oh)^2 / (128 cos theta). Inputs that take a
+    scale out of the float range (to inf or 0) raise DomainError naming
+    the input farthest from 1 in magnitude.
     """
     cos_t = math.cos(p.theta)
-    h_e = 2.0 * p.gamma * cos_t / (p.rho * p.g * p.R)
-    tau = 8.0 * p.mu * h_e / (p.rho * p.g * p.R**2)
-    omega = h_e / (p.g * tau**2)
-    beta = 1.0 / (1.0 + 4.0 * p.L / p.R)
-    Oh = p.mu / math.sqrt(p.R * p.rho * p.gamma)
-    Bo = p.rho * p.g * p.R**2 / p.gamma
-    omega_check = (Bo / Oh) ** 2 / (128.0 * cos_t)
+    try:
+        h_e = 2.0 * p.gamma * cos_t / (p.rho * p.g * p.R)
+        tau = 8.0 * p.mu * h_e / (p.rho * p.g * p.R**2)
+        omega = h_e / (p.g * tau**2)
+        beta = 1.0 / (1.0 + 4.0 * p.L / p.R)
+        Oh = p.mu / math.sqrt(p.R * p.rho * p.gamma)
+        Bo = p.rho * p.g * p.R**2 / p.gamma
+        omega_check = (Bo / Oh) ** 2 / (128.0 * cos_t)
+        in_range = all(0.0 < x < math.inf for x in (h_e, tau, omega, Oh, Bo, omega_check))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        # A scale overflowed or underflowed: blame the input farthest from 1.
+        key = max(_SCALED_KEYS, key=lambda k: abs(math.log(getattr(p, k))))
+        raise DomainError(key, f"{getattr(p, key)!r} takes the scales h_e, tau, omega, "
+                               "Oh and Bo out of the float range")
     if abs(omega - omega_check) > _OMEGA_CONSISTENCY_RTOL * abs(omega):
         raise ConsistencyError(
             f"omega formulas disagree: {omega!r} (direct) vs "
@@ -198,7 +210,11 @@ def physical_params_from_json(obj: dict) -> PhysicalParams:
         value = obj[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(key, f"must be a number, got {value!r}")
-        values[key] = float(value)
+        try:
+            values[key] = float(value)
+        except OverflowError:
+            raise DomainError(key, "must be a number, got an integer too large "
+                                   "for a float") from None
     theta = math.radians(values.pop("theta_deg"))
     return PhysicalParams(theta=theta, **values)
 

@@ -14,6 +14,8 @@ from washburn.integrate import REGIME_HORIZON_CAP
 
 WATER_JSON = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 0.0,
               "g": 9.81, "R": 1e-4, "L": 0.0, "h0": 0.0}
+BIG_RHO = json.dumps({**WATER_JSON, "rho": 10**400}).encode()
+BIG_R = json.dumps({**WATER_JSON, "R": 1e200}).encode()
 
 
 def run(argv):
@@ -48,14 +50,20 @@ class TestNondim:
         assert run(["nondim", "--input", str(src)]) == 2
 
     @pytest.mark.parametrize("command", ["nondim", "simulate"])
-    @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}"])  # not JSON, not UTF-8
+    @pytest.mark.parametrize("content", [
+        b"{", b"\xff\xfe{}",  # not JSON, not UTF-8
+        pytest.param(BIG_RHO, id="rho-401-digits"),  # no float holds it
+        pytest.param(BIG_R, id="R-1e200"),  # R^2 overflows
+    ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, content):
         src = tmp_path / "bad.json"
         src.write_bytes(content)
         code, err = run_rejected([command, "--input", str(src), "--output",
                                   str(tmp_path / "x")], capsys)
         assert code == 2
-        assert err.startswith(f"configuration error: input: {src}: ")
+        field = {BIG_RHO: "rho", BIG_R: "R"}.get(content, f"input: {src}")
+        assert err.startswith(f"configuration error: {field}: ")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]
 
 

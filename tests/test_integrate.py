@@ -4,10 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from washburn import _rk
+from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
-from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, MAX_SAMPLES, Crossing,
-                                _bisect_level, _detect_crossings, continuous_dependence,
-                                default_horizon, detect_crossings, integrate)
+from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, MAX_SAMPLES,
+                                REGIME_TOLERANCES, Crossing, _bisect_level, _detect_crossings,
+                                continuous_dependence, default_horizon, detect_crossings,
+                                integrate, integrate_regime)
 from washburn.params import ModelParams
 from washburn.stability import lyapunov
 
@@ -86,6 +89,29 @@ class TestIntegrate:
         eps = 1e-3
         traj = integrate(mp(1.0, 1.0, 0.0), epsilon=eps, horizon=40.0)
         assert traj.u[-1] == pytest.approx((1.0 - eps) / 2.0, abs=1e-6)
+
+
+class TestWorkCounters:
+    """RHS evaluations, accepted and rejected steps are deterministic (scipy's
+    RK45 counts the same, per tests/test_rk.py), so they are pinned here."""
+
+    def test_default_run(self):
+        dense = integrate(mp(1.0, 1.0, 0.0)).dense
+        assert (dense.nfev, dense.accepted, dense.rejected) == (1148, 182, 9)
+
+    def test_regime_case2(self, monkeypatch):
+        solves = []
+        solve = _rk.solve
+
+        def recording_solve(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(_rk, "solve", recording_solve)
+        integrate_regime(RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA), beta=1.0,
+                         alpha=0.1, horizon=5.0, tolerances=REGIME_TOLERANCES)
+        [dense] = solves
+        assert (dense.nfev, dense.accepted, dense.rejected) == (1028, 170, 1)
 
 
 class TestCrossings:

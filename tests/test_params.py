@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -61,6 +62,15 @@ class TestNondimensionalize:
         with pytest.raises(DomainError, match="L"):
             PhysicalParams(rho=1000.0, mu=0.001, gamma=0.07, theta=0.0,
                            g=9.81, R=1e-4, L=-1e-6)
+
+    # R^2 overflows, R^2 underflows to 0, rho*g*R overflows so h_e is 0
+    # (both used to raise from inside the arithmetic), and g*tau^2 underflows
+    # so omega is 0 (used to be a DomainError on omega).
+    @pytest.mark.parametrize("key,value", [("R", 1e200), ("R", 1e-200), ("rho", 1e300),
+                                           ("mu", 1e300), ("g", 1e-200)])
+    def test_scales_out_of_float_range_name_the_input(self, key, value):
+        with pytest.raises(DomainError, match=f"^{key}: .* out of the float range"):
+            nondimensionalize(dataclasses.replace(WATER, **{key: value}))
 
 
 class TestModelParams:

@@ -12,6 +12,11 @@ the same field and tolerances it takes the same steps as
 `scipy.integrate.solve_ivp(method="RK45")` (tests/test_rk.py holds it to
 that) without importing scipy or building arrays on every stage.
 
+The `DenseSolution` it returns evaluates the interpolants on an array of
+times from contiguous coefficient blocks, and `DenseSolution.component(i)`
+gives component i as a plain-Python function of one float time, with the
+same bits, for root finding such as the crossing bisection in `integrate`.
+
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I, II.4-6.
@@ -20,8 +25,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -123,7 +128,8 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
         raise ValueError(f"the state has {n} components; solve steps 1 or 2")
     root_n = n ** 0.5
     rtol = max(rtol, MIN_RTOL)
-    max_steps = MAX_STEPS
+    max_steps = budget = MAX_STEPS
+    ulp, sqrt = math.ulp, math.sqrt
     t = t0
     fa, fb = fun(t, (ya, yb))
     h_abs = _initial_step(fun, t, ya, yb, fa, fb, root_n, t_bound, rtol, atol)
@@ -131,14 +137,15 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     rejected = 0
     ts, y_olds, stages = [t], [], []
     while t < t_bound:
-        min_step = 10.0 * math.ulp(t)
+        min_step = 10.0 * ulp(t)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
         while True:
-            if len(stages) + rejected >= max_steps:
+            if budget <= 0:
                 raise NumericError(f"step budget of {max_steps} steps (accepted plus "
                                    f"rejected) spent at t = {t!r} of {t_bound!r}")
+            budget -= 1
             if h_abs < min_step:
                 raise StepSizeUnderflowError(
                     f"required step size is less than spacing between numbers at t = {t!r}")
@@ -167,7 +174,7 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
                   / (atol + max(abs(ya), abs(na)) * rtol))
             eb = ((E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * gb) * h
                   / (atol + max(abs(yb), abs(nb)) * rtol))
-            error_norm = math.sqrt(ea * ea + eb * eb) / root_n
+            error_norm = sqrt(ea * ea + eb * eb) / root_n
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = MAX_FACTOR
@@ -191,11 +198,11 @@ class DenseSolution:
     """The accepted steps of one solve and their quartic interpolants.
 
     Calling it evaluates the interpolants on a float or an array of times
-    (shape (n,) or (n, len(t))); `at` evaluates one component at one float
-    time in plain Python, with the same arithmetic, so both give the same
-    bits. A time on a step boundary takes the earlier step, and times past
-    either end extrapolate the end steps, as scipy's OdeSolution does;
-    times before the start use `head` when there is one.
+    (shape (n,) or (n,) + t.shape); `component(i)` returns component i as
+    a function of one float time in plain Python, with the same arithmetic,
+    so both give the same bits. A time on a step boundary takes the earlier
+    step, and times past either end extrapolate the end steps, as scipy's
+    OdeSolution does; times before the start use `head` when there is one.
 
     `nfev` counts evaluations of the field, `accepted` and `rejected` the
     steps; `y` is the final state.
@@ -211,47 +218,63 @@ class DenseSolution:
         self.rejected = rejected
         self._head = head
         self._ts = ts
-        self._y0s = y_olds
         self.t = np.array(ts)
         self._h = np.diff(self.t)
         n = len(y)
         k = np.fromiter(chain.from_iterable(stages), float, m * 12).reshape(m, 6, 2)
         k = np.ascontiguousarray(k[:, :, :n])
         self._q = np.ascontiguousarray((k.transpose(0, 2, 1) @ P).transpose(2, 1, 0))
-        self._y0 = np.fromiter(chain.from_iterable(y_olds), float, m * 2).reshape(m, 2)[:, :n].T
-
-    @cached_property
-    def _hs(self):
-        return self._h.tolist()
-
-    @cached_property
-    def _qs(self):
-        return self._q.transpose(2, 1, 0).tolist()  # [step][component][j]
+        self._y0 = np.ascontiguousarray(
+            np.fromiter(chain.from_iterable(y_olds), float, m * 2).reshape(m, 2)[:, :n].T)
+        self._components = {}
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             t = float(t)
-            return np.array([self.at(t, i) for i in range(len(self.y))])
+            return np.array([self.component(i)(t) for i in range(len(self.y))])
         k = np.searchsorted(self.t, t, side="left") - 1
         np.clip(k, 0, self.accepted - 1, out=k)
         h = self._h[k]
         x = (t - self.t[k]) / h
-        q0, q1, q2, q3 = self._q[:, :, k]  # (4, n) + t.shape
-        y = self._y0[:, k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+        # `take` writes each coefficient block contiguously, where the fancy
+        # index self._q[:, :, k] leaves strided views that slow every Horner
+        # ufunc about twofold; the IEEE operations, and so the bits, are the same.
+        q0, q1, q2, q3 = self._q.take(k, axis=2)  # (4, n) + t.shape
+        y = self._y0.take(k, axis=1) + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
         if self._head is not None:
             early = t < self._ts[0]
             if early.any():
                 y[:, early] = self._head(t[early])
         return y
 
-    def at(self, t: float, i: int = 0) -> float:
-        """Component i of the solution at the float time t."""
-        ts = self._ts
-        if t < ts[0] and self._head is not None:
-            return self._head(t)[i]
-        k = min(max(bisect_left(ts, t) - 1, 0), self.accepted - 1)
-        h = self._hs[k]
-        x = (t - ts[k]) / h
-        q0, q1, q2, q3 = self._qs[k][i]
-        return self._y0s[k][i] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+    def component(self, i: int = 0) -> Callable[[float], float]:
+        """Component i of the solution as a function of one float time.
+
+        The function keeps the steps as Python lists in its closure, so a
+        call costs a bisection of the step times and a Horner sum; it is
+        built once per component."""
+        cached = self._components.get(i)
+        if cached is not None:
+            return cached
+        ts, head, last = self._ts, self._head, self.accepted - 1
+        t_first = ts[0]
+        hs = self._h.tolist()
+        qs = self._q[:, i, :].T.tolist()  # [step][j]
+        y0s = self._y0[i].tolist()
+
+        def u_at(t: float) -> float:
+            if t < t_first and head is not None:
+                return head(t)[i]
+            k = bisect_left(ts, t) - 1
+            if k < 0:
+                k = 0
+            elif k > last:
+                k = last
+            h = hs[k]
+            x = (t - ts[k]) / h
+            q0, q1, q2, q3 = qs[k]
+            return y0s[k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+
+        self._components[i] = u_at
+        return u_at

@@ -4,8 +4,9 @@ The u-form model, with the vector field `dynamics.u_form_field`, is
 integrated with the explicit embedded Runge-Kutta 5(4) pair of
 Dormand and Prince with quartic dense output (`_rk`). Trajectories
 carry derived height/energy columns, equilibrium-crossing events detected
-with a hysteresis band and refined by bisection on the dense output, and
-the evaluation handle needed to re-detect crossings at other levels.
+with a hysteresis band and refined by bisection on the dense output's
+scalar interpolant of u (`DenseSolution.component(0)`), and the
+evaluation handle needed to re-detect crossings at other levels.
 """
 from __future__ import annotations
 
@@ -173,15 +174,16 @@ def _bisect_level(u_at: Callable[[float], float], level: float,
     return 0.5 * (lo + hi)
 
 
-def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
+def _detect_crossings(s: np.ndarray, u: np.ndarray, u_at: Callable[[float], float],
                       level: float) -> tuple[Crossing, ...]:
     # Samples within CROSSING_BAND of the level belong to neither side (NaN
     # counts as below); a crossing lies between consecutive kept samples on
-    # opposite sides.
+    # opposite sides, and is refined by bisection on u_at, the dense output's
+    # u as a function of one float time.
     d = u - level
     kept = np.flatnonzero(~(np.abs(d) <= CROSSING_BAND))
     above = d[kept] > 0.0
-    return tuple(Crossing(_bisect_level(dense.at, level, float(s[kept[i]]),
+    return tuple(Crossing(_bisect_level(u_at, level, float(s[kept[i]]),
                                         float(s[kept[i + 1]]), CROSSING_REFINE_TOL),
                           1 if above[i + 1] else -1)
                  for i in np.flatnonzero(above[1:] != above[:-1]).tolist())
@@ -196,6 +198,9 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     Samples land on multiples of sample_step (plus the final time) through
     the integrator's quartic dense output; the first sample matches the
     initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
+    Equilibrium crossings are bracketed by the samples and refined to
+    CROSSING_REFINE_TOL by bisection on `dense.component(0)`, the dense
+    output's u as a function of one float time.
     """
     check_nonnegative("epsilon", epsilon)
     epsilon = float(epsilon)
@@ -212,13 +217,17 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
         arr.setflags(write=False)
     return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
                       epsilon=epsilon, tolerances=tolerances,
-                      crossings=_detect_crossings(s, u, dense, EQUILIBRIUM_LEVEL),
+                      crossings=_detect_crossings(s, u, dense.component(0),
+                                                  EQUILIBRIUM_LEVEL),
                       dense=dense)
 
 
 def detect_crossings(traj: Trajectory, level: float = EQUILIBRIUM_LEVEL) -> tuple[Crossing, ...]:
-    """Level crossings of u, hysteresis-filtered and bisection-refined."""
-    return _detect_crossings(traj.s, traj.u, traj.dense, level)
+    """Level crossings of u, hysteresis-filtered and bisection-refined.
+    Raises DomainError for a level that is not finite."""
+    if not math.isfinite(level):
+        raise DomainError("level", f"must be finite, got {level!r}")
+    return _detect_crossings(traj.s, traj.u, traj.dense.component(0), level)
 
 
 def continuous_dependence(params: ModelParams, alpha0: float,

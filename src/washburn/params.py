@@ -9,6 +9,7 @@ fraction of the equilibrium height.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -118,6 +119,11 @@ class ModelParams:
                            self.h_e, self.tau, self.Oh, self.Bo)
 
 
+def _farthest_from_one(p: PhysicalParams) -> str:
+    """The input among rho, mu, gamma, g, R farthest from 1 in magnitude."""
+    return max(_SCALED_KEYS, key=lambda k: abs(math.log(getattr(p, k))))
+
+
 def nondimensionalize(p: PhysicalParams) -> ModelParams:
     """Convert physical pipe/fluid data into the dimensionless model.
 
@@ -125,27 +131,50 @@ def nondimensionalize(p: PhysicalParams) -> ModelParams:
     tau = 8 mu h_e / (rho g R^2) the viscous time scale, and
     omega = h_e / (g tau^2). omega is cross-checked against its
     Bond/Ohnesorge form (Bo/Oh)^2 / (128 cos theta). Inputs that take a
-    scale out of the float range (to inf or 0) raise DomainError naming
-    the input farthest from 1 in magnitude.
+    scale out of the float range (to inf or 0), or a product below the
+    smallest normal float, where the two forms lose different digits and
+    disagree, raise DomainError naming the input farthest from 1 in
+    magnitude.
     """
     cos_t = math.cos(p.theta)
     try:
-        h_e = 2.0 * p.gamma * cos_t / (p.rho * p.g * p.R)
-        tau = 8.0 * p.mu * h_e / (p.rho * p.g * p.R**2)
-        omega = h_e / (p.g * tau**2)
+        # One product per name, in the formulas' order of operations, so that
+        # a product that went subnormal can be told from an internal bug.
+        two_gamma_cos = 2.0 * p.gamma * cos_t
+        rho_g = p.rho * p.g
+        rho_g_R = rho_g * p.R
+        R2 = p.R**2
+        rho_g_R2 = rho_g * R2
+        h_e = two_gamma_cos / rho_g_R
+        eight_mu_h_e = 8.0 * p.mu * h_e
+        tau = eight_mu_h_e / rho_g_R2
+        tau2 = tau**2
+        g_tau2 = p.g * tau2
+        omega = h_e / g_tau2
         beta = 1.0 / (1.0 + 4.0 * p.L / p.R)
-        Oh = p.mu / math.sqrt(p.R * p.rho * p.gamma)
-        Bo = p.rho * p.g * p.R**2 / p.gamma
-        omega_check = (Bo / Oh) ** 2 / (128.0 * cos_t)
+        R_rho = p.R * p.rho
+        R_rho_gamma = R_rho * p.gamma
+        Oh = p.mu / math.sqrt(R_rho_gamma)
+        Bo = rho_g_R2 / p.gamma
+        Bo_Oh = Bo / Oh
+        Bo_Oh2 = Bo_Oh**2
+        omega_check = Bo_Oh2 / (128.0 * cos_t)
         in_range = all(0.0 < x < math.inf for x in (h_e, tau, omega, Oh, Bo, omega_check))
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
         # A scale overflowed or underflowed: blame the input farthest from 1.
-        key = max(_SCALED_KEYS, key=lambda k: abs(math.log(getattr(p, k))))
+        key = _farthest_from_one(p)
         raise DomainError(key, f"{getattr(p, key)!r} takes the scales h_e, tau, omega, "
                                "Oh and Bo out of the float range")
     if abs(omega - omega_check) > _OMEGA_CONSISTENCY_RTOL * abs(omega):
+        smallest = min(p.rho, p.mu, p.gamma, p.g, p.R, two_gamma_cos, rho_g, rho_g_R, R2,
+                       rho_g_R2, h_e, eight_mu_h_e, tau, tau2, g_tau2, omega, R_rho,
+                       R_rho_gamma, Oh, Bo, Bo_Oh, Bo_Oh2, omega_check)
+        if smallest < sys.float_info.min:
+            key = _farthest_from_one(p)
+            raise DomainError(key, f"{getattr(p, key)!r} takes a product of the scales "
+                                   "h_e, tau, omega, Oh and Bo below the normal float range")
         raise ConsistencyError(
             f"omega formulas disagree: {omega!r} (direct) vs "
             f"{omega_check!r} (Bo/Oh form)"

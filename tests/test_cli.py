@@ -16,6 +16,8 @@ WATER_JSON = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 0.0,
               "g": 9.81, "R": 1e-4, "L": 0.0, "h0": 0.0}
 BIG_RHO = json.dumps({**WATER_JSON, "rho": 10**400}).encode()
 BIG_R = json.dumps({**WATER_JSON, "R": 1e200}).encode()
+SUBNORMAL = json.dumps({**WATER_JSON, "rho": 6.92e48, "mu": 1.12e-253, "gamma": 4.13e-134,
+                        "g": 6.08e23, "R": 2.0e-141}).encode()
 
 
 def run(argv):
@@ -54,6 +56,7 @@ class TestNondim:
         b"{", b"\xff\xfe{}",  # not JSON, not UTF-8
         pytest.param(BIG_RHO, id="rho-401-digits"),  # no float holds it
         pytest.param(BIG_R, id="R-1e200"),  # R^2 overflows
+        pytest.param(SUBNORMAL, id="mu-subnormal-product"),  # 8 mu h_e is subnormal
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, content):
         src = tmp_path / "bad.json"
@@ -61,7 +64,7 @@ class TestNondim:
         code, err = run_rejected([command, "--input", str(src), "--output",
                                   str(tmp_path / "x")], capsys)
         assert code == 2
-        field = {BIG_RHO: "rho", BIG_R: "R"}.get(content, f"input: {src}")
+        field = {BIG_RHO: "rho", BIG_R: "R", SUBNORMAL: "mu"}.get(content, f"input: {src}")
         assert err.startswith(f"configuration error: {field}: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]

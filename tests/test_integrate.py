@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -99,6 +100,10 @@ class TestWorkCounters:
         dense = integrate(mp(1.0, 1.0, 0.0)).dense
         assert (dense.nfev, dense.accepted, dense.rejected) == (1148, 182, 9)
 
+    def test_light_spiral(self):
+        dense = integrate(mp(31.4, 0.7, 0.0)).dense
+        assert (dense.nfev, dense.accepted, dense.rejected) == (8264, 1281, 96)
+
     def test_regime_case2(self, monkeypatch):
         solves = []
         solve = _rk.solve
@@ -148,8 +153,32 @@ class TestCrossings:
         assert isinstance(quarter[0], Crossing)
         assert float(traj.dense(quarter[0].s)[0]) == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, traj, level):
+        with pytest.raises(DomainError, match="^level: must be finite"):
+            detect_crossings(traj, level)
 
-def crossings_by_loop(s, u, dense, level):
+
+def at_by_lists(dense):
+    """The deleted `DenseSolution.at` for u, over the lists it cached: the
+    scalar interpolant the crossing refinement bisected on before
+    `DenseSolution.component`."""
+    ts, head, last = dense._ts, dense._head, dense.accepted - 1
+    hs, qs, y0s = dense._h.tolist(), dense._q.transpose(2, 1, 0).tolist(), dense._y0.T.tolist()
+
+    def at(t, i=0):
+        if t < ts[0] and head is not None:
+            return head(t)[i]
+        k = min(max(bisect_left(ts, t) - 1, 0), last)
+        h = hs[k]
+        x = (t - ts[k]) / h
+        q0, q1, q2, q3 = qs[k][i]
+        return y0s[k][i] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+
+    return at
+
+
+def crossings_by_loop(s, u, u_at, level):
     """The per-sample hysteresis loop that `_detect_crossings` replaced, kept
     as its reference (as tests/test_volterra.py keeps the dense kernel)."""
     crossings = []
@@ -163,7 +192,7 @@ def crossings_by_loop(s, u, dense, level):
         if side == 0:
             side = this_side
         elif this_side != side:
-            s_cross = _bisect_level(dense.at, level, float(s[armed_index]),
+            s_cross = _bisect_level(u_at, level, float(s[armed_index]),
                                     float(s[i]), CROSSING_REFINE_TOL)
             crossings.append(Crossing(s_cross, this_side))
             side = this_side
@@ -171,22 +200,13 @@ def crossings_by_loop(s, u, dense, level):
     return tuple(crossings)
 
 
-class PiecewiseLinear:
-    """A stand-in for the dense output: linear interpolation through (s, u)."""
-
-    def __init__(self, s, u):
-        self.s, self.u = s, u
-
-    def at(self, t, i=0):
-        return float(np.interp(t, self.s, self.u))
-
-
 def synthetic(values):
-    """u on the unit-step grid, and its stand-in dense output; the tests take
-    the level 0, so that u - level is exact and +-CROSSING_BAND is the edge."""
+    """u on the unit-step grid, and a stand-in for its dense output: linear
+    interpolation through (s, u). The tests take the level 0, so that
+    u - level is exact and +-CROSSING_BAND is the edge."""
     u = np.asarray(values, dtype=float)
     s = np.arange(u.size, dtype=float)
-    return s, u, PiecewiseLinear(s, u)
+    return s, u, lambda t: float(np.interp(t, s, u))
 
 
 B = CROSSING_BAND
@@ -211,21 +231,22 @@ class TestCrossingScan:
                                        (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
     def test_trajectories(self, point):
         traj = integrate(mp(*point))
+        reference = at_by_lists(traj.dense)
         for level in (0.5, 0.25):
-            found = _detect_crossings(traj.s, traj.u, traj.dense, level)
-            assert found == crossings_by_loop(traj.s, traj.u, traj.dense, level)
-        assert traj.crossings == _detect_crossings(traj.s, traj.u, traj.dense, 0.5)
+            found = _detect_crossings(traj.s, traj.u, traj.dense.component(0), level)
+            assert found == crossings_by_loop(traj.s, traj.u, reference, level)
+        assert traj.crossings == crossings_by_loop(traj.s, traj.u, reference, 0.5)
 
     def test_lightly_damped_point_crosses_76_times(self):
         assert len(integrate(mp(31.4, 0.7, 0.0)).crossings) == 76
 
     @pytest.mark.parametrize("name", SYNTHETIC)
     def test_synthetic_samples(self, name):
-        s, u, dense = synthetic(SYNTHETIC[name])
+        s, u, u_at = synthetic(SYNTHETIC[name])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = _detect_crossings(s, u, dense, 0.0)
-        assert found == crossings_by_loop(s, u, dense, 0.0)
+            found = _detect_crossings(s, u, u_at, 0.0)
+        assert found == crossings_by_loop(s, u, u_at, 0.0)
         assert (found == ()) == (name in ("all-inside-band", "single-sample", "empty"))
 
 

@@ -1,6 +1,9 @@
+import collections
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +74,31 @@ class TestNondimensionalize:
     def test_scales_out_of_float_range_name_the_input(self, key, value):
         with pytest.raises(DomainError, match=f"^{key}: .* out of the float range"):
             nondimensionalize(dataclasses.replace(WATER, **{key: value}))
+
+    # 8 mu h_e goes subnormal here (8.8e-318), so the direct omega loses
+    # digits the Bo/Oh form keeps (5.9112519e127 against 5.9112504e127).
+    def test_subnormal_product_names_the_input(self):
+        p = PhysicalParams(rho=6.92e48, mu=1.12e-253, gamma=4.13e-134, theta=0.0,
+                           g=6.08e23, R=2.0e-141)
+        with pytest.raises(DomainError, match="^mu: .* below the normal float range$"):
+            nondimensionalize(p)
+
+    def test_log_uniform_inputs_raise_no_consistency_error(self):
+        rng = np.random.default_rng(2024)
+        keys = ("rho", "mu", "gamma", "g", "R", "L", "h0")
+        kinds = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for exponents, theta_deg in zip(rng.uniform(-300.0, 300.0, (30_000, len(keys))),
+                                            rng.uniform(0.0, 89.0, 30_000)):
+                obj = dict(zip(keys, (10.0 ** exponents).tolist()), theta_deg=theta_deg)
+                try:
+                    nondimensionalize(physical_params_from_json(obj))
+                    kinds["ok"] += 1
+                except DomainError as e:
+                    kinds["subnormal" if "below the normal" in str(e) else "domain"] += 1
+        assert sum(kinds.values()) == 30_000
+        assert kinds["ok"] > 0 and kinds["subnormal"] > 0
 
 
 class TestModelParams:

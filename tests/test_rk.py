@@ -1,8 +1,11 @@
 """The in-house Dormand-Prince 5(4) stepper against scipy's RK45, the
 controller it copies: same field evaluations, same accepted steps, same
-final state to 1e-14, at the package's default tolerances; and against
-`solve_by_loop`, the per-component loop it unrolls, bit for bit."""
+final state to 1e-14, at the package's default tolerances; against
+`solve_by_loop`, the per-component loop it unrolls, bit for bit; and its
+dense output against `call_by_fancy_index` and `AtByLists`, the array and
+scalar evaluators it replaced, bit for bit."""
 import math
+from bisect import bisect_left
 from itertools import chain
 from types import SimpleNamespace
 
@@ -70,14 +73,86 @@ def test_takes_the_steps_of_scipy_rk45(name):
     assert np.max(np.abs(dense(times) - ref.sol(times))) <= 1e-14
 
 
+def call_by_fancy_index(dense, t):
+    """The array path of `DenseSolution.__call__` before it gathered with
+    `take`, kept as its reference: the fancy index leaves strided blocks."""
+    t = np.asarray(t, dtype=float)
+    k = np.searchsorted(dense.t, t, side="left") - 1
+    np.clip(k, 0, dense.accepted - 1, out=k)
+    h = dense._h[k]
+    x = (t - dense.t[k]) / h
+    q0, q1, q2, q3 = dense._q[:, :, k]
+    y = dense._y0[:, k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+    if dense._head is not None:
+        early = t < dense._ts[0]
+        if early.any():
+            y[:, early] = dense._head(t[early])
+    return y
+
+
+class AtByLists:
+    """The deleted `DenseSolution.at` with the `_hs`/`_qs`/`_y0s` lists it
+    cached, kept as the reference of `DenseSolution.component`."""
+
+    def __init__(self, dense):
+        self._ts, self._head, self.accepted = dense._ts, dense._head, dense.accepted
+        self._hs = dense._h.tolist()
+        self._qs = dense._q.transpose(2, 1, 0).tolist()  # [step][component][j]
+        self._y0s = dense._y0.T.tolist()
+
+    def at(self, t, i=0):
+        ts = self._ts
+        if t < ts[0] and self._head is not None:
+            return self._head(t)[i]
+        k = min(max(bisect_left(ts, t) - 1, 0), self.accepted - 1)
+        h = self._hs[k]
+        x = (t - ts[k]) / h
+        q0, q1, q2, q3 = self._qs[k][i]
+        return self._y0s[k][i] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def reference_times(dense):
+    """Unsorted times with every step boundary, times past both ends and
+    below the start (the series head of a dry start)."""
+    t = dense.t
+    start, end = float(t[0]), float(t[-1])
+    early = [start - 1.0, start - 0.5 * float(t[1] - t[0]), 0.5 * start, 0.0]
+    inside = np.random.default_rng(11).uniform(start, end, 500)
+    times = np.concatenate([inside, t, 0.5 * (t[1:] + t[:-1]), early,
+                            [end + 1e-9, end + 0.5, end + 10.0]])
+    return np.random.default_rng(12).permutation(times)
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_array_and_scalar_dense_output_agree_bit_for_bit(name):
     dense, *_ = PROBLEMS[name]()
-    times = np.random.default_rng(11).uniform(0.0, float(dense.t[-1]), 1000)
-    times[:3] = dense.t[[0, 1, -1]]  # step boundaries take the earlier step
+    times = reference_times(dense)
     array = dense(times)
-    scalar = np.array([[dense.at(t, i) for t in times.tolist()] for i in range(len(dense.y))])
-    assert np.array_equal(array.view(np.int64), scalar.view(np.int64))
+    scalar = np.array([[dense.component(i)(t) for t in times.tolist()]
+                       for i in range(len(dense.y))])
+    assert np.array_equal(bits(array), bits(scalar))
+    assert np.array_equal(bits(dense(float(times[0]))), bits(array[:, 0]))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_dense_output_matches_its_references_bit_for_bit(name):
+    dense, *_ = PROBLEMS[name]()
+    assert dense._q.flags.c_contiguous and dense._y0.flags.c_contiguous
+    times = reference_times(dense)
+    for t in (times, times[:60].reshape(3, 20), times[:0]):
+        got, want = dense(t), call_by_fancy_index(dense, t)
+        assert got.shape == want.shape == (len(dense.y),) + t.shape
+        assert np.array_equal(bits(got), bits(want))
+    reference = AtByLists(dense)
+    for i in range(len(dense.y)):
+        u_at = dense.component(i)
+        assert dense.component(i) is u_at
+        assert np.array_equal(bits([u_at(t) for t in times.tolist()]),
+                              bits([reference.at(t, i) for t in times.tolist()]))
 
 
 def test_series_seed_below_the_first_step():
@@ -86,7 +161,8 @@ def test_series_seed_below_the_first_step():
     times = np.array([0.0, 0.25 * start, 0.5 * start])
     u, v = _series_seed(1.0)(times)  # damping 1
     assert np.array_equal(dense(times), np.stack([u, v]))
-    assert [dense.at(t) for t in times.tolist()] == u.tolist()
+    assert [dense.component(0)(t) for t in times.tolist()] == u.tolist()
+    assert [dense.component(1)(t) for t in times.tolist()] == v.tolist()
 
 
 def _rms(xs):

@@ -21,9 +21,9 @@ def fmt17(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, level: int) -> str:
+    pad = "  " * level  # two spaces per level
+    pad_in = pad + "  "
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -39,20 +39,20 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f'{pad_in}"{key}": {_emit(value, indent, level + 1)}'
+        items = (f'{pad_in}"{key}": {_emit(value, level + 1)}'
                  for key, value in obj.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             return "[]"
-        items = (f"{pad_in}{_emit(value, indent, level + 1)}" for value in seq)
+        items = (f"{pad_in}{_emit(value, level + 1)}" for value in seq)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    return _emit(obj, indent, 0) + "\n"
+def dumps_json(obj) -> str:
+    return _emit(obj, 0) + "\n"
 
 
 def write_json(path, obj):

@@ -21,17 +21,17 @@ from . import __version__, _rk, params as params_module, stability, volterra
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
-from .integrate import (CSV_HEADER, DEFAULT_SAMPLES, DEFAULT_TOLERANCES, MAX_SAMPLES,
-                        REGIME_HORIZON_CAP, Trajectory, integrate, integrate_regime,
-                        regime_oracle_residuals)
+from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, Trajectory,
+                        integrate, integrate_regime, regime_oracle_residuals)
+from .params import DEFAULT_INTERVALS, MAX_INTERVALS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-SAMPLE_STEP_HELP = (f"output sampling step, at least horizon/{MAX_SAMPLES} "
-                    f"(default: horizon/{DEFAULT_SAMPLES})")
+STEP_RANGE_HELP = f"at least horizon/{MAX_INTERVALS} (default: horizon/{DEFAULT_INTERVALS})"
+SAMPLE_STEP_HELP = "output sampling step, " + STEP_RANGE_HELP
 STEP_BUDGET_HELP = f"a run that needs more than {_rk.MAX_STEPS} RK steps exits 3"
 
 
@@ -74,7 +74,8 @@ def _model_params_from_args(args) -> params_module.ModelParams:
     missing = [name for name in ("omega", "beta", "alpha")
                if getattr(args, name) is None]
     if missing:
-        raise DomainError(missing[0], "required unless --input is given")
+        unless = " unless --input is given" if "input" in args else ""
+        raise DomainError(missing[0], "required" + unless)
     return params_module.ModelParams(omega=args.omega, beta=args.beta,
                                      alpha=args.alpha)
 
@@ -113,9 +114,20 @@ def _plot_script(csv_name: str, y_column: int, y_title: str, title: str) -> str:
     )
 
 
-def _sidecar(path_prefix: str, config: dict):
-    write_json(path_prefix + ".meta.json",
-               {"tool": "washburn", "version": __version__, "config": config})
+def _write_run(args, config_names, header: str, columns, summary: dict, plot=None):
+    """Write a run's file set under the prefix args.output, in this order:
+    PREFIX.csv (header and columns), PREFIX.json (summary), PREFIX.gp when
+    plot = (y_column, y_title, title) is given, and the PREFIX.meta.json
+    sidecar echoing the args named in config_names."""
+    prefix = args.output
+    write_csv(prefix + ".csv", header, columns)
+    write_json(prefix + ".json", summary)
+    if plot is not None:
+        with open(prefix + ".gp", "w", newline="\n") as fh:
+            fh.write(_plot_script(prefix + ".csv", *plot))
+    write_json(prefix + ".meta.json",
+               {"tool": "washburn", "version": __version__,
+                "config": {name: getattr(args, name) for name in config_names}})
 
 
 def cmd_nondim(args) -> int:
@@ -129,16 +141,12 @@ def cmd_simulate(args) -> int:
     tolerances = (args.abs_tol, args.rel_tol)
     traj = integrate(mp, epsilon=args.epsilon, horizon=args.horizon,
                            tolerances=tolerances, sample_step=args.sample_step)
-    prefix = args.output
-    csv_path = prefix + ".csv"
-    write_csv(csv_path, CSV_HEADER,
-              [traj.s, traj.u, traj.v, traj.H, traj.T, traj.E, traj.V])
     summary = {
         "params": params_module.model_params_report(mp),
         "epsilon": traj.epsilon,
         "horizon": float(traj.s[-1]),
         "sample_step": args.sample_step if args.sample_step is not None
-        else float(traj.s[-1]) / DEFAULT_SAMPLES,
+        else float(traj.s[-1]) / DEFAULT_INTERVALS,
         "tolerances": {"abs": traj.tolerances[0], "rel": traj.tolerances[1]},
         "final_state": {"s": float(traj.s[-1]), "u": float(traj.u[-1]),
                         "v": float(traj.v[-1]), "H": float(traj.H[-1])},
@@ -152,31 +160,26 @@ def cmd_simulate(args) -> int:
             np.max(np.abs(traj.u - twin.u)))
     if args.classify:
         summary["classification"] = _classification_json(traj)
-    write_json(prefix + ".json", summary)
-    with open(prefix + ".gp", "w", newline="\n") as fh:
-        fh.write(_plot_script(csv_path, 4, "H",
-                              f"omega={mp.omega:g} beta={mp.beta:g} alpha={mp.alpha:g}"))
-    _sidecar(prefix, _config_echo(args, ("omega", "beta", "alpha", "epsilon",
-                                         "horizon", "sample_step", "abs_tol",
-                                         "rel_tol", "classify", "input")))
+    _write_run(args, ("omega", "beta", "alpha", "epsilon", "horizon", "sample_step",
+                      "abs_tol", "rel_tol", "classify", "input"),
+               CSV_HEADER, [traj.s, traj.u, traj.v, traj.H, traj.T, traj.E, traj.V], summary,
+               (4, "H", f"omega={mp.omega:g} beta={mp.beta:g} alpha={mp.alpha:g}"))
     return EXIT_OK
 
 
 def cmd_picard(args) -> int:
-    result = volterra.picard_solve(args.omega, args.beta, args.alpha,
+    mp = _model_params_from_args(args)
+    result = volterra.picard_solve(mp.omega, mp.beta, mp.alpha,
                                    args.horizon, step=args.step, tol=args.tol,
                                    max_iter=args.max_iter)
-    prefix = args.output
-    write_csv(prefix + ".csv", "s,u",
-              [result.solution.grid, result.solution.values])
-    write_json(prefix + ".json", {
+    summary = {
         "iterations": result.iterations,
         "final_diff": result.final_diff,
         "h": result.step,
         "sup_norm_log": list(result.diffs),
-    })
-    _sidecar(prefix, _config_echo(args, ("omega", "beta", "alpha", "horizon",
-                                         "step", "tol", "max_iter")))
+    }
+    _write_run(args, ("omega", "beta", "alpha", "horizon", "step", "tol", "max_iter"),
+               "s,u", [result.solution.grid, result.solution.values], summary)
     return EXIT_OK
 
 
@@ -215,16 +218,13 @@ def cmd_regime(args) -> int:
                                   horizon=args.horizon,
                                   sample_step=args.sample_step)
     oracle_name, resid = regime_oracle_residuals(traj)
-    prefix = args.output
     if traj.v is None:
         header = "t,u,h,residual"
         columns = [traj.t, traj.u, traj.h, resid]
     else:
         header = "t,u,v,h,residual"
         columns = [traj.t, traj.u, traj.v, traj.h, resid]
-    csv_path = prefix + ".csv"
-    write_csv(csv_path, header, columns)
-    write_json(prefix + ".json", {
+    summary = {
         "case": int(case),
         "case_name": _case_name(case),
         "exponents": {"a": [spec.a.numerator, spec.a.denominator],
@@ -235,13 +235,10 @@ def cmd_regime(args) -> int:
         "oracle": oracle_name,
         "max_residual": float(np.max(resid)),
         "final_height": float(traj.h[-1]),
-    })
-    h_col = 3 if traj.v is None else 4
-    with open(prefix + ".gp", "w", newline="\n") as fh:
-        fh.write(_plot_script(csv_path, h_col, "h*",
-                              f"case {int(case)} beta={args.beta:g}"))
-    _sidecar(prefix, _config_echo(args, ("case", "beta", "alpha", "b_exponent",
-                                         "horizon", "sample_step")))
+    }
+    _write_run(args, ("case", "beta", "alpha", "b_exponent", "horizon", "sample_step"),
+               header, columns, summary,
+               (3 if traj.v is None else 4, "h*", f"case {int(case)} beta={args.beta:g}"))
     return EXIT_OK
 
 
@@ -262,10 +259,6 @@ def cmd_verify(args) -> int:
         write_json(args.output, report)
     print(f"{report['n_checks'] - report['n_failed']}/{report['n_checks']} checks passed")
     return EXIT_OK if report["passed"] else EXIT_VERIFY
-
-
-def _config_echo(args, names) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 def _add_model_args(parser, with_input=True):
@@ -324,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, with_input=False)
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--step", type=float, default=None,
-                   help="grid step (default: horizon/4096)")
+                   help="grid step that tiles the horizon, " + STEP_RANGE_HELP)
     p.add_argument("--tol", type=float, default=volterra.DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=volterra.DEFAULT_MAX_ITER)
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")

@@ -172,10 +172,13 @@ def regime_field(spec: RegimeSpec, beta: float):
     Second-order cases step y = (u*, v*) and return (du*/dt*, dv*/dt*);
     first-order cases read only u* = y[0] and return the 1-tuple
     (du*/dt*,). Built once per run, like `u_form_field`: it validates
-    nothing, and negative u* is clamped inside the square roots.
+    nothing, and negative u* is clamped inside the square roots. Case 4
+    is the undamped u-form, `u_form_field(0.0, 0.0)`.
     """
     sqrt_ = math.sqrt
     case = spec.case
+    if case is RegimeCase.NEGLIGIBLE_VISCOSITY:
+        return u_form_field(0.0, 0.0)
     if case is RegimeCase.NEGLIGIBLE_GRAVITY:
         def field(t, y):
             v = y[1]
@@ -184,15 +187,11 @@ def regime_field(spec: RegimeSpec, beta: float):
         def field(t, y):
             u = y[0]
             return ((1.0 - sqrt_(2.0 * (0.0 if u < 0.0 else u))) / beta,)
-    elif case is RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
+    else:
         rate = (1.0 / beta,)
 
         def field(t, y):
             return rate
-    else:
-        def field(t, y):
-            u, v = y
-            return (v, 1.0 - sqrt_(2.0 * (0.0 if u < 0.0 else u)))
     return field
 
 

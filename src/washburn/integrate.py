@@ -19,15 +19,13 @@ import numpy as np
 from . import _rk, dynamics, stability
 from .dynamics import RegimeSpec, State
 from .errors import DomainError, HorizonError, NumericError
-from .params import ModelParams, check_alpha, check_nonnegative, check_positive
+from .params import (DEFAULT_INTERVALS, MAX_INTERVALS, U_EQUILIBRIUM, ModelParams,
+                     check_alpha, check_nonnegative, check_positive)
 
 DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
 HORIZON_CAP = 1e6
 HORIZON_EFOLDS = 30.0
-DEFAULT_SAMPLES = 4096  # sample intervals over the horizon without a sample step
-MAX_SAMPLES = 2**20
 
-EQUILIBRIUM_LEVEL = 0.5
 CROSSING_BAND = 1e-9
 CROSSING_REFINE_TOL = 1e-10
 
@@ -66,7 +64,7 @@ class Trajectory:
         return State(float(self.u[-1]), float(self.v[-1]))
 
     def final_distance_to_equilibrium(self) -> float:
-        return math.hypot(self.u[-1] - EQUILIBRIUM_LEVEL, self.v[-1])
+        return math.hypot(self.u[-1] - U_EQUILIBRIUM, self.v[-1])
 
 
 class DependenceRecord(NamedTuple):
@@ -83,8 +81,8 @@ def default_horizon(params: ModelParams) -> float:
 def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
                sample_step: float | None):
     """Validate a run's horizon, tolerances and sample step, with the sample
-    step defaulting to horizon/DEFAULT_SAMPLES and the sample count capped at
-    MAX_SAMPLES; returns (horizon, tolerances, sample_step) as floats."""
+    step defaulting to horizon/DEFAULT_INTERVALS and the sample count capped at
+    MAX_INTERVALS; returns (horizon, tolerances, sample_step) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
         raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
@@ -92,11 +90,11 @@ def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
     check_positive("abs_tol", abs_tol)
     check_positive("rel_tol", rel_tol)
     if sample_step is None:
-        sample_step = horizon / DEFAULT_SAMPLES
+        sample_step = horizon / DEFAULT_INTERVALS
     check_positive("sample_step", sample_step)
-    if horizon / sample_step > MAX_SAMPLES:
+    if horizon / sample_step > MAX_INTERVALS:
         raise DomainError("sample_step", f"{sample_step!r} asks for more than "
-                                         f"{MAX_SAMPLES} samples over the horizon {horizon!r}")
+                                         f"{MAX_INTERVALS} samples over the horizon {horizon!r}")
     return float(horizon), (float(abs_tol), float(rel_tol)), float(sample_step)
 
 
@@ -218,11 +216,11 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
                       epsilon=epsilon, tolerances=tolerances,
                       crossings=_detect_crossings(s, u, dense.component(0),
-                                                  EQUILIBRIUM_LEVEL),
+                                                  U_EQUILIBRIUM),
                       dense=dense)
 
 
-def detect_crossings(traj: Trajectory, level: float = EQUILIBRIUM_LEVEL) -> tuple[Crossing, ...]:
+def detect_crossings(traj: Trajectory, level: float = U_EQUILIBRIUM) -> tuple[Crossing, ...]:
     """Level crossings of u, hysteresis-filtered and bisection-refined.
     Raises DomainError for a level that is not finite."""
     if not math.isfinite(level):

@@ -21,6 +21,11 @@ ALPHA_MAX = 1.5
 U_BOUND = 9.0 / 8.0
 U_EQUILIBRIUM = 0.5
 
+# Intervals over the horizon in a run's grid (a trajectory's output samples
+# or a Picard solve's nodes): the default without a step, and the cap.
+DEFAULT_INTERVALS = 4096
+MAX_INTERVALS = 2**20
+
 # The initial column is assumed short compared to the equilibrium height;
 # larger ratios are still integrated but draw a warning.
 SMALL_ALPHA_GUIDELINE = 0.1

@@ -32,6 +32,8 @@ SEED = 20250810
 # the asymptotic O(ds^2) regime for the stiffest grid point.
 FD_STEPS = (0.00625, 0.003125)
 FD_TOLERANCES = (1e-13, 1e-12)
+FD_HORIZON = 20.0
+FD_MIN_ORDER = 1.9
 
 ACCEPTANCE_GRID = [
     (beta, omega, alpha)
@@ -197,14 +199,14 @@ def check_integrate_energy_monotone() -> dict:
     return {"max_energy_rise": worst}
 
 
-def _lyapunov_fd_errors(params: ModelParams, horizon: float, steps=FD_STEPS):
-    """Max |centered FD of V + (beta/sqrt(omega)) v^2| for each sample step."""
+def _lyapunov_fd_errors(params: ModelParams):
+    """Max |centered FD of V + (beta/sqrt(omega)) v^2| for each of FD_STEPS."""
     gamma = params.damping
-    traj = integrate(params, horizon=horizon, tolerances=FD_TOLERANCES,
-                           sample_step=min(steps))
+    traj = integrate(params, horizon=FD_HORIZON, tolerances=FD_TOLERANCES,
+                           sample_step=min(FD_STEPS))
     errors = []
-    for ds in steps:
-        s = _sample_grid(horizon, ds)
+    for ds in FD_STEPS:
+        s = _sample_grid(FD_HORIZON, ds)
         u, v = traj.dense(s)
         _, V = stability.lyapunov_columns(u, v)
         fd = (V[2:] - V[:-2]) / (2.0 * ds)
@@ -212,11 +214,11 @@ def _lyapunov_fd_errors(params: ModelParams, horizon: float, steps=FD_STEPS):
     return errors
 
 
-def _fd_order_holds(errors, floor=1e-12, min_order=1.9):
-    if all(e < floor for e in errors):
+def _fd_order_holds(errors):
+    if all(e < 1e-12 for e in errors):  # nothing left to resolve
         return True, math.inf
     order = math.log2(errors[0] / errors[1])
-    return order >= min_order, order
+    return order >= FD_MIN_ORDER, order
 
 
 def check_integrate_epsilon_convergence() -> dict:
@@ -293,13 +295,13 @@ def check_volterra_quadrature_order() -> dict:
     return {"d_coarse": d_coarse, "d_fine": d_fine, "ratio": ratio}
 
 
-def _picard_vs_ode(points, horizon, nodes):
+def _picard_vs_ode(points, nodes):
+    """Fixed point on `nodes` intervals against the integrator, on [0, 10]."""
     worst = 0.0
     per_point = []
     for beta, omega, alpha in points:
-        res = volterra.picard_solve(omega, beta, alpha, horizon, step=horizon / nodes)
-        traj_dense, _ = _solve(_mp(omega, beta, alpha), 0.0, horizon,
-                                     (1e-12, 1e-10))
+        res = volterra.picard_solve(omega, beta, alpha, 10.0, step=10.0 / nodes)
+        traj_dense, _ = _solve(_mp(omega, beta, alpha), 0.0, 10.0, (1e-12, 1e-10))
         u_ode = traj_dense(res.solution.grid)[0]
         d = float(np.max(np.abs(res.solution.values - u_ode)))
         per_point.append({"beta": beta, "omega": omega, "alpha": alpha,
@@ -310,7 +312,7 @@ def _picard_vs_ode(points, horizon, nodes):
 
 def check_volterra_picard_ode_equivalence() -> dict:
     points = [(1.0, 0.25, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.1)]
-    worst, per_point = _picard_vs_ode(points, horizon=10.0, nodes=2048)
+    worst, per_point = _picard_vs_ode(points, nodes=2048)
     _require(worst <= 1e-4, f"fixed point and integrator differ by {worst:.3e}")
     return {"worst": worst, "points": per_point}
 
@@ -434,30 +436,29 @@ def acceptance_c03_energy_lyapunov() -> dict:
     orders = []
     for beta, omega, alpha in ACCEPTANCE_GRID:
         params = _mp(omega, beta, alpha)
-        traj = integrate(params, horizon=20.0, sample_step=FD_STEPS[0])
+        traj = integrate(params, horizon=FD_HORIZON, sample_step=FD_STEPS[0])
         worst_rise = max(worst_rise, float(np.max(np.diff(traj.E))))
-        errors = _lyapunov_fd_errors(params, horizon=20.0)
+        errors = _lyapunov_fd_errors(params)
         ok, order = _fd_order_holds(errors)
         orders.append(order)
         if math.isfinite(order):
             worst_order = min(worst_order, order)
-        _require(ok, f"FD order {order:.3f} < 1.9 at (beta, omega, alpha) = "
+        _require(ok, f"FD order {order:.3f} < {FD_MIN_ORDER} at (beta, omega, alpha) = "
                      f"({beta}, {omega}, {alpha}); errors {errors}")
     _require(worst_rise <= 1e-8, f"energy rose by {worst_rise:.3e}")
     return {"max_energy_rise": worst_rise, "min_fd_order": worst_order}
 
 
-def _has_crossings(omega: float, beta: float, horizon: float = 80.0) -> bool:
-    traj = integrate(_mp(omega, beta, 0.0), horizon=horizon,
+def _has_crossings(omega: float, beta: float) -> bool:
+    traj = integrate(_mp(omega, beta, 0.0), horizon=80.0,
                            tolerances=(1e-12, 1e-10), sample_step=0.05)
     return len(traj.crossings) > 0
 
 
-def _bracket_transition(beta: float, lo: float, hi: float,
-                        width: float = 0.03) -> tuple[float, float]:
-    """Bisect the no-crossings/crossings transition in omega."""
+def _bracket_transition(beta: float, lo: float, hi: float) -> tuple[float, float]:
+    """Bisect the no-crossings/crossings transition in omega to width 0.03."""
     assert not _has_crossings(lo, beta) and _has_crossings(hi, beta)
-    while hi - lo > width:
+    while hi - lo > 0.03:
         mid = 0.5 * (lo + hi)
         if _has_crossings(mid, beta):
             hi = mid
@@ -466,8 +467,8 @@ def _bracket_transition(beta: float, lo: float, hi: float,
     return lo, hi
 
 
-def _settled_classification(omega, beta, alpha=0.0, horizon=40.0):
-    traj = integrate(_mp(omega, beta, alpha), horizon=horizon,
+def _settled_classification(omega, beta):
+    traj = integrate(_mp(omega, beta, 0.0), horizon=40.0,
                            tolerances=(1e-12, 1e-10), sample_step=0.02)
     return stability.classify_approach(traj)
 
@@ -518,14 +519,12 @@ def acceptance_c06_basin_formulas() -> dict:
     _require(abs(b32.C - expected_C) == 0.0 and abs(b32.C - 1.0 / 6.0) <= 1e-15
              and b32.u_min == 0.0 and b32.u_max == 9.0 / 8.0,
              f"basin(3/2) = {b32}")
-    residual_details = check_stability_basin_residual()
-    return {"basin0": asdict(b0), "basin1": asdict(b1), "basin32": asdict(b32),
-            **residual_details}
+    return {"basin0": asdict(b0), "basin1": asdict(b1), "basin32": asdict(b32)}
 
 
 def acceptance_c07_volterra_cross_validation() -> dict:
     """criterion 07: fixed-point / integrator cross-validation"""
-    worst, per_point = _picard_vs_ode(VOLTERRA_GRID, horizon=10.0, nodes=4096)
+    worst, per_point = _picard_vs_ode(VOLTERRA_GRID, nodes=4096)
     _require(worst <= 1e-5,
              f"fixed point and integrator differ by {worst:.3e} on the grid")
     interval_margins = {}

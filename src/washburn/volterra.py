@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import check_alpha, check_positive
+from .params import DEFAULT_INTERVALS, MAX_INTERVALS, check_alpha, check_positive
 
-DEFAULT_GRID_NODES = 4096  # intervals per solve => step = horizon/4096
-MAX_GRID_NODES = 2**20
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
+SELF_MAP_NODES = 512
 SELF_MAP_SLACK = 1e-10
 SCALING_SLACK = 1e-12
 
@@ -125,8 +124,8 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
                  max_iter: int = DEFAULT_MAX_ITER) -> PicardResult:
     """Iterate f <- T(f) from the constant alpha^2/2 until sup-norm stalls.
 
-    The grid has horizon/step intervals (DEFAULT_GRID_NODES without a
-    step), at most MAX_GRID_NODES.
+    The grid has horizon/step intervals (DEFAULT_INTERVALS without a
+    step), at most MAX_INTERVALS.
     """
     check_positive("tol", tol)
     check_positive("horizon", horizon)
@@ -134,11 +133,11 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
         raise DomainError("max_iter", f"must be >= 1, got {max_iter!r}")
     check_alpha(alpha)
     if step is None:
-        nodes = DEFAULT_GRID_NODES
+        nodes = DEFAULT_INTERVALS
     else:
         check_positive("step", step)
-        if not horizon / step <= MAX_GRID_NODES + 0.5:
-            raise DomainError("step", f"{step!r} gives over {MAX_GRID_NODES} intervals")
+        if not horizon / step <= MAX_INTERVALS + 0.5:
+            raise DomainError("step", f"{step!r} gives over {MAX_INTERVALS} intervals")
         nodes = int(round(horizon / step))
         if nodes < 2 or abs(nodes * step - horizon) > 1e-9 * max(1.0, horizon):
             raise DomainError("step", f"{step!r} does not tile [0, {horizon!r}]")
@@ -190,11 +189,11 @@ class OrderIntervalReport:
     holds: bool
 
 
-def order_interval_check(omega: float, beta: float, nodes: int = 512,
-                         slack: float = SELF_MAP_SLACK) -> OrderIntervalReport:
-    """Verify the self-mapping inequalities on [0, s*] nodewise."""
+def order_interval_check(omega: float, beta: float) -> OrderIntervalReport:
+    """Verify the self-mapping inequalities nodewise on SELF_MAP_NODES
+    intervals of [0, s*], to within SELF_MAP_SLACK."""
     s_star = uniqueness_window(omega, beta)
-    grid = np.linspace(0.0, s_star, nodes + 1)
+    grid = np.linspace(0.0, s_star, SELF_MAP_NODES + 1)
     op = KernelOperator(grid, omega, beta)
     lower = bracket_lower(grid)
     upper = bracket_upper(grid)
@@ -202,7 +201,7 @@ def order_interval_check(omega: float, beta: float, nodes: int = 512,
     t_lower = op.apply(lower, 0.0)
     lower_margin = float(np.min(t_upper - lower))
     upper_margin = float(np.min(upper - t_lower))
-    holds = lower_margin >= -slack and upper_margin >= -slack
+    holds = lower_margin >= -SELF_MAP_SLACK and upper_margin >= -SELF_MAP_SLACK
     return OrderIntervalReport(s_star=s_star, lower_margin=lower_margin,
                                upper_margin=upper_margin, holds=holds)
 
@@ -217,8 +216,9 @@ class ScalingReport:
 
 
 def check_scaling_inequality(f: GridFunction, lam: float, omega: float,
-                             beta: float, slack: float = SCALING_SLACK) -> ScalingReport:
-    """Nodewise scaling bound for f inside the order interval on [0, s*].
+                             beta: float) -> ScalingReport:
+    """Nodewise scaling bound for f inside the order interval on [0, s*],
+    to within SCALING_SLACK.
 
     Violations are reported, never raised.
     """
@@ -237,4 +237,4 @@ def check_scaling_inequality(f: GridFunction, lam: float, omega: float,
     violation = t_scaled - t_plain / math.sqrt(lam)
     max_violation = float(np.max(violation))
     return ScalingReport(lam=lam, max_violation=max_violation,
-                         holds=max_violation <= slack)
+                         holds=max_violation <= SCALING_SLACK)

@@ -138,7 +138,7 @@ class TestSimulate:
     @pytest.mark.parametrize("command", ["simulate", "classify"])
     @pytest.mark.parametrize("tol_args", [["--abs-tol", "nan"], ["--rel-tol", "inf"],
                                           ["--rel-tol", "0"],
-                                          # more than MAX_SAMPLES samples
+                                          # more than MAX_INTERVALS samples
                                           ["--sample-step", "1e-15"]])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):
         code, err = run_rejected([command, "--omega", "1", "--beta", "1", "--alpha", "0",
@@ -189,6 +189,17 @@ class TestPicard:
         assert code == 3
         assert err.startswith("numeric failure: no convergence")
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("triple,key", [
+        pytest.param(["--omega", "1", "--beta", "2", "--alpha", "0"], "beta", id="beta-2"),
+        pytest.param(["--omega", "1", "--beta", "0", "--alpha", "0"], "beta", id="beta-0"),
+        pytest.param(["--beta", "1", "--alpha", "0"], "omega", id="missing-omega")])
+    def test_triple_is_checked_like_simulate(self, tmp_path, capsys, triple, key):
+        code, err = run_rejected(["picard", *triple, "-o", str(tmp_path / "fp")], capsys)
+        assert code == 2
+        assert err.startswith(f"configuration error: {key}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("grid_args", [["--horizon", "10", "--step", "nan"],
                                            ["--horizon", "10", "--step", "1e-9"],
@@ -359,6 +370,21 @@ def test_edge_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch, 
             code = exc.code
         assert code in (0, 2, 3, 4), argv
         assert "Traceback" not in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("base,dropped", [
+    pytest.param(base, i, id=f"{name}-{base[i].lstrip('-').split('=')[0]}")
+    for name, (base, _) in EDGE_TABLE.items() for i in range(1, len(base))])
+def test_missing_flag_exits_with_a_documented_code(tmp_path, capsys, monkeypatch, base,
+                                                   dropped):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 2**12)
+    argv = [*base[:dropped], *base[dropped + 1:], f"--output={tmp_path / 'run'}"]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse refuses a missing required flag
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def modules_after_cli_import():

@@ -8,11 +8,11 @@ import pytest
 from washburn import _rk
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
-from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, MAX_SAMPLES,
-                                REGIME_TOLERANCES, Crossing, _bisect_level, _detect_crossings,
+from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, REGIME_TOLERANCES,
+                                Crossing, _bisect_level, _detect_crossings,
                                 continuous_dependence, default_horizon, detect_crossings,
                                 integrate, integrate_regime)
-from washburn.params import ModelParams
+from washburn.params import MAX_INTERVALS, ModelParams
 from washburn.stability import lyapunov
 
 
@@ -82,7 +82,7 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(mp(1.0, 1.0, 0.0), epsilon=-1e-9)
         with pytest.raises(DomainError):
-            integrate(mp(1.0, 1.0, 0.0), horizon=30.0, sample_step=30.0 / MAX_SAMPLES / 2)
+            integrate(mp(1.0, 1.0, 0.0), horizon=30.0, sample_step=30.0 / MAX_INTERVALS / 2)
 
     def test_regularized_equilibrium_shift(self):
         # With the square-root regularization the stationary level moves to

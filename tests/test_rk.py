@@ -1,9 +1,10 @@
 """The in-house Dormand-Prince 5(4) stepper against scipy's RK45, the
 controller it copies: same field evaluations, same accepted steps, same
 final state to 1e-14, at the package's default tolerances; against
-`solve_by_loop`, the per-component loop it unrolls, bit for bit; and its
+`solve_by_loop`, the per-component loop it unrolls, bit for bit; its
 dense output against `call_by_fancy_index` and `AtByLists`, the array and
-scalar evaluators it replaced, bit for bit."""
+scalar evaluators it replaced, bit for bit; and the case-4 regime field
+against `case4_field_by_copy`, the field it replaced, bit for bit."""
 import math
 from bisect import bisect_left
 from itertools import chain
@@ -19,8 +20,8 @@ from washburn._rk import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61,
                           E7, ERROR_EXPONENT, MAX_FACTOR, MIN_FACTOR, MIN_RTOL, P, SAFETY)
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import NumericError, StepSizeUnderflowError
-from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_TOLERANCES, _series_seed, _solve,
-                                default_horizon)
+from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, REGIME_TOLERANCES,
+                                _series_seed, _solve, default_horizon)
 from washburn.params import ModelParams
 
 
@@ -287,6 +288,19 @@ def test_unrolled_loop_matches_the_loop_bit_for_bit(name):
     dense, field, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
     assert_same_solve(_rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol),
                       solve_by_loop(field, t0, y0, t_bound, rel_tol, abs_tol))
+
+
+def case4_field_by_copy(t, y):
+    """The case-4 field `regime_field` wrote out before it returned
+    `u_form_field(0.0, 0.0)`, kept as its reference."""
+    u, v = y
+    return (v, 1.0 - math.sqrt(2.0 * (0.0 if u < 0.0 else u)))
+
+
+def test_case4_field_matches_its_written_out_copy_bit_for_bit():
+    dense, _, t0, y0, t_bound, (abs_tol, rel_tol) = regime(
+        RegimeCase.NEGLIGIBLE_VISCOSITY, 1.0, 0.5, REGIME_HORIZON_CAP)
+    assert_same_solve(dense, _rk.solve(case4_field_by_copy, t0, y0, t_bound, rel_tol, abs_tol))
 
 
 def blow_up(t, y):

@@ -6,8 +6,8 @@ import pytest
 
 from washburn.errors import ConvergenceError, DomainError
 from washburn.integrate import integrate
-from washburn.params import ModelParams
-from washburn.volterra import (MAX_GRID_NODES, GridFunction, KernelOperator,
+from washburn.params import MAX_INTERVALS, ModelParams
+from washburn.volterra import (GridFunction, KernelOperator,
                                apply_T, bracket_lower, bracket_upper,
                                check_scaling_inequality, order_interval_check,
                                picard_solve, uniqueness_window)
@@ -277,7 +277,7 @@ class TestPicard:
 
     def test_grid_cap_is_inclusive(self):
         with pytest.raises(ConvergenceError):
-            picard_solve(1.0, 1.0, 0.0, 1.0, step=1.0 / MAX_GRID_NODES, max_iter=1)
+            picard_solve(1.0, 1.0, 0.0, 1.0, step=1.0 / MAX_INTERVALS, max_iter=1)
 
     def test_nonfinite_iterate_stops_early(self):
         with pytest.raises(ConvergenceError) as info, np.errstate(all="ignore"):

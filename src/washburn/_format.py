@@ -2,11 +2,20 @@
 
 The stdlib json encoder cannot be told to widen float output, so reports
 go through this small emitter instead. Data files carry no timestamps;
-identical inputs must produce byte-identical files.
+identical inputs must produce byte-identical files, except that the
+`verify --output` report records each check's wall-clock seconds.
+
+Types map to JSON as: None, bool, int, float (at fmt17), str, dict and
+list/tuple/ndarray as themselves; an Enum as its value; a complex as
+{"re", "im"}; a Fraction as [numerator, denominator]; a dataclass or
+NamedTuple as an object of its fields in declaration order.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+from enum import Enum
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -36,6 +45,16 @@ def _emit(obj, level: int) -> str:
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
         return f'"{out}"'
+    if isinstance(obj, Enum):
+        return _emit(obj.value, level)
+    if isinstance(obj, complex):
+        return _emit({"re": obj.real, "im": obj.imag}, level)
+    if isinstance(obj, Fraction):
+        return _emit([obj.numerator, obj.denominator], level)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, level)
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple
+        return _emit(obj._asdict(), level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

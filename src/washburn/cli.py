@@ -2,7 +2,8 @@
 
 Subcommands: nondim, simulate, picard, classify, basin, regime, verify.
 All file output is deterministic (17 significant digits, LF endings, no
-timestamps); run metadata is echoed into a separate .meta.json sidecar.
+timestamps) except the wall-clock seconds of each check in the verify
+report; run metadata is echoed into a separate .meta.json sidecar.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
 """
@@ -21,8 +22,9 @@ from . import __version__, _rk, params as params_module, stability, volterra
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
-from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, Trajectory,
-                        integrate, integrate_regime, regime_oracle_residuals)
+from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, REGIME_DEFAULT_HORIZON,
+                        REGIME_HORIZON_CAP, Trajectory, integrate, integrate_regime,
+                        regime_oracle_residuals)
 from .params import DEFAULT_INTERVALS, MAX_INTERVALS
 
 EXIT_OK = 0
@@ -80,23 +82,18 @@ def _model_params_from_args(args) -> params_module.ModelParams:
                                      alpha=args.alpha)
 
 
-def _crossings_json(traj: Trajectory) -> list:
-    return [{"s": c.s, "direction": c.direction} for c in traj.crossings]
-
-
-def _classification_json(traj: Trajectory) -> dict:
-    linear = stability.linearize(traj.params.omega, traj.params.beta)
-    out = {"linear": stability.stability_report_dict(linear)}
+def _classification(traj: Trajectory) -> dict:
+    out = {"linear": stability.linearize(traj.params.omega, traj.params.beta)}
     try:
         report = stability.classify_approach(traj)
-        out["approach"] = report.kind.value
+        out["approach"] = report.kind
         out["final_distance"] = report.final_distance
     except InconclusiveError as exc:
         out["approach"] = "inconclusive"
         out["reason"] = str(exc)
     spec = stability.basin(traj.params.alpha)
-    out["basin"] = asdict(spec)
-    out["audit"] = asdict(stability.audit_trajectory(traj, spec))
+    out["basin"] = spec
+    out["audit"] = stability.audit_trajectory(traj, spec)
     return out
 
 
@@ -114,17 +111,18 @@ def _plot_script(csv_name: str, y_column: int, y_title: str, title: str) -> str:
     )
 
 
-def _write_run(args, config_names, header: str, columns, summary: dict, plot=None):
+def _write_run(args, config_names, columns: dict, summary: dict, plot=None):
     """Write a run's file set under the prefix args.output, in this order:
-    PREFIX.csv (header and columns), PREFIX.json (summary), PREFIX.gp when
-    plot = (y_column, y_title, title) is given, and the PREFIX.meta.json
-    sidecar echoing the args named in config_names."""
+    PREFIX.csv (the columns, headed by their names), PREFIX.json (summary),
+    PREFIX.gp when plot = (y_name, y_title, title) names the y column, and
+    the PREFIX.meta.json sidecar echoing the args named in config_names."""
     prefix = args.output
-    write_csv(prefix + ".csv", header, columns)
+    write_csv(prefix + ".csv", ",".join(columns), columns.values())
     write_json(prefix + ".json", summary)
     if plot is not None:
+        y_name, *titles = plot
         with open(prefix + ".gp", "w", newline="\n") as fh:
-            fh.write(_plot_script(prefix + ".csv", *plot))
+            fh.write(_plot_script(prefix + ".csv", list(columns).index(y_name) + 1, *titles))
     write_json(prefix + ".meta.json",
                {"tool": "washburn", "version": __version__,
                 "config": {name: getattr(args, name) for name in config_names}})
@@ -151,7 +149,7 @@ def cmd_simulate(args) -> int:
         "final_state": {"s": float(traj.s[-1]), "u": float(traj.u[-1]),
                         "v": float(traj.v[-1]), "H": float(traj.H[-1])},
         "final_distance_to_equilibrium": traj.final_distance_to_equilibrium(),
-        "crossings": _crossings_json(traj),
+        "crossings": traj.crossings,
     }
     if traj.epsilon > 0.0:
         twin = integrate(mp, epsilon=0.0, horizon=float(traj.s[-1]),
@@ -159,11 +157,11 @@ def cmd_simulate(args) -> int:
         summary["sup_distance_to_unregularized"] = float(
             np.max(np.abs(traj.u - twin.u)))
     if args.classify:
-        summary["classification"] = _classification_json(traj)
+        summary["classification"] = _classification(traj)
     _write_run(args, ("omega", "beta", "alpha", "epsilon", "horizon", "sample_step",
                       "abs_tol", "rel_tol", "classify", "input"),
-               CSV_HEADER, [traj.s, traj.u, traj.v, traj.H, traj.T, traj.E, traj.V], summary,
-               (4, "H", f"omega={mp.omega:g} beta={mp.beta:g} alpha={mp.alpha:g}"))
+               {n: getattr(traj, n) for n in CSV_HEADER.split(",")}, summary,
+               ("H", "H", f"omega={mp.omega:g} beta={mp.beta:g} alpha={mp.alpha:g}"))
     return EXIT_OK
 
 
@@ -179,7 +177,7 @@ def cmd_picard(args) -> int:
         "sup_norm_log": list(result.diffs),
     }
     _write_run(args, ("omega", "beta", "alpha", "horizon", "step", "tol", "max_iter"),
-               "s,u", [result.solution.grid, result.solution.values], summary)
+               {"s": result.solution.grid, "u": result.solution.values}, summary)
     return EXIT_OK
 
 
@@ -191,11 +189,10 @@ def cmd_classify(args) -> int:
     report = stability.classify_approach(traj)
     _emit({
         "params": params_module.model_params_report(mp),
-        "approach": report.kind.value,
-        "crossings": _crossings_json(traj),
+        "approach": report.kind,
+        "crossings": traj.crossings,
         "final_distance": report.final_distance,
-        "linear": stability.stability_report_dict(
-            stability.linearize(mp.omega, mp.beta)),
+        "linear": stability.linearize(mp.omega, mp.beta),
     }, args.output)
     return EXIT_OK
 
@@ -218,17 +215,13 @@ def cmd_regime(args) -> int:
                                   horizon=args.horizon,
                                   sample_step=args.sample_step)
     oracle_name, resid = regime_oracle_residuals(traj)
+    columns = {"t": traj.t, "u": traj.u, "v": traj.v, "h": traj.h, "residual": resid}
     if traj.v is None:
-        header = "t,u,h,residual"
-        columns = [traj.t, traj.u, traj.h, resid]
-    else:
-        header = "t,u,v,h,residual"
-        columns = [traj.t, traj.u, traj.v, traj.h, resid]
+        del columns["v"]
     summary = {
         "case": int(case),
         "case_name": _case_name(case),
-        "exponents": {"a": [spec.a.numerator, spec.a.denominator],
-                      "b": [spec.b.numerator, spec.b.denominator]},
+        "exponents": {"a": spec.a, "b": spec.b},
         "beta": args.beta,
         "alpha": args.alpha,
         "horizon": args.horizon,
@@ -237,8 +230,7 @@ def cmd_regime(args) -> int:
         "final_height": float(traj.h[-1]),
     }
     _write_run(args, ("case", "beta", "alpha", "b_exponent", "horizon", "sample_step"),
-               header, columns, summary,
-               (3 if traj.v is None else 4, "h*", f"case {int(case)} beta={args.beta:g}"))
+               columns, summary, ("h", "h*", f"case {int(case)} beta={args.beta:g}"))
     return EXIT_OK
 
 
@@ -344,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial h* (default: 0)")
     p.add_argument("--b-exponent", type=float, default=None,
                    help="free exponent b, case 3 only (default: 1/4)")
-    p.add_argument("--horizon", type=float, default=20.0,
-                   help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} (default: 20); "
+    p.add_argument("--horizon", type=float, default=REGIME_DEFAULT_HORIZON,
+                   help=f"integration horizon, at most {REGIME_HORIZON_CAP:g} "
+                        "(default: %(default)g); "
                         + STEP_BUDGET_HELP)
     p.add_argument("--sample-step", type=float, default=None, help=SAMPLE_STEP_HELP)
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")

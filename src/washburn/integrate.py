@@ -74,8 +74,10 @@ class DependenceRecord(NamedTuple):
 
 
 def default_horizon(params: ModelParams) -> float:
-    """About 30 damping e-folds, capped at the hard horizon limit."""
-    return min(HORIZON_EFOLDS / params.damping, HORIZON_CAP)
+    """About 30 damping e-folds, capped at the hard horizon limit (the cap
+    itself when the damping underflows to 0)."""
+    damping = params.damping
+    return min(HORIZON_EFOLDS / damping, HORIZON_CAP) if damping > 0.0 else HORIZON_CAP
 
 
 def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
@@ -263,10 +265,11 @@ class RegimeTrajectory:
 
 REGIME_TOLERANCES = (1e-12, 1e-11)
 REGIME_HORIZON_CAP = 1e3
+REGIME_DEFAULT_HORIZON = 20.0
 
 
 def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
-                     horizon: float = 20.0,
+                     horizon: float = REGIME_DEFAULT_HORIZON,
                      tolerances: tuple[float, float] = REGIME_TOLERANCES,
                      sample_step: float | None = None) -> RegimeTrajectory:
     """Integrate a reduced regime from u*(0) = alpha^2/2 at rest.
@@ -281,8 +284,12 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
     u0 = 0.5 * alpha * alpha
     y0 = (u0,) if spec.first_order else (u0, 0.0)
     abs_tol, rel_tol = tolerances
-    dense = _rk.solve(dynamics.regime_field(spec, beta), 0.0, y0, horizon, rel_tol, abs_tol)
-    t, y, h = _sampled(dense, horizon, sample_step, y0)
+    # A run that overflows leaves non-finite samples, which
+    # regime_oracle_residuals rejects; numpy need not warn about them first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _rk.solve(dynamics.regime_field(spec, beta), 0.0, y0, horizon, rel_tol,
+                          abs_tol)
+        t, y, h = _sampled(dense, horizon, sample_step, y0)
     return RegimeTrajectory(spec=spec, beta=beta, h0=math.sqrt(2.0 * u0), t=t, u=y[0],
                             v=None if spec.first_order else y[1], h=h, tolerances=tolerances)
 
@@ -295,19 +302,19 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:
     """
     case = traj.spec.case
     beta = traj.beta
-    if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
-        exact = dynamics.case1_closed_form_u(traj.t, beta, u0=0.5 * traj.h0**2)
-        name, resid = "closed_form_u", np.abs(traj.u - exact)
-    elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
+            exact = dynamics.case1_closed_form_u(traj.t, beta, u0=0.5 * traj.h0**2)
+            name, resid = "closed_form_u", np.abs(traj.u - exact)
+        elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
             times = dynamics.case2_implicit_time(traj.h, beta, traj.h0)
-        name, resid = "implicit_time", np.abs(times - traj.t)
-    elif case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
-        exact = dynamics.case3_closed_form_h(traj.t, beta, traj.h0)
-        name, resid = "closed_form_h", np.abs(traj.h - exact)
-    else:
-        drift = dynamics.energy(traj.u, traj.v) - dynamics.energy(0.5 * traj.h0**2, 0.0)
-        name, resid = "energy_drift", np.abs(drift)
+            name, resid = "implicit_time", np.abs(times - traj.t)
+        elif case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
+            exact = dynamics.case3_closed_form_h(traj.t, beta, traj.h0)
+            name, resid = "closed_form_h", np.abs(traj.h - exact)
+        else:
+            drift = dynamics.energy(traj.u, traj.v) - dynamics.energy(0.5 * traj.h0**2, 0.0)
+            name, resid = "energy_drift", np.abs(drift)
     bad = np.flatnonzero(~np.isfinite(resid))
     if bad.size:
         i = bad[0]

@@ -217,13 +217,3 @@ def audit_trajectory(traj, spec: BasinSpec) -> BasinAudit:
     max_rise = float(max(0.0, np.max(rises))) if rises.size else 0.0
     return BasinAudit(max_level_excess=excess, max_lyapunov_rise=max_rise,
                       final_distance=float(traj.final_distance_to_equilibrium()))
-
-
-def stability_report_dict(report: StabilityReport) -> dict:
-    return {
-        "lambda1": {"re": report.lambda1.real, "im": report.lambda1.imag},
-        "lambda2": {"re": report.lambda2.real, "im": report.lambda2.imag},
-        "kind": report.kind.value,
-        "omega_star": report.omega_star,
-        "discriminant": report.discriminant,
-    }

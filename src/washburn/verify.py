@@ -457,7 +457,9 @@ def _has_crossings(omega: float, beta: float) -> bool:
 
 def _bracket_transition(beta: float, lo: float, hi: float) -> tuple[float, float]:
     """Bisect the no-crossings/crossings transition in omega to width 0.03."""
-    assert not _has_crossings(lo, beta) and _has_crossings(hi, beta)
+    _require(not _has_crossings(lo, beta) and _has_crossings(hi, beta),
+             f"omega bracket [{lo}, {hi}] does not straddle the crossings transition "
+             f"at beta = {beta}")
     while hi - lo > 0.03:
         mid = 0.5 * (lo + hi)
         if _has_crossings(mid, beta):
@@ -678,9 +680,5 @@ def outcomes_report(outcomes: list[CheckOutcome]) -> dict:
         "passed": all(o.passed for o in outcomes),
         "n_checks": len(outcomes),
         "n_failed": sum(not o.passed for o in outcomes),
-        "checks": [
-            {"name": o.name, "passed": o.passed, "seconds": o.seconds,
-             "details": o.details, "message": o.message}
-            for o in outcomes
-        ],
+        "checks": outcomes,
     }

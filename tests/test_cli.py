@@ -32,6 +32,20 @@ def run_rejected(argv, capsys):
     return code, err
 
 
+def run_without_warnings(argv, capsys):
+    """Exit code and stderr of an argv, failing on any warning it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape main()
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects a value (nan for --max-iter) or a missing flag
+            code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, argv
+    assert "Warning" not in err, argv
+    return code, err
+
+
 class TestNondim:
     def test_report_fields_and_precision(self, tmp_path, capsys):
         src = tmp_path / "water.json"
@@ -146,6 +160,17 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("configuration error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_underflowing_damping_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # beta/sqrt(omega) is 0.0, so the default horizon is the cap.
+        monkeypatch.setattr(_rk, "MAX_STEPS", 2**12)
+        code, err = run_without_warnings([command, "--omega", "1e300", "--beta", "1e-300",
+                                          "--alpha", "0", "--output", str(tmp_path / "x")],
+                                         capsys)
+        assert code == 3
+        assert err.startswith("numeric failure: step budget of 4096 steps")
+        assert err.endswith(" of 1000000.0\n")
 
     def test_huge_epsilon_exits_3(self, tmp_path, capsys):
         code, err = run_rejected(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5",
@@ -312,6 +337,14 @@ class TestRegimeCommand:
         assert code == 3
         assert "implicit_time oracle is not finite from t* = " in err
 
+    @pytest.mark.parametrize("case,oracle", [("1", "closed_form_u"), ("3", "closed_form_h")])
+    def test_overflowing_run_exits_3_without_warnings(self, tmp_path, capsys, case, oracle):
+        code, err = run_without_warnings(["regime", "--case", case, "--beta", "1e-308",
+                                          "-o", str(tmp_path / "r")], capsys)
+        assert code == 3
+        assert err.startswith(f"numeric failure: {oracle} oracle is not finite from t* = ")
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_basin_filter(self, tmp_path, capsys):
@@ -364,12 +397,8 @@ def test_edge_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(_rk, "MAX_STEPS", 2**12)  # a stiff run spends it in milliseconds
     for i, value in enumerate(EDGE_VALUES):
         argv = [*base, f"--{flag}={value}", f"--output={tmp_path / f'run{i}'}"]
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse rejects the value, e.g. nan for --max-iter
-            code = exc.code
+        code, _ = run_without_warnings(argv, capsys)
         assert code in (0, 2, 3, 4), argv
-        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("base,dropped", [
@@ -379,12 +408,8 @@ def test_missing_flag_exits_with_a_documented_code(tmp_path, capsys, monkeypatch
                                                    dropped):
     monkeypatch.setattr(_rk, "MAX_STEPS", 2**12)
     argv = [*base[:dropped], *base[dropped + 1:], f"--output={tmp_path / 'run'}"]
-    try:
-        code = run(argv)
-    except SystemExit as exc:  # argparse refuses a missing required flag
-        code = exc.code
+    code, _ = run_without_warnings(argv, capsys)
     assert code in (0, 2, 3, 4), argv
-    assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def modules_after_cli_import():

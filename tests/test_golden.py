@@ -1,0 +1,71 @@
+"""Every file a small set of CLI runs writes, byte for byte against the
+copies under tests/golden/, which the package wrote at version 0.1.0
+before its JSON emitter took over rendering the result types.
+
+Regenerate the copies (only when an output is meant to change) with
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from washburn import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+WATER_JSON = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 0.0,
+              "g": 9.81, "R": 1e-4, "L": 0.0, "h0": 0.0}
+
+# name: argv, run in an empty directory holding water.json
+RUNS = {
+    "classify": ["classify", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "40",
+                 "--output", "classify.json"],
+    "basin": ["basin", "--alpha", "0.5", "--output", "basin.json"],
+    "nondim": ["nondim", "--input", "water.json", "--output", "nondim.json"],
+    "simulate": ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--classify",
+                 "--horizon", "25", "--sample-step", "0.5", "-o", "sim"],
+    "picard": ["picard", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "2",
+               "--step", "0.1", "-o", "pic"],
+    "regime3": ["regime", "--case", "3", "--beta", "0.7", "--horizon", "5",
+                "--sample-step", "0.25", "-o", "r3"],
+    "regime4": ["regime", "--case", "4", "--beta", "0.7", "--alpha", "0.5", "--horizon", "5",
+                "--sample-step", "0.25", "-o", "r4"],
+}
+
+
+def run_in(directory: Path, argv) -> dict:
+    """Run argv in directory; return {file name: bytes} of what it wrote."""
+    (directory / "water.json").write_text(json.dumps(WATER_JSON))
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        assert cli.main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+            if p.name != "water.json"}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_files_match_the_golden_copies(tmp_path, capsys, name):
+    written = run_in(tmp_path, RUNS[name])
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "")
+    expected = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
+    assert sorted(written) == sorted(expected)
+    for file_name, data in written.items():
+        assert data == expected[file_name], f"{name}/{file_name} differs"
+
+
+if __name__ == "__main__":
+    for name, argv in RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            target = GOLDEN / name
+            target.mkdir(parents=True, exist_ok=True)
+            for old in target.iterdir():
+                old.unlink()
+            for file_name, data in run_in(Path(tmp), argv).items():
+                (target / file_name).write_bytes(data)

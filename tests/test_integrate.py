@@ -8,10 +8,10 @@ import pytest
 from washburn import _rk
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
-from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, REGIME_TOLERANCES,
-                                Crossing, _bisect_level, _detect_crossings,
-                                continuous_dependence, default_horizon, detect_crossings,
-                                integrate, integrate_regime)
+from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
+                                HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing, _bisect_level,
+                                _detect_crossings, continuous_dependence, default_horizon,
+                                detect_crossings, integrate, integrate_regime)
 from washburn.params import MAX_INTERVALS, ModelParams
 from washburn.stability import lyapunov
 
@@ -69,6 +69,14 @@ class TestIntegrate:
     def test_default_horizon_scaling(self):
         assert default_horizon(mp(1.0, 1.0, 0.0)) == pytest.approx(30.0)
         assert default_horizon(mp(0.25, 1.0, 0.0)) == pytest.approx(15.0)
+
+    def test_default_horizon_when_the_damping_underflows(self):
+        assert mp(1e300, 1e-300, 0.0).damping == 0.0
+        assert default_horizon(mp(1e300, 1e-300, 0.0)) == HORIZON_CAP
+        for params in (mp(1e300, 1e-150, 0.0), mp(1.0, 5e-324, 0.0), mp(0.3, 0.7, 0.0)):
+            assert params.damping > 0.0
+            assert default_horizon(params) == min(HORIZON_EFOLDS / params.damping,
+                                                  HORIZON_CAP)
 
     def test_horizon_cap(self):
         with pytest.raises(HorizonError):

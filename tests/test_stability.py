@@ -12,7 +12,8 @@ from washburn.params import ModelParams
 from washburn.stability import (ApproachKind, BasinSpec, PointKind,
                                 audit_trajectory, basin, classify_approach,
                                 linearize, lyapunov, lyapunov_columns)
-from washburn.verify import check_stability_classification_boundary, CheckFailure
+from washburn.verify import (CheckFailure, _bracket_transition,
+                             check_stability_classification_boundary)
 
 
 class TestLinearize:
@@ -67,6 +68,11 @@ class TestLinearize:
         monkeypatch.setattr(params_module, "critical_omega", lambda b: b * b / 2.0)
         with pytest.raises(CheckFailure):
             check_stability_classification_boundary()
+
+    def test_bracket_that_misses_the_transition_names_it(self):
+        # omega = 5 already crosses at beta = 1, so [5, 6] brackets nothing.
+        with pytest.raises(CheckFailure, match=r"omega bracket \[5\.0, 6\.0\] .* at beta = 1\.0"):
+            _bracket_transition(1.0, 5.0, 6.0)
 
 
 class TestLyapunov:

@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "CSV/JSON/plot files")
     _add_model_args(p)
     p.add_argument("--epsilon", type=float, default=0.0,
-                   help="square-root regularization (default: 0)")
+                   help="square-root regularization in [0, 1] (default: 0)")
     _add_run_args(p)
     p.add_argument("--classify", action="store_true",
                    help="include settling classification in the summary")
@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "its oracle residual")
     p.add_argument("--case", required=True,
                    help="1..4 or a name like negligible-gravity")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True,
+                   help="slip parameter > 0; case 4, the undamped regime, echoes it "
+                        "but does not use it")
     p.add_argument("--alpha", type=float, default=0.0,
                    help="initial h* (default: 0)")
     p.add_argument("--b-exponent", type=float, default=None,

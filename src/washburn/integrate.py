@@ -200,9 +200,13 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
     Equilibrium crossings are bracketed by the samples and refined to
     CROSSING_REFINE_TOL by bisection on `dense.component(0)`, the dense
-    output's u as a function of one float time.
+    output's u as a function of one float time. The regularization epsilon
+    lies in [0, 1]: above 1 the regularized equilibrium (1 - epsilon)/2 is
+    negative.
     """
     check_nonnegative("epsilon", epsilon)
+    if epsilon > 1.0:
+        raise DomainError("epsilon", f"must lie in [0, 1], got {epsilon!r}")
     epsilon = float(epsilon)
     if horizon is None:
         horizon = default_horizon(params)

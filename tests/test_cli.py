@@ -71,6 +71,7 @@ class TestNondim:
         pytest.param(BIG_RHO, id="rho-401-digits"),  # no float holds it
         pytest.param(BIG_R, id="R-1e200"),  # R^2 overflows
         pytest.param(SUBNORMAL, id="mu-subnormal-product"),  # 8 mu h_e is subnormal
+        pytest.param(b"[1, 2]", id="json-array"),  # JSON, but not an object
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, content):
         src = tmp_path / "bad.json"
@@ -78,8 +79,9 @@ class TestNondim:
         code, err = run_rejected([command, "--input", str(src), "--output",
                                   str(tmp_path / "x")], capsys)
         assert code == 2
-        field = {BIG_RHO: "rho", BIG_R: "R", SUBNORMAL: "mu"}.get(content, f"input: {src}")
-        assert err.startswith(f"configuration error: {field}: ")
+        field = {BIG_RHO: "rho: ", BIG_R: "R: ", SUBNORMAL: "mu: ",
+                 b"[1, 2]": "input: expected a JSON object\n"}.get(content, f"input: {src}: ")
+        assert err.startswith(f"configuration error: {field}")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]
 
@@ -172,11 +174,22 @@ class TestSimulate:
         assert err.startswith("numeric failure: step budget of 4096 steps")
         assert err.endswith(" of 1000000.0\n")
 
-    def test_huge_epsilon_exits_3(self, tmp_path, capsys):
-        code, err = run_rejected(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5",
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_epsilon_above_one_exits_2(self, tmp_path, capsys, alpha):
+        # Above 1 the regularized equilibrium (1 - epsilon)/2 is negative.
+        code, err = run_rejected(["simulate", "--omega", "1", "--beta", "1", "--alpha", alpha,
                                   "--epsilon", "1e300", "-o", str(tmp_path / "x")], capsys)
-        assert code == 3
-        assert err.startswith("numeric failure: initial step size is zero")
+        assert code == 2
+        assert err == "configuration error: epsilon: must lie in [0, 1], got 1e+300\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_under_a_missing_directory_exits_2(self, tmp_path, capsys):
+        code, err = run_rejected(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0",
+                                  "--horizon", "5", "-o", str(tmp_path / "missing" / "x")],
+                                 capsys)
+        assert code == 2
+        assert err.startswith("i/o error: ")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 
@@ -354,9 +367,9 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(report_path.read_text())
         names = [c["name"] for c in report["checks"]]
-        assert "stability.basin_residual" in names
+        assert "stability.basin_geometry" in names
         assert all("basin" in n for n in names)
-        assert "PASS stability.basin_residual" in out
+        assert "PASS stability.basin_geometry" in out
 
     def test_failing_check_exits_4(self, monkeypatch, capsys):
         def doomed():

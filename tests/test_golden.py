@@ -1,6 +1,7 @@
 """Every file a small set of CLI runs writes, byte for byte against the
 copies under tests/golden/, which the package wrote at version 0.1.0
-before its JSON emitter took over rendering the result types.
+(all but `inconclusive` before its JSON emitter took over rendering the
+result types).
 
 Regenerate the copies (only when an output is meant to change) with
     PYTHONPATH=src python tests/test_golden.py
@@ -27,6 +28,8 @@ RUNS = {
     "nondim": ["nondim", "--input", "water.json", "--output", "nondim.json"],
     "simulate": ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--classify",
                  "--horizon", "25", "--sample-step", "0.5", "-o", "sim"],
+    "inconclusive": ["simulate", "--omega", "0.1", "--beta", "1", "--alpha", "0", "--classify",
+                     "--horizon", "5", "--sample-step", "0.5", "-o", "inc"],
     "picard": ["picard", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "2",
                "--step", "0.1", "-o", "pic"],
     "regime3": ["regime", "--case", "3", "--beta", "0.7", "--horizon", "5",

@@ -89,6 +89,8 @@ class TestIntegrate:
             integrate(mp(1.0, 1.0, 0.0), sample_step=0.0)
         with pytest.raises(DomainError):
             integrate(mp(1.0, 1.0, 0.0), epsilon=-1e-9)
+        with pytest.raises(DomainError, match="epsilon"):
+            integrate(mp(1.0, 1.0, 0.0), epsilon=1.0 + 1e-9)
         with pytest.raises(DomainError):
             integrate(mp(1.0, 1.0, 0.0), horizon=30.0, sample_step=30.0 / MAX_INTERVALS / 2)
 

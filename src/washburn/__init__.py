@@ -4,38 +4,60 @@ Nondimensionalization of the slip-aware column model, adaptive trajectory
 integration in the square-height coordinates, a Volterra fixed-point
 solver, reduced flow regimes with closed-form oracles, and linear plus
 Lyapunov-based stability analysis of the equilibrium column.
+
+The exports load on first use (PEP 562), so `import washburn` and the
+CLI's scalar commands do not import numpy.
 """
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .dynamics import RegimeCase, RegimeSpec, State, energy, rhs_H, rhs_u
-from .errors import (ConsistencyError, ConvergenceError, DomainError,
-                     HorizonError, InconclusiveError, NumericError,
-                     SingularityError, StepSizeUnderflowError, WashburnError)
-from .integrate import (Crossing, Trajectory, continuous_dependence,
-                        detect_crossings, integrate, integrate_regime,
-                        regime_oracle_residuals)
-from .params import (ModelParams, PhysicalParams, critical_omega, H_from_u,
-                     nondimensionalize, u_from_H)
-from .stability import (ApproachKind, ApproachReport, BasinAudit, BasinSpec,
-                        PointKind, StabilityReport, audit_trajectory, basin,
-                        classify_approach, linearize, lyapunov)
-from .volterra import (GridFunction, PicardResult, apply_T, bracket_lower,
-                       bracket_upper, check_scaling_inequality,
-                       order_interval_check, picard_solve, uniqueness_window)
+_EXPORTS = {
+    "dynamics": ("RegimeCase", "RegimeSpec", "State", "energy", "rhs_H", "rhs_u"),
+    "errors": ("ConsistencyError", "ConvergenceError", "DomainError", "HorizonError",
+               "InconclusiveError", "NumericError", "SingularityError",
+               "StepSizeUnderflowError", "WashburnError"),
+    "integrate": ("Crossing", "Trajectory", "continuous_dependence", "detect_crossings",
+                  "integrate", "integrate_regime", "regime_oracle_residuals"),
+    "params": ("ModelParams", "PhysicalParams", "critical_omega", "H_from_u",
+               "nondimensionalize", "u_from_H"),
+    "stability": ("ApproachKind", "ApproachReport", "BasinAudit", "BasinSpec", "PointKind",
+                  "StabilityReport", "audit_trajectory", "basin", "classify_approach",
+                  "linearize", "lyapunov"),
+    "volterra": ("GridFunction", "PicardResult", "apply_T", "bracket_lower",
+                 "bracket_upper", "check_scaling_inequality", "order_interval_check",
+                 "picard_solve", "uniqueness_window"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ApproachKind", "ApproachReport", "BasinAudit", "BasinSpec",
-    "ConsistencyError", "ConvergenceError", "Crossing", "DomainError",
-    "GridFunction", "H_from_u", "HorizonError", "InconclusiveError",
-    "ModelParams", "NumericError", "PhysicalParams", "PicardResult",
-    "PointKind", "RegimeCase", "RegimeSpec", "SingularityError",
-    "StabilityReport", "State", "StepSizeUnderflowError", "Trajectory",
-    "WashburnError", "apply_T", "audit_trajectory", "basin",
-    "bracket_lower", "bracket_upper", "check_scaling_inequality",
-    "classify_approach", "continuous_dependence", "critical_omega",
-    "detect_crossings", "energy", "integrate", "integrate_regime",
-    "linearize", "lyapunov", "nondimensionalize", "order_interval_check",
-    "picard_solve", "regime_oracle_residuals", "rhs_H", "rhs_u", "u_from_H",
-    "uniqueness_window",
-]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(_ModuleType):
+    """Keeps an export bound when a submodule of the same name loads.
+
+    Loading washburn.integrate sets the package attribute `integrate` to
+    that module; the exported name is the function `integrate`.
+    """
+
+    def __setattr__(self, name, value):
+        if not (name in _SOURCE and isinstance(value, _ModuleType)):
+            super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -9,16 +9,22 @@ Types map to JSON as: None, bool, int, float (at fmt17), str, dict and
 list/tuple/ndarray as themselves; an Enum as its value; a complex as
 {"re", "im"}; a Fraction as [numerator, denominator]; a dataclass or
 NamedTuple as an object of its fields in declaration order.
+
+Importing this module loads no numpy. A numpy integer, float or array can
+exist only once numpy is loaded, so `_emit` looks for those types through
+sys.modules, after every Python type; `write_csv` imports numpy itself.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_BLOCK_ROWS = 1024
 
@@ -37,9 +43,9 @@ def _emit(obj, level: int) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return fmt17(float(obj))
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -61,12 +67,17 @@ def _emit(obj, level: int) -> str:
         items = (f'{pad_in}"{key}": {_emit(value, level + 1)}'
                  for key, value in obj.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    np = sys.modules.get("numpy")  # numpy's types exist only once numpy is loaded
+    if isinstance(obj, (list, tuple)) or np is not None and isinstance(obj, np.ndarray):
         seq = list(obj)
         if not seq:
             return "[]"
         items = (f"{pad_in}{_emit(value, level + 1)}" for value in seq)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if np is not None and isinstance(obj, np.integer):
+        return str(int(obj))
+    if np is not None and isinstance(obj, np.floating):
+        return fmt17(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -85,6 +96,8 @@ def write_csv(path, header: str, columns: Iterable[np.ndarray]):
     Rows are formatted CSV_BLOCK_ROWS at a time, so a large file costs
     no more memory than one block of text.
     """
+    import numpy as np
+
     data = np.column_stack([np.asarray(col, dtype=float) for col in columns])
     finite = np.isfinite(data)
     if not finite.all():

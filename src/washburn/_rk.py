@@ -31,15 +31,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, StepSizeUnderflowError
+from .params import MAX_STEPS  # `solve` reads the step budget from this module
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimator + 1)
 MIN_RTOL = 100 * 2.220446049250313e-16  # as scipy, 100 machine epsilons
-# Accepted plus rejected steps one solve may take. Every step's stages are
-# kept for the dense output, so this bounds time and memory alike.
-MAX_STEPS = 2**17
 
 C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 A21 = 1 / 5

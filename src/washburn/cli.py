@@ -6,6 +6,11 @@ timestamps) except the wall-clock seconds of each check in the verify
 report; run metadata is echoed into a separate .meta.json sidecar.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
+
+Only the commands that solve something import numpy and the solvers, and
+only once their parameters have passed the `params` checks: `nondim`,
+`basin`, `--help`, `--version` and every argv refused by those checks
+run without numpy.
 """
 from __future__ import annotations
 
@@ -16,16 +21,12 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, _rk, params as params_module, stability, volterra
+from . import __version__, params as params_module, stability
 from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
-from .integrate import (CSV_HEADER, DEFAULT_TOLERANCES, REGIME_DEFAULT_HORIZON,
-                        REGIME_HORIZON_CAP, Trajectory, integrate, integrate_regime,
-                        regime_oracle_residuals)
-from .params import DEFAULT_INTERVALS, MAX_INTERVALS
+from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLERANCES,
+                     MAX_INTERVALS, MAX_STEPS, REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,7 +35,7 @@ EXIT_VERIFY = 4
 
 STEP_RANGE_HELP = f"at least horizon/{MAX_INTERVALS} (default: horizon/{DEFAULT_INTERVALS})"
 SAMPLE_STEP_HELP = "output sampling step, " + STEP_RANGE_HELP
-STEP_BUDGET_HELP = f"a run that needs more than {_rk.MAX_STEPS} RK steps exits 3"
+STEP_BUDGET_HELP = f"a run that needs more than {MAX_STEPS} RK steps exits 3"
 
 
 def _case_name(case: RegimeCase) -> str:
@@ -82,7 +83,7 @@ def _model_params_from_args(args) -> params_module.ModelParams:
                                      alpha=args.alpha)
 
 
-def _classification(traj: Trajectory) -> dict:
+def _classification(traj) -> dict:
     out = {"linear": stability.linearize(traj.params.omega, traj.params.beta)}
     try:
         report = stability.classify_approach(traj)
@@ -136,6 +137,10 @@ def cmd_nondim(args) -> int:
 
 def cmd_simulate(args) -> int:
     mp = _model_params_from_args(args)
+    import numpy as np
+
+    from .integrate import CSV_HEADER, integrate
+
     tolerances = (args.abs_tol, args.rel_tol)
     traj = integrate(mp, epsilon=args.epsilon, horizon=args.horizon,
                            tolerances=tolerances, sample_step=args.sample_step)
@@ -167,6 +172,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_picard(args) -> int:
     mp = _model_params_from_args(args)
+    from . import volterra
+
     result = volterra.picard_solve(mp.omega, mp.beta, mp.alpha,
                                    args.horizon, step=args.step, tol=args.tol,
                                    max_iter=args.max_iter)
@@ -183,6 +190,8 @@ def cmd_picard(args) -> int:
 
 def cmd_classify(args) -> int:
     mp = _model_params_from_args(args)
+    from .integrate import integrate
+
     traj = integrate(mp, horizon=args.horizon,
                            tolerances=(args.abs_tol, args.rel_tol),
                            sample_step=args.sample_step)
@@ -211,6 +220,13 @@ def cmd_regime(args) -> int:
             raise DomainError("b", f"must be finite, got {b!r}")
         b = Fraction(repr(b))  # the decimal the user typed: 0.1 gives 1/10
     spec = RegimeSpec.standard(case, b=b)
+    # integrate_regime's own first checks, so that a refused run loads no numpy
+    params_module.check_positive("beta", args.beta)
+    params_module.check_alpha(args.alpha)
+    import numpy as np
+
+    from .integrate import integrate_regime, regime_oracle_residuals
+
     traj = integrate_regime(spec, beta=args.beta, alpha=args.alpha,
                                   horizon=args.horizon,
                                   sample_step=args.sample_step)
@@ -310,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--step", type=float, default=None,
                    help="grid step that tiles the horizon, " + STEP_RANGE_HELP)
-    p.add_argument("--tol", type=float, default=volterra.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=volterra.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")
     p.set_defaults(fn=cmd_picard)
 

@@ -18,12 +18,11 @@ u* = (h*)^2/2 and come with closed-form or implicit oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, SingularityError
 from .params import check_nonnegative, check_positive
@@ -93,7 +92,8 @@ def energy(u, v):
     regime. Takes scalars (returns a float) or arrays, and clamps slightly
     negative u so it can be evaluated on raw integrator output.
     """
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and (isinstance(u, np.ndarray) or isinstance(v, np.ndarray)):
         up = np.maximum(u, 0.0)
         root = np.sqrt(up)
     else:  # math on floats: several times faster than numpy scalars
@@ -197,6 +197,8 @@ def regime_field(spec: RegimeSpec, beta: float):
 
 def case1_closed_form_u(t, beta: float, u0: float = 0.0):
     """Exact solution of u'' + beta u' = 1 with u(0) = u0, u'(0) = 0."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     return u0 + t / beta - (1.0 - np.exp(-beta * t)) / beta**2
 
@@ -206,6 +208,8 @@ def case2_implicit_time(h, beta: float, h0: float):
 
     Valid for heights in [0, 1); diverges logarithmically as h* -> 1.
     """
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     anti = lambda x: -x - np.log1p(-x)
     return beta * (anti(h) - anti(h0))
@@ -213,5 +217,7 @@ def case2_implicit_time(h, beta: float, h0: float):
 
 def case3_closed_form_h(t, beta: float, h0: float = 0.0):
     """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2)."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     return np.sqrt(2.0 * t / beta + h0 * h0)

@@ -19,10 +19,10 @@ import numpy as np
 from . import _rk, dynamics, stability
 from .dynamics import RegimeSpec, State
 from .errors import DomainError, HorizonError, NumericError
-from .params import (DEFAULT_INTERVALS, MAX_INTERVALS, U_EQUILIBRIUM, ModelParams,
+from .params import (DEFAULT_INTERVALS, DEFAULT_TOLERANCES, MAX_INTERVALS,
+                     REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP, U_EQUILIBRIUM, ModelParams,
                      check_alpha, check_nonnegative, check_positive)
 
-DEFAULT_TOLERANCES = (1e-10, 1e-8)  # (absolute, relative)
 HORIZON_CAP = 1e6
 HORIZON_EFOLDS = 30.0
 
@@ -268,8 +268,6 @@ class RegimeTrajectory:
 
 
 REGIME_TOLERANCES = (1e-12, 1e-11)
-REGIME_HORIZON_CAP = 1e3
-REGIME_DEFAULT_HORIZON = 20.0
 
 
 def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,

@@ -26,6 +26,19 @@ U_EQUILIBRIUM = 0.5
 DEFAULT_INTERVALS = 4096
 MAX_INTERVALS = 2**20
 
+# The other defaults and caps of a run, kept here with the grid's so that
+# the CLI can state them without importing a solver: the trajectory
+# tolerances (absolute, relative), the reduced-regime horizon and its cap,
+# Picard's tolerance and iteration cap, and the RK step budget, the
+# accepted plus rejected steps one solve may take. Every step's stages are
+# kept for the dense output, so the budget bounds time and memory alike.
+DEFAULT_TOLERANCES = (1e-10, 1e-8)
+REGIME_DEFAULT_HORIZON = 20.0
+REGIME_HORIZON_CAP = 1e3
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 10000
+MAX_STEPS = 2**17
+
 # The initial column is assumed short compared to the equilibrium height;
 # larger ratios are still integrated but draw a warning.
 SMALL_ALPHA_GUIDELINE = 0.1

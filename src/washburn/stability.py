@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import params as params_module
 from .dynamics import TWO_SQRT2_OVER_3, energy
 from .errors import ConsistencyError, DomainError, InconclusiveError
 from .params import U_BOUND, U_EQUILIBRIUM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -82,9 +84,14 @@ def linearize(omega: float, beta: float) -> StabilityReport:
                            discriminant=disc)
 
 
-def _lyapunov_factored(u, v):
-    root = np.sqrt(u)
-    return 0.5 * v * v + TWO_SQRT2_OVER_3 * (root - INV_SQRT2) ** 2 * (root + 0.5 * INV_SQRT2)
+def _lyapunov_factored(u, v, sqrt):
+    """V from its factored form, with sqrt = math.sqrt on floats or np.sqrt on
+    arrays. The square is written as a product, which numpy also computes for
+    an array's ** 2; a float's ** 2 calls libm pow, which is not always
+    correctly rounded."""
+    root = sqrt(u)
+    d = root - INV_SQRT2
+    return 0.5 * v * v + TWO_SQRT2_OVER_3 * (d * d) * (root + 0.5 * INV_SQRT2)
 
 
 def lyapunov(u: float, v: float) -> tuple[float, float]:
@@ -97,7 +104,7 @@ def lyapunov(u: float, v: float) -> tuple[float, float]:
         raise DomainError("u", f"must be >= 0, got {u!r}")
     E = energy(u, v)
     if abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW:
-        V = float(_lyapunov_factored(u, v))
+        V = float(_lyapunov_factored(u, v, math.sqrt))
     else:
         V = E + 1.0 / 6.0
     return E, V
@@ -105,12 +112,14 @@ def lyapunov(u: float, v: float) -> tuple[float, float]:
 
 def lyapunov_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (E, V) for trajectory columns; clamps u dust below 0."""
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     up = np.maximum(u, 0.0)
     E = energy(u, v)
     V = np.where(np.abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW,
-                 _lyapunov_factored(up, v), E + 1.0 / 6.0)
+                 _lyapunov_factored(up, v, np.sqrt), E + 1.0 / 6.0)
     return E, V
 
 
@@ -165,6 +174,8 @@ def classify_approach(traj) -> ApproachReport:
     crossing, or a non-monotone crossing-free run, is deliberately
     inconclusive: near the critical omega the dichotomy is ill-posed.
     """
+    import numpy as np
+
     u = np.asarray(traj.u)
     final_distance = float(traj.final_distance_to_equilibrium())
     if abs(u[-1] - U_EQUILIBRIUM) >= SETTLED_TOL:
@@ -207,6 +218,8 @@ def audit_trajectory(traj, spec: BasinSpec) -> BasinAudit:
     Findings are reported, not raised; only a start outside the basin is
     rejected.
     """
+    import numpy as np
+
     V = np.asarray(traj.V)
     if V[0] > spec.C + 1e-12:
         raise DomainError(

@@ -307,7 +307,7 @@ def check_stability_v_positivity() -> dict:
     _require(bool(np.all(V > 0.0)),
              f"V not positive away from equilibrium (min {np.min(V):.3e})")
     direct = E + 1.0 / 6.0
-    factored = stability._lyapunov_factored(u, v)
+    factored = stability._lyapunov_factored(u, v, np.sqrt)
     gap = np.max(np.abs(direct - factored) / np.maximum(1.0, np.abs(factored)))
     _require(float(gap) <= 1e-13,
              f"direct and factored V forms disagree by {gap:.3e}")

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import DEFAULT_INTERVALS, MAX_INTERVALS, check_alpha, check_positive
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10000
+from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_INTERVALS,
+                     check_alpha, check_positive)
 
 SELF_MAP_NODES = 512
 SELF_MAP_SLACK = 1e-10

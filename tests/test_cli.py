@@ -425,13 +425,33 @@ def test_missing_flag_exits_with_a_documented_code(tmp_path, capsys, monkeypatch
     assert code in (0, 2, 3, 4), argv
 
 
-def modules_after_cli_import():
-    """Every module a fresh interpreter holds after `import washburn.cli`."""
+def fresh(code: str, cwd=None) -> list:
+    """What a fresh interpreter prints, one JSON value a line, when it runs
+    code and then prints the sorted names in its sys.modules."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import json, sys, washburn.cli; print(json.dumps(sorted(sys.modules)))"
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    return json.loads(done.stdout)
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def main_in_fresh(argv, cwd) -> tuple:
+    """Exit code of `washburn ARGV` run in cwd by a fresh interpreter, and
+    every module the interpreter holds after it."""
+    code = ("import contextlib, io, json, washburn.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = washburn.cli.main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps(code))")
+    exit_code, modules = fresh(code, cwd)
+    return exit_code, modules
+
+
+def modules_after_cli_import():
+    return fresh("import washburn.cli")[-1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -440,3 +460,38 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_no_verify():
     assert "washburn.verify" not in modules_after_cli_import()
+
+
+@pytest.mark.parametrize("code", ["import washburn", "import washburn.cli"])
+def test_import_loads_no_numpy(code):
+    assert "numpy" not in fresh(code)[-1]
+
+
+NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
+    "nondim": (["nondim", "--input", "water.json"], 0),
+    "basin": (["basin", "--alpha", "0.5", "--output", "basin.json"], 0),
+    "help": (["--help"], 0),
+    "version": (["--version"], 0),
+    "simulate-missing-alpha": (["simulate", "--omega", "1", "--beta", "1", "-o", "run"], 2),
+    "classify-beta-2": (["classify", "--omega", "1", "--beta", "2", "--alpha", "0"], 2),
+    "picard-alpha-9": (["picard", "--omega", "1", "--beta", "1", "--alpha", "9",
+                        "-o", "pic"], 2),
+    "regime-negative-beta": (["regime", "--case", "1", "--beta", "-1", "-o", "reg"], 2),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_ARGVS)
+def test_scalar_and_refused_runs_load_no_numpy(tmp_path, name):
+    argv, exit_code = NUMPY_FREE_ARGVS[name]
+    (tmp_path / "water.json").write_text(json.dumps(WATER_JSON))
+    code, modules = main_in_fresh(argv, tmp_path)
+    assert code == exit_code
+    assert "numpy" not in modules
+
+
+def test_a_solving_run_loads_numpy(tmp_path):
+    argv = ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "1",
+            "-o", "run"]
+    code, modules = main_in_fresh(argv, tmp_path)
+    assert code == 0
+    assert "numpy" in modules

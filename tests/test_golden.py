@@ -1,11 +1,14 @@
 """Every file a small set of CLI runs writes, byte for byte against the
 copies under tests/golden/, which the package wrote at version 0.1.0
 (all but `inconclusive` before its JSON emitter took over rendering the
-result types).
+result types), and every `--help` text at COLUMNS=80 against
+tests/golden/help/, written before the parser's defaults moved to `params`.
 
 Regenerate the copies (only when an output is meant to change) with
     PYTHONPATH=src python tests/test_golden.py
 """
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -38,6 +41,12 @@ RUNS = {
                 "--sample-step", "0.25", "-o", "r4"],
 }
 
+# help file name: argv whose help text it holds
+HELP = {"washburn": ["--help"],
+        **{sub: [sub, "--help"]
+           for sub in ("nondim", "simulate", "picard", "classify", "basin", "regime",
+                       "verify")}}
+
 
 def run_in(directory: Path, argv) -> dict:
     """Run argv in directory; return {file name: bytes} of what it wrote."""
@@ -63,6 +72,21 @@ def test_files_match_the_golden_copies(tmp_path, capsys, name):
         assert data == expected[file_name], f"{name}/{file_name} differs"
 
 
+def help_text(argv) -> bytes:
+    """What `washburn ARGV` prints to stdout; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 0, argv
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", HELP)
+def test_help_matches_the_golden_copy(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_text(HELP[name]) == (GOLDEN / "help" / f"{name}.txt").read_bytes()
+
+
 if __name__ == "__main__":
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -72,3 +96,7 @@ if __name__ == "__main__":
                 old.unlink()
             for file_name, data in run_in(Path(tmp), argv).items():
                 (target / file_name).write_bytes(data)
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "help").mkdir(exist_ok=True)
+    for name, argv in HELP.items():
+        (GOLDEN / "help" / f"{name}.txt").write_bytes(help_text(argv))

@@ -1,0 +1,62 @@
+"""The package's lazy exports, each probed in a fresh interpreter.
+
+`washburn` resolves its exports on first use. `integrate` names both a
+submodule and an exported function; loading the submodule must never
+leave the module where the function belongs.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh(code: str):
+    """The JSON that code prints last, run in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("steps", [
+    ["import washburn.verify"],
+    ["import washburn.cli"],
+    ["from washburn.integrate import CSV_HEADER"],
+    ["washburn.integrate", "import washburn.verify"],
+    ["washburn.integrate", "from washburn.integrate import CSV_HEADER"],
+    [],
+], ids=lambda steps: " then ".join(steps) or "nothing else")
+def test_integrate_is_the_function_in_every_import_order(steps):
+    code = "\n".join(["import json, sys, washburn", *steps,
+                      "first, second = washburn.integrate, washburn.integrate",
+                      "function = sys.modules['washburn.integrate'].integrate",
+                      "print(json.dumps([first is function, second is function]))"])
+    assert fresh(code) == [True, True]
+
+
+def test_star_import_binds_every_export():
+    code = ("import json\n"
+            "from washburn import *\n"
+            "import washburn\n"
+            "missing = [n for n in washburn.__all__ if globals().get(n) is not getattr(washburn, n)]\n"
+            "print(json.dumps([len(washburn.__all__), missing]))")
+    assert fresh(code) == [48, []]
+
+
+def test_every_export_is_listed_by_dir_before_first_use():
+    code = ("import json, washburn\n"
+            "print(json.dumps(sorted(set(washburn.__all__) - set(dir(washburn)))))")
+    assert fresh(code) == []
+
+
+def test_an_unknown_name_raises_attribute_error():
+    code = ("import json, washburn\n"
+            "try:\n"
+            "    washburn.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(json.dumps(str(exc)))")
+    assert fresh(code) == "module 'washburn' has no attribute 'no_such_name'"

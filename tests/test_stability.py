@@ -9,7 +9,8 @@ from washburn import params as params_module
 from washburn.errors import ConsistencyError, DomainError, InconclusiveError
 from washburn.integrate import integrate
 from washburn.params import ModelParams
-from washburn.stability import (ApproachKind, BasinSpec, PointKind,
+from washburn.dynamics import energy
+from washburn.stability import (FACTORED_WINDOW, ApproachKind, BasinSpec, PointKind,
                                 audit_trajectory, basin, classify_approach,
                                 linearize, lyapunov, lyapunov_columns)
 from washburn.verify import (CheckFailure, _bracket_transition,
@@ -111,6 +112,25 @@ class TestLyapunov:
         E_col, V_col = lyapunov_columns(np.array([u]), np.array([v]))
         assert (type(E), type(V)) == (float, float)
         assert (E, V) == (E_col[0], V_col[0])
+
+    def test_dense_points_match_columns_bit_for_bit(self):
+        # The scalar path (math.sqrt) and the array path (np.sqrt) must give
+        # the same bits. Squaring the factored form's root difference by a
+        # float's ** 2 (libm pow) instead changes V at about one window point
+        # in 2000 when |v| <= 1e-3 (v = 0 is the basin's case); at larger |v|
+        # the v^2 term hides it. So the window gets 30,000 such points.
+        rng = np.random.default_rng(20)
+        u = np.concatenate([0.5 + rng.uniform(-FACTORED_WINDOW, FACTORED_WINDOW, 30_000),
+                            rng.uniform(0.0, 9.0 / 8.0, 10_000)])
+        v = np.concatenate([np.zeros(10_000), rng.uniform(-1e-3, 1e-3, 20_000),
+                            rng.uniform(-2.0, 2.0, 10_000)])
+        assert np.count_nonzero(np.abs(u - 0.5) < FACTORED_WINDOW) >= u.size / 2
+        E_col, V_col = lyapunov_columns(u, v)
+        scalar = [lyapunov(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert {(type(E), type(V)) for E, V in scalar} == {(float, float)}
+        assert [repr(pair) for pair in scalar] == [repr(pair) for pair in
+                                                   zip(E_col.tolist(), V_col.tolist())]
+        assert [energy(a, b) for a, b in zip(u.tolist(), v.tolist())] == energy(u, v).tolist()
 
 
 class TestBasin:

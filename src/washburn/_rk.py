@@ -12,10 +12,13 @@ the same field and tolerances it takes the same steps as
 `scipy.integrate.solve_ivp(method="RK45")` (tests/test_rk.py holds it to
 that) without importing scipy or building arrays on every stage.
 
-The `DenseSolution` it returns evaluates the interpolants on an array of
-times from contiguous coefficient blocks, and `DenseSolution.component(i)`
-gives component i as a plain-Python function of one float time, with the
-same bits, for root finding such as the crossing bisection in `integrate`.
+Each accepted step appends its record to one flat `array("d")`: the start
+state, then the six stages Shampine's quartic interpolant needs, 14 floats
+as two-component pairs. The `DenseSolution` it returns views that store,
+evaluates the interpolants on an array of times from contiguous
+coefficient blocks, and `DenseSolution.component(i)` gives component i as
+a plain-Python function of one float time, with the same bits, for root
+finding such as the crossing bisection in `integrate`.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -24,8 +27,8 @@ Norsett & Wanner, Solving Ordinary Differential Equations I, II.4-6.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -133,7 +136,9 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     h_abs = _initial_step(fun, t, ya, yb, fa, fb, root_n, t_bound, rtol, atol)
     nfev = 2
     rejected = 0
-    ts, y_olds, stages = [t], [], []
+    ts = [t]
+    steps = array("d")  # per accepted step: ya, yb, then the six stage pairs
+    store = steps.fromlist
     while t < t_bound:
         min_step = 10.0 * ulp(t)
         if h_abs < min_step:
@@ -186,10 +191,9 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
             step_rejected = True
             rejected += 1
         ts.append(t_new)
-        y_olds.append((ya, yb))
-        stages.append((fa, fb, k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b, ga, gb))
+        store([ya, yb, fa, fb, k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b, ga, gb])
         t, ya, yb, fa, fb = t_new, na, nb, ga, gb
-    return DenseSolution(ts, y_olds, stages, (ya, yb)[:n], nfev, rejected, head)
+    return DenseSolution(ts, steps, (ya, yb)[:n], nfev, rejected, head)
 
 
 class DenseSolution:
@@ -206,24 +210,22 @@ class DenseSolution:
     steps; `y` is the final state.
     """
 
-    def __init__(self, ts, y_olds, stages, y, nfev, rejected, head=None):
-        """`y_olds` holds each step's start state and `stages` its six stages,
-        flattened stage by stage, both padded to two components as `solve`
-        steps them; the pad is dropped here, before Q is built."""
+    def __init__(self, ts, steps, y, nfev, rejected, head=None):
+        """`steps` is the flat float store `solve` fills: 7 pairs per accepted
+        step, the start state then the six stages, padded to two components
+        as `solve` steps them; the pad is dropped here, before Q is built."""
         self.y = y
         self.nfev = nfev
-        self.accepted = m = len(stages)
+        self.accepted = m = len(ts) - 1
         self.rejected = rejected
         self._head = head
         self._ts = ts
         self.t = np.array(ts)
         self._h = np.diff(self.t)
-        n = len(y)
-        k = np.fromiter(chain.from_iterable(stages), float, m * 12).reshape(m, 6, 2)
-        k = np.ascontiguousarray(k[:, :, :n])
+        rows = np.frombuffer(steps, float).reshape(m, 7, 2)[:, :, :len(y)]
+        k = np.ascontiguousarray(rows[:, 1:])
         self._q = np.ascontiguousarray((k.transpose(0, 2, 1) @ P).transpose(2, 1, 0))
-        self._y0 = np.ascontiguousarray(
-            np.fromiter(chain.from_iterable(y_olds), float, m * 2).reshape(m, 2)[:, :n].T)
+        self._y0 = np.ascontiguousarray(rows[:, 0].T)
         self._components = {}
 
     def __call__(self, t) -> np.ndarray:

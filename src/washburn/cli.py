@@ -148,8 +148,7 @@ def cmd_simulate(args) -> int:
         "params": params_module.model_params_report(mp),
         "epsilon": traj.epsilon,
         "horizon": float(traj.s[-1]),
-        "sample_step": args.sample_step if args.sample_step is not None
-        else float(traj.s[-1]) / DEFAULT_INTERVALS,
+        "sample_step": traj.sample_step,
         "tolerances": {"abs": traj.tolerances[0], "rel": traj.tolerances[1]},
         "final_state": {"s": float(traj.s[-1]), "u": float(traj.u[-1]),
                         "v": float(traj.v[-1]), "H": float(traj.H[-1])},

@@ -57,6 +57,7 @@ class Trajectory:
     params: ModelParams
     epsilon: float
     tolerances: tuple[float, float]
+    sample_step: float
     crossings: tuple[Crossing, ...]
     dense: _rk.DenseSolution = field(repr=False, compare=False)
 
@@ -220,7 +221,7 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     for arr in (T, E, V):
         arr.setflags(write=False)
     return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
-                      epsilon=epsilon, tolerances=tolerances,
+                      epsilon=epsilon, tolerances=tolerances, sample_step=sample_step,
                       crossings=_detect_crossings(s, u, dense.component(0),
                                                   U_EQUILIBRIUM),
                       dense=dense)

@@ -3,9 +3,11 @@ controller it copies: same field evaluations, same accepted steps, same
 final state to 1e-14, at the package's default tolerances; against
 `solve_by_loop`, the per-component loop it unrolls, bit for bit; its
 dense output against `call_by_fancy_index` and `AtByLists`, the array and
-scalar evaluators it replaced, bit for bit; and the case-4 regime field
-against `case4_field_by_copy`, the field it replaced, bit for bit."""
+scalar evaluators it replaced, bit for bit; the case-4 regime field
+against `case4_field_by_copy`, the field it replaced, bit for bit; and
+the memory its step store takes per accepted step."""
 import math
+import tracemalloc
 from bisect import bisect_left
 from itertools import chain
 from types import SimpleNamespace
@@ -341,3 +343,21 @@ def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
     with pytest.raises(NumericError) as want:
         solve_by_loop(field, t0, y0, t_bound, rel_tol, abs_tol)
     assert str(got.value) == str(want.value)
+
+
+def test_step_store_memory_per_accepted_step():
+    # A lightly damped dry start, the long run the store is sized for. The
+    # flat store and the dense coefficients peak at about 390 B per accepted
+    # step; a tuple of floats kept per step would add over 400 B more.
+    series = _series_seed(0.01)
+    t0 = 1e-6
+    abs_tol, rel_tol = DEFAULT_TOLERANCES
+    tracemalloc.start()
+    try:
+        dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), t0, series(t0), 1e4, rel_tol,
+                          abs_tol, head=series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.accepted > 20_000
+    assert peak < 500 * dense.accepted

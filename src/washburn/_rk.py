@@ -6,19 +6,22 @@ scalar locals, with no per-stage lists; a one-component state is stepped
 with a second component pinned at 0.0, which changes no bit of the result.
 It uses the step-size controller of scipy's RK45: the Hairer-Norsett-Wanner
 initial-step rule, safety factor 0.9, step factors bounded to [0.2, 10],
-the RMS norm of the error over atol + rtol max(|y_old|, |y_new|), the
-first-same-as-last stage, and the last step clipped to the bound. Given
-the same field and tolerances it takes the same steps as
+the RMS norm of the error over atol + rtol max(|y_old|, |y_new|) (taken
+with conditional expressions, not builtin calls, and with max's choice on
+NaN), the first-same-as-last stage, and the last step clipped to the
+bound. Given the same field and tolerances it takes the same steps as
 `scipy.integrate.solve_ivp(method="RK45")` (tests/test_rk.py holds it to
 that) without importing scipy or building arrays on every stage.
 
-Each accepted step appends its record to one flat `array("d")`: the start
-state, then the six stages Shampine's quartic interpolant needs, 14 floats
-as two-component pairs. The `DenseSolution` it returns views that store,
-evaluates the interpolants on an array of times from contiguous
-coefficient blocks, and `DenseSolution.component(i)` gives component i as
-a plain-Python function of one float time, with the same bits, for root
-finding such as the crossing bisection in `integrate`.
+Each accepted step packs its record, 14 doubles, with one `STEP_RECORD`
+and appends the bytes to one `bytearray`: the start state, then the six
+stages Shampine's quartic interpolant needs, as two-component pairs. The
+`DenseSolution` it returns views that packed store as floats, evaluates
+the interpolants on an array of times from contiguous coefficient blocks,
+running the Horner sum in place on one accumulator, and
+`DenseSolution.component(i)` gives component i as a plain-Python function
+of one float time, with the same bits. `DenseSolution.bisect`, the crossing
+refinement of `integrate`, evaluates the same quartics inline.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -27,7 +30,7 @@ Norsett & Wanner, Solving Ordinary Differential Equations I, II.4-6.
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from bisect import bisect_left
 from typing import Callable
 
@@ -66,6 +69,9 @@ P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+# One accepted step in the store: the start state, then the six stage pairs.
+STEP_RECORD = struct.Struct("14d")
 
 
 def _rms(a: float, b: float, root_n: float) -> float:
@@ -107,6 +113,8 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     (u,) and the pad's field component fixed at 0.0, so the pad stays 0.0
     and the error norm and starting step still divide by the true length.
     rtol below 100 machine epsilons is raised to that floor, as scipy does.
+    Each accepted step's 14 floats are packed into one bytes store, which
+    the returned DenseSolution views.
     `head`, if given, is the state for t < t0 (for example a series seed):
     head(t) returns a tuple of floats for a float and of arrays for an
     array. Raises StepSizeUnderflowError when the step falls below ten
@@ -137,8 +145,10 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
     nfev = 2
     rejected = 0
     ts = [t]
-    steps = array("d")  # per accepted step: ya, yb, then the six stage pairs
-    store = steps.fromlist
+    steps = bytearray()  # per accepted step: ya, yb, then the six stage pairs
+    store, pack = steps.extend, STEP_RECORD.pack
+    scale_a = -ya if ya < 0.0 else ya  # |y| of the step's start, for the error scale
+    scale_b = -yb if yb < 0.0 else yb
     while t < t_bound:
         min_step = 10.0 * ulp(t)
         if h_abs < min_step:
@@ -173,10 +183,15 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
             nb = yb + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
             ga, gb = fun(t + h, (na, nb))
             nfev += 6
+            # The scale max(|y_old|, |y_new|) without builtin calls: `b if b > a
+            # else a` keeps max's choice, a when either is NaN. A zero's sign
+            # cannot reach the quotient, since atol > 0 absorbs it.
+            new_a = -na if na < 0.0 else na
+            new_b = -nb if nb < 0.0 else nb
             ea = ((E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * ga) * h
-                  / (atol + max(abs(ya), abs(na)) * rtol))
+                  / (atol + (new_a if new_a > scale_a else scale_a) * rtol))
             eb = ((E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * gb) * h
-                  / (atol + max(abs(yb), abs(nb)) * rtol))
+                  / (atol + (new_b if new_b > scale_b else scale_b) * rtol))
             error_norm = sqrt(ea * ea + eb * eb) / root_n
             if error_norm < 1.0:
                 if error_norm == 0.0:
@@ -191,8 +206,8 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
             step_rejected = True
             rejected += 1
         ts.append(t_new)
-        store([ya, yb, fa, fb, k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b, ga, gb])
-        t, ya, yb, fa, fb = t_new, na, nb, ga, gb
+        store(pack(ya, yb, fa, fb, k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b, ga, gb))
+        t, ya, yb, fa, fb, scale_a, scale_b = t_new, na, nb, ga, gb, new_a, new_b
     return DenseSolution(ts, steps, (ya, yb)[:n], nfev, rejected, head)
 
 
@@ -200,9 +215,11 @@ class DenseSolution:
     """The accepted steps of one solve and their quartic interpolants.
 
     Calling it evaluates the interpolants on a float or an array of times
-    (shape (n,) or (n,) + t.shape); `component(i)` returns component i as
+    (shape (n,) or (n,) + t.shape), the Horner sum of an array running in
+    place on one accumulator; `component(i)` returns component i as
     a function of one float time in plain Python, with the same arithmetic,
-    so both give the same bits. A time on a step boundary takes the earlier
+    so both give the same bits, as does `bisect`, which finds where
+    component 0 crosses a level. A time on a step boundary takes the earlier
     step, and times past either end extrapolate the end steps, as scipy's
     OdeSolution does; times before the start use `head` when there is one.
 
@@ -211,9 +228,10 @@ class DenseSolution:
     """
 
     def __init__(self, ts, steps, y, nfev, rejected, head=None):
-        """`steps` is the flat float store `solve` fills: 7 pairs per accepted
-        step, the start state then the six stages, padded to two components
-        as `solve` steps them; the pad is dropped here, before Q is built."""
+        """`steps` is the packed bytes store `solve` fills, read as native
+        doubles: 7 pairs per accepted step, the start state then the six
+        stages, padded to two components as `solve` steps them; the pad is
+        dropped here, before Q is built."""
         self.y = y
         self.nfev = nfev
         self.accepted = m = len(ts) - 1
@@ -223,8 +241,11 @@ class DenseSolution:
         self.t = np.array(ts)
         self._h = np.diff(self.t)
         rows = np.frombuffer(steps, float).reshape(m, 7, 2)[:, :, :len(y)]
+        # K is copied contiguous: on the strided view of a one-component
+        # state, matmul leaves BLAS and changes the last bit of some Q.
         k = np.ascontiguousarray(rows[:, 1:])
-        self._q = np.ascontiguousarray((k.transpose(0, 2, 1) @ P).transpose(2, 1, 0))
+        self._q = np.empty((4, len(y), m))  # Q written once, in its final layout
+        np.matmul(k.transpose(0, 2, 1), P, out=self._q.transpose(2, 1, 0))
         self._y0 = np.ascontiguousarray(rows[:, 0].T)
         self._components = {}
 
@@ -235,13 +256,26 @@ class DenseSolution:
             return np.array([self.component(i)(t) for i in range(len(self.y))])
         k = np.searchsorted(self.t, t, side="left") - 1
         np.clip(k, 0, self.accepted - 1, out=k)
-        h = self._h[k]
-        x = (t - self.t[k]) / h
+        h = self._h.take(k)
+        x = self.t.take(k)
+        np.subtract(t, x, out=x)
+        x /= h
         # `take` writes each coefficient block contiguously, where the fancy
         # index self._q[:, :, k] leaves strided views that slow every Horner
-        # ufunc about twofold; the IEEE operations, and so the bits, are the same.
+        # ufunc about twofold. The Horner sum y0 + h (x (q0 + x (q1 + x (q2 +
+        # x q3)))) runs in place on one accumulator: the same IEEE operations
+        # on the same operands, some of them commuted, so the same bits.
         q0, q1, q2, q3 = self._q.take(k, axis=2)  # (4, n) + t.shape
-        y = self._y0.take(k, axis=1) + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+        acc = x * q3
+        acc += q2
+        acc *= x
+        acc += q1
+        acc *= x
+        acc += q0
+        acc *= x
+        acc *= h
+        y = self._y0.take(k, axis=1)
+        y += acc
         if self._head is not None:
             early = t < self._ts[0]
             if early.any():
@@ -278,3 +312,44 @@ class DenseSolution:
 
         self._components[i] = u_at
         return u_at
+
+    def bisect(self, level: float, lo: float, hi: float, tol: float) -> float:
+        """A time in [lo, hi] at which component 0 crosses level, by bisection.
+
+        The bracket halves, at most 128 times, until it is no wider than tol
+        or component 0 at its mid equals level; then the mid is returned.
+        Each value has the bits of component(0), without its per-step
+        lists: a step's coefficients are read once from the arrays, when a
+        time first falls in the step (ts[k] < t <= ts[k + 1], k clamped to
+        the end steps), and its quartic is evaluated inline while the mids
+        stay there; times before the start take the head, if there is one.
+        """
+        ts, head, last = self._ts, self._head, self.accepted - 1
+        t_first, qs, y0s = ts[0], self._q, self._y0
+        t_k = t_next = math.nan  # bounds of the step held in h, y_k, q0-q3: none yet
+        t, f_lo = lo, None
+        for _ in range(129):  # at lo, then at most 128 mids
+            if t < t_first and head is not None:
+                f = head(t)[0] - level
+            else:
+                if not t_k < t <= t_next:
+                    k = bisect_left(ts, t) - 1
+                    k = 0 if k < 0 else last if k > last else k
+                    t_k, t_next = ts[k], ts[k + 1]
+                    h = t_next - t_k  # self._h[k], the same subtraction
+                    y_k = y0s.item(0, k)
+                    q0, q1, q2, q3 = qs[:, 0, k].tolist()
+                x = (t - t_k) / h
+                f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
+            if f_lo is None:
+                f_lo = f
+            elif f == 0.0:
+                return t
+            elif (f > 0.0) == (f_lo > 0.0):
+                lo, f_lo = t, f
+            else:
+                hi = t
+            if hi - lo <= tol:
+                break
+            t = 0.5 * (lo + hi)
+        return 0.5 * (lo + hi)

@@ -5,14 +5,15 @@ integrated with the explicit embedded Runge-Kutta 5(4) pair of
 Dormand and Prince with quartic dense output (`_rk`). Trajectories
 carry derived height/energy columns, equilibrium-crossing events detected
 with a hysteresis band and refined by bisection on the dense output's
-scalar interpolant of u (`DenseSolution.component(0)`), and the
-evaluation handle needed to re-detect crossings at other levels.
+quartic for u (`DenseSolution.bisect`, with the bits of
+`DenseSolution.component(0)`), and the evaluation handle needed to
+re-detect crossings at other levels.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,34 +159,16 @@ def _solve(params: ModelParams, epsilon: float, horizon: float,
     return dense, u0
 
 
-def _bisect_level(u_at: Callable[[float], float], level: float,
-                  lo: float, hi: float, tol: float) -> float:
-    f_lo = u_at(lo) - level
-    for _ in range(128):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = u_at(mid) - level
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _detect_crossings(s: np.ndarray, u: np.ndarray, u_at: Callable[[float], float],
+def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
                       level: float) -> tuple[Crossing, ...]:
     # Samples within CROSSING_BAND of the level belong to neither side (NaN
     # counts as below); a crossing lies between consecutive kept samples on
-    # opposite sides, and is refined by bisection on u_at, the dense output's
-    # u as a function of one float time.
+    # opposite sides, and is refined by bisection on the dense output's u.
     d = u - level
     kept = np.flatnonzero(~(np.abs(d) <= CROSSING_BAND))
     above = d[kept] > 0.0
-    return tuple(Crossing(_bisect_level(u_at, level, float(s[kept[i]]),
-                                        float(s[kept[i + 1]]), CROSSING_REFINE_TOL),
+    return tuple(Crossing(dense.bisect(level, float(s[kept[i]]), float(s[kept[i + 1]]),
+                                       CROSSING_REFINE_TOL),
                           1 if above[i + 1] else -1)
                  for i in np.flatnonzero(above[1:] != above[:-1]).tolist())
 
@@ -200,10 +183,10 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     the integrator's quartic dense output; the first sample matches the
     initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
     Equilibrium crossings are bracketed by the samples and refined to
-    CROSSING_REFINE_TOL by bisection on `dense.component(0)`, the dense
-    output's u as a function of one float time. The regularization epsilon
-    lies in [0, 1]: above 1 the regularized equilibrium (1 - epsilon)/2 is
-    negative.
+    CROSSING_REFINE_TOL by bisection on the dense output's u, each step's
+    quartic evaluated inline with the bits of `dense.component(0)`. The
+    regularization epsilon lies in [0, 1]: above 1 the regularized
+    equilibrium (1 - epsilon)/2 is negative.
     """
     check_nonnegative("epsilon", epsilon)
     if epsilon > 1.0:
@@ -222,8 +205,7 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
         arr.setflags(write=False)
     return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
                       epsilon=epsilon, tolerances=tolerances, sample_step=sample_step,
-                      crossings=_detect_crossings(s, u, dense.component(0),
-                                                  U_EQUILIBRIUM),
+                      crossings=_detect_crossings(s, u, dense, U_EQUILIBRIUM),
                       dense=dense)
 
 
@@ -232,7 +214,7 @@ def detect_crossings(traj: Trajectory, level: float = U_EQUILIBRIUM) -> tuple[Cr
     Raises DomainError for a level that is not finite."""
     if not math.isfinite(level):
         raise DomainError("level", f"must be finite, got {level!r}")
-    return _detect_crossings(traj.s, traj.u, traj.dense.component(0), level)
+    return _detect_crossings(traj.s, traj.u, traj.dense, level)
 
 
 def continuous_dependence(params: ModelParams, alpha0: float,

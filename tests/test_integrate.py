@@ -9,10 +9,10 @@ from washburn import _rk
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
 from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
-                                HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing, _bisect_level,
+                                HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing,
                                 _detect_crossings, continuous_dependence, default_horizon,
                                 detect_crossings, integrate, integrate_regime)
-from washburn.params import MAX_INTERVALS, ModelParams
+from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
 from washburn.stability import lyapunov
 
 
@@ -188,9 +188,29 @@ def at_by_lists(dense):
     return at
 
 
-def crossings_by_loop(s, u, u_at, level):
+def bisect_level(u_at, level, lo, hi, tol):
+    """The crossing bisection on a scalar function of time that
+    `DenseSolution.bisect` replaced, kept as its reference: `integrate` ran
+    it on `DenseSolution.component(0)`."""
+    f_lo = u_at(lo) - level
+    for _ in range(128):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = u_at(mid) - level
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def crossings_by_loop(s, u, u_at, level, brackets=None):
     """The per-sample hysteresis loop that `_detect_crossings` replaced, kept
-    as its reference (as tests/test_volterra.py keeps the dense kernel)."""
+    as its reference (as tests/test_volterra.py keeps the dense kernel).
+    Each bracket it bisects is appended to `brackets`, if given."""
     crossings = []
     side = 0
     armed_index = None
@@ -202,21 +222,27 @@ def crossings_by_loop(s, u, u_at, level):
         if side == 0:
             side = this_side
         elif this_side != side:
-            s_cross = _bisect_level(u_at, level, float(s[armed_index]),
-                                    float(s[i]), CROSSING_REFINE_TOL)
-            crossings.append(Crossing(s_cross, this_side))
+            lo, hi = float(s[armed_index]), float(s[i])
+            if brackets is not None:
+                brackets.append((lo, hi))
+            crossings.append(Crossing(bisect_level(u_at, level, lo, hi, CROSSING_REFINE_TOL),
+                                      this_side))
             side = this_side
         armed_index = i
     return tuple(crossings)
 
 
 def synthetic(values):
-    """u on the unit-step grid, and a stand-in for its dense output: linear
-    interpolation through (s, u). The tests take the level 0, so that
-    u - level is exact and +-CROSSING_BAND is the edge."""
+    """u on the unit-step grid, and a stand-in for its dense output: a
+    one-component solution whose every step has all six stages equal to the
+    step's slope, nearly linear interpolation through (s, u). The tests take
+    the level 0, so that u - level is exact and +-CROSSING_BAND is the edge."""
     u = np.asarray(values, dtype=float)
     s = np.arange(u.size, dtype=float)
-    return s, u, lambda t: float(np.interp(t, s, u))
+    steps = bytearray()
+    for k in range(u.size - 1):
+        steps += _rk.STEP_RECORD.pack(u[k], 0.0, *[u[k + 1] - u[k], 0.0] * 6)
+    return s, u, _rk.DenseSolution(s.tolist() or [0.0], steps, (0.0,), 0, 0)
 
 
 B = CROSSING_BAND
@@ -233,30 +259,69 @@ SYNTHETIC = {
                    * np.random.default_rng(4).choice([0.0, 0.5 * B, B, 1.5 * B, 1e-3], 400)),
 }
 
+LEVELS = (0.5, 0.25, 0.7, 1e-4)
+
+
+def seeded_runs(count=150):
+    """Seeded runs over nodes and spirals (omega/omega* in [0.3, 6]), a third
+    of them dry starts and every tenth regularized, each start sampled at
+    the default step, at horizon/256 and at horizon/24. The coarse samples give
+    brackets over several steps, and brackets from s = 0, in the series head
+    of a dry start, or on the first step's start, where the interpolant
+    clamps the step index."""
+    rng = np.random.default_rng(16)
+    for i in range(count):
+        beta = rng.uniform(0.5, 1.0)
+        omega = critical_omega(beta) * rng.uniform(0.3, 6.0)
+        alpha = 0.0 if i % 3 == 0 else rng.uniform(0.1, 1.5)
+        epsilon = 1e-4 if i % 10 == 0 else 0.0
+        params = mp(omega, beta, alpha)
+        intervals = (None, 256, 24)[i // 3 % 3]
+        sample_step = None if intervals is None else default_horizon(params) / intervals
+        yield integrate(params, epsilon=epsilon, sample_step=sample_step)
+
 
 class TestCrossingScan:
-    """`_detect_crossings` against the loop it replaced, crossing for crossing."""
+    """`_detect_crossings` against the loop and the bisection it replaced,
+    crossing for crossing."""
 
     @pytest.mark.parametrize("point", [(0.1, 1.0, 0.0), (0.25, 1.0, 0.0), (1.0, 1.0, 0.0),
                                        (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
     def test_trajectories(self, point):
         traj = integrate(mp(*point))
-        reference = at_by_lists(traj.dense)
-        for level in (0.5, 0.25):
-            found = _detect_crossings(traj.s, traj.u, traj.dense.component(0), level)
-            assert found == crossings_by_loop(traj.s, traj.u, reference, level)
-        assert traj.crossings == crossings_by_loop(traj.s, traj.u, reference, 0.5)
+        by_lists, component = at_by_lists(traj.dense), traj.dense.component(0)
+        for level in LEVELS:
+            found = _detect_crossings(traj.s, traj.u, traj.dense, level)
+            assert found == crossings_by_loop(traj.s, traj.u, component, level)
+            assert found == crossings_by_loop(traj.s, traj.u, by_lists, level)
+        assert traj.crossings == crossings_by_loop(traj.s, traj.u, component, 0.5)
+
+    def test_seeded_sweep(self):
+        brackets = {"several steps": 0, "from s = 0": 0, "series head": 0, "clamped": 0}
+        for traj in seeded_runs():
+            dense = traj.dense
+            for level in LEVELS:
+                seen = []
+                assert (_detect_crossings(traj.s, traj.u, dense, level)
+                        == crossings_by_loop(traj.s, traj.u, dense.component(0), level, seen))
+                for lo, hi in seen:
+                    first, last = np.searchsorted(dense.t, [lo, hi])
+                    brackets["several steps"] += last - first >= 2
+                    brackets["from s = 0"] += lo == 0.0
+                    brackets["series head"] += lo < dense.t[0]
+                    brackets["clamped"] += lo == dense.t[0]  # step -1, clamped to 0
+        assert min(brackets.values()) >= 10, brackets
 
     def test_lightly_damped_point_crosses_76_times(self):
         assert len(integrate(mp(31.4, 0.7, 0.0)).crossings) == 76
 
     @pytest.mark.parametrize("name", SYNTHETIC)
     def test_synthetic_samples(self, name):
-        s, u, u_at = synthetic(SYNTHETIC[name])
+        s, u, dense = synthetic(SYNTHETIC[name])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = _detect_crossings(s, u, u_at, 0.0)
-        assert found == crossings_by_loop(s, u, u_at, 0.0)
+            found = _detect_crossings(s, u, dense, 0.0)
+        assert found == crossings_by_loop(s, u, dense.component(0), 0.0)
         assert (found == ()) == (name in ("all-inside-band", "single-sample", "empty"))
 
 

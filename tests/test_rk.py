@@ -276,20 +276,56 @@ def assert_same_solve(dense, ref):
                                                            ref.rejected)
 
 
+def overflow_to_nan(t, y):
+    """a overflows to inf; a step across t = 3, where its field turns, adds
+    -inf to it. max(|inf|, |nan|) = inf scales that step's error to 0, so
+    the NaN state is accepted; the next step's scale is NaN, and that step
+    shrinks until it underflows."""
+    return (1e308 if t < 3.0 else -1e308, 0.0)
+
+
+def signed_zero(t, y):
+    """b starts at -0.0 and stays zero, of either sign, on every step."""
+    return (math.cos(t) - 0.1 * y[0], -y[1])
+
+
+def plain(field, y0, t_bound):
+    """A field with no dense solution of its own, at the default tolerances."""
+    return None, field, 0.0, y0, t_bound, DEFAULT_TOLERANCES
+
+
 LOOP_PROBLEMS = {
     **PROBLEMS,
     "regime-case1": lambda: regime(RegimeCase.NEGLIGIBLE_GRAVITY, 0.5, 0.3, 10.0),
     "regime-case3": lambda: regime(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA, 1.0, 0.2, 5.0),
     "epsilon=1e-4": lambda: u_form_at(ModelParams(1.0, 1.0, 0.0), epsilon=1e-4),
     "omega=31.4,beta=0.7": lambda: u_form_at(ModelParams(31.4, 0.7, 0.0)),
+    "overflow-to-nan": lambda: plain(overflow_to_nan, (0.0, 0.0), 20.0),
+    "signed-zero": lambda: plain(signed_zero, (0.0, -0.0), 60.0),
 }
+LOOP_RAISES = {"overflow-to-nan": StepSizeUnderflowError}
 
 
 @pytest.mark.parametrize("name", LOOP_PROBLEMS)
 def test_unrolled_loop_matches_the_loop_bit_for_bit(name):
-    dense, field, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
-    assert_same_solve(_rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol),
-                      solve_by_loop(field, t0, y0, t_bound, rel_tol, abs_tol))
+    _, field, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
+    args = field, t0, y0, t_bound, rel_tol, abs_tol
+    if name in LOOP_RAISES:
+        with pytest.raises(LOOP_RAISES[name]) as got:
+            _rk.solve(*args)
+        with pytest.raises(LOOP_RAISES[name]) as want:
+            solve_by_loop(*args)
+        assert str(got.value) == str(want.value)
+    else:
+        assert_same_solve(_rk.solve(*args), solve_by_loop(*args))
+
+
+def test_the_signed_zero_field_keeps_both_zeros():
+    _, field, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["signed-zero"]()
+    dense = _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol)
+    b = dense._y0[1]
+    assert dense.accepted > 100 and np.all(b == 0.0)
+    assert np.signbit(b).any() and not np.signbit(b).all()
 
 
 def case4_field_by_copy(t, y):

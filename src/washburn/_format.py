@@ -86,8 +86,10 @@ def dumps_json(obj) -> str:
 
 
 def write_json(path, obj):
+    """Render obj first, so that a refused value leaves no file."""
+    text = dumps_json(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(text)
 
 
 def write_csv(path, header: str, columns: Iterable[np.ndarray]):

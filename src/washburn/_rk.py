@@ -16,12 +16,11 @@ that) without importing scipy or building arrays on every stage.
 Each accepted step packs its record, 14 doubles, with one `STEP_RECORD`
 and appends the bytes to one `bytearray`: the start state, then the six
 stages Shampine's quartic interpolant needs, as two-component pairs. The
-`DenseSolution` it returns views that packed store as floats, evaluates
-the interpolants on an array of times from contiguous coefficient blocks,
-running the Horner sum in place on one accumulator, and
-`DenseSolution.component(i)` gives component i as a plain-Python function
-of one float time, with the same bits. `DenseSolution.bisect`, the crossing
-refinement of `integrate`, evaluates the same quartics inline.
+`DenseSolution` it returns views that packed store as floats and
+evaluates the interpolants on an array of times from contiguous
+coefficient blocks, running the Horner sum in place on one accumulator.
+`DenseSolution.bisect`, the crossing refinement of `integrate`, evaluates
+the same quartics inline, one float time at a time, with the same bits.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -32,7 +31,6 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from typing import Callable
 
 import numpy as np
 
@@ -215,13 +213,13 @@ class DenseSolution:
     """The accepted steps of one solve and their quartic interpolants.
 
     Calling it evaluates the interpolants on a float or an array of times
-    (shape (n,) or (n,) + t.shape), the Horner sum of an array running in
-    place on one accumulator; `component(i)` returns component i as
-    a function of one float time in plain Python, with the same arithmetic,
-    so both give the same bits, as does `bisect`, which finds where
-    component 0 crosses a level. A time on a step boundary takes the earlier
-    step, and times past either end extrapolate the end steps, as scipy's
-    OdeSolution does; times before the start use `head` when there is one.
+    (shape (n,) or (n,) + t.shape), the Horner sum running in place on one
+    accumulator; a float is evaluated as an array of one time. `bisect`,
+    which finds where component 0 crosses a level, evaluates the same
+    quartics in plain Python with the same bits. A time on a step boundary
+    takes the earlier step, and times past either end extrapolate the end
+    steps, as scipy's OdeSolution does; times before the start use `head`
+    when there is one.
 
     `nfev` counts evaluations of the field, `accepted` and `rejected` the
     steps; `y` is the final state.
@@ -247,13 +245,11 @@ class DenseSolution:
         self._q = np.empty((4, len(y), m))  # Q written once, in its final layout
         np.matmul(k.transpose(0, 2, 1), P, out=self._q.transpose(2, 1, 0))
         self._y0 = np.ascontiguousarray(rows[:, 0].T)
-        self._components = {}
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
-            t = float(t)
-            return np.array([self.component(i)(t) for i in range(len(self.y))])
+            return self(t.reshape(1))[:, 0]
         k = np.searchsorted(self.t, t, side="left") - 1
         np.clip(k, 0, self.accepted - 1, out=k)
         h = self._h.take(k)
@@ -282,47 +278,16 @@ class DenseSolution:
                 y[:, early] = self._head(t[early])
         return y
 
-    def component(self, i: int = 0) -> Callable[[float], float]:
-        """Component i of the solution as a function of one float time.
-
-        The function keeps the steps as Python lists in its closure, so a
-        call costs a bisection of the step times and a Horner sum; it is
-        built once per component."""
-        cached = self._components.get(i)
-        if cached is not None:
-            return cached
-        ts, head, last = self._ts, self._head, self.accepted - 1
-        t_first = ts[0]
-        hs = self._h.tolist()
-        qs = self._q[:, i, :].T.tolist()  # [step][j]
-        y0s = self._y0[i].tolist()
-
-        def u_at(t: float) -> float:
-            if t < t_first and head is not None:
-                return head(t)[i]
-            k = bisect_left(ts, t) - 1
-            if k < 0:
-                k = 0
-            elif k > last:
-                k = last
-            h = hs[k]
-            x = (t - ts[k]) / h
-            q0, q1, q2, q3 = qs[k]
-            return y0s[k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
-
-        self._components[i] = u_at
-        return u_at
-
     def bisect(self, level: float, lo: float, hi: float, tol: float) -> float:
         """A time in [lo, hi] at which component 0 crosses level, by bisection.
 
         The bracket halves, at most 128 times, until it is no wider than tol
         or component 0 at its mid equals level; then the mid is returned.
-        Each value has the bits of component(0), without its per-step
-        lists: a step's coefficients are read once from the arrays, when a
-        time first falls in the step (ts[k] < t <= ts[k + 1], k clamped to
-        the end steps), and its quartic is evaluated inline while the mids
-        stay there; times before the start take the head, if there is one.
+        Each value has the bits of calling the solution at that time: a
+        step's coefficients are read once from the arrays, when a time first
+        falls in the step (ts[k] < t <= ts[k + 1], k clamped to the end
+        steps), and its quartic is evaluated inline while the mids stay
+        there; times before the start take the head, if there is one.
         """
         ts, head, last = self._ts, self._head, self.accepted - 1
         t_first, qs, y0s = ts[0], self._q, self._y0

@@ -5,9 +5,9 @@ integrated with the explicit embedded Runge-Kutta 5(4) pair of
 Dormand and Prince with quartic dense output (`_rk`). Trajectories
 carry derived height/energy columns, equilibrium-crossing events detected
 with a hysteresis band and refined by bisection on the dense output's
-quartic for u (`DenseSolution.bisect`, with the bits of
-`DenseSolution.component(0)`), and the evaluation handle needed to
-re-detect crossings at other levels.
+quartic for u (`DenseSolution.bisect`, with the bits of calling the
+dense output), and the evaluation handle needed to re-detect crossings at
+other levels.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
     Equilibrium crossings are bracketed by the samples and refined to
     CROSSING_REFINE_TOL by bisection on the dense output's u, each step's
-    quartic evaluated inline with the bits of `dense.component(0)`. The
+    quartic evaluated inline with the bits of `dense(t)[0]`. The
     regularization epsilon lies in [0, 1]: above 1 the regularized
     equilibrium (1 - epsilon)/2 is negative.
     """

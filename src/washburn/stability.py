@@ -61,11 +61,19 @@ class StabilityReport:
 
 
 def linearize(omega: float, beta: float) -> StabilityReport:
-    """Eigenvalues and type of the equilibrium for given (omega, beta)."""
+    """Eigenvalues and type of the equilibrium for given (omega, beta).
+
+    Raises DomainError naming beta when 4 omega / beta^2 is not a finite
+    float (beta^2 underflows to 0, or the quotient overflows)."""
     params_module.check_positive("omega", omega)
     params_module.check_positive("beta", beta)
     rate = beta / (2.0 * math.sqrt(omega))
-    disc = 1.0 - 4.0 * omega / (beta * beta)
+    beta_sq = beta * beta
+    ratio = 4.0 * omega / beta_sq if beta_sq > 0.0 else math.inf
+    if not ratio < math.inf:  # NaN too, from inf / inf
+        raise DomainError("beta", f"4 omega / beta^2 is not a finite float at omega = "
+                                  f"{omega!r}, beta = {beta!r}")
+    disc = 1.0 - ratio
     if abs(disc) <= INFLECTED_BAND:
         kind = PointKind.STABLE_INFLECTED_NODE
         lam1 = lam2 = complex(-rate, 0.0)

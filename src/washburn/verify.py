@@ -386,14 +386,12 @@ def acceptance_c03_energy_lyapunov() -> dict:
     """criterion 03: energy decrease and Lyapunov derivative order"""
     worst_rise = -np.inf
     worst_order = math.inf
-    orders = []
     for beta, omega, alpha in ACCEPTANCE_GRID:
         params = ModelParams(omega, beta, alpha)
         traj = integrate(params, horizon=FD_HORIZON, sample_step=FD_STEPS[0])
         worst_rise = max(worst_rise, float(np.max(np.diff(traj.E))))
         errors = _lyapunov_fd_errors(params)
         ok, order = _fd_order_holds(errors)
-        orders.append(order)
         if math.isfinite(order):
             worst_order = min(worst_order, order)
         _require(ok, f"FD order {order:.3f} < {FD_MIN_ORDER} at (beta, omega, alpha) = "

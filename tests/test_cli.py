@@ -262,6 +262,24 @@ class TestClassifyCommand:
         assert run(["classify", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "2"]) == 3
 
+    @pytest.mark.parametrize("output", [[], ["--output", "c.json"]], ids=["stdout", "file"])
+    @pytest.mark.parametrize("argv", [
+        # beta^2 underflows to 0
+        ["simulate", "--omega=1", "--beta=1e-300", "--alpha=1", "--horizon=2", "--classify",
+         "-o", "e"],
+        ["classify", "--omega=1", "--beta=1e-300", "--alpha=1", "--horizon=40"],
+        # 4 omega / beta^2 overflows
+        ["classify", "--omega", "1e300", "--beta", "1e-10", "--alpha", "1", "--horizon", "1"],
+    ], ids=["simulate-beta-1e-300", "classify-beta-1e-300", "classify-omega-1e300"])
+    def test_no_float_discriminant_exits_2(self, tmp_path, capsys, monkeypatch, argv,
+                                           output):
+        monkeypatch.chdir(tmp_path)
+        code, err = run_rejected([*argv, *output], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: beta: 4 omega / beta^2 is not a finite")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBasinCommand:
     def test_values(self, capsys):
@@ -392,8 +410,16 @@ EDGE_TABLE = {
     "simulate": (["simulate", "--omega=1", "--beta=1", "--alpha=0", "--horizon=2"],
                  ["omega", "beta", "alpha", "epsilon", "horizon", "sample-step", "abs-tol",
                   "rel-tol"]),
+    "simulate-classify": (["simulate", "--omega=1", "--beta=1", "--alpha=1", "--horizon=2",
+                           "--classify"],
+                          ["omega", "beta", "alpha", "epsilon", "horizon", "sample-step",
+                           "abs-tol", "rel-tol"]),
     "classify": (["classify", "--omega=1", "--beta=1", "--alpha=0", "--horizon=40"],
                  ["omega", "beta", "alpha", "horizon", "sample-step", "abs-tol", "rel-tol"]),
+    "classify-at-equilibrium": (["classify", "--omega=1", "--beta=1", "--alpha=1",
+                                 "--horizon=40"],
+                                ["omega", "beta", "alpha", "horizon", "sample-step",
+                                 "abs-tol", "rel-tol"]),
     **{f"regime{case}": (["regime", f"--case={case}", "--beta=1", "--horizon=2"],
                          ["beta", "alpha", "b-exponent", "horizon", "sample-step"])
        for case in (2, 3)},

@@ -3,13 +3,14 @@ emitter's rendering of result types against the hand converters it
 replaced (`stability_report_dict`, `crossings_json`, `outcome_dict` and
 the asdict/.value/numerator unpacking of the command-line front end),
 byte for byte."""
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from washburn._format import dumps_json, fmt17, write_csv
+from washburn._format import dumps_json, fmt17, write_csv, write_json
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.integrate import Crossing, integrate
 from washburn.params import ModelParams
@@ -58,6 +59,13 @@ class TestWriteCsv:
         columns[0][9] = np.inf if np.isnan(bad) else np.nan  # a later row, another value
         with pytest.raises(ValueError, match=f"non-finite value .*{bad!r}.* in output"):
             write_csv(tmp_path / "x.csv", "a,b,c", columns)
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_write_json_refuses_a_non_finite_value_before_opening_the_file(tmp_path):
+    with pytest.raises(ValueError, match="non-finite value inf in output"):
+        write_json(tmp_path / "x.json", {"x": math.inf})
+    assert not (tmp_path / "x.json").exists()
 
 
 def stability_report_dict(report):

@@ -1,6 +1,5 @@
 import math
 import warnings
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
                                 detect_crossings, integrate, integrate_regime)
 from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
 from washburn.stability import lyapunov
+
+from test_rk import at_by_lists
 
 
 def mp(omega, beta, alpha):
@@ -169,29 +170,10 @@ class TestCrossings:
             detect_crossings(traj, level)
 
 
-def at_by_lists(dense):
-    """The deleted `DenseSolution.at` for u, over the lists it cached: the
-    scalar interpolant the crossing refinement bisected on before
-    `DenseSolution.component`."""
-    ts, head, last = dense._ts, dense._head, dense.accepted - 1
-    hs, qs, y0s = dense._h.tolist(), dense._q.transpose(2, 1, 0).tolist(), dense._y0.T.tolist()
-
-    def at(t, i=0):
-        if t < ts[0] and head is not None:
-            return head(t)[i]
-        k = min(max(bisect_left(ts, t) - 1, 0), last)
-        h = hs[k]
-        x = (t - ts[k]) / h
-        q0, q1, q2, q3 = qs[k][i]
-        return y0s[k][i] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
-
-    return at
-
-
 def bisect_level(u_at, level, lo, hi, tol):
     """The crossing bisection on a scalar function of time that
-    `DenseSolution.bisect` replaced, kept as its reference: `integrate` ran
-    it on `DenseSolution.component(0)`."""
+    `DenseSolution.bisect` replaced, kept as its reference; the tests run it
+    on `at_by_lists`."""
     f_lo = u_at(lo) - level
     for _ in range(128):
         if hi - lo <= tol:
@@ -289,21 +271,20 @@ class TestCrossingScan:
                                        (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
     def test_trajectories(self, point):
         traj = integrate(mp(*point))
-        by_lists, component = at_by_lists(traj.dense), traj.dense.component(0)
+        by_lists = at_by_lists(traj.dense)
         for level in LEVELS:
             found = _detect_crossings(traj.s, traj.u, traj.dense, level)
-            assert found == crossings_by_loop(traj.s, traj.u, component, level)
             assert found == crossings_by_loop(traj.s, traj.u, by_lists, level)
-        assert traj.crossings == crossings_by_loop(traj.s, traj.u, component, 0.5)
+        assert traj.crossings == crossings_by_loop(traj.s, traj.u, by_lists, 0.5)
 
     def test_seeded_sweep(self):
         brackets = {"several steps": 0, "from s = 0": 0, "series head": 0, "clamped": 0}
         for traj in seeded_runs():
-            dense = traj.dense
+            dense, by_lists = traj.dense, at_by_lists(traj.dense)
             for level in LEVELS:
                 seen = []
                 assert (_detect_crossings(traj.s, traj.u, dense, level)
-                        == crossings_by_loop(traj.s, traj.u, dense.component(0), level, seen))
+                        == crossings_by_loop(traj.s, traj.u, by_lists, level, seen))
                 for lo, hi in seen:
                     first, last = np.searchsorted(dense.t, [lo, hi])
                     brackets["several steps"] += last - first >= 2
@@ -321,7 +302,7 @@ class TestCrossingScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             found = _detect_crossings(s, u, dense, 0.0)
-        assert found == crossings_by_loop(s, u, dense.component(0), 0.0)
+        assert found == crossings_by_loop(s, u, at_by_lists(dense), 0.0)
         assert (found == ()) == (name in ("all-inside-band", "single-sample", "empty"))
 
 

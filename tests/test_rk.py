@@ -2,7 +2,7 @@
 controller it copies: same field evaluations, same accepted steps, same
 final state to 1e-14, at the package's default tolerances; against
 `solve_by_loop`, the per-component loop it unrolls, bit for bit; its
-dense output against `call_by_fancy_index` and `AtByLists`, the array and
+dense output against `call_by_fancy_index` and `at_by_lists`, the array and
 scalar evaluators it replaced, bit for bit; the case-4 regime field
 against `case4_field_by_copy`, the field it replaced, bit for bit; and
 the memory its step store takes per accepted step."""
@@ -93,25 +93,23 @@ def call_by_fancy_index(dense, t):
     return y
 
 
-class AtByLists:
-    """The deleted `DenseSolution.at` with the `_hs`/`_qs`/`_y0s` lists it
-    cached, kept as the reference of `DenseSolution.component`."""
+def at_by_lists(dense):
+    """The deleted `DenseSolution.at`, over the `_hs`/`_qs`/`_y0s` lists it
+    cached: the scalar interpolant, kept as the reference of the dense
+    output at one time and of the crossing refinement's bisection."""
+    ts, head, last = dense._ts, dense._head, dense.accepted - 1
+    hs, qs, y0s = dense._h.tolist(), dense._q.transpose(2, 1, 0).tolist(), dense._y0.T.tolist()
 
-    def __init__(self, dense):
-        self._ts, self._head, self.accepted = dense._ts, dense._head, dense.accepted
-        self._hs = dense._h.tolist()
-        self._qs = dense._q.transpose(2, 1, 0).tolist()  # [step][component][j]
-        self._y0s = dense._y0.T.tolist()
-
-    def at(self, t, i=0):
-        ts = self._ts
-        if t < ts[0] and self._head is not None:
-            return self._head(t)[i]
-        k = min(max(bisect_left(ts, t) - 1, 0), self.accepted - 1)
-        h = self._hs[k]
+    def at(t, i=0):
+        if t < ts[0] and head is not None:
+            return head(t)[i]
+        k = min(max(bisect_left(ts, t) - 1, 0), last)
+        h = hs[k]
         x = (t - ts[k]) / h
-        q0, q1, q2, q3 = self._qs[k][i]
-        return self._y0s[k][i] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+        q0, q1, q2, q3 = qs[k][i]
+        return y0s[k][i] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+
+    return at
 
 
 def bits(a):
@@ -135,10 +133,11 @@ def test_array_and_scalar_dense_output_agree_bit_for_bit(name):
     dense, *_ = PROBLEMS[name]()
     times = reference_times(dense)
     array = dense(times)
-    scalar = np.array([[dense.component(i)(t) for t in times.tolist()]
-                       for i in range(len(dense.y))])
+    at = at_by_lists(dense)
+    scalar = np.array([[at(t, i) for t in times.tolist()] for i in range(len(dense.y))])
     assert np.array_equal(bits(array), bits(scalar))
-    assert np.array_equal(bits(dense(float(times[0]))), bits(array[:, 0]))
+    for j, t in enumerate(times.tolist()):
+        assert np.array_equal(bits(dense(t)), bits(array[:, j])), t
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
@@ -150,12 +149,6 @@ def test_dense_output_matches_its_references_bit_for_bit(name):
         got, want = dense(t), call_by_fancy_index(dense, t)
         assert got.shape == want.shape == (len(dense.y),) + t.shape
         assert np.array_equal(bits(got), bits(want))
-    reference = AtByLists(dense)
-    for i in range(len(dense.y)):
-        u_at = dense.component(i)
-        assert dense.component(i) is u_at
-        assert np.array_equal(bits([u_at(t) for t in times.tolist()]),
-                              bits([reference.at(t, i) for t in times.tolist()]))
 
 
 def test_series_seed_below_the_first_step():
@@ -164,8 +157,7 @@ def test_series_seed_below_the_first_step():
     times = np.array([0.0, 0.25 * start, 0.5 * start])
     u, v = _series_seed(1.0)(times)  # damping 1
     assert np.array_equal(dense(times), np.stack([u, v]))
-    assert [dense.component(0)(t) for t in times.tolist()] == u.tolist()
-    assert [dense.component(1)(t) for t in times.tolist()] == v.tolist()
+    assert [dense(t).tolist() for t in times.tolist()] == np.stack([u, v]).T.tolist()
 
 
 def _rms(xs):
@@ -383,7 +375,7 @@ def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
 
 def test_step_store_memory_per_accepted_step():
     # A lightly damped dry start, the long run the store is sized for. The
-    # flat store and the dense coefficients peak at about 390 B per accepted
+    # flat store and the dense coefficients peak at about 349 B per accepted
     # step; a tuple of floats kept per step would add over 400 B more.
     series = _series_seed(0.01)
     t0 = 1e-6

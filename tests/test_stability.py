@@ -43,6 +43,10 @@ class TestLinearize:
             linearize(0.0, 1.0)
         with pytest.raises(DomainError):
             linearize(1.0, -0.5)
+        # 4 omega / beta^2 is not a finite float: beta^2 underflows, or the quotient overflows
+        for omega, beta in [(1.0, 1e-300), (1.0, 5e-324), (1e300, 1e-10)]:
+            with pytest.raises(DomainError, match="^beta: 4 omega / beta\\^2 is not a finite"):
+                linearize(omega, beta)
 
     @given(st.floats(1e-3, 2.0), st.floats(1e-3, 4.0))
     def test_eigenvalues_solve_characteristic_polynomial(self, beta, omega):

@@ -1,17 +1,23 @@
 """Embedded Dormand-Prince 5(4) pair with quartic dense output.
 
-`solve` steps a vector field f(t, y) -> tuple of floats on a state of one
-or two Python floats. Its loop is written out for two components as
-scalar locals, with no per-stage lists; a one-component state is stepped
-with a second component pinned at 0.0, which changes no bit of the result.
-It uses the step-size controller of scipy's RK45: the Hairer-Norsett-Wanner
-initial-step rule, safety factor 0.9, step factors bounded to [0.2, 10],
-the RMS norm of the error over atol + rtol max(|y_old|, |y_new|) (taken
-with conditional expressions, not builtin calls, and with max's choice on
-NaN), the first-same-as-last stage, and the last step clipped to the
-bound. Given the same field and tolerances it takes the same steps as
-`scipy.integrate.solve_ivp(method="RK45")` (tests/test_rk.py holds it to
-that) without importing scipy or building arrays on every stage.
+`solve` steps the autonomous second-order equation u'' = accel(u, u') as
+the system u' = v, v' = accel(u, v) on a state (u, v) of two Python
+floats. The stage derivative of u is the stage's v, which the stage sum
+already gives, so each stage makes one call that returns one float. A
+one-component state (w,) is stepped as the velocity equation
+w' = accel(W, w) of W = the integral of w: W rides in the first slot from
+0.0, is left out of the error norm and the starting step, and is dropped
+from the solution. The loop is written out as scalar locals, with no
+per-stage lists or tuples. It uses the step-size controller of scipy's
+RK45: the Hairer-Norsett-Wanner initial-step rule, safety factor 0.9,
+step factors bounded to [0.2, 10], the RMS norm of the error over
+atol + rtol max(|y_old|, |y_new|) (taken with conditional expressions,
+not builtin calls, and with max's choice on NaN), the first-same-as-last
+stage, and the last step clipped to the bound. Given the same field and
+tolerances it takes the same steps as
+`scipy.integrate.solve_ivp(method="RK45")` on the system (tests/test_rk.py
+holds it to that) without importing scipy or building arrays on every
+stage.
 
 Each accepted step packs its record, 14 doubles, with one `STEP_RECORD`
 and appends the bytes to one `bytearray`: the start state, then the six
@@ -42,8 +48,8 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimator + 1)
 MIN_RTOL = 100 * 2.220446049250313e-16  # as scipy, 100 machine epsilons
+ROOT_2 = 2 ** 0.5  # the RMS norm's divisor for two components
 
-C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 A21 = 1 / 5
 A31, A32 = 3 / 40, 9 / 40
 A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
@@ -72,28 +78,30 @@ P = np.array([
 STEP_RECORD = struct.Struct("14d")
 
 
-def _rms(a: float, b: float, root_n: float) -> float:
-    """RMS norm of the pair (a, b) over a state of root_n**2 components;
-    the pad of a one-component state is 0.0 and adds nothing."""
-    return math.sqrt(a * a + b * b) / root_n
+def _rms(a: float, b: float, one: bool) -> float:
+    """RMS norm of the pair (a, b), or of b alone when the state has one
+    component: the W slot a of such a state is not error-controlled."""
+    return math.sqrt(b * b) if one else math.sqrt(a * a + b * b) / ROOT_2
 
 
-def _initial_step(fun, t0, ya, yb, fa, fb, root_n, t_bound, rtol, atol) -> float:
-    """Hairer-Norsett-Wanner starting step for an error estimator of order 4;
-    makes one evaluation of fun. Raises StepSizeUnderflowError when the
-    field is so large against the tolerances that the first guess is 0."""
+def _initial_step(accel, t0, ya, yb, fb, one, t_bound, rtol, atol) -> float:
+    """Hairer-Norsett-Wanner starting step for an error estimator of order 4
+    on the state (ya, yb) with derivative (yb, fb); makes one evaluation of
+    accel. Raises StepSizeUnderflowError when the field is so large against
+    the tolerances that the first guess is 0."""
     interval = t_bound - t0
     sa = atol + abs(ya) * rtol
     sb = atol + abs(yb) * rtol
-    d0 = _rms(ya / sa, yb / sb, root_n)
-    d1 = _rms(fa / sa, fb / sb, root_n)
+    d0 = _rms(ya / sa, yb / sb, one)
+    d1 = _rms(yb / sa, fb / sb, one)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     if h0 == 0.0:
         raise StepSizeUnderflowError(
             f"initial step size is zero at t = {t0!r}: the scaled field norm overflows")
-    ga, gb = fun(t0 + h0, (ya + h0 * fa, yb + h0 * fb))
-    d2 = _rms((ga - fa) / sa, (gb - fb) / sb, root_n) / h0
+    vb = yb + h0 * fb
+    gb = accel(ya + h0 * yb, vb)
+    d2 = _rms((vb - yb) / sa, (gb - fb) / sb, one) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -101,18 +109,18 @@ def _initial_step(fun, t0, ya, yb, fa, fb, root_n, t_bound, rtol, atol) -> float
     return min(100 * h0, h1, interval)
 
 
-def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
+def solve(accel, t0: float, y0, t_bound: float, rtol: float, atol: float,
           head=None) -> "DenseSolution":
-    """Integrate y' = fun(t, y) from (t0, y0) to t_bound > t0.
+    """Integrate u'' = accel(u, u') from (t0, y0) to t_bound > t0.
 
-    The state has one or two components, and atol must be positive. The
-    loop is written out for two components (a and b) as scalar locals; a
-    one-component state (u,) is stepped as (u, 0.0), with fun called on
-    (u,) and the pad's field component fixed at 0.0, so the pad stays 0.0
-    and the error norm and starting step still divide by the true length.
-    rtol below 100 machine epsilons is raised to that floor, as scipy does.
-    Each accepted step's 14 floats are packed into one bytes store, which
-    the returned DenseSolution views.
+    y0 is (u, v), stepped as u' = v, v' = accel(u, v), or (w,), stepped as
+    w' = accel(W, w) with W = 0.0 at t0 carried in the first slot but kept
+    out of the error norm and the starting step (an overflowing W cannot
+    then reject or shrink a step). accel is called once per stage with two
+    floats and returns one float; atol must be positive. rtol below 100
+    machine epsilons is raised to that floor, as scipy does. Each accepted
+    step's 14 floats are packed into one bytes store, which the returned
+    DenseSolution views.
     `head`, if given, is the state for t < t0 (for example a series seed):
     head(t) returns a tuple of floats for a float and of arrays for an
     array. Raises StepSizeUnderflowError when the step falls below ten
@@ -124,22 +132,20 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
         raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")
     n = len(y0)
     if n == 1:
-        field = fun
-
-        def fun(t, y):
-            return field(t, y[:1])[0], 0.0
-        ya, yb = float(y0[0]), 0.0
+        ya, yb = 0.0, float(y0[0])
     elif n == 2:
         ya, yb = float(y0[0]), float(y0[1])
     else:
         raise ValueError(f"the state has {n} components; solve steps 1 or 2")
-    root_n = n ** 0.5
+    one = n == 1
     rtol = max(rtol, MIN_RTOL)
     max_steps = budget = MAX_STEPS
     ulp, sqrt = math.ulp, math.sqrt
     t = t0
-    fa, fb = fun(t, (ya, yb))
-    h_abs = _initial_step(fun, t, ya, yb, fa, fb, root_n, t_bound, rtol, atol)
+    # The state is (ya, yb) and its derivative (yb, fb): slot a's stage
+    # derivatives are slot b's stage values, yb, v2-v6 and nb.
+    fb = accel(ya, yb)
+    h_abs = _initial_step(accel, t, ya, yb, fb, one, t_bound, rtol, atol)
     nfev = 2
     rejected = 0
     ts = [t]
@@ -165,48 +171,58 @@ def solve(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = h
-            k2a, k2b = fun(t + C2 * h, (ya + (A21 * fa) * h, yb + (A21 * fb) * h))
-            k3a, k3b = fun(t + C3 * h, (ya + (A31 * fa + A32 * k2a) * h,
-                                        yb + (A31 * fb + A32 * k2b) * h))
-            k4a, k4b = fun(t + C4 * h, (ya + (A41 * fa + A42 * k2a + A43 * k3a) * h,
-                                        yb + (A41 * fb + A42 * k2b + A43 * k3b) * h))
-            k5a, k5b = fun(t + C5 * h,
-                           (ya + (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a) * h,
-                            yb + (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b) * h))
-            k6a, k6b = fun(t + h, (ya + (A61 * fa + A62 * k2a + A63 * k3a + A64 * k4a
-                                         + A65 * k5a) * h,
-                                   yb + (A61 * fb + A62 * k2b + A63 * k3b + A64 * k4b
-                                         + A65 * k5b) * h))
-            na = ya + h * (B1 * fa + B3 * k3a + B4 * k4a + B5 * k5a + B6 * k6a)
-            nb = yb + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
-            ga, gb = fun(t + h, (na, nb))
+            v2 = yb + (A21 * fb) * h
+            k2 = accel(ya + (A21 * yb) * h, v2)
+            v3 = yb + (A31 * fb + A32 * k2) * h
+            k3 = accel(ya + (A31 * yb + A32 * v2) * h, v3)
+            v4 = yb + (A41 * fb + A42 * k2 + A43 * k3) * h
+            k4 = accel(ya + (A41 * yb + A42 * v2 + A43 * v3) * h, v4)
+            v5 = yb + (A51 * fb + A52 * k2 + A53 * k3 + A54 * k4) * h
+            k5 = accel(ya + (A51 * yb + A52 * v2 + A53 * v3 + A54 * v4) * h, v5)
+            v6 = yb + (A61 * fb + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5) * h
+            k6 = accel(ya + (A61 * yb + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5) * h, v6)
+            na = ya + h * (B1 * yb + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
+            nb = yb + h * (B1 * fb + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+            gb = accel(na, nb)
             nfev += 6
             # The scale max(|y_old|, |y_new|) without builtin calls: `b if b > a
             # else a` keeps max's choice, a when either is NaN. A zero's sign
             # cannot reach the quotient, since atol > 0 absorbs it.
             new_a = -na if na < 0.0 else na
             new_b = -nb if nb < 0.0 else nb
-            ea = ((E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * ga) * h
-                  / (atol + (new_a if new_a > scale_a else scale_a) * rtol))
-            eb = ((E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * gb) * h
+            eb = ((E1 * fb + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * gb) * h
                   / (atol + (new_b if new_b > scale_b else scale_b) * rtol))
-            error_norm = sqrt(ea * ea + eb * eb) / root_n
+            if one:
+                error_norm = sqrt(eb * eb)
+            else:
+                ea = ((E1 * yb + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * nb) * h
+                      / (atol + (new_a if new_a > scale_a else scale_a) * rtol))
+                error_norm = sqrt(ea * ea + eb * eb) / ROOT_2
             if error_norm < 1.0:
+                # error_norm lies in [0, 1) here, so no NaN meets the clamps.
                 if error_norm == 0.0:
                     factor = MAX_FACTOR
                 else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1.0, factor)
+                    factor = SAFETY * error_norm ** ERROR_EXPONENT
+                    if factor > MAX_FACTOR:
+                        factor = MAX_FACTOR
+                if step_rejected and factor > 1.0:
+                    factor = 1.0
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            factor = SAFETY * error_norm ** ERROR_EXPONENT
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR  # max's rule: NaN gives 0.2
             step_rejected = True
             rejected += 1
         ts.append(t_new)
-        store(pack(ya, yb, fa, fb, k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b, ga, gb))
-        t, ya, yb, fa, fb, scale_a, scale_b = t_new, na, nb, ga, gb, new_a, new_b
-    return DenseSolution(ts, steps, (ya, yb)[:n], nfev, rejected, head)
+        store(pack(ya, yb, yb, fb, v3, k3, v4, k4, v5, k5, v6, k6, nb, gb))
+        t = t_new
+        ya = na
+        yb = nb
+        fb = gb
+        scale_a = new_a
+        scale_b = new_b
+    return DenseSolution(ts, steps, (yb,) if one else (ya, yb), nfev, rejected, head)
 
 
 class DenseSolution:
@@ -221,15 +237,15 @@ class DenseSolution:
     steps, as scipy's OdeSolution does; times before the start use `head`
     when there is one.
 
-    `nfev` counts evaluations of the field, `accepted` and `rejected` the
-    steps; `y` is the final state.
+    `nfev` counts evaluations of the acceleration, `accepted` and
+    `rejected` the steps; `y` is the final state, without W.
     """
 
     def __init__(self, ts, steps, y, nfev, rejected, head=None):
         """`steps` is the packed bytes store `solve` fills, read as native
         doubles: 7 pairs per accepted step, the start state then the six
-        stages, padded to two components as `solve` steps them; the pad is
-        dropped here, before Q is built."""
+        stages. A one-component state keeps its W in the first slot of each
+        pair; W is dropped here, before Q is built."""
         self.y = y
         self.nfev = nfev
         self.accepted = m = len(ts) - 1
@@ -238,7 +254,7 @@ class DenseSolution:
         self._ts = ts
         self.t = np.array(ts)
         self._h = np.diff(self.t)
-        rows = np.frombuffer(steps, float).reshape(m, 7, 2)[:, :, :len(y)]
+        rows = np.frombuffer(steps, float).reshape(m, 7, 2)[:, :, 2 - len(y):]
         # K is copied contiguous: on the strided view of a one-component
         # state, matmul leaves BLAS and changes the last bit of some Q.
         k = np.ascontiguousarray(rows[:, 1:])

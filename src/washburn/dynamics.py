@@ -5,9 +5,11 @@ s = T/sqrt(omega), in which the model reads
 
     u'' + (beta/sqrt(omega)) u' + sqrt(2 u) = 1.
 
-`u_form_field` is the one implementation of this right-hand side: the
-integrator steps it and `rhs_u` is its validated single-point form.
-`regime_field` is the one implementation of each reduced regime's field.
+`u_form_field` is the one implementation of this right-hand side, as the
+acceleration u'' = F(u, u') that the integrator steps; `rhs_u` is its
+validated single-point form. `h_form_field` and `rhs_H` are the same pair
+for the H-form. `regime_field` is the one implementation of each reduced
+regime's field.
 `energy` is the one implementation of the first integral, which the
 Lyapunov function, the basin level set and the case-4 oracle all use.
 The H-form is kept for cross-validation and output only; it is singular
@@ -41,48 +43,64 @@ class State(NamedTuple):
 
 
 def u_form_field(gamma: float, epsilon: float):
-    """The u-form vector field for damping gamma = beta/sqrt(omega).
+    """The u-form acceleration for damping gamma = beta/sqrt(omega).
 
-    Returns f(s, y) = (v, 1 - gamma v - sqrt(2 [u]_+ + epsilon)) for y = (u, v),
-    the function the integrator steps. It validates nothing, so it costs
-    one tuple per evaluation; callers check gamma and epsilon once. The
-    positive-part clamp makes it a total function of (u, v), so tiny
-    negative excursions cannot poison the integrator; a NaN u stays NaN.
+    Returns accel(u, v) = 1 - gamma v - sqrt(2 [u]_+ + epsilon), the float
+    u'' = accel(u, u') that the integrator steps. It validates nothing and
+    builds no tuple; callers check gamma and epsilon once. The positive-part
+    clamp makes it a total function of (u, v), so tiny negative excursions
+    cannot poison the integrator; a NaN u stays NaN.
     """
     sqrt_ = math.sqrt
 
-    def field(s, y):
-        u, v = y
-        return (v, 1.0 - gamma * v - sqrt_(2.0 * (0.0 if u < 0.0 else u) + epsilon))
+    def accel(u, v):
+        return 1.0 - gamma * v - sqrt_(2.0 * (0.0 if u < 0.0 else u) + epsilon)
 
-    return field
+    return accel
 
 
 def rhs_u(state, omega: float, beta: float, epsilon: float = 0.0) -> State:
     """Right-hand side (u', v') of the (optionally regularized) u-form model.
 
-    Validates (omega, beta, epsilon), then evaluates `u_form_field` at state.
+    Validates (omega, beta, epsilon), then returns (v, `u_form_field`'s
+    acceleration at state).
     """
     check_positive("omega", omega)
     check_positive("beta", beta)
     check_nonnegative("epsilon", epsilon)
-    return State(*u_form_field(beta / math.sqrt(omega), epsilon)(0.0, state))
+    u, v = state
+    return State(v, u_form_field(beta / math.sqrt(omega), epsilon)(u, v))
+
+
+def h_form_field(omega: float, beta: float):
+    """The H-form acceleration H'' = [1 - H - beta H H' - omega H'^2] / (omega H).
+
+    Returns accel(H, H'), built once per run like `u_form_field`: it
+    validates neither parameter, but raises SingularityError at each call
+    with H <= H_SINGULARITY_FLOOR, where the form is singular.
+    """
+
+    def accel(H, Hdot):
+        if H <= H_SINGULARITY_FLOOR:
+            raise SingularityError(
+                f"H = {H!r} is too close to the H = 0 singularity; "
+                "switch to u-coordinates"
+            )
+        return (1.0 - H - beta * H * Hdot - omega * Hdot * Hdot) / (omega * H)
+
+    return accel
 
 
 def rhs_H(H: float, Hdot: float, omega: float, beta: float) -> float:
-    """Second derivative H'' = [1 - H - beta H H' - omega H'^2] / (omega H).
+    """Second derivative H'' of the H-form model at (H, H').
 
-    Only valid away from H = 0; callers starting from a dry pipe must use
-    the u-form instead.
+    Validates (omega, beta), then evaluates `h_form_field` at (H, H'). Only
+    valid away from H = 0; callers starting from a dry pipe must use the
+    u-form instead.
     """
     check_positive("omega", omega)
     check_positive("beta", beta)
-    if H <= H_SINGULARITY_FLOOR:
-        raise SingularityError(
-            f"H = {H!r} is too close to the H = 0 singularity; "
-            "switch to u-coordinates"
-        )
-    return (1.0 - H - beta * H * Hdot - omega * Hdot * Hdot) / (omega * H)
+    return h_form_field(omega, beta)(H, Hdot)
 
 
 def energy(u, v):
@@ -167,32 +185,31 @@ class RegimeSpec:
 
 
 def regime_field(spec: RegimeSpec, beta: float):
-    """The reduced-regime vector field in u* coordinates, f(t*, y).
+    """The reduced-regime acceleration in u* coordinates.
 
-    Second-order cases step y = (u*, v*) and return (du*/dt*, dv*/dt*);
-    first-order cases read only u* = y[0] and return the 1-tuple
-    (du*/dt*,). Built once per run, like `u_form_field`: it validates
-    nothing, and negative u* is clamped inside the square roots. Case 4
-    is the undamped u-form, `u_form_field(0.0, 0.0)`.
+    Second-order cases return accel(u*, v*) = d2u*/dt*2, stepped as the
+    u-form is. First-order cases return accel(W, w) = dw/dt* for w = u*,
+    the velocity equation `_rk.solve` steps a one-component state by; it
+    reads w only. Built once per run, like `u_form_field`: it validates
+    nothing, and negative u* is clamped inside the square roots. Case 1 is
+    1 - beta v*; case 4 is the undamped u-form, `u_form_field(0.0, 0.0)`.
     """
     sqrt_ = math.sqrt
     case = spec.case
     if case is RegimeCase.NEGLIGIBLE_VISCOSITY:
         return u_form_field(0.0, 0.0)
     if case is RegimeCase.NEGLIGIBLE_GRAVITY:
-        def field(t, y):
-            v = y[1]
-            return (v, 1.0 - beta * v)
+        def accel(u, v):
+            return 1.0 - beta * v
     elif case is RegimeCase.NEGLIGIBLE_INERTIA:
-        def field(t, y):
-            u = y[0]
-            return ((1.0 - sqrt_(2.0 * (0.0 if u < 0.0 else u))) / beta,)
+        def accel(W, w):
+            return (1.0 - sqrt_(2.0 * (0.0 if w < 0.0 else w))) / beta
     else:
-        rate = (1.0 / beta,)
+        rate = 1.0 / beta
 
-        def field(t, y):
+        def accel(W, w):
             return rate
-    return field
+    return accel
 
 
 def case1_closed_form_u(t, beta: float, u0: float = 0.0):

@@ -1,6 +1,6 @@
 """Adaptive trajectory integration with dense sampling and bookkeeping.
 
-The u-form model, with the vector field `dynamics.u_form_field`, is
+The u-form model, with the acceleration `dynamics.u_form_field`, is
 integrated with the explicit embedded Runge-Kutta 5(4) pair of
 Dormand and Prince with quartic dense output (`_rk`). Trajectories
 carry derived height/energy columns, equilibrium-crossing events detected
@@ -85,7 +85,8 @@ def default_horizon(params: ModelParams) -> float:
 def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
                sample_step: float | None):
     """Validate a run's horizon, tolerances and sample step, with the sample
-    step defaulting to horizon/DEFAULT_INTERVALS and the sample count capped at
+    step defaulting to horizon/DEFAULT_INTERVALS (a horizon too small for
+    that to be positive is refused) and the sample count capped at
     MAX_INTERVALS; returns (horizon, tolerances, sample_step) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
@@ -95,6 +96,9 @@ def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
     check_positive("rel_tol", rel_tol)
     if sample_step is None:
         sample_step = horizon / DEFAULT_INTERVALS
+        if sample_step == 0.0:
+            raise DomainError("horizon", f"{horizon!r} is too small to sample: "
+                                         f"horizon/{DEFAULT_INTERVALS} underflows to 0")
     check_positive("sample_step", sample_step)
     if horizon / sample_step > MAX_INTERVALS:
         raise DomainError("sample_step", f"{sample_step!r} asks for more than "

@@ -159,8 +159,8 @@ def check_dynamics_h_u_consistency() -> dict:
     omega, beta, alpha = 1.0, 1.0, 0.5
     traj = integrate(ModelParams(omega, beta, alpha), horizon=20.0,
                      tolerances=(1e-12, 1e-10), sample_step=0.01)
-    sol = _rk.solve(lambda T, y: (y[1], dynamics.rhs_H(y[0], y[1], omega, beta)),
-                    0.0, (alpha, 0.0), 20.0 * math.sqrt(omega), rtol=1e-10, atol=1e-12)
+    sol = _rk.solve(dynamics.h_form_field(omega, beta), 0.0, (alpha, 0.0),
+                    20.0 * math.sqrt(omega), rtol=1e-10, atol=1e-12)
     H_direct = sol(traj.s * math.sqrt(omega))[0]
     worst = float(np.max(np.abs(traj.H - H_direct)))
     _require(worst <= 1e-7, f"H/u cross-integration differs by {worst:.3e}")

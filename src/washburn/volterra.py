@@ -123,7 +123,8 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
     """Iterate f <- T(f) from the constant alpha^2/2 until sup-norm stalls.
 
     The grid has horizon/step intervals (DEFAULT_INTERVALS without a
-    step), at most MAX_INTERVALS.
+    step), at most MAX_INTERVALS, and a horizon too small for its step to be
+    positive is refused.
     """
     check_positive("tol", tol)
     check_positive("horizon", horizon)
@@ -139,6 +140,9 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
         nodes = int(round(horizon / step))
         if nodes < 2 or abs(nodes * step - horizon) > 1e-9 * max(1.0, horizon):
             raise DomainError("step", f"{step!r} does not tile [0, {horizon!r}]")
+    if horizon / nodes == 0.0:
+        raise DomainError("horizon", f"{horizon!r} is too small for {nodes} intervals: "
+                                     "the grid step underflows to 0")
     grid = np.linspace(0.0, horizon, nodes + 1)
     operator = KernelOperator(grid, omega, beta)
 

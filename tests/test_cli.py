@@ -451,6 +451,20 @@ def test_missing_flag_exits_with_a_documented_code(tmp_path, capsys, monkeypatch
     assert code in (0, 2, 3, 4), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "1e-320"],
+    ["classify", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "1e-320"],
+    ["regime", "--case", "1", "--beta", "1", "--horizon", "1e-320"],
+    ["picard", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "5e-324"],
+], ids=lambda argv: argv[0])
+def test_horizon_too_small_for_its_default_step_names_horizon(tmp_path, capsys, argv):
+    # horizon/4096 underflows to 0, which the run would otherwise report
+    # as the sample step or the grid, keys the argv never passed.
+    code, err = run_rejected([*argv, "--output", str(tmp_path / "run")], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: horizon: "), err
+
+
 def fresh(code: str, cwd=None) -> list:
     """What a fresh interpreter prints, one JSON value a line, when it runs
     code and then prints the sorted names in its sys.modules."""

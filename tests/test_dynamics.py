@@ -14,6 +14,8 @@ from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
 from washburn.params import ModelParams
 
+from test_rk import field_of
+
 
 def stepped_fields(monkeypatch):
     """Record every field that the package hands to the RK stepper."""
@@ -67,7 +69,8 @@ class TestRhsU:
         integrate(ModelParams(omega, beta, 0.5), epsilon=epsilon, horizon=1.0)
         (field,) = fields
         states = np.random.default_rng(17).uniform([-0.5, -2.0], [1.2, 2.0], size=(1000, 2))
-        stepped = np.array([field(0.0, y) for y in states.tolist()])  # Python floats, as stepped
+        stepped = np.array([field_of(field)(0.0, y)
+                            for y in states.tolist()])  # Python floats, as stepped
         checked = np.array([rhs_u(State(u, v), omega, beta, epsilon)
                             for u, v in states.tolist()])
         assert np.array_equal(checked.view(np.int64), stepped.view(np.int64))
@@ -127,16 +130,16 @@ class TestRegimeSpecs:
 class TestRegimeRhs:
     def test_case2_equilibrium(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_INERTIA)
-        (du,) = regime_field(spec, 1.0)(0.0, State(0.5, 123.0))
+        (du,) = field_of(regime_field(spec, 1.0), 1)(0.0, State(0.5, 123.0))
         assert du == 0.0
 
     def test_case3_is_constant(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA)
-        assert regime_field(spec, 0.5)(0.0, State(0.7, 0.0)) == (2.0,)
+        assert field_of(regime_field(spec, 0.5), 1)(0.0, State(0.7, 0.0)) == (2.0,)
 
     def test_case1_shape(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY)
-        du, dv = regime_field(spec, 1.0)(0.0, State(0.2, 0.3))
+        du, dv = field_of(regime_field(spec, 1.0))(0.0, State(0.2, 0.3))
         assert du == 0.3
         assert dv == pytest.approx(0.7)
 
@@ -148,8 +151,8 @@ class TestRegimeRhs:
         (field,) = fields
         states = np.random.default_rng(17).uniform([-0.5, -2.0], [1.2, 2.0], size=(1000, 2))
         width = 1 if spec.first_order else 2  # first-order cases step u* alone
-        stepped = np.array([field(0.0, y[:width]) for y in states.tolist()])
-        checked = np.array([regime_field(spec, beta)(0.0, State(u, v))
+        stepped = np.array([field_of(field, width)(0.0, y[:width]) for y in states.tolist()])
+        checked = np.array([field_of(regime_field(spec, beta), width)(0.0, State(u, v))
                             for u, v in states.tolist()])
         assert checked.shape == (1000, width)
         assert np.array_equal(checked.view(np.int64), stepped.view(np.int64))

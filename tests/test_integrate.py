@@ -216,14 +216,14 @@ def crossings_by_loop(s, u, u_at, level, brackets=None):
 
 def synthetic(values):
     """u on the unit-step grid, and a stand-in for its dense output: a
-    one-component solution whose every step has all six stages equal to the
-    step's slope, nearly linear interpolation through (s, u). The tests take
+    one-component solution (its W slot 0.0) whose every step has all six
+    stages equal to the step's slope, nearly linear interpolation through (s, u). The tests take
     the level 0, so that u - level is exact and +-CROSSING_BAND is the edge."""
     u = np.asarray(values, dtype=float)
     s = np.arange(u.size, dtype=float)
     steps = bytearray()
     for k in range(u.size - 1):
-        steps += _rk.STEP_RECORD.pack(u[k], 0.0, *[u[k + 1] - u[k], 0.0] * 6)
+        steps += _rk.STEP_RECORD.pack(0.0, u[k], *[0.0, u[k + 1] - u[k]] * 6)
     return s, u, _rk.DenseSolution(s.tolist() or [0.0], steps, (0.0,), 0, 0)
 
 

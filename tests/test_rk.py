@@ -1,11 +1,17 @@
 """The in-house Dormand-Prince 5(4) stepper against scipy's RK45, the
 controller it copies: same field evaluations, same accepted steps, same
 final state to 1e-14, at the package's default tolerances; against
-`solve_by_loop`, the per-component loop it unrolls, bit for bit; its
-dense output against `call_by_fancy_index` and `at_by_lists`, the array and
-scalar evaluators it replaced, bit for bit; the case-4 regime field
-against `case4_field_by_copy`, the field it replaced, bit for bit; and
-the memory its step store takes per accepted step."""
+`solve_by_loop`, the per-component loop over a field f(t, y) that it
+unrolls, bit for bit; its dense output against `call_by_fancy_index` and
+`at_by_lists`, the array and scalar evaluators it replaced, bit for bit;
+the case-4 regime field against `case4_field_by_copy`, the field it
+replaced, bit for bit; and the memory its step store takes per accepted
+step.
+
+`_rk.solve` steps an acceleration u'' = accel(u, u'), or w' = accel(W, w)
+for a one-component state; both references step a generic f(t, y).
+`field_of` turns an acceleration into that f, so the references do not
+share the stepper's reading of the state."""
 import math
 import tracemalloc
 from bisect import bisect_left
@@ -18,13 +24,22 @@ from scipy.integrate import solve_ivp
 
 from washburn import _rk, dynamics
 from washburn._rk import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
-                          A64, A65, B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6,
-                          E7, ERROR_EXPONENT, MAX_FACTOR, MIN_FACTOR, MIN_RTOL, P, SAFETY)
+                          A64, A65, B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7,
+                          ERROR_EXPONENT, MAX_FACTOR, MIN_FACTOR, MIN_RTOL, P, SAFETY)
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import NumericError, StepSizeUnderflowError
 from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, REGIME_TOLERANCES,
                                 _series_seed, _solve, default_horizon)
 from washburn.params import ModelParams
+
+
+def field_of(accel, n=2):
+    """The f(t, y) of an acceleration, for the references: (v, accel(u, v))
+    for y = (u, v), and (accel(nan, w),) for y = (w,), the velocity equation
+    of a first-order regime, whose acceleration does not read W."""
+    if n == 1:
+        return lambda t, y: (accel(math.nan, y[0]),)
+    return lambda t, y: (y[1], accel(y[0], y[1]))
 
 
 def u_form_at(params, epsilon=0.0):
@@ -33,8 +48,8 @@ def u_form_at(params, epsilon=0.0):
     dense, _ = _solve(params, epsilon, horizon, DEFAULT_TOLERANCES)
     start = float(dense.t[0])
     y0 = tuple(dense(start).tolist())  # the interpolant at x = 0 is the start state
-    field = dynamics.u_form_field(params.damping, epsilon)
-    return dense, field, start, y0, horizon, DEFAULT_TOLERANCES
+    accel = dynamics.u_form_field(params.damping, epsilon)
+    return dense, accel, start, y0, horizon, DEFAULT_TOLERANCES
 
 
 def u_form(gamma, alpha):
@@ -47,10 +62,10 @@ def regime(case, beta, alpha, horizon):
     spec = RegimeSpec.standard(case)
     u0 = 0.5 * alpha * alpha
     y0 = (u0,) if spec.first_order else (u0, 0.0)
-    field = dynamics.regime_field(spec, beta)
+    accel = dynamics.regime_field(spec, beta)
     abs_tol, rel_tol = REGIME_TOLERANCES
-    dense = _rk.solve(field, 0.0, y0, horizon, rel_tol, abs_tol)
-    return dense, field, 0.0, y0, horizon, REGIME_TOLERANCES
+    dense = _rk.solve(accel, 0.0, y0, horizon, rel_tol, abs_tol)
+    return dense, accel, 0.0, y0, horizon, REGIME_TOLERANCES
 
 
 PROBLEMS = {
@@ -64,9 +79,9 @@ PROBLEMS = {
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_takes_the_steps_of_scipy_rk45(name):
-    dense, field, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS[name]()
-    ref = solve_ivp(field, (t0, t_bound), y0, method="RK45", rtol=rel_tol, atol=abs_tol,
-                    dense_output=True)
+    dense, accel, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS[name]()
+    ref = solve_ivp(field_of(accel, len(y0)), (t0, t_bound), y0, method="RK45", rtol=rel_tol,
+                    atol=abs_tol, dense_output=True)
     assert ref.status == 0
     assert dense.nfev == ref.nfev
     assert dense.accepted == ref.t.size - 1
@@ -183,10 +198,15 @@ def _initial_step_by_loop(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
+# The stage times of the Dormand-Prince tableau: `_rk.solve` steps an
+# autonomous system, so only this reference reads them.
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+
+
 def solve_by_loop(fun, t0, y0, t_bound, rtol, atol):
-    """The comprehension loop over a state of any length that `_rk.solve`
-    unrolled, kept as its reference; returns the fields of its solution
-    that `assert_same_solve` compares."""
+    """The comprehension loop over a field f(t, y) on a state of any length
+    that `_rk.solve` unrolled, kept as its reference; returns the fields of
+    its solution that `assert_same_solve` compares."""
     rtol = max(rtol, MIN_RTOL)
     max_steps = _rk.MAX_STEPS
     t = t0
@@ -268,22 +288,28 @@ def assert_same_solve(dense, ref):
                                                            ref.rejected)
 
 
-def overflow_to_nan(t, y):
-    """a overflows to inf; a step across t = 3, where its field turns, adds
-    -inf to it. max(|inf|, |nan|) = inf scales that step's error to 0, so
-    the NaN state is accepted; the next step's scale is NaN, and that step
-    shrinks until it underflows."""
-    return (1e308 if t < 3.0 else -1e308, 0.0)
+def overflow_to_nan(W, w):
+    """w' = 1e308 overflows w to inf, where its field turns; a step long
+    enough to add -inf to it leaves NaN. max(|inf|, |nan|) = inf scales
+    that step's error to 0, so the NaN state is accepted; the next step's
+    scale is NaN, and that step shrinks until it underflows."""
+    return -1e308 if w == math.inf else 1e308
 
 
-def signed_zero(t, y):
-    """b starts at -0.0 and stays zero, of either sign, on every step."""
-    return (math.cos(t) - 0.1 * y[0], -y[1])
+def signed_zero(u, v):
+    """u starts at -0.0 and stays zero, of either sign, on every step; the
+    zero error lets each step grow tenfold, so 1e200 takes about 200 steps."""
+    return -v
 
 
-def plain(field, y0, t_bound):
-    """A field with no dense solution of its own, at the default tolerances."""
-    return None, field, 0.0, y0, t_bound, DEFAULT_TOLERANCES
+def plain(accel, y0, t_bound, tolerances=DEFAULT_TOLERANCES):
+    """An acceleration with no dense solution of its own."""
+    return None, accel, 0.0, y0, t_bound, tolerances
+
+
+def h_form():
+    """The H-form solve of `verify.check_dynamics_h_u_consistency`."""
+    return plain(dynamics.h_form_field(1.0, 1.0), (0.5, 0.0), 20.0, (1e-12, 1e-10))
 
 
 LOOP_PROBLEMS = {
@@ -292,39 +318,90 @@ LOOP_PROBLEMS = {
     "regime-case3": lambda: regime(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA, 1.0, 0.2, 5.0),
     "epsilon=1e-4": lambda: u_form_at(ModelParams(1.0, 1.0, 0.0), epsilon=1e-4),
     "omega=31.4,beta=0.7": lambda: u_form_at(ModelParams(31.4, 0.7, 0.0)),
-    "overflow-to-nan": lambda: plain(overflow_to_nan, (0.0, 0.0), 20.0),
-    "signed-zero": lambda: plain(signed_zero, (0.0, -0.0), 60.0),
+    "overflow-to-nan": lambda: plain(overflow_to_nan, (0.0,), 1000.0),
+    "signed-zero": lambda: plain(signed_zero, (-0.0, 0.0), 1e200),
+    # w = u* rises at 1e308, so W, the integral the stepper carries, overflows
+    # to NaN: a stepper that let W into the error norm would reject there.
+    "case3-overflow": lambda: plain(
+        dynamics.regime_field(RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA),
+                              1e-308), (0.0,), 20.0, REGIME_TOLERANCES),
+    "h-form": h_form,
 }
 LOOP_RAISES = {"overflow-to-nan": StepSizeUnderflowError}
 
 
 @pytest.mark.parametrize("name", LOOP_PROBLEMS)
 def test_unrolled_loop_matches_the_loop_bit_for_bit(name):
-    _, field, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
-    args = field, t0, y0, t_bound, rel_tol, abs_tol
-    if name in LOOP_RAISES:
-        with pytest.raises(LOOP_RAISES[name]) as got:
-            _rk.solve(*args)
-        with pytest.raises(LOOP_RAISES[name]) as want:
-            solve_by_loop(*args)
-        assert str(got.value) == str(want.value)
-    else:
-        assert_same_solve(_rk.solve(*args), solve_by_loop(*args))
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
+    args = t0, y0, t_bound, rel_tol, abs_tol
+    fun = field_of(accel, len(y0))
+    # Overflowing runs leave non-finite stages; numpy need not warn about
+    # them while Q is built, as in `integrate_regime`.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if name in LOOP_RAISES:
+            with pytest.raises(LOOP_RAISES[name]) as got:
+                _rk.solve(accel, *args)
+            with pytest.raises(LOOP_RAISES[name]) as want:
+                solve_by_loop(fun, *args)
+            assert str(got.value) == str(want.value)
+        else:
+            assert_same_solve(_rk.solve(accel, *args), solve_by_loop(fun, *args))
 
 
 def test_the_signed_zero_field_keeps_both_zeros():
-    _, field, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["signed-zero"]()
-    dense = _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol)
-    b = dense._y0[1]
-    assert dense.accepted > 100 and np.all(b == 0.0)
-    assert np.signbit(b).any() and not np.signbit(b).all()
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["signed-zero"]()
+    dense = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
+    u = dense._y0[0]
+    assert dense.accepted > 100 and np.all(u == 0.0)
+    assert np.signbit(u).any() and not np.signbit(u).all()
 
 
-def case4_field_by_copy(t, y):
-    """The case-4 field `regime_field` wrote out before it returned
+def test_the_overflow_field_accepts_a_nan_state():
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["overflow-to-nan"]()
+    seen = []
+
+    def recording(W, w):
+        seen.append(w)
+        return accel(W, w)
+
+    with pytest.raises(StepSizeUnderflowError):
+        _rk.solve(recording, t0, y0, t_bound, rel_tol, abs_tol)
+    # w reached inf, and the last trial ran from a NaN state, which only an
+    # accepted step leaves: a step that short turns no inf or finite w NaN.
+    assert math.inf in seen
+    assert all(math.isnan(w) for w in seen[-6:])
+
+
+def test_the_case3_overflow_carries_a_nan_w_integral():
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["case3-overflow"]()
+    stage_W = []
+
+    def recording(W, w):
+        stage_W.append(W)
+        return accel(W, w)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _rk.solve(recording, t0, y0, t_bound, rel_tol, abs_tol)
+    assert any(math.isnan(W) for W in stage_W) and dense.t[-1] == t_bound
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_solve_calls_the_acceleration_once_per_stage(name):
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS[name]()
+    calls = []
+
+    def counting(u, v):
+        calls.append(None)
+        return accel(u, v)
+
+    dense = _rk.solve(counting, t0, y0, t_bound, rel_tol, abs_tol)
+    assert len(calls) == dense.nfev == 2 + 6 * (dense.accepted + dense.rejected)
+
+
+def case4_field_by_copy(u, v):
+    """The case-4 acceleration `regime_field` wrote out before it returned
     `u_form_field(0.0, 0.0)`, kept as its reference."""
-    u, v = y
-    return (v, 1.0 - math.sqrt(2.0 * (0.0 if u < 0.0 else u)))
+    return 1.0 - math.sqrt(2.0 * (0.0 if u < 0.0 else u))
 
 
 def test_case4_field_matches_its_written_out_copy_bit_for_bit():
@@ -333,19 +410,19 @@ def test_case4_field_matches_its_written_out_copy_bit_for_bit():
     assert_same_solve(dense, _rk.solve(case4_field_by_copy, t0, y0, t_bound, rel_tol, abs_tol))
 
 
-def blow_up(t, y):
-    return (y[0] * y[0],)  # y = 1/(1 - t) leaves every float before t = 1
+def blow_up(W, w):
+    return w * w  # w = 1/(1 - t) leaves every float before t = 1
 
 
-def huge(t, y):
-    return (-1e200,)  # its scaled RMS norm overflows, so the first guess is 0
+def huge(W, w):
+    return -1e200  # its scaled RMS norm overflows, so the first guess is 0
 
 
 def test_step_size_underflow_raises():
     with pytest.raises(StepSizeUnderflowError) as got:
         _rk.solve(blow_up, 0.0, (1.0,), 2.0, 1e-8, 1e-10)
     with pytest.raises(StepSizeUnderflowError) as want:
-        solve_by_loop(blow_up, 0.0, (1.0,), 2.0, 1e-8, 1e-10)
+        solve_by_loop(field_of(blow_up, 1), 0.0, (1.0,), 2.0, 1e-8, 1e-10)
     assert str(got.value) == str(want.value)
 
 
@@ -353,23 +430,23 @@ def test_initial_step_underflow_raises():
     with pytest.raises(StepSizeUnderflowError, match="initial step size is zero") as got:
         _rk.solve(huge, 0.0, (1.0,), 1.0, 1e-8, 1e-10)
     with pytest.raises(StepSizeUnderflowError) as want:
-        solve_by_loop(huge, 0.0, (1.0,), 1.0, 1e-8, 1e-10)
+        solve_by_loop(field_of(huge, 1), 0.0, (1.0,), 1.0, 1e-8, 1e-10)
     assert str(got.value) == str(want.value)
 
 
 def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
-    _, field, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS["gamma=1,dry"]()
-    full = _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol)
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS["gamma=1,dry"]()
+    full = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
     steps = full.accepted + full.rejected
     assert full.rejected > 0
     monkeypatch.setattr(_rk, "MAX_STEPS", steps)
-    assert_same_solve(_rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol),
-                      solve_by_loop(field, t0, y0, t_bound, rel_tol, abs_tol))
+    assert_same_solve(_rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol),
+                      solve_by_loop(field_of(accel), t0, y0, t_bound, rel_tol, abs_tol))
     monkeypatch.setattr(_rk, "MAX_STEPS", steps - 1)
     with pytest.raises(NumericError, match=f"step budget of {steps - 1} steps .* at t = ") as got:
-        _rk.solve(field, t0, y0, t_bound, rel_tol, abs_tol)
+        _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
     with pytest.raises(NumericError) as want:
-        solve_by_loop(field, t0, y0, t_bound, rel_tol, abs_tol)
+        solve_by_loop(field_of(accel), t0, y0, t_bound, rel_tol, abs_tol)
     assert str(got.value) == str(want.value)
 
 

@@ -9,10 +9,17 @@ machine-readable report, and tier-1 pytest runs each entry as one test
 as a module-level `check_<module>_<rest>` or `acceptance_<rest>`
 function; it is keyed `<module>.<rest>` or `acceptance.<rest>`, in
 definition order. An acceptance check's docstring names its criterion.
+
+A seeded check that loops over sampled inputs draws its whole table with
+one Generator call (`_uniform_rows`) and loops over the rows. Row i holds
+the floats that successive scalar `uniform` calls, in the column order,
+would draw on the loop's i-th turn, so a check's inputs are those of the
+per-call loop it is written as (tests/test_verify.py holds them to it).
 """
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -59,6 +66,17 @@ def _require(condition: bool, message: str):
         raise CheckFailure(message)
 
 
+def _uniform_rows(lows, highs) -> list[list[float]]:
+    """2000 rows of seeded draws, column j uniform on [lows[j], highs[j]).
+
+    One Generator call fills the (2000, k) table in C order from one bit
+    stream, each value low + (high - low) * next_double, so row i holds
+    the floats that k successive scalar calls uniform(lows[j], highs[j])
+    would draw on the i-th turn of a loop.
+    """
+    return np.random.default_rng(SEED).uniform(lows, highs, (2000, len(lows))).tolist()
+
+
 # ---------------------------------------------------------------------------
 # params
 
@@ -66,26 +84,20 @@ def check_params_roundtrip() -> dict:
     us = np.concatenate([np.linspace(0.0, 9.0 / 8.0, 2001),
                          np.random.default_rng(SEED).uniform(0.0, 9.0 / 8.0, 2000)])
     worst = 0.0
-    for u in us:
-        back = params_module.u_from_H(params_module.H_from_u(float(u)))
+    for u in us.tolist():
+        back = params_module.u_from_H(params_module.H_from_u(u))
         worst = max(worst, abs(back - u))
     _require(worst <= 1e-15, f"u->H->u round trip drifts by {worst:.3e}")
     return {"max_roundtrip_error": worst}
 
 
 def check_params_omega_consistency() -> dict:
-    rng = np.random.default_rng(SEED)
     worst = 0.0
-    for _ in range(2000):
-        p = PhysicalParams(
-            rho=rng.uniform(100.0, 2000.0),
-            mu=10.0 ** rng.uniform(-4.0, 0.0),
-            gamma=rng.uniform(0.01, 0.1),
-            theta=rng.uniform(0.0, 1.4),
-            g=rng.uniform(1.0, 20.0),
-            R=10.0 ** rng.uniform(-5.0, -2.0),
-            L=rng.uniform(0.0, 1e-3),
-        )
+    for rho, log_mu, gamma, theta, g, log_R, L in _uniform_rows(
+            (100.0, -4.0, 0.01, 0.0, 1.0, -5.0, 0.0),
+            (2000.0, 0.0, 0.1, 1.4, 20.0, -2.0, 1e-3)):
+        p = PhysicalParams(rho=rho, mu=10.0 ** log_mu, gamma=gamma, theta=theta, g=g,
+                           R=10.0 ** log_R, L=L)
         mp = params_module.nondimensionalize(p)
         check = (mp.Bo / mp.Oh) ** 2 / (128.0 * math.cos(p.theta))
         worst = max(worst, abs(mp.omega - check) / mp.omega)
@@ -97,8 +109,8 @@ def check_params_beta_slip_monotone() -> dict:
     ratios = np.sort(np.random.default_rng(SEED).uniform(0.0, 50.0, 500))
     R = 1e-4
     betas = np.array([params_module.nondimensionalize(PhysicalParams(
-        rho=1000.0, mu=1e-3, gamma=0.0728, theta=0.0, g=9.81, R=R, L=float(r) * R,
-        h0=0.0)).beta for r in ratios])
+        rho=1000.0, mu=1e-3, gamma=0.0728, theta=0.0, g=9.81, R=R, L=r * R,
+        h0=0.0)).beta for r in ratios.tolist()])
     _require(bool(np.all(betas > 0.0) and np.all(betas <= 1.0)),
              "beta left (0, 1]")
     _require(bool(np.all(np.diff(betas) < 0.0)),
@@ -107,11 +119,8 @@ def check_params_beta_slip_monotone() -> dict:
 
 
 def check_params_critical_omega_scaling() -> dict:
-    rng = np.random.default_rng(SEED)
     worst = 0.0
-    for _ in range(2000):
-        beta = rng.uniform(1e-3, 4.0)
-        c = rng.uniform(1e-3, 8.0)
+    for beta, c in _uniform_rows((1e-3, 1e-3), (4.0, 8.0)):
         lhs = params_module.critical_omega(c * beta)
         rhs = c * c * params_module.critical_omega(beta)
         worst = max(worst, abs(lhs - rhs) / max(lhs, rhs))
@@ -132,14 +141,13 @@ def check_dynamics_equilibrium_rhs() -> dict:
 
 
 def check_dynamics_regularization_ordering() -> dict:
-    rng = np.random.default_rng(SEED)
-    for _ in range(2000):
-        u, v = rng.uniform(-0.5, 1.2), rng.uniform(-2.0, 2.0)
-        eps_small, eps_big = np.sort(rng.uniform(0.0, 1.0, 2))
-        if eps_small == eps_big:
+    for u, v, eps_a, eps_b in _uniform_rows((-0.5, -2.0, 0.0, 0.0), (1.2, 2.0, 1.0, 1.0)):
+        if eps_a == eps_b:
             continue
-        _, dv_small = dynamics.rhs_u(State(u, v), 1.0, 1.0, float(eps_small))
-        _, dv_big = dynamics.rhs_u(State(u, v), 1.0, 1.0, float(eps_big))
+        eps_small, eps_big = (eps_a, eps_b) if eps_a < eps_b else (eps_b, eps_a)
+        state = State(u, v)
+        _, dv_small = dynamics.rhs_u(state, 1.0, 1.0, eps_small)
+        _, dv_big = dynamics.rhs_u(state, 1.0, 1.0, eps_big)
         _require(dv_big < dv_small,
                  f"rhs not strictly decreasing in epsilon at (u, v) = ({u}, {v})")
     return {"samples": 2000}
@@ -225,11 +233,10 @@ def check_integrate_tolerance_convergence() -> dict:
     params = ModelParams(1.0, 1.0, 0.0)
     coarse = integrate(params, horizon=30.0, tolerances=(1e-10, 1e-8))
     fine = integrate(params, horizon=30.0, tolerances=(5e-11, 5e-9))
-    du = abs(coarse.u[-1] - fine.u[-1])
-    dv = abs(coarse.v[-1] - fine.v[-1])
-    _require(du + dv < 10 * 1e-8,
-             f"final state moved by {du + dv:.3e} under tolerance halving")
-    return {"final_state_change": du + dv}
+    change = float(abs(coarse.u[-1] - fine.u[-1]) + abs(coarse.v[-1] - fine.v[-1]))
+    _require(change < 10 * 1e-8,
+             f"final state moved by {change:.3e} under tolerance halving")
+    return {"final_state_change": change}
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +308,8 @@ def check_stability_v_positivity() -> dict:
 
 
 def check_stability_eigenvalue_real_part() -> dict:
-    rng = np.random.default_rng(SEED)
     worst = 0.0
-    for _ in range(2000):
-        beta = rng.uniform(1e-3, 2.0)
-        omega = rng.uniform(1e-3, 4.0)
+    for beta, omega in _uniform_rows((1e-3, 1e-3), (2.0, 4.0)):
         rep = stability.linearize(omega, beta)
         expected = -beta / (2.0 * math.sqrt(omega))
         mean_re = 0.5 * (rep.lambda1.real + rep.lambda2.real)
@@ -340,7 +344,7 @@ def check_stability_classification_boundary() -> dict:
 
 def check_stability_basin_geometry() -> dict:
     alphas = np.linspace(0.0, 1.5, 3001)
-    specs = [stability.basin(float(a)) for a in alphas]
+    specs = [stability.basin(a) for a in alphas.tolist()]
     u_min = np.array([s.u_min for s in specs])
     u_max = np.array([s.u_max for s in specs])
     _require(bool(np.all(u_min <= 0.5 + 1e-12) and np.all(u_max >= 0.5 - 1e-12)),
@@ -600,6 +604,21 @@ class CheckOutcome:
     message: str | None = None
 
 
+def _failure_message(exc: Exception) -> str:
+    """`Type: message`, and for an error the package does not raise on
+    purpose (not a WashburnError), where it was raised: the innermost
+    traceback frame as `file:line in function`, file without directory."""
+    message = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, WashburnError):
+        return message
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return (f"{message} (at {os.path.basename(code.co_filename)}:{tb.tb_lineno} "
+            f"in {code.co_name})")
+
+
 def run_checks(only: str | None = None) -> list[CheckOutcome]:
     """Run all (or substring-filtered) checks; failures are captured."""
     selected = {name: fn for name, fn in CHECKS.items()
@@ -613,7 +632,7 @@ def run_checks(only: str | None = None) -> list[CheckOutcome]:
                                          details))
         except Exception as exc:  # a failing check must not stop the suite
             outcomes.append(CheckOutcome(name, False, time.perf_counter() - start,
-                                         {}, f"{type(exc).__name__}: {exc}"))
+                                         {}, _failure_message(exc)))
     return outcomes
 
 

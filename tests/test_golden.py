@@ -4,6 +4,11 @@ copies under tests/golden/, which the package wrote at version 0.1.0
 result types), and every `--help` text at COLUMNS=80 against
 tests/golden/help/, written before the parser's defaults moved to `params`.
 
+tests/golden/verify/details.json holds the details of every passing check
+of `verify.CHECKS`, keyed by check name, and under the criterion-11 name
+the per-point distances that check reports; tests/test_acceptance.py
+compares each check's details to it as `_format.dumps_json` renders them.
+
 Regenerate the copies (only when an output is meant to change) with
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from washburn import cli
+from washburn import _format, cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+VERIFY_DETAILS = GOLDEN / "verify" / "details.json"
 
 WATER_JSON = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 0.0,
               "g": 9.81, "R": 1e-4, "L": 0.0, "h0": 0.0}
@@ -87,6 +93,17 @@ def test_help_matches_the_golden_copy(monkeypatch, name):
     assert help_text(HELP[name]) == (GOLDEN / "help" / f"{name}.txt").read_bytes()
 
 
+def verify_details() -> dict:
+    """Every passing check's details, and criterion 11's per-point distances."""
+    from washburn import verify
+
+    details = {o.name: o.details for o in verify.run_checks() if o.passed}
+    details["acceptance.c11_convergence_to_equilibrium"] = {
+        "distances": {f"beta={b},omega={w},alpha={a}": verify.convergence_distance(b, w, a)
+                      for b, w, a in verify.ACCEPTANCE_GRID}}
+    return details
+
+
 if __name__ == "__main__":
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -100,3 +117,5 @@ if __name__ == "__main__":
     (GOLDEN / "help").mkdir(exist_ok=True)
     for name, argv in HELP.items():
         (GOLDEN / "help" / f"{name}.txt").write_bytes(help_text(argv))
+    VERIFY_DETAILS.parent.mkdir(exist_ok=True)
+    _format.write_json(VERIFY_DETAILS, verify_details())

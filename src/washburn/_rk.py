@@ -22,9 +22,13 @@ stage.
 Each accepted step packs its record, 14 doubles, with one `STEP_RECORD`
 and appends the bytes to one `bytearray`: the start state, then the six
 stages Shampine's quartic interpolant needs, as two-component pairs. The
-`DenseSolution` it returns views that packed store as floats and
-evaluates the interpolants on an array of times from contiguous
-coefficient blocks, running the Horner sum in place on one accumulator.
+`DenseSolution` it returns views that packed store as floats, builds
+each step's quartic coefficients as an explicit sum over its six stages,
+added left to right with elementwise numpy operations (no BLAS call, so
+the bits do not depend on the CPU's BLAS kernel, and plain Python floats
+reproduce them), and evaluates the interpolants on an array of times from
+contiguous coefficient blocks, running the Horner sum in place on one
+accumulator.
 `DenseSolution.bisect`, the crossing refinement of `integrate`, evaluates
 the same quartics inline, one float time at a time, with the same bits.
 
@@ -61,7 +65,10 @@ E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
 
 # Quartic dense output (Shampine's choice of c6): the rows for stages 1 and
 # 3-7 (stage 2's row is zero). Within a step of length h from (t0, y0),
-# y(t0 + x h) = y0 + h sum_j Q_j x^(j+1) with Q = K^T P over the stages K.
+# y(t0 + x h) = y0 + h sum_j Q_j x^(j+1), where each coefficient is the sum
+# Q_j = K1 P1j + K3 P3j + K4 P4j + K5 P5j + K6 P6j + K7 P7j over the stages
+# K, every term included (zeros too) and added left to right: the order
+# plain Python floats give, and no BLAS kernel chooses another.
 P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
@@ -73,6 +80,7 @@ P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+P_BLOCKS = P[:, :, None, None]  # each stage's row, shaped to scale an (n, m) block
 
 # One accepted step in the store: the start state, then the six stage pairs.
 STEP_RECORD = struct.Struct("14d")
@@ -254,13 +262,21 @@ class DenseSolution:
         self._ts = ts
         self.t = np.array(ts)
         self._h = np.diff(self.t)
+        # (n, m) views of the start state, then of the stages K1, K3-K7.
         rows = np.frombuffer(steps, float).reshape(m, 7, 2)[:, :, 2 - len(y):]
-        # K is copied contiguous: on the strided view of a one-component
-        # state, matmul leaves BLAS and changes the last bit of some Q.
-        k = np.ascontiguousarray(rows[:, 1:])
-        self._q = np.empty((4, len(y), m))  # Q written once, in its final layout
-        np.matmul(k.transpose(0, 2, 1), P, out=self._q.transpose(2, 1, 0))
-        self._y0 = np.ascontiguousarray(rows[:, 0].T)
+        y0, *stages = rows.transpose(1, 2, 0)
+        self._y0 = y0.copy()
+        # Q_j = K1 P1j + K3 P3j + ... + K7 P7j, summed left to right over the
+        # stages, each stage's (n, m) block times its row of P as (4, 1, 1):
+        # one elementwise product and one sum per stage, Q in its final
+        # (4, n, m) layout. Each stage is copied contiguous before its
+        # product, which is 3-4 times faster than the product of the strided
+        # view on a two-component solve.
+        self._q = q = np.multiply(stages[0].copy(), P_BLOCKS[0])
+        term = np.empty_like(q)
+        for k_i, p_i in zip(stages[1:], P_BLOCKS[1:]):
+            np.multiply(k_i.copy(), p_i, out=term)
+            q += term
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

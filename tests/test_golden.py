@@ -1,7 +1,6 @@
 """Every file a small set of CLI runs writes, byte for byte against the
-copies under tests/golden/, which the package wrote at version 0.1.0
-(all but `inconclusive` before its JSON emitter took over rendering the
-result types), and every `--help` text at COLUMNS=80 against
+copies under tests/golden/, which the package wrote at version 0.2.0,
+and every `--help` text at COLUMNS=80 against
 tests/golden/help/, written before the parser's defaults moved to `params`.
 
 tests/golden/verify/details.json holds the details of every passing check

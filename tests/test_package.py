@@ -8,11 +8,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import washburn
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def fresh(code: str):
@@ -60,3 +64,12 @@ def test_an_unknown_name_raises_attribute_error():
             "except AttributeError as exc:\n"
             "    print(json.dumps(str(exc)))")
     assert fresh(code) == "module 'washburn' has no attribute 'no_such_name'"
+
+
+def test_the_build_reads_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools marks `[tool.setuptools]` as beta
+        config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
+    assert "version" in config["project"]["dynamic"]
+    assert config["project"]["version"] == washburn.__version__

@@ -2,8 +2,10 @@
 controller it copies: same field evaluations, same accepted steps, same
 final state to 1e-14, at the package's default tolerances; against
 `solve_by_loop`, the per-component loop over a field f(t, y) that it
-unrolls, bit for bit; its dense output against `call_by_fancy_index` and
-`at_by_lists`, the array and scalar evaluators it replaced, bit for bit;
+unrolls, bit for bit; its dense coefficients against `q_by_sum`, their
+formula added left to right in plain Python floats, bit for bit; its
+dense output against `call_by_fancy_index` and `at_by_lists`, the array
+and scalar evaluators it replaced, bit for bit;
 the case-4 regime field against `case4_field_by_copy`, the field it
 replaced, bit for bit; and the memory its step store takes per accepted
 step.
@@ -269,12 +271,28 @@ def solve_by_loop(fun, t0, y0, t_bound, rtol, atol):
         stages.append((f, k3, k4, k5, k6, f_new))
         t, y, f = t_new, y_new, f_new
     m, n = len(stages), len(y)
-    k = np.fromiter(chain.from_iterable(chain.from_iterable(stages)), float,
-                    m * 6 * n).reshape(m, 6, n)
     return SimpleNamespace(
-        t=np.array(ts), y=y, nfev=nfev, accepted=m, rejected=rejected,
-        _q=np.ascontiguousarray((k.transpose(0, 2, 1) @ P).transpose(2, 1, 0)),
+        t=np.array(ts), y=y, nfev=nfev, accepted=m, rejected=rejected, _q=q_by_sum(stages),
         _y0=np.fromiter(chain.from_iterable(y_olds), float, m * n).reshape(m, n).T)
+
+
+def q_by_sum(stages):
+    """The dense coefficients of steps whose six stages (K1, K3-K7, each a
+    tuple of n floats) are `stages[s]`: Q_j = K1 P1j + K3 P3j + ... + K7 P7j
+    added left to right in plain Python floats, every term included, as an
+    (4, n, m) array. No numpy arithmetic or BLAS kernel takes part."""
+    p = P.tolist()
+    n = len(stages[0][0])
+    q = [[[] for _ in range(n)] for _ in range(4)]
+    for step in stages:
+        for c in range(n):
+            k = [stage[c] for stage in step]
+            for j in range(4):
+                total = k[0] * p[0][j]
+                for i in range(1, 6):
+                    total = total + k[i] * p[i][j]
+                q[j][c].append(total)
+    return np.array(q)
 
 
 def assert_same_solve(dense, ref):
@@ -346,6 +364,29 @@ def test_unrolled_loop_matches_the_loop_bit_for_bit(name):
             assert str(got.value) == str(want.value)
         else:
             assert_same_solve(_rk.solve(accel, *args), solve_by_loop(fun, *args))
+
+
+@pytest.mark.parametrize("name", [name for name in LOOP_PROBLEMS if name not in LOOP_RAISES])
+def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
+    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
+    stored = []
+
+    class Recording(_rk.DenseSolution):
+        def __init__(self, ts, steps, y, *args):
+            stored.append(bytes(steps))
+            super().__init__(ts, steps, y, *args)
+
+    monkeypatch.setattr(_rk, "DenseSolution", Recording)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
+    # Each record is the start state, then the stages K1, K3-K7 as pairs;
+    # a one-component state's W is the first slot of each pair.
+    skip = 2 - len(y0)
+    stages = [[pair[skip:] for pair in zip(record[2::2], record[3::2])]
+              for record in _rk.STEP_RECORD.iter_unpack(stored[0])]
+    want = q_by_sum(stages)
+    assert dense._q.shape == want.shape == (4, len(y0), dense.accepted)
+    assert np.array_equal(bits(dense._q), bits(want))
 
 
 def test_the_signed_zero_field_keeps_both_zeros():
@@ -452,8 +493,9 @@ def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
 
 def test_step_store_memory_per_accepted_step():
     # A lightly damped dry start, the long run the store is sized for. The
-    # flat store and the dense coefficients peak at about 349 B per accepted
-    # step; a tuple of floats kept per step would add over 400 B more.
+    # flat store and the dense coefficients, with the product block Q is
+    # summed from, peak at about 333 B per accepted step; a tuple of floats
+    # kept per step would add over 400 B more.
     series = _series_seed(0.01)
     t0 = 1e-6
     abs_tol, rel_tol = DEFAULT_TOLERANCES

@@ -15,7 +15,7 @@ from types import ModuleType as _ModuleType
 __version__ = "0.2.0"
 
 _EXPORTS = {
-    "dynamics": ("RegimeCase", "RegimeSpec", "State", "energy", "rhs_H", "rhs_u"),
+    "dynamics": ("RegimeCase", "RegimeSpec", "State", "energy", "rhs_u"),
     "errors": ("ConsistencyError", "ConvergenceError", "DomainError", "HorizonError",
                "InconclusiveError", "NumericError", "SingularityError",
                "StepSizeUnderflowError", "WashburnError"),

@@ -6,19 +6,19 @@ identical inputs must produce byte-identical files, except that the
 `verify --output` report records each check's wall-clock seconds.
 
 Types map to JSON as: None, bool, int, float (at fmt17), str, dict and
-list/tuple/ndarray as themselves; an Enum as its value; a complex as
+list/tuple as themselves; an Enum as its value; a complex as
 {"re", "im"}; a Fraction as [numerator, denominator]; a dataclass or
-NamedTuple as an object of its fields in declaration order.
+NamedTuple as an object of its fields in declaration order. Anything else
+is refused with TypeError, numpy arrays and numpy integers included;
+numpy's float64 and complex128 subclass float and complex, so they are
+written as those.
 
-Importing this module loads no numpy. A numpy integer, float or array can
-exist only once numpy is loaded, so `_emit` looks for those types through
-sys.modules, after every Python type; `write_csv` imports numpy itself.
+Importing this module loads no numpy; `write_csv` imports numpy itself.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -67,17 +67,11 @@ def _emit(obj, level: int) -> str:
         items = (f'{pad_in}"{key}": {_emit(value, level + 1)}'
                  for key, value in obj.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    np = sys.modules.get("numpy")  # numpy's types exist only once numpy is loaded
-    if isinstance(obj, (list, tuple)) or np is not None and isinstance(obj, np.ndarray):
-        seq = list(obj)
-        if not seq:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        items = (f"{pad_in}{_emit(value, level + 1)}" for value in seq)
+        items = (f"{pad_in}{_emit(value, level + 1)}" for value in obj)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if np is not None and isinstance(obj, np.integer):
-        return str(int(obj))
-    if np is not None and isinstance(obj, np.floating):
-        return fmt17(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -31,6 +31,9 @@ contiguous coefficient blocks, running the Horner sum in place on one
 accumulator.
 `DenseSolution.bisect`, the crossing refinement of `integrate`, evaluates
 the same quartics inline, one float time at a time, with the same bits.
+The solution knows only its steps: a time before the first step
+extrapolates that step's quartic, as a time past the last extrapolates the
+last one.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -117,8 +120,8 @@ def _initial_step(accel, t0, ya, yb, fb, one, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def solve(accel, t0: float, y0, t_bound: float, rtol: float, atol: float,
-          head=None) -> "DenseSolution":
+def solve(accel, t0: float, y0, t_bound: float, rtol: float,
+          atol: float) -> "DenseSolution":
     """Integrate u'' = accel(u, u') from (t0, y0) to t_bound > t0.
 
     y0 is (u, v), stepped as u' = v, v' = accel(u, v), or (w,), stepped as
@@ -128,13 +131,10 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float, atol: float,
     floats and returns one float; atol must be positive. rtol below 100
     machine epsilons is raised to that floor, as scipy does. Each accepted
     step's 14 floats are packed into one bytes store, which the returned
-    DenseSolution views.
-    `head`, if given, is the state for t < t0 (for example a series seed):
-    head(t) returns a tuple of floats for a float and of arrays for an
-    array. Raises StepSizeUnderflowError when the step falls below ten
-    units in the last place of t, or the starting step to 0, and
-    NumericError when MAX_STEPS steps, accepted or rejected, do not
-    reach t_bound.
+    DenseSolution views. Raises StepSizeUnderflowError when the step falls
+    below ten units in the last place of t, or the starting step to 0, and
+    NumericError when MAX_STEPS steps, accepted or rejected, do not reach
+    t_bound.
     """
     if not t_bound > t0:
         raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")
@@ -230,7 +230,7 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float, atol: float,
         fb = gb
         scale_a = new_a
         scale_b = new_b
-    return DenseSolution(ts, steps, (yb,) if one else (ya, yb), nfev, rejected, head)
+    return DenseSolution(ts, steps, (yb,) if one else (ya, yb), nfev, rejected)
 
 
 class DenseSolution:
@@ -241,15 +241,14 @@ class DenseSolution:
     accumulator; a float is evaluated as an array of one time. `bisect`,
     which finds where component 0 crosses a level, evaluates the same
     quartics in plain Python with the same bits. A time on a step boundary
-    takes the earlier step, and times past either end extrapolate the end
-    steps, as scipy's OdeSolution does; times before the start use `head`
-    when there is one.
+    takes the earlier step, and times before the first step or past the
+    last extrapolate that end step, as scipy's OdeSolution does.
 
     `nfev` counts evaluations of the acceleration, `accepted` and
     `rejected` the steps; `y` is the final state, without W.
     """
 
-    def __init__(self, ts, steps, y, nfev, rejected, head=None):
+    def __init__(self, ts, steps, y, nfev, rejected):
         """`steps` is the packed bytes store `solve` fills, read as native
         doubles: 7 pairs per accepted step, the start state then the six
         stages. A one-component state keeps its W in the first slot of each
@@ -258,7 +257,6 @@ class DenseSolution:
         self.nfev = nfev
         self.accepted = m = len(ts) - 1
         self.rejected = rejected
-        self._head = head
         self._ts = ts
         self.t = np.array(ts)
         self._h = np.diff(self.t)
@@ -304,10 +302,6 @@ class DenseSolution:
         acc *= h
         y = self._y0.take(k, axis=1)
         y += acc
-        if self._head is not None:
-            early = t < self._ts[0]
-            if early.any():
-                y[:, early] = self._head(t[early])
         return y
 
     def bisect(self, level: float, lo: float, hi: float, tol: float) -> float:
@@ -319,25 +313,21 @@ class DenseSolution:
         step's coefficients are read once from the arrays, when a time first
         falls in the step (ts[k] < t <= ts[k + 1], k clamped to the end
         steps), and its quartic is evaluated inline while the mids stay
-        there; times before the start take the head, if there is one.
+        there.
         """
-        ts, head, last = self._ts, self._head, self.accepted - 1
-        t_first, qs, y0s = ts[0], self._q, self._y0
+        ts, last, qs, y0s = self._ts, self.accepted - 1, self._q, self._y0
         t_k = t_next = math.nan  # bounds of the step held in h, y_k, q0-q3: none yet
         t, f_lo = lo, None
         for _ in range(129):  # at lo, then at most 128 mids
-            if t < t_first and head is not None:
-                f = head(t)[0] - level
-            else:
-                if not t_k < t <= t_next:
-                    k = bisect_left(ts, t) - 1
-                    k = 0 if k < 0 else last if k > last else k
-                    t_k, t_next = ts[k], ts[k + 1]
-                    h = t_next - t_k  # self._h[k], the same subtraction
-                    y_k = y0s.item(0, k)
-                    q0, q1, q2, q3 = qs[:, 0, k].tolist()
-                x = (t - t_k) / h
-                f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
+            if not t_k < t <= t_next:
+                k = bisect_left(ts, t) - 1
+                k = 0 if k < 0 else last if k > last else k
+                t_k, t_next = ts[k], ts[k + 1]
+                h = t_next - t_k  # self._h[k], the same subtraction
+                y_k = y0s.item(0, k)
+                q0, q1, q2, q3 = qs[:, 0, k].tolist()
+            x = (t - t_k) / h
+            f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
             if f_lo is None:
                 f_lo = f
             elif f == 0.0:

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -62,13 +63,24 @@ def _emit(obj: dict, path: str | None):
 
 def _model_params_from_input(path: str) -> params_module.ModelParams:
     """Nondimensionalize the physical-parameter JSON file at path; a file
-    that does not decode or parse as JSON is a DomainError."""
+    that does not decode or parse as JSON is a DomainError. The UserWarning
+    of a large h0/h_e is printed as one `warning:` line on stderr, whatever
+    the warning filters say; any other warning is shown as Python shows it."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:
             raise DomainError("input", f"{path}: {exc}") from None
-    return params_module.nondimensionalize(params_module.physical_params_from_json(obj))
+    physical = params_module.physical_params_from_json(obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        mp = params_module.nondimensionalize(physical)
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return mp
 
 
 def _model_params_from_args(args) -> params_module.ModelParams:

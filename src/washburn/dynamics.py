@@ -7,13 +7,14 @@ s = T/sqrt(omega), in which the model reads
 
 `u_form_field` is the one implementation of this right-hand side, as the
 acceleration u'' = F(u, u') that the integrator steps; `rhs_u` is its
-validated single-point form. `h_form_field` and `rhs_H` are the same pair
-for the H-form. `regime_field` is the one implementation of each reduced
-regime's field.
+validated single-point form. `h_form_field` is the one implementation of
+the H-form acceleration. `regime_field` is the one implementation of each
+reduced regime's field.
 `energy` is the one implementation of the first integral, which the
 Lyapunov function, the basin level set and the case-4 oracle all use.
-The H-form is kept for cross-validation and output only; it is singular
-at H = 0. The four reduced regimes (negligible gravity / inertia /
+The H-form is kept only to cross-check the u-form (the
+`dynamics.h_u_consistency` check of `verify` steps it); it is singular at
+H = 0. The four reduced regimes (negligible gravity / inertia /
 both / viscosity) are integrated in the analogous u-type coordinate
 u* = (h*)^2/2 and come with closed-form or implicit oracles.
 """
@@ -89,18 +90,6 @@ def h_form_field(omega: float, beta: float):
         return (1.0 - H - beta * H * Hdot - omega * Hdot * Hdot) / (omega * H)
 
     return accel
-
-
-def rhs_H(H: float, Hdot: float, omega: float, beta: float) -> float:
-    """Second derivative H'' of the H-form model at (H, H').
-
-    Validates (omega, beta), then evaluates `h_form_field` at (H, H'). Only
-    valid away from H = 0; callers starting from a dry pipe must use the
-    u-form instead.
-    """
-    check_positive("omega", omega)
-    check_positive("beta", beta)
-    return h_form_field(omega, beta)(H, Hdot)
 
 
 def energy(u, v):

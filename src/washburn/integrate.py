@@ -45,7 +45,9 @@ class Trajectory:
     """Sampled solution with derived columns and integration metadata.
 
     E and V are recomputed from (u, v) at each sample, never integrated;
-    H = sqrt(2u) and T = s sqrt(omega) are pure coordinate changes.
+    H = sqrt(2u) and T = s sqrt(omega) are pure coordinate changes. On a
+    dry start the samples before the first RK step hold the series seed;
+    `dense` knows only the steps and extrapolates the first one there.
     """
 
     s: np.ndarray
@@ -116,11 +118,17 @@ def _sample_grid(horizon: float, step: float) -> np.ndarray:
     return s
 
 
-def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0):
+def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0,
+             series=None):
     """Sample times, state rows and height sqrt(2u) from the dense output,
-    with the first sample pinned to the initial state y0; all read-only."""
+    with the samples before its first step taken from the series seed, if
+    there is one, and the first sample pinned to the initial state y0; all
+    read-only."""
     s = _sample_grid(horizon, sample_step)
     y = dense(s)
+    if series is not None:
+        early = s < dense.t[0]
+        y[:, early] = series(s[early])
     y[:, 0] = y0
     h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
     for arr in (s, y, h):
@@ -145,7 +153,8 @@ def _series_seed(gamma: float):
 
 def _solve(params: ModelParams, epsilon: float, horizon: float,
            tolerances: tuple[float, float]):
-    """Run the RK5(4) solve; returns (dense solution, start state)."""
+    """Run the RK5(4) solve; returns (dense solution, u at s = 0, series
+    seed of a dry start or None)."""
     gamma = params.damping
     u0 = 0.5 * params.alpha * params.alpha
     t_start = 0.0
@@ -159,8 +168,8 @@ def _solve(params: ModelParams, epsilon: float, horizon: float,
 
     abs_tol, rel_tol = tolerances
     dense = _rk.solve(dynamics.u_form_field(gamma, epsilon), t_start, y_start, horizon,
-                      rel_tol, abs_tol, head=series)
-    return dense, u0
+                      rel_tol, abs_tol)
+    return dense, u0, series
 
 
 def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
@@ -200,9 +209,9 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
         horizon = default_horizon(params)
     horizon, tolerances, sample_step = _check_run(horizon, HORIZON_CAP, tolerances,
                                                   sample_step)
-    dense, u0 = _solve(params, epsilon, horizon, tolerances)
+    dense, u0, series = _solve(params, epsilon, horizon, tolerances)
 
-    s, (u, v), H = _sampled(dense, horizon, sample_step, (u0, 0.0))
+    s, (u, v), H = _sampled(dense, horizon, sample_step, (u0, 0.0), series)
     T = s * math.sqrt(params.omega)
     E, V = stability.lyapunov_columns(u, v)
     for arr in (T, E, V):

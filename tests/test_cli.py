@@ -20,6 +20,9 @@ SUBNORMAL = json.dumps({**WATER_JSON, "rho": 6.92e48, "mu": 1.12e-253, "gamma": 
                         "g": 6.08e23, "R": 2.0e-141}).encode()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -84,6 +87,42 @@ class TestNondim:
         assert err.startswith(f"configuration error: {field}")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]
+
+
+TALL_START = json.dumps({**WATER_JSON, "R": 1e-3, "h0": 0.01})  # h0/h_e = 0.674
+TALL_WARNING = ("warning: alpha = h0/h_e = 0.673764 is not small; the model assumes an "
+                "initial column much shorter than the equilibrium height\n")
+
+
+@pytest.mark.parametrize("command", [["nondim"], ["simulate", "--horizon", "1", "-o", "run"]],
+                         ids=lambda command: command[0])
+def test_a_large_alpha_warns_in_one_line(tmp_path, command):
+    (tmp_path / "tall.json").write_text(TALL_START)
+    done = subprocess.run([sys.executable, "-m", "washburn.cli", command[0], "--input",
+                           "tall.json", *command[1:]], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, TALL_WARNING)
+    if command[0] == "nondim":
+        assert json.loads(done.stdout)["alpha"] == pytest.approx(0.673764, rel=1e-6)
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.csv", "run.gp", "run.json", "run.meta.json", "tall.json"]
+
+
+def test_other_warnings_of_the_input_escape(tmp_path, capsys, monkeypatch):
+    nondimensionalize = cli.params_module.nondimensionalize
+
+    def noisy(physical):
+        warnings.warn("a scale overflowed", RuntimeWarning)
+        return nondimensionalize(physical)
+
+    monkeypatch.setattr(cli.params_module, "nondimensionalize", noisy)
+    src = tmp_path / "tall.json"
+    src.write_text(TALL_START)
+    with pytest.warns(RuntimeWarning, match="a scale overflowed") as record:
+        assert run(["nondim", "--input", str(src)]) == 0
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert capsys.readouterr().err == TALL_WARNING
 
 
 class TestSimulate:
@@ -468,10 +507,9 @@ def test_horizon_too_small_for_its_default_step_names_horizon(tmp_path, capsys, 
 def fresh(code: str, cwd=None) -> list:
     """What a fresh interpreter prints, one JSON value a line, when it runs
     code and then prints the sorted names in its sys.modules."""
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
                           check=True)
     return [json.loads(line) for line in done.stdout.splitlines()]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from washburn import _rk
 from washburn.dynamics import (RegimeCase, RegimeSpec, State, case1_closed_form_u,
                                case2_implicit_time, case3_closed_form_h, energy,
-                               regime_field, rhs_H, rhs_u)
+                               h_form_field, regime_field, rhs_u)
 from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
 from washburn.params import ModelParams
@@ -76,16 +76,16 @@ class TestRhsU:
         assert np.array_equal(checked.view(np.int64), stepped.view(np.int64))
 
 
-class TestRhsH:
+class TestHFormField:
     def test_equilibrium(self):
-        assert rhs_H(1.0, 0.0, 1.0, 1.0) == 0.0
+        assert h_form_field(1.0, 1.0)(1.0, 0.0) == 0.0
 
     def test_half_height(self):
-        assert rhs_H(0.5, 0.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert h_form_field(1.0, 1.0)(0.5, 0.0) == pytest.approx(1.0)
 
     def test_singularity_guard(self):
         with pytest.raises(SingularityError):
-            rhs_H(1e-13, 0.0, 1.0, 1.0)
+            h_form_field(1.0, 1.0)(1e-13, 0.0)
 
 
 class TestRegimeSpecs:

@@ -146,7 +146,7 @@ class TestResultTypes:
         class Point:
             x: float
 
-        for obj in (object(), Point, {1, 2}):
+        for obj in (object(), Point, {1, 2}, np.zeros(2), np.int64(1)):
             with pytest.raises(TypeError, match="cannot serialize"):
                 dumps_json(obj)
         same_json(Point(1.0), {"x": 1.0})

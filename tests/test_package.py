@@ -48,7 +48,7 @@ def test_star_import_binds_every_export():
             "import washburn\n"
             "missing = [n for n in washburn.__all__ if globals().get(n) is not getattr(washburn, n)]\n"
             "print(json.dumps([len(washburn.__all__), missing]))")
-    assert fresh(code) == [48, []]
+    assert fresh(code) == [47, []]
 
 
 def test_every_export_is_listed_by_dir_before_first_use():
@@ -73,3 +73,28 @@ def test_the_build_reads_the_package_version():
         config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
     assert "version" in config["project"]["dynamic"]
     assert config["project"]["version"] == washburn.__version__
+
+
+def library_use_snippet() -> str:
+    """The python block under README's "Library use" heading."""
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_library_snippet_prints_what_its_comments_say():
+    snippet = library_use_snippet()
+    comments = [line.split("#", 1)[1].strip() for line in snippet.splitlines()
+                if line.startswith("print(") and "#" in line]
+    assert comments == ["stable-spiral", "C=1/6, [0, 9/8]", "oscillatory"]
+    printed = []
+    namespace = {"print": lambda *objs: printed.append(objs)}
+    exec(snippet, namespace)
+    (state, crossings), (point,), (spec,), (approach,) = printed
+    traj = namespace["traj"]
+    assert isinstance(state, washburn.State)
+    assert state == (float(traj.u[-1]), float(traj.v[-1]))
+    assert abs(state.u - 0.5) < 1e-6 and abs(state.v) < 1e-6
+    assert crossings == len(traj.crossings) > 0
+    assert point.value == comments[0]
+    assert (spec.C, spec.u_min, spec.u_max) == (pytest.approx(1 / 6, abs=1e-15), 0.0, 9 / 8)
+    assert approach.value == comments[2]

@@ -47,7 +47,7 @@ def field_of(accel, n=2):
 def u_form_at(params, epsilon=0.0):
     """The solve `integrate` makes (dry starts without epsilon take the series seed)."""
     horizon = default_horizon(params)
-    dense, _ = _solve(params, epsilon, horizon, DEFAULT_TOLERANCES)
+    dense = _solve(params, epsilon, horizon, DEFAULT_TOLERANCES)[0]
     start = float(dense.t[0])
     y0 = tuple(dense(start).tolist())  # the interpolant at x = 0 is the start state
     accel = dynamics.u_form_field(params.damping, epsilon)
@@ -102,24 +102,17 @@ def call_by_fancy_index(dense, t):
     h = dense._h[k]
     x = (t - dense.t[k]) / h
     q0, q1, q2, q3 = dense._q[:, :, k]
-    y = dense._y0[:, k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
-    if dense._head is not None:
-        early = t < dense._ts[0]
-        if early.any():
-            y[:, early] = dense._head(t[early])
-    return y
+    return dense._y0[:, k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
 
 
 def at_by_lists(dense):
     """The deleted `DenseSolution.at`, over the `_hs`/`_qs`/`_y0s` lists it
     cached: the scalar interpolant, kept as the reference of the dense
     output at one time and of the crossing refinement's bisection."""
-    ts, head, last = dense._ts, dense._head, dense.accepted - 1
+    ts, last = dense._ts, dense.accepted - 1
     hs, qs, y0s = dense._h.tolist(), dense._q.transpose(2, 1, 0).tolist(), dense._y0.T.tolist()
 
     def at(t, i=0):
-        if t < ts[0] and head is not None:
-            return head(t)[i]
         k = min(max(bisect_left(ts, t) - 1, 0), last)
         h = hs[k]
         x = (t - ts[k]) / h
@@ -134,8 +127,8 @@ def bits(a):
 
 
 def reference_times(dense):
-    """Unsorted times with every step boundary, times past both ends and
-    below the start (the series head of a dry start)."""
+    """Unsorted times with every step boundary, and times past the end and
+    before the start (down to 0 on a dry start, which starts after 0)."""
     t = dense.t
     start, end = float(t[0]), float(t[-1])
     early = [start - 1.0, start - 0.5 * float(t[1] - t[0]), 0.5 * start, 0.0]
@@ -166,15 +159,6 @@ def test_dense_output_matches_its_references_bit_for_bit(name):
         got, want = dense(t), call_by_fancy_index(dense, t)
         assert got.shape == want.shape == (len(dense.y),) + t.shape
         assert np.array_equal(bits(got), bits(want))
-
-
-def test_series_seed_below_the_first_step():
-    dense, *_ = u_form(1.0, 0.0)
-    start = float(dense.t[0])
-    times = np.array([0.0, 0.25 * start, 0.5 * start])
-    u, v = _series_seed(1.0)(times)  # damping 1
-    assert np.array_equal(dense(times), np.stack([u, v]))
-    assert [dense(t).tolist() for t in times.tolist()] == np.stack([u, v]).T.tolist()
 
 
 def _rms(xs):
@@ -502,7 +486,7 @@ def test_step_store_memory_per_accepted_step():
     tracemalloc.start()
     try:
         dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), t0, series(t0), 1e4, rel_tol,
-                          abs_tol, head=series)
+                          abs_tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,20 +20,20 @@ holds it to that) without importing scipy or building arrays on every
 stage.
 
 Each accepted step packs its record, 14 doubles, with one `STEP_RECORD`
-and appends the bytes to one `bytearray`: the start state, then the six
-stages Shampine's quartic interpolant needs, as two-component pairs. The
-`DenseSolution` it returns views that packed store as floats, builds
-each step's quartic coefficients as an explicit sum over its six stages,
-added left to right with elementwise numpy operations (no BLAS call, so
-the bits do not depend on the CPU's BLAS kernel, and plain Python floats
-reproduce them), and evaluates the interpolants on an array of times from
+and appends the bytes to one `bytearray`: the step's start time, the
+start state and the six stages Shampine's quartic interpolant needs. The
+`DenseSolution` it returns reads that store as floats, builds each step's
+quartic coefficients as an explicit sum over its six stages, added left
+to right with elementwise numpy operations (no BLAS call, so the bits do
+not depend on the CPU's BLAS kernel, and plain Python floats reproduce
+them), and evaluates the interpolants on an array of times from
 contiguous coefficient blocks, running the Horner sum in place on one
 accumulator.
 `DenseSolution.bisect`, the crossing refinement of `integrate`, evaluates
-the same quartics inline, one float time at a time, with the same bits.
-The solution knows only its steps: a time before the first step
-extrapolates that step's quartic, as a time past the last extrapolates the
-last one.
+the same quartics inline, one float time at a time, with the same bits,
+and finds a time's step by the same rule. The solution knows only its
+steps: a time before the first step extrapolates that step's quartic, as a
+time past the last extrapolates the last one.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left
 
 import numpy as np
 
@@ -85,7 +84,7 @@ P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 P_BLOCKS = P[:, :, None, None]  # each stage's row, shaped to scale an (n, m) block
 
-# One accepted step in the store: the start state, then the six stage pairs.
+# One accepted step in the store: its start time and u, then (v, v') of K1, K3-K7.
 STEP_RECORD = struct.Struct("14d")
 
 
@@ -130,11 +129,11 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float,
     then reject or shrink a step). accel is called once per stage with two
     floats and returns one float; atol must be positive. rtol below 100
     machine epsilons is raised to that floor, as scipy does. Each accepted
-    step's 14 floats are packed into one bytes store, which the returned
-    DenseSolution views. Raises StepSizeUnderflowError when the step falls
-    below ten units in the last place of t, or the starting step to 0, and
-    NumericError when MAX_STEPS steps, accepted or rejected, do not reach
-    t_bound.
+    step's 14 floats, its start time first, are packed into one bytes
+    store, from which the returned DenseSolution reads its steps. Raises
+    StepSizeUnderflowError when the step falls below ten units in the last
+    place of t, or the starting step to 0, and NumericError when MAX_STEPS
+    steps, accepted or rejected, do not reach t_bound.
     """
     if not t_bound > t0:
         raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")
@@ -156,8 +155,7 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float,
     h_abs = _initial_step(accel, t, ya, yb, fb, one, t_bound, rtol, atol)
     nfev = 2
     rejected = 0
-    ts = [t]
-    steps = bytearray()  # per accepted step: ya, yb, then the six stage pairs
+    steps = bytearray()  # per accepted step: t, ya, then the six stage pairs
     store, pack = steps.extend, STEP_RECORD.pack
     scale_a = -ya if ya < 0.0 else ya  # |y| of the step's start, for the error scale
     scale_b = -yb if yb < 0.0 else yb
@@ -222,15 +220,14 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float,
             h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR  # max's rule: NaN gives 0.2
             step_rejected = True
             rejected += 1
-        ts.append(t_new)
-        store(pack(ya, yb, yb, fb, v3, k3, v4, k4, v5, k5, v6, k6, nb, gb))
+        store(pack(t, ya, yb, fb, v3, k3, v4, k4, v5, k5, v6, k6, nb, gb))
         t = t_new
         ya = na
         yb = nb
         fb = gb
         scale_a = new_a
         scale_b = new_b
-    return DenseSolution(ts, steps, (yb,) if one else (ya, yb), nfev, rejected)
+    return DenseSolution(t, steps, (yb,) if one else (ya, yb), nfev, rejected)
 
 
 class DenseSolution:
@@ -240,30 +237,32 @@ class DenseSolution:
     (shape (n,) or (n,) + t.shape), the Horner sum running in place on one
     accumulator; a float is evaluated as an array of one time. `bisect`,
     which finds where component 0 crosses a level, evaluates the same
-    quartics in plain Python with the same bits. A time on a step boundary
-    takes the earlier step, and times before the first step or past the
-    last extrapolate that end step, as scipy's OdeSolution does.
+    quartics in plain Python with the same bits. Both take a time to step
+    k, a left `searchsorted` over the interior step times t[1:-1]: a time
+    on a step boundary takes the earlier step, and times before the first
+    step or past the last extrapolate that end step, as scipy's OdeSolution
+    does.
 
-    `nfev` counts evaluations of the acceleration, `accepted` and
-    `rejected` the steps; `y` is the final state, without W.
+    `t` holds the step times, `nfev` counts evaluations of the
+    acceleration, `accepted` and `rejected` the steps; `y` is the final
+    state, without W.
     """
 
-    def __init__(self, ts, steps, y, nfev, rejected):
+    def __init__(self, t_end, steps, y, nfev, rejected):
         """`steps` is the packed bytes store `solve` fills, read as native
-        doubles: 7 pairs per accepted step, the start state then the six
-        stages. A one-component state keeps its W in the first slot of each
-        pair; W is dropped here, before Q is built."""
+        doubles, one `STEP_RECORD` per accepted step; t_end is where the
+        last step ends. A one-component state keeps its W in u's slot and in
+        the first slot of each pair; W is dropped here, before Q is built."""
         self.y = y
         self.nfev = nfev
-        self.accepted = m = len(ts) - 1
         self.rejected = rejected
-        self._ts = ts
-        self.t = np.array(ts)
-        self._h = np.diff(self.t)
+        records = np.frombuffer(steps, float).reshape(-1, 14)
+        self.accepted = len(records)
+        self.t = np.append(records[:, 0], t_end)
         # (n, m) views of the start state, then of the stages K1, K3-K7.
-        rows = np.frombuffer(steps, float).reshape(m, 7, 2)[:, :, 2 - len(y):]
-        y0, *stages = rows.transpose(1, 2, 0)
-        self._y0 = y0.copy()
+        n = len(y)
+        self._y0 = records[:, 3 - n:3].T.copy()
+        stages = records[:, 2:].reshape(-1, 6, 2)[:, :, 2 - n:].transpose(1, 2, 0)
         # Q_j = K1 P1j + K3 P3j + ... + K7 P7j, summed left to right over the
         # stages, each stage's (n, m) block times its row of P as (4, 1, 1):
         # one elementwise product and one sum per stage, Q in its final
@@ -280,10 +279,10 @@ class DenseSolution:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self(t.reshape(1))[:, 0]
-        k = np.searchsorted(self.t, t, side="left") - 1
-        np.clip(k, 0, self.accepted - 1, out=k)
-        h = self._h.take(k)
+        k = self.t[1:-1].searchsorted(t, side="left")
         x = self.t.take(k)
+        h = self.t.take(k + 1)
+        h -= x
         np.subtract(t, x, out=x)
         x /= h
         # `take` writes each coefficient block contiguously, where the fancy
@@ -310,20 +309,19 @@ class DenseSolution:
         The bracket halves, at most 128 times, until it is no wider than tol
         or component 0 at its mid equals level; then the mid is returned.
         Each value has the bits of calling the solution at that time: a
-        step's coefficients are read once from the arrays, when a time first
-        falls in the step (ts[k] < t <= ts[k + 1], k clamped to the end
-        steps), and its quartic is evaluated inline while the mids stay
+        step k's coefficients are read once from the arrays, when a time
+        first falls in the step (k found by the rule of calling the
+        solution), and its quartic is evaluated inline while the mids stay
         there.
         """
-        ts, last, qs, y0s = self._ts, self.accepted - 1, self._q, self._y0
+        ts, interior, qs, y0s = self.t, self.t[1:-1], self._q, self._y0
         t_k = t_next = math.nan  # bounds of the step held in h, y_k, q0-q3: none yet
         t, f_lo = lo, None
         for _ in range(129):  # at lo, then at most 128 mids
             if not t_k < t <= t_next:
-                k = bisect_left(ts, t) - 1
-                k = 0 if k < 0 else last if k > last else k
-                t_k, t_next = ts[k], ts[k + 1]
-                h = t_next - t_k  # self._h[k], the same subtraction
+                k = interior.searchsorted(t, side="left")
+                t_k, t_next = ts.item(k), ts.item(k + 1)
+                h = t_next - t_k  # the same subtraction as in calling the solution
                 y_k = y0s.item(0, k)
                 q0, q1, q2, q3 = qs[:, 0, k].tolist()
             x = (t - t_k) / h

@@ -30,9 +30,9 @@ MAX_INTERVALS = 2**20
 # the CLI can state them without importing a solver: the trajectory
 # tolerances (absolute, relative), the reduced-regime horizon and its cap,
 # Picard's tolerance and iteration cap, and the RK step budget, the
-# accepted plus rejected steps one solve may take. Every accepted step keeps
-# its start state and stages for the dense output, 112 B in one float store
-# (about 14.7 MB at 2^17 steps), so the budget bounds time and memory alike.
+# accepted plus rejected steps one solve may take. Each accepted step keeps
+# its start time, u and six stage pairs, 112 B in one float store (about
+# 14.7 MB at 2^17 steps), so the budget bounds time and memory alike.
 DEFAULT_TOLERANCES = (1e-10, 1e-8)
 REGIME_DEFAULT_HORIZON = 20.0
 REGIME_HORIZON_CAP = 1e3

@@ -242,8 +242,9 @@ def synthetic(values):
     s = np.arange(u.size, dtype=float)
     steps = bytearray()
     for k in range(u.size - 1):
-        steps += _rk.STEP_RECORD.pack(0.0, u[k], *[0.0, u[k + 1] - u[k]] * 6)
-    return s, u, _rk.DenseSolution(s.tolist() or [0.0], steps, (0.0,), 0, 0)
+        slope = u[k + 1] - u[k]
+        steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 5)
+    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, (0.0,), 0, 0)
 
 
 B = CROSSING_BAND
@@ -280,7 +281,7 @@ def seeded_runs(count=150):
     the default step, at horizon/256 and at horizon/24. The coarse samples give
     brackets over several steps, and brackets from s = 0, from before the
     first step of a dry start, or on the first step's start, where the
-    interpolant clamps the step index."""
+    reference `at_by_lists` clamps the step index."""
     rng = np.random.default_rng(16)
     for i in range(count):
         beta = rng.uniform(0.5, 1.0)
@@ -325,7 +326,7 @@ class TestCrossingScan:
                     brackets["several steps"] += last - first >= 2
                     brackets["from s = 0"] += lo == 0.0
                     brackets["before the first step"] += lo < dense.t[0]
-                    brackets["clamped"] += lo == dense.t[0]  # step -1, clamped to 0
+                    brackets["clamped"] += lo == dense.t[0]  # at_by_lists' step -1, clamped to 0
         assert min(brackets.values()) >= 10, brackets
 
     def test_lightly_damped_point_crosses_76_times(self):

@@ -83,18 +83,21 @@ def library_use_snippet() -> str:
 
 def test_the_readme_library_snippet_prints_what_its_comments_say():
     snippet = library_use_snippet()
-    comments = [line.split("#", 1)[1].strip() for line in snippet.splitlines()
-                if line.startswith("print(") and "#" in line]
-    assert comments == ["stable-spiral", "C=1/6, [0, 9/8]", "oscillatory"]
+    prints = [line for line in snippet.splitlines() if line.startswith("print(")]
     printed = []
     namespace = {"print": lambda *objs: printed.append(objs)}
     exec(snippet, namespace)
-    (state, crossings), (point,), (spec,), (approach,) = printed
+    assert len(printed) == len(prints) == 4
+    (state, crossings), *_ = printed
     traj = namespace["traj"]
     assert isinstance(state, washburn.State)
     assert state == (float(traj.u[-1]), float(traj.v[-1]))
     assert abs(state.u - 0.5) < 1e-6 and abs(state.v) < 1e-6
     assert crossings == len(traj.crossings) > 0
-    assert point.value == comments[0]
-    assert (spec.C, spec.u_min, spec.u_max) == (pytest.approx(1 / 6, abs=1e-15), 0.0, 9 / 8)
-    assert approach.value == comments[2]
+    # Each commented line prints exactly its comment, its arguments joined
+    # as `print` joins them.
+    commented = [(" ".join(map(str, objs)), line.split("#", 1)[1].strip())
+                 for line, objs in zip(prints, printed) if "#" in line]
+    assert len(commented) == 3
+    for text, comment in commented:
+        assert text == comment

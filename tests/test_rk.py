@@ -95,11 +95,13 @@ def test_takes_the_steps_of_scipy_rk45(name):
 
 def call_by_fancy_index(dense, t):
     """The array path of `DenseSolution.__call__` before it gathered with
-    `take`, kept as its reference: the fancy index leaves strided blocks."""
+    `take`, kept as its reference: the fancy index leaves strided blocks.
+    It finds a time's step by its own rule, `searchsorted` over all the
+    step times, less one, clipped to the end steps."""
     t = np.asarray(t, dtype=float)
     k = np.searchsorted(dense.t, t, side="left") - 1
     np.clip(k, 0, dense.accepted - 1, out=k)
-    h = dense._h[k]
+    h = np.diff(dense.t)[k]
     x = (t - dense.t[k]) / h
     q0, q1, q2, q3 = dense._q[:, :, k]
     return dense._y0[:, k] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
@@ -108,9 +110,11 @@ def call_by_fancy_index(dense, t):
 def at_by_lists(dense):
     """The deleted `DenseSolution.at`, over the `_hs`/`_qs`/`_y0s` lists it
     cached: the scalar interpolant, kept as the reference of the dense
-    output at one time and of the crossing refinement's bisection."""
-    ts, last = dense._ts, dense.accepted - 1
-    hs, qs, y0s = dense._h.tolist(), dense._q.transpose(2, 1, 0).tolist(), dense._y0.T.tolist()
+    output at one time and of the crossing refinement's bisection. It finds
+    a time's step by its own rule, `bisect_left` over all the step times,
+    less one, clamped to the end steps."""
+    ts, hs, last = dense.t.tolist(), np.diff(dense.t).tolist(), dense.accepted - 1
+    qs, y0s = dense._q.transpose(2, 1, 0).tolist(), dense._y0.T.tolist()
 
     def at(t, i=0):
         k = min(max(bisect_left(ts, t) - 1, 0), last)
@@ -356,21 +360,23 @@ def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
     stored = []
 
     class Recording(_rk.DenseSolution):
-        def __init__(self, ts, steps, y, *args):
+        def __init__(self, t_end, steps, y, *args):
             stored.append(bytes(steps))
-            super().__init__(ts, steps, y, *args)
+            super().__init__(t_end, steps, y, *args)
 
     monkeypatch.setattr(_rk, "DenseSolution", Recording)
     with np.errstate(over="ignore", invalid="ignore"):
         dense = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
-    # Each record is the start state, then the stages K1, K3-K7 as pairs;
-    # a one-component state's W is the first slot of each pair.
+    # Each record is the step's start time and the start state's first
+    # slot, then the stages K1, K3-K7 as pairs; a one-component state's W is
+    # the first slot of each pair.
     skip = 2 - len(y0)
-    stages = [[pair[skip:] for pair in zip(record[2::2], record[3::2])]
-              for record in _rk.STEP_RECORD.iter_unpack(stored[0])]
+    records = list(_rk.STEP_RECORD.iter_unpack(stored[0]))
+    stages = [[pair[skip:] for pair in zip(record[2::2], record[3::2])] for record in records]
     want = q_by_sum(stages)
     assert dense._q.shape == want.shape == (4, len(y0), dense.accepted)
     assert np.array_equal(bits(dense._q), bits(want))
+    assert np.array_equal(bits([record[0] for record in records]), bits(dense.t[:-1]))
 
 
 def test_the_signed_zero_field_keeps_both_zeros():
@@ -478,8 +484,10 @@ def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
 def test_step_store_memory_per_accepted_step():
     # A lightly damped dry start, the long run the store is sized for. The
     # flat store and the dense coefficients, with the product block Q is
-    # summed from, peak at about 333 B per accepted step; a tuple of floats
-    # kept per step would add over 400 B more.
+    # summed from, peak at about 292 B per accepted step; a tuple of floats
+    # kept per step would add over 400 B more. Once the store is freed, the
+    # solution holds its times, start states and Q, 88 B per step (two
+    # components); a per-step list of times would add 32 B more.
     series = _series_seed(0.01)
     t0 = 1e-6
     abs_tol, rel_tol = DEFAULT_TOLERANCES
@@ -487,8 +495,9 @@ def test_step_store_memory_per_accepted_step():
     try:
         dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), t0, series(t0), 1e4, rel_tol,
                           abs_tol)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert dense.accepted > 20_000
     assert peak < 500 * dense.accepted
+    assert held < 100 * dense.accepted

@@ -125,10 +125,10 @@ def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0,
     there is one, and the first sample pinned to the initial state y0; all
     read-only."""
     s = _sample_grid(horizon, sample_step)
-    y = dense(s)
-    if series is not None:
-        early = s < dense.t[0]
-        y[:, early] = series(s[early])
+    first = 0 if series is None else s.searchsorted(dense.t[0])
+    y = dense(s[first:])
+    if first:
+        y = np.concatenate((series(s[:first]), y), axis=1)
     y[:, 0] = y0
     h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
     for arr in (s, y, h):

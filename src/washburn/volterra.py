@@ -8,12 +8,15 @@ The trajectory u solves u = T(u) with
 
 T is discretized by composite trapezoid on a uniform grid with the kernel
 evaluated exactly at the nodes, and solved by plain successive
-substitution. The kernel is separable, so a doubling prefix scan gives
-the sums at all N+1 nodes in ceil(log2 N) numpy passes and O(N)
-memory. The operator is order-reversing; on [0, s*] with
-s* = min(1/2, sqrt(omega)/beta) it maps the parabola interval
-[s^2/6, s^2/2] into itself and satisfies the sublinear scaling bound
-T(lambda f) <= lambda^{-1/2} T(f), both of which are checkable nodewise.
+substitution. The kernel is separable, so the sums at all N+1 nodes are
+two prefix sums: within each block of at most DEFAULT_INTERVALS nodes one
+`np.cumsum` between two multiplies by fixed exponential weight rows, with
+the carries between blocks added after. That is O(N) arithmetic in about
+a dozen numpy passes, whatever N is, and O(N) memory. The operator is
+order-reversing; on [0, s*] with s* = min(1/2, sqrt(omega)/beta) it maps
+the parabola interval [s^2/6, s^2/2] into itself and satisfies the
+sublinear scaling bound T(lambda f) <= lambda^{-1/2} T(f), both of which
+are checkable nodewise.
 """
 from __future__ import annotations
 
@@ -29,6 +32,9 @@ from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_INTER
 SELF_MAP_NODES = 512
 SELF_MAP_SLACK = 1e-10
 SCALING_SLACK = 1e-12
+# Largest exponent m h/c of a scan weight q^{-m}. The weights stay within
+# e^64, and rounding the exponent perturbs each by under 1e-14.
+BLOCK_EXPONENT = 64.0
 
 
 @dataclass(frozen=True)
@@ -65,12 +71,21 @@ class KernelOperator:
     (the kernel vanishes on the diagonal), node i sums
     c sum_{j<i} g_j (1 - q^{i-j}) with q = exp(-h/c). That is c D_i with
     D_i = r sum_{j<i} S_j and S_i = sum_{j<=i} q^{i-j} g_j, where r = 1 - q
-    comes from expm1 so that large c does not cancel. S_0..S_{N-1} is a
-    weighted prefix sum, built by a doubling scan (Hillis-Steele): pass k
-    adds q^k times the partial sums k nodes back, for k = 1, 2, 4, ... < N,
-    with q^k kept by squaring. D is then r times the exclusive cumulative
-    sum of S. That is ceil(log2 N) numpy passes and O(N) memory; every
-    weight q^k lies in [0, 1], so no pass can overflow at any h/c.
+    comes from expm1 so that large c does not cancel. D is r times the
+    exclusive cumulative sum of S.
+
+    S_0..S_{N-1} is a weighted prefix sum, taken in blocks of B nodes.
+    Inside the block that starts at j0,
+    S_{j0+m} = q^m cumsum_m(q^{-m} g_{j0+m}) + q^{m+1} S_{j0-1}:
+    one `np.cumsum` between multiplies by the rows h q^{-m} and q^m, which
+    the constructor builds once. B is at most DEFAULT_INTERVALS, so the
+    rows do not grow with N, and (B - 1) h/c <= BLOCK_EXPONENT, so every
+    weight is finite at any h/c (B = 1 once h/c exceeds it). The block
+    ends S_{j0+B-1} are chained by a doubling scan (Hillis-Steele) over
+    the blocks alone: pass k adds q^{kB} times the end k blocks back, for
+    k = 1, 2, 4, ..., and stops once that weight underflows. One block
+    spans any grid with N <= DEFAULT_INTERVALS nodes and a horizon of at
+    most BLOCK_EXPONENT c, and then the chain makes no pass.
     """
 
     def __init__(self, grid: np.ndarray, omega: float, beta: float):
@@ -78,22 +93,49 @@ class KernelOperator:
         check_positive("beta", beta)
         self.grid = np.asarray(grid, dtype=float)
         self.c = math.sqrt(omega) / beta
+        h = self.grid[1] - self.grid[0]
+        self._hc = h / self.c  # 0 for c = inf, inf for c = 0
+        self._r = -math.expm1(-self._hc)
+        if self._hc * (DEFAULT_INTERVALS - 1) <= BLOCK_EXPONENT:
+            block = DEFAULT_INTERVALS
+        else:
+            block = int(BLOCK_EXPONENT / self._hc) + 1
+        self._block = min(block, self.grid.size - 1)
+        ramp = np.zeros(self._block + 1)
+        ramp[1:] = np.arange(1, self._block + 1) * self._hc  # m h/c, never 0 * inf
+        self._powers = np.exp(-ramp)  # q^m for m = 0..B
+        self._grow = h * np.exp(ramp[:-1])  # h q^-m for m < B
 
     def apply(self, values: np.ndarray, alpha: float) -> np.ndarray:
-        h = self.grid[1] - self.grid[0]
-        r = -math.expm1(-h / self.c)
-        q = 1.0 - r
+        n = values.size - 1
+        block = self._block
+        rows = -(-n // block)
+        padded = np.zeros(rows * block)
         # The last node's forcing never enters: the kernel vanishes on the diagonal.
-        s = h * (1.0 - np.sqrt(2.0 * np.maximum(values[:-1], 0.0)))
+        s = padded[:n]
+        np.maximum(values[:-1], 0.0, out=s)
+        s *= 2.0
+        np.sqrt(s, out=s)
+        np.subtract(1.0, s, out=s)
         s[0] *= 0.5
-        shift = 1
-        while shift < s.size and q > 0.0:  # once q^k is 0, later passes add 0
-            s[shift:] += q * s[:-shift]
-            q *= q
-            shift *= 2
-        sums = np.zeros(s.size + 1)
+        blocks = padded.reshape(rows, block)
+        blocks *= self._grow
+        np.cumsum(blocks, axis=1, out=blocks)
+        blocks *= self._powers[:-1]
+        if rows > 1:
+            ends = blocks[:, -1].copy()
+            shift = 1
+            carry = self._powers[-1]
+            while shift < rows and carry > 0.0:  # once q^(kB) is 0, later passes add 0
+                ends[shift:] += carry * ends[:-shift]
+                shift *= 2
+                carry = math.exp(-self._hc * block * shift)
+            blocks[1:] += ends[:-1, None] * self._powers[1:]
+        sums = np.zeros(n + 1)
         np.cumsum(s, out=sums[1:])
-        return 0.5 * alpha * alpha + (r * self.c) * sums
+        sums *= self._r * self.c
+        sums += 0.5 * alpha * alpha
+        return sums
 
 
 def apply_T(f: GridFunction, omega: float, beta: float, alpha: float) -> GridFunction:

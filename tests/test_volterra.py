@@ -6,8 +6,8 @@ import pytest
 
 from washburn.errors import ConvergenceError, DomainError
 from washburn.integrate import integrate
-from washburn.params import MAX_INTERVALS, ModelParams
-from washburn.volterra import (GridFunction, KernelOperator,
+from washburn.params import DEFAULT_INTERVALS, MAX_INTERVALS, ModelParams
+from washburn.volterra import (BLOCK_EXPONENT, GridFunction, KernelOperator,
                                apply_T, bracket_lower, bracket_upper,
                                check_scaling_inequality, order_interval_check,
                                picard_solve, uniqueness_window)
@@ -47,6 +47,26 @@ def recurrence_by_loop(op, values, alpha):
         d += r * b
         b *= q
     return 0.5 * alpha * alpha + op.c * np.array(sums)
+
+
+def recurrence_in_longdouble(grid, omega, beta, values, alpha):
+    """The per-node recurrence in np.longdouble, from the same float inputs,
+    as an independent reference for the float scan."""
+    ld = np.longdouble
+    c = np.sqrt(ld(omega)) / ld(beta)
+    h = ld(grid[1]) - ld(grid[0])
+    q = np.exp(-h / c)
+    r = -np.expm1(-h / c)
+    g = h * (ld(1) - np.sqrt(ld(2) * np.maximum(values.astype(ld), ld(0))))
+    g[0] *= ld(0.5)
+    sums = np.empty(g.size, dtype=ld)
+    d = b = ld(0)
+    for i, g_j in enumerate(g):
+        sums[i] = d
+        b += g_j
+        d += r * b
+        b *= q
+    return ld(0.5) * ld(alpha) * ld(alpha) + c * sums
 
 
 def assert_close_to_loop(grid, omega, beta, values, alpha):
@@ -159,6 +179,33 @@ class TestScan:
         grid = np.linspace(0.0, 10.0, nodes + 1)  # c = 0.01
         values = np.random.default_rng(11).uniform(-0.1, 1.2, grid.size)
         assert_close_to_loop(grid, 1e-4, 1.0, values, 0.0)
+
+    @pytest.mark.parametrize("nodes,omega,beta", [
+        (3 * DEFAULT_INTERVALS + 123, 1.0, 1.0),  # B = DEFAULT_INTERVALS
+        (1000, 1e-4, 1.0),  # h/c = 1, so B = BLOCK_EXPONENT + 1
+        (1000, 1e-8, 0.1),  # h/c = 10, so B = 7
+        (1000, 1e-8, 1.0),  # h/c = 100: one node a block, and q > 0
+    ])
+    def test_block_seams_match_the_loop(self, nodes, omega, beta):
+        grid = np.linspace(0.0, 10.0, nodes + 1)
+        h_over_c = (grid[1] - grid[0]) * beta / math.sqrt(omega)
+        block = min(DEFAULT_INTERVALS, int(BLOCK_EXPONENT / h_over_c) + 1)
+        assert nodes // block >= 3 and (block == 1 or nodes % block)
+        assert math.exp(-block * h_over_c) > 0.0
+        values = np.random.default_rng(nodes).uniform(-0.1, 1.2, grid.size)
+        assert_close_to_loop(grid, omega, beta, values, 0.7)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="np.longdouble is no wider than float here")
+    @pytest.mark.parametrize("omega", [1.0, 0.01])
+    def test_matches_a_longdouble_recurrence(self, omega):
+        # A doubling scan over all nodes, with q^k by squaring, is off by
+        # 8.5e-14 at omega = 1: the bound is below that.
+        grid = np.linspace(0.0, 10.0, 2**16 + 1)
+        values = np.random.default_rng(16).uniform(-0.1, 1.2, grid.size)
+        ref = recurrence_in_longdouble(grid, omega, 1.0, values, 0.7)
+        out = KernelOperator(grid, omega, 1.0).apply(values, 0.7)
+        assert np.all(np.abs(out - ref) <= 2e-14 * np.maximum(1.0, np.abs(ref)))
 
     def test_leaves_values_unmodified(self):
         grid = np.linspace(0.0, 5.0, 257)
@@ -292,3 +339,18 @@ class TestPicard:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+        # On the largest grid the operator holds its two weight rows, a few
+        # DEFAULT_INTERVALS floats, and one application peaks near two grids.
+        grid = np.linspace(0.0, 10.0, MAX_INTERVALS + 1)
+        values = np.full(grid.size, 0.3)
+        tracemalloc.start()
+        try:
+            op = KernelOperator(grid, 1.0, 1.0)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op.apply(values, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 8 * DEFAULT_INTERVALS
+        assert peak < 24 * grid.size

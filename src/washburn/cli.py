@@ -334,11 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("picard", help="solve the integral fixed point and "
                                       "write CSV plus an iteration sidecar")
     _add_model_args(p, with_input=False)
-    p.add_argument("--horizon", type=float, default=10.0)
+    p.add_argument("--horizon", type=float, default=10.0,
+                   help="end of the grid [0, horizon] (default: %(default)g)")
     p.add_argument("--step", type=float, default=None,
                    help="grid step that tiles the horizon, " + STEP_RANGE_HELP)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="the iteration stops once the sup-norm change of an iterate "
+                        "falls below it (default: %(default)g)")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help="iteration limit; a solve that has not converged within it "
+                        "exits 3 (default: %(default)d)")
     p.add_argument("--output", "-o", required=True, metavar="PREFIX")
     p.set_defaults(fn=cmd_picard)
 

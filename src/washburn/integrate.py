@@ -45,9 +45,8 @@ class Trajectory:
     """Sampled solution with derived columns and integration metadata.
 
     E and V are recomputed from (u, v) at each sample, never integrated;
-    H = sqrt(2u) and T = s sqrt(omega) are pure coordinate changes. On a
-    dry start the samples before the first RK step hold the series seed;
-    `dense` knows only the steps and extrapolates the first one there.
+    H = sqrt(2u) and T = s sqrt(omega) are pure coordinate changes. Every
+    sample of (u, v) is `dense` at its time, dry start or wet.
     """
 
     s: np.ndarray
@@ -118,17 +117,11 @@ def _sample_grid(horizon: float, step: float) -> np.ndarray:
     return s
 
 
-def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0,
-             series=None):
+def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0):
     """Sample times, state rows and height sqrt(2u) from the dense output,
-    with the samples before its first step taken from the series seed, if
-    there is one, and the first sample pinned to the initial state y0; all
-    read-only."""
+    with the first sample pinned to the initial state y0; all read-only."""
     s = _sample_grid(horizon, sample_step)
-    first = 0 if series is None else s.searchsorted(dense.t[0])
-    y = dense(s[first:])
-    if first:
-        y = np.concatenate((series(s[:first]), y), axis=1)
+    y = dense(s)
     y[:, 0] = y0
     h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
     for arr in (s, y, h):
@@ -136,40 +129,14 @@ def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0,
     return s, y, h
 
 
-def _series_seed(gamma: float):
-    """Local expansion u = s^2/2 - (1+gamma) s^3/6 + ... used to step off
-    the square-root corner at u = 0 with zero initial data."""
-    c3 = -(1.0 + gamma) / 6.0
-    c4 = (1.0 + gamma) * (3.0 * gamma + 1.0) / 72.0
-
-    def eval_series(s):
-        """(u, v) at a float or an array of times."""
-        u = s * s * (0.5 + s * (c3 + s * c4))
-        v = s * (1.0 + s * (3.0 * c3 + s * 4.0 * c4))
-        return u, v
-
-    return eval_series
-
-
 def _solve(params: ModelParams, epsilon: float, horizon: float,
-           tolerances: tuple[float, float]):
-    """Run the RK5(4) solve; returns (dense solution, u at s = 0, series
-    seed of a dry start or None)."""
-    gamma = params.damping
+           tolerances: tuple[float, float]) -> _rk.DenseSolution:
+    """Run the RK5(4) solve from rest at s = 0, (alpha^2/2, 0.0), dry start
+    or wet: at u = 0 the scaling u = H^2/2 leaves the field regular, u'' = 1."""
     u0 = 0.5 * params.alpha * params.alpha
-    t_start = 0.0
-    y_start = (u0, 0.0)
-    series = None
-    if epsilon == 0.0 and u0 == 0.0:
-        # Hoelder corner at u = 0: seed the first step analytically.
-        series = _series_seed(gamma)
-        t_start = min(1e-6, 0.01 / (1.0 + gamma), horizon / 2.0)
-        y_start = series(t_start)
-
     abs_tol, rel_tol = tolerances
-    dense = _rk.solve(dynamics.u_form_field(gamma, epsilon), t_start, y_start, horizon,
-                      rel_tol, abs_tol)
-    return dense, u0, series
+    return _rk.solve(dynamics.u_form_field(params.damping, epsilon), 0.0, (u0, 0.0), horizon,
+                     rel_tol, abs_tol)
 
 
 def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
@@ -192,9 +159,10 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
               sample_step: float | None = None) -> Trajectory:
     """Integrate the u-form model over [0, horizon].
 
-    Samples land on multiples of sample_step (plus the final time) through
-    the integrator's quartic dense output; the first sample matches the
-    initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
+    Every run, the dry start alpha = 0 included, is stepped from rest at
+    s = 0. Samples land on multiples of sample_step (plus the final time)
+    through the integrator's quartic dense output; the first sample matches
+    the initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
     Equilibrium crossings are bracketed by the samples and refined to
     CROSSING_REFINE_TOL by bisection on the dense output's u, each step's
     quartic evaluated inline with the bits of `dense(t)[0]`. The
@@ -209,9 +177,9 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
         horizon = default_horizon(params)
     horizon, tolerances, sample_step = _check_run(horizon, HORIZON_CAP, tolerances,
                                                   sample_step)
-    dense, u0, series = _solve(params, epsilon, horizon, tolerances)
-
-    s, (u, v), H = _sampled(dense, horizon, sample_step, (u0, 0.0), series)
+    dense = _solve(params, epsilon, horizon, tolerances)
+    s, (u, v), H = _sampled(dense, horizon, sample_step,
+                            (0.5 * params.alpha * params.alpha, 0.0))
     T = s * math.sqrt(params.omega)
     E, V = stability.lyapunov_columns(u, v)
     for arr in (T, E, V):

@@ -484,7 +484,7 @@ def acceptance_c07_volterra_cross_validation() -> dict:
     per_point = []
     for beta, omega, alpha in VOLTERRA_GRID:
         res = volterra.picard_solve(omega, beta, alpha, 10.0, step=10.0 / 4096)
-        dense = _solve(ModelParams(omega, beta, alpha), 0.0, 10.0, (1e-12, 1e-10))[0]
+        dense = _solve(ModelParams(omega, beta, alpha), 0.0, 10.0, (1e-12, 1e-10))
         d = float(np.max(np.abs(res.solution.values - dense(res.solution.grid)[0])))
         per_point.append({"beta": beta, "omega": omega, "alpha": alpha,
                           "iterations": res.iterations, "sup_distance": d})

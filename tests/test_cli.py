@@ -449,6 +449,10 @@ EDGE_TABLE = {
     "simulate": (["simulate", "--omega=1", "--beta=1", "--alpha=0", "--horizon=2"],
                  ["omega", "beta", "alpha", "epsilon", "horizon", "sample-step", "abs-tol",
                   "rel-tol"]),
+    # gamma = 1e154: a dry start from rest takes one step to its default horizon.
+    "simulate-extreme-damping": (["simulate", "--omega=1e-308", "--beta=1", "--alpha=0"],
+                                 ["omega", "beta", "alpha", "epsilon", "horizon",
+                                  "sample-step", "abs-tol", "rel-tol"]),
     "simulate-classify": (["simulate", "--omega=1", "--beta=1", "--alpha=1", "--horizon=2",
                            "--classify"],
                           ["omega", "beta", "alpha", "epsilon", "horizon", "sample-step",
@@ -466,6 +470,13 @@ EDGE_TABLE = {
                ["omega", "beta", "alpha", "horizon", "step", "tol", "max-iter"]),
     "basin": (["basin", "--alpha=0"], ["alpha"]),
 }
+
+
+@pytest.mark.parametrize("base", [pytest.param(base, id=name)
+                                  for name, (base, _) in EDGE_TABLE.items()])
+def test_edge_table_base_argvs_exit_0(tmp_path, capsys, base):
+    code, _ = run_without_warnings([*base, f"--output={tmp_path / 'run'}"], capsys)
+    assert code == 0, base
 
 
 @pytest.mark.parametrize("base,flag", [

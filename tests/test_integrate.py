@@ -9,7 +9,7 @@ from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
 from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
                                 HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing,
-                                _detect_crossings, _series_seed, continuous_dependence,
+                                _detect_crossings, continuous_dependence,
                                 default_horizon, detect_crossings, integrate,
                                 integrate_regime)
 from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
@@ -103,23 +103,28 @@ class TestIntegrate:
         traj = integrate(mp(1.0, 1.0, 0.0), epsilon=eps, horizon=40.0)
         assert traj.u[-1] == pytest.approx((1.0 - eps) / 2.0, abs=1e-6)
 
-    @pytest.mark.parametrize("omega,beta", [(1.0, 1.0), (0.01, 1.0), (4.0, 0.5)])
-    @pytest.mark.parametrize("run", [{"horizon": 1e-5},
-                                     {"horizon": 1e-3, "sample_step": 1e-7}])
-    def test_dry_start_samples_below_the_first_step_are_the_series(self, omega, beta, run):
-        params = mp(omega, beta, 0.0)
-        traj = integrate(params, **run)
-        start = traj.dense.t[0]
-        assert start > 0.0  # the RK steps start at the series seed's end
-        early = traj.s < start
-        assert early.sum() >= 9
-        series = np.stack(_series_seed(params.damping)(traj.s[early]))
-        assert np.array_equal(np.stack([traj.u, traj.v])[:, early].view(np.int64),
-                              series.view(np.int64))
-        assert np.array_equal(traj.H[early], np.sqrt(2.0 * series[0]))
-        # from the first step on, the samples are the dense output's
-        assert np.array_equal(np.stack([traj.u, traj.v])[:, ~early],
-                              traj.dense(traj.s[~early]))
+    @pytest.mark.parametrize("omega", [1e-308, 1e-310, 5e-324])
+    def test_dry_start_at_extreme_damping(self, omega):
+        # gamma = beta/sqrt(omega) reaches 4.5e161: the run is one step from rest.
+        traj = integrate(mp(omega, 1.0, 0.0))
+        for column in (traj.u, traj.v, traj.H, traj.E, traj.V):
+            assert np.all(np.isfinite(column))
+
+    @pytest.mark.parametrize("point,epsilon", [
+        pytest.param((1.0, 1.0, 0.0), 0.0, id="dry"),
+        pytest.param((0.01, 1.0, 0.0), 0.0, id="dry-node"),
+        pytest.param((4.0, 0.5, 0.0), 0.0, id="dry-spiral"),
+        pytest.param((1.0, 1.0, 0.0), 1e-4, id="regularized"),
+        pytest.param((1.0, 1.0, 0.5), 0.0, id="wet"),
+        pytest.param((0.1, 1.0, 1.5), 0.0, id="wet-node")])
+    @pytest.mark.parametrize("run", [pytest.param({}, id="default"),
+                                     pytest.param({"horizon": 1e-3, "sample_step": 1e-7},
+                                                  id="near-the-corner")])
+    def test_every_sample_is_the_dense_output(self, point, epsilon, run):
+        traj = integrate(mp(*point), epsilon=epsilon, **run)
+        assert traj.dense.t[0] == 0.0
+        assert np.array_equal(np.stack([traj.u, traj.v]).view(np.int64),
+                              traj.dense(traj.s).view(np.int64))
 
 
 class TestWorkCounters:
@@ -128,11 +133,11 @@ class TestWorkCounters:
 
     def test_default_run(self):
         dense = integrate(mp(1.0, 1.0, 0.0)).dense
-        assert (dense.nfev, dense.accepted, dense.rejected) == (1148, 182, 9)
+        assert (dense.nfev, dense.accepted, dense.rejected) == (1124, 180, 7)
 
     def test_light_spiral(self):
         dense = integrate(mp(31.4, 0.7, 0.0)).dense
-        assert (dense.nfev, dense.accepted, dense.rejected) == (8264, 1281, 96)
+        assert (dense.nfev, dense.accepted, dense.rejected) == (8252, 1279, 96)
 
     def test_regime_case2(self, monkeypatch):
         solves = []
@@ -264,24 +269,12 @@ SYNTHETIC = {
 LEVELS = (0.5, 0.25, 0.7, 1e-4)
 
 
-def u_by_lists(traj):
-    """The crossing reference's u at a time: `at_by_lists` on the steps,
-    and the exact series seed before the first step of a dry start, where
-    the samples come from that series."""
-    at, start = at_by_lists(traj.dense), float(traj.dense.t[0])
-    if start == 0.0:
-        return at
-    series = _series_seed(traj.params.damping)
-    return lambda t: series(t)[0] if t < start else at(t)
-
-
 def seeded_runs(count=150):
     """Seeded runs over nodes and spirals (omega/omega* in [0.3, 6]), a third
     of them dry starts and every tenth regularized, each start sampled at
     the default step, at horizon/256 and at horizon/24. The coarse samples give
-    brackets over several steps, and brackets from s = 0, from before the
-    first step of a dry start, or on the first step's start, where the
-    reference `at_by_lists` clamps the step index."""
+    brackets over several steps, and brackets from s = 0, the first step's
+    start, where the reference `at_by_lists` clamps the step index."""
     rng = np.random.default_rng(16)
     for i in range(count):
         beta = rng.uniform(0.5, 1.0)
@@ -302,21 +295,19 @@ class TestCrossingScan:
                                        (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
     def test_trajectories(self, point):
         traj = integrate(mp(*point))
-        by_lists = u_by_lists(traj)
+        by_lists = at_by_lists(traj.dense)
         for level in LEVELS:
             found = _detect_crossings(traj.s, traj.u, traj.dense, level)
             assert found == crossings_by_loop(traj.s, traj.u, by_lists, level)
         assert traj.crossings == crossings_by_loop(traj.s, traj.u, by_lists, 0.5)
 
     def test_seeded_sweep(self):
-        # Before the first step of a dry start the samples hold the series and
-        # the dense output extrapolates the first step. There u <= 5e-13, so
-        # at level 2e-9 those samples lie outside the band and bracket the
-        # first crossing, and at 1e-12 they lie inside it.
-        brackets = {"several steps": 0, "from s = 0": 0, "before the first step": 0,
-                    "clamped": 0}
+        # A dry start rises from u = 0 as s^2/2, so at level 2e-9 its early
+        # samples lie outside the band and bracket the first crossing, and at
+        # 1e-12 they lie inside it.
+        brackets = {"several steps": 0, "from s = 0": 0}
         for traj in seeded_runs():
-            dense, by_lists = traj.dense, u_by_lists(traj)
+            dense, by_lists = traj.dense, at_by_lists(traj.dense)
             for level in LEVELS + (2e-9, 1e-12):
                 seen = []
                 assert (_detect_crossings(traj.s, traj.u, dense, level)
@@ -324,9 +315,7 @@ class TestCrossingScan:
                 for lo, hi in seen:
                     first, last = np.searchsorted(dense.t, [lo, hi])
                     brackets["several steps"] += last - first >= 2
-                    brackets["from s = 0"] += lo == 0.0
-                    brackets["before the first step"] += lo < dense.t[0]
-                    brackets["clamped"] += lo == dense.t[0]  # at_by_lists' step -1, clamped to 0
+                    brackets["from s = 0"] += lo == 0.0  # at_by_lists' step -1, clamped to 0
         assert min(brackets.values()) >= 10, brackets
 
     def test_lightly_damped_point_crosses_76_times(self):

@@ -31,7 +31,7 @@ from washburn._rk import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61,
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import NumericError, StepSizeUnderflowError
 from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, REGIME_TOLERANCES,
-                                _series_seed, _solve, default_horizon)
+                                _solve, default_horizon)
 from washburn.params import ModelParams
 
 
@@ -45,13 +45,12 @@ def field_of(accel, n=2):
 
 
 def u_form_at(params, epsilon=0.0):
-    """The solve `integrate` makes (dry starts without epsilon take the series seed)."""
+    """The solve `integrate` makes, from rest at s = 0, dry start or wet."""
     horizon = default_horizon(params)
-    dense = _solve(params, epsilon, horizon, DEFAULT_TOLERANCES)[0]
-    start = float(dense.t[0])
-    y0 = tuple(dense(start).tolist())  # the interpolant at x = 0 is the start state
+    dense = _solve(params, epsilon, horizon, DEFAULT_TOLERANCES)
+    y0 = (0.5 * params.alpha * params.alpha, 0.0)
     accel = dynamics.u_form_field(params.damping, epsilon)
-    return dense, accel, start, y0, horizon, DEFAULT_TOLERANCES
+    return dense, accel, 0.0, y0, horizon, DEFAULT_TOLERANCES
 
 
 def u_form(gamma, alpha):
@@ -482,18 +481,16 @@ def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
 
 
 def test_step_store_memory_per_accepted_step():
-    # A lightly damped dry start, the long run the store is sized for. The
-    # flat store and the dense coefficients, with the product block Q is
-    # summed from, peak at about 292 B per accepted step; a tuple of floats
+    # A lightly damped dry start from rest, the long run the store is sized
+    # for. The flat store and the dense coefficients, with the product block
+    # Q is summed from, peak at about 292 B per accepted step; a tuple of floats
     # kept per step would add over 400 B more. Once the store is freed, the
     # solution holds its times, start states and Q, 88 B per step (two
     # components); a per-step list of times would add 32 B more.
-    series = _series_seed(0.01)
-    t0 = 1e-6
     abs_tol, rel_tol = DEFAULT_TOLERANCES
     tracemalloc.start()
     try:
-        dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), t0, series(t0), 1e4, rel_tol,
+        dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), 0.0, (0.0, 0.0), 1e4, rel_tol,
                           abs_tol)
         held, peak = tracemalloc.get_traced_memory()
     finally:

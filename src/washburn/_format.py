@@ -6,18 +6,20 @@ identical inputs must produce byte-identical files, except that the
 `verify --output` report records each check's wall-clock seconds.
 
 Types map to JSON as: None, bool, int, float (at fmt17), str, dict and
-list/tuple as themselves; an Enum as its value; a complex as
-{"re", "im"}; a Fraction as [numerator, denominator]; a dataclass or
-NamedTuple as an object of its fields in declaration order. Anything else
-is refused with TypeError, numpy arrays and numpy integers included;
-numpy's float64 and complex128 subclass float and complex, so they are
-written as those.
+list/tuple as themselves, a string and a dict key (as str(key)) escaped
+as `json.dumps(ensure_ascii=False)` escapes them; an Enum as its value; a
+complex as {"re", "im"}; a Fraction as [numerator, denominator]; a
+dataclass or NamedTuple as an object of its fields in declaration order.
+Anything else is refused with TypeError, numpy arrays and numpy integers
+included; numpy's float64 and complex128 subclass float and complex, so
+they are written as those.
 
 Importing this module loads no numpy; `write_csv` imports numpy itself.
 """
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from enum import Enum
 from fractions import Fraction
@@ -48,9 +50,7 @@ def _emit(obj, level: int) -> str:
     if isinstance(obj, float):
         return fmt17(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, Enum):
         return _emit(obj.value, level)
     if isinstance(obj, complex):
@@ -64,8 +64,8 @@ def _emit(obj, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f'{pad_in}"{key}": {_emit(value, level + 1)}'
-                 for key, value in obj.items())
+        items = (f"{pad_in}{json.dumps(str(key), ensure_ascii=False)}: "
+                 f"{_emit(value, level + 1)}" for key, value in obj.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:

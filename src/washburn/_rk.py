@@ -1,9 +1,9 @@
 """Embedded Dormand-Prince 5(4) pair with quartic dense output.
 
-`solve` steps the autonomous second-order equation u'' = accel(u, u') as
-the system u' = v, v' = accel(u, v) on a state (u, v) of two Python
-floats. The stage derivative of u is the stage's v, which the stage sum
-already gives, so each stage makes one call that returns one float. A
+`solve` steps u'' = accel(u, u') from s = 0 as the system u' = v,
+v' = accel(u, v) on a state (u, v) of two Python floats. The stage
+derivative of u is the stage's v, which the stage sum already gives, so
+each stage makes one call that returns one float. A
 one-component state (w,) is stepped as the velocity equation
 w' = accel(W, w) of W = the integral of w: W rides in the first slot from
 0.0, is left out of the error norm and the starting step, and is dropped
@@ -66,8 +66,8 @@ E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
                           -22 / 525, 1 / 40)
 
 # Quartic dense output (Shampine's choice of c6): the rows for stages 1 and
-# 3-7 (stage 2's row is zero). Within a step of length h from (t0, y0),
-# y(t0 + x h) = y0 + h sum_j Q_j x^(j+1), where each coefficient is the sum
+# 3-7 (stage 2's row is zero). Within a step of length h from (t_k, y_k),
+# y(t_k + x h) = y_k + h sum_j Q_j x^(j+1), where each coefficient is the sum
 # Q_j = K1 P1j + K3 P3j + K4 P4j + K5 P5j + K6 P6j + K7 P7j over the stages
 # K, every term included (zeros too) and added left to right: the order
 # plain Python floats give, and no BLAS kernel chooses another.
@@ -94,21 +94,20 @@ def _rms(a: float, b: float, one: bool) -> float:
     return math.sqrt(b * b) if one else math.sqrt(a * a + b * b) / ROOT_2
 
 
-def _initial_step(accel, t0, ya, yb, fb, one, t_bound, rtol, atol) -> float:
-    """Hairer-Norsett-Wanner starting step for an error estimator of order 4
-    on the state (ya, yb) with derivative (yb, fb); makes one evaluation of
-    accel. Raises StepSizeUnderflowError when the field is so large against
-    the tolerances that the first guess is 0."""
-    interval = t_bound - t0
+def _initial_step(accel, ya, yb, fb, one, t_bound, rtol, atol) -> float:
+    """Hairer-Norsett-Wanner starting step at s = 0 for an error estimator of
+    order 4 on the state (ya, yb) with derivative (yb, fb); makes one
+    evaluation of accel. Raises StepSizeUnderflowError when the field is so
+    large against the tolerances that the first guess is 0."""
     sa = atol + abs(ya) * rtol
     sb = atol + abs(yb) * rtol
     d0 = _rms(ya / sa, yb / sb, one)
     d1 = _rms(yb / sa, fb / sb, one)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
+    h0 = min(h0, t_bound)
     if h0 == 0.0:
         raise StepSizeUnderflowError(
-            f"initial step size is zero at t = {t0!r}: the scaled field norm overflows")
+            "initial step size is zero at t = 0.0: the scaled field norm overflows")
     vb = yb + h0 * fb
     gb = accel(ya + h0 * yb, vb)
     d2 = _rms((vb - yb) / sa, (gb - fb) / sb, one) / h0
@@ -116,27 +115,27 @@ def _initial_step(accel, t0, ya, yb, fb, one, t_bound, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval)
+    return min(100 * h0, h1, t_bound)
 
 
-def solve(accel, t0: float, y0, t_bound: float, rtol: float,
-          atol: float) -> "DenseSolution":
-    """Integrate u'' = accel(u, u') from (t0, y0) to t_bound > t0.
+def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
+    """Integrate u'' = accel(u, u') from y0 at s = 0 to t_bound > 0.
 
     y0 is (u, v), stepped as u' = v, v' = accel(u, v), or (w,), stepped as
-    w' = accel(W, w) with W = 0.0 at t0 carried in the first slot but kept
+    w' = accel(W, w) with W = 0.0 at s = 0 carried in the first slot but kept
     out of the error norm and the starting step (an overflowing W cannot
     then reject or shrink a step). accel is called once per stage with two
-    floats and returns one float; atol must be positive. rtol below 100
-    machine epsilons is raised to that floor, as scipy does. Each accepted
-    step's 14 floats, its start time first, are packed into one bytes
-    store, from which the returned DenseSolution reads its steps. Raises
-    StepSizeUnderflowError when the step falls below ten units in the last
-    place of t, or the starting step to 0, and NumericError when MAX_STEPS
-    steps, accepted or rejected, do not reach t_bound.
+    floats and returns one float. tolerances is the package's (abs, rel)
+    pair; abs must be positive, and a rel below 100 machine epsilons is
+    raised to that floor, as scipy does. Each accepted step's 14 floats, its
+    start time first, are packed into one bytes store, from which the
+    returned DenseSolution reads its steps. Raises StepSizeUnderflowError
+    when the step falls below ten units in the last place of t, or the
+    starting step to 0, and NumericError when MAX_STEPS steps, accepted or
+    rejected, do not reach t_bound.
     """
-    if not t_bound > t0:
-        raise ValueError(f"t_bound {t_bound!r} must exceed t0 {t0!r}")
+    if not t_bound > 0.0:
+        raise ValueError(f"t_bound {t_bound!r} must be positive")
     n = len(y0)
     if n == 1:
         ya, yb = 0.0, float(y0[0])
@@ -145,15 +144,15 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float,
     else:
         raise ValueError(f"the state has {n} components; solve steps 1 or 2")
     one = n == 1
+    atol, rtol = tolerances
     rtol = max(rtol, MIN_RTOL)
     max_steps = budget = MAX_STEPS
     ulp, sqrt = math.ulp, math.sqrt
-    t = t0
+    t = 0.0
     # The state is (ya, yb) and its derivative (yb, fb): slot a's stage
     # derivatives are slot b's stage values, yb, v2-v6 and nb.
     fb = accel(ya, yb)
-    h_abs = _initial_step(accel, t, ya, yb, fb, one, t_bound, rtol, atol)
-    nfev = 2
+    h_abs = _initial_step(accel, ya, yb, fb, one, t_bound, rtol, atol)
     rejected = 0
     steps = bytearray()  # per accepted step: t, ya, then the six stage pairs
     store, pack = steps.extend, STEP_RECORD.pack
@@ -190,7 +189,6 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float,
             na = ya + h * (B1 * yb + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
             nb = yb + h * (B1 * fb + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
             gb = accel(na, nb)
-            nfev += 6
             # The scale max(|y_old|, |y_new|) without builtin calls: `b if b > a
             # else a` keeps max's choice, a when either is NaN. A zero's sign
             # cannot reach the quotient, since atol > 0 absorbs it.
@@ -227,7 +225,7 @@ def solve(accel, t0: float, y0, t_bound: float, rtol: float,
         fb = gb
         scale_a = new_a
         scale_b = new_b
-    return DenseSolution(t, steps, (yb,) if one else (ya, yb), nfev, rejected)
+    return DenseSolution(t, steps, (yb,) if one else (ya, yb), rejected)
 
 
 class DenseSolution:
@@ -243,21 +241,21 @@ class DenseSolution:
     step or past the last extrapolate that end step, as scipy's OdeSolution
     does.
 
-    `t` holds the step times, `nfev` counts evaluations of the
-    acceleration, `accepted` and `rejected` the steps; `y` is the final
-    state, without W.
+    `t` holds the step times, `accepted` and `rejected` count the steps and
+    `nfev` the calls of the acceleration they took, 2 + 6 (accepted +
+    rejected); `y` is the final state, without W.
     """
 
-    def __init__(self, t_end, steps, y, nfev, rejected):
+    def __init__(self, t_end, steps, y, rejected):
         """`steps` is the packed bytes store `solve` fills, read as native
         doubles, one `STEP_RECORD` per accepted step; t_end is where the
         last step ends. A one-component state keeps its W in u's slot and in
         the first slot of each pair; W is dropped here, before Q is built."""
         self.y = y
-        self.nfev = nfev
         self.rejected = rejected
         records = np.frombuffer(steps, float).reshape(-1, 14)
         self.accepted = len(records)
+        self.nfev = 2 + 6 * (self.accepted + rejected)
         self.t = np.append(records[:, 0], t_end)
         # (n, m) views of the start state, then of the stages K1, K3-K7.
         n = len(y)

@@ -1,12 +1,13 @@
 """Adaptive trajectory integration with dense sampling and bookkeeping.
 
-The u-form model, with the acceleration `dynamics.u_form_field`, is
-integrated with the explicit embedded Runge-Kutta 5(4) pair of
-Dormand and Prince with quartic dense output (`_rk`). Trajectories
-carry derived height/energy columns, equilibrium-crossing events detected
-with a hysteresis band and refined by bisection on the dense output's
-quartic for u (`DenseSolution.bisect`, with the bits of calling the
-dense output), and the evaluation handle needed to re-detect crossings at
+The u-form model (the acceleration `dynamics.u_form_field`) and each
+reduced regime are integrated from rest at s = 0 by one `_rk.solve` call,
+Dormand and Prince's embedded Runge-Kutta 5(4) pair with quartic dense
+output, at the run's (abs, rel) tolerances. Trajectories carry derived
+height/energy columns, equilibrium-crossing events detected with a
+hysteresis band and refined by bisection on the dense output's quartic
+for u (`DenseSolution.bisect`, with the bits of calling the dense
+output), and the evaluation handle needed to re-detect crossings at
 other levels.
 """
 from __future__ import annotations
@@ -129,16 +130,6 @@ def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0):
     return s, y, h
 
 
-def _solve(params: ModelParams, epsilon: float, horizon: float,
-           tolerances: tuple[float, float]) -> _rk.DenseSolution:
-    """Run the RK5(4) solve from rest at s = 0, (alpha^2/2, 0.0), dry start
-    or wet: at u = 0 the scaling u = H^2/2 leaves the field regular, u'' = 1."""
-    u0 = 0.5 * params.alpha * params.alpha
-    abs_tol, rel_tol = tolerances
-    return _rk.solve(dynamics.u_form_field(params.damping, epsilon), 0.0, (u0, 0.0), horizon,
-                     rel_tol, abs_tol)
-
-
 def _detect_crossings(s: np.ndarray, u: np.ndarray, dense: _rk.DenseSolution,
                       level: float) -> tuple[Crossing, ...]:
     # Samples within CROSSING_BAND of the level belong to neither side (NaN
@@ -159,10 +150,11 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
               sample_step: float | None = None) -> Trajectory:
     """Integrate the u-form model over [0, horizon].
 
-    Every run, the dry start alpha = 0 included, is stepped from rest at
-    s = 0. Samples land on multiples of sample_step (plus the final time)
-    through the integrator's quartic dense output; the first sample matches
-    the initial data exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
+    Every run, the dry start alpha = 0 included (u = H^2/2 leaves the field
+    regular there, u'' = 1), is stepped from rest at s = 0. Samples land on
+    multiples of sample_step (plus the final time) through the integrator's
+    quartic dense output; the first sample matches the initial data
+    exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
     Equilibrium crossings are bracketed by the samples and refined to
     CROSSING_REFINE_TOL by bisection on the dense output's u, each step's
     quartic evaluated inline with the bits of `dense(t)[0]`. The
@@ -177,9 +169,9 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
         horizon = default_horizon(params)
     horizon, tolerances, sample_step = _check_run(horizon, HORIZON_CAP, tolerances,
                                                   sample_step)
-    dense = _solve(params, epsilon, horizon, tolerances)
-    s, (u, v), H = _sampled(dense, horizon, sample_step,
-                            (0.5 * params.alpha * params.alpha, 0.0))
+    y0 = (0.5 * params.alpha * params.alpha, 0.0)
+    dense = _rk.solve(dynamics.u_form_field(params.damping, epsilon), y0, horizon, tolerances)
+    s, (u, v), H = _sampled(dense, horizon, sample_step, y0)
     T = s * math.sqrt(params.omega)
     E, V = stability.lyapunov_columns(u, v)
     for arr in (T, E, V):
@@ -203,8 +195,6 @@ def continuous_dependence(params: ModelParams, alpha0: float,
                           tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
                           sample_step: float | None = None) -> list[DependenceRecord]:
     """Sup-norm distance of each alpha-run from the alpha0 reference run."""
-    if horizon is None:
-        horizon = default_horizon(params)
     reference = integrate(params.replace_alpha(alpha0), horizon=horizon,
                           tolerances=tolerances, sample_step=sample_step)
     records = []
@@ -249,12 +239,10 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
                                                   sample_step)
     u0 = 0.5 * alpha * alpha
     y0 = (u0,) if spec.first_order else (u0, 0.0)
-    abs_tol, rel_tol = tolerances
     # A run that overflows leaves non-finite samples, which
     # regime_oracle_residuals rejects; numpy need not warn about them first.
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = _rk.solve(dynamics.regime_field(spec, beta), 0.0, y0, horizon, rel_tol,
-                          abs_tol)
+        dense = _rk.solve(dynamics.regime_field(spec, beta), y0, horizon, tolerances)
         t, y, h = _sampled(dense, horizon, sample_step, y0)
     return RegimeTrajectory(spec=spec, beta=beta, h0=math.sqrt(2.0 * u0), t=t, u=y[0],
                             v=None if spec.first_order else y[1], h=h, tolerances=tolerances)

@@ -28,8 +28,8 @@ import numpy as np
 from . import _rk, dynamics, params as params_module, stability, volterra
 from .dynamics import RegimeCase, RegimeSpec, State
 from .errors import WashburnError
-from .integrate import (REGIME_TOLERANCES, _solve, continuous_dependence, integrate,
-                        integrate_regime, regime_oracle_residuals)
+from .integrate import (REGIME_TOLERANCES, continuous_dependence, integrate, integrate_regime,
+                        regime_oracle_residuals)
 from .params import ModelParams, PhysicalParams
 
 SEED = 20250810
@@ -167,8 +167,8 @@ def check_dynamics_h_u_consistency() -> dict:
     omega, beta, alpha = 1.0, 1.0, 0.5
     traj = integrate(ModelParams(omega, beta, alpha), horizon=20.0,
                      tolerances=(1e-12, 1e-10), sample_step=0.01)
-    sol = _rk.solve(dynamics.h_form_field(omega, beta), 0.0, (alpha, 0.0),
-                    20.0 * math.sqrt(omega), rtol=1e-10, atol=1e-12)
+    sol = _rk.solve(dynamics.h_form_field(omega, beta), (alpha, 0.0), 20.0 * math.sqrt(omega),
+                    (1e-12, 1e-10))
     H_direct = sol(traj.s * math.sqrt(omega))[0]
     worst = float(np.max(np.abs(traj.H - H_direct)))
     _require(worst <= 1e-7, f"H/u cross-integration differs by {worst:.3e}")
@@ -484,7 +484,8 @@ def acceptance_c07_volterra_cross_validation() -> dict:
     per_point = []
     for beta, omega, alpha in VOLTERRA_GRID:
         res = volterra.picard_solve(omega, beta, alpha, 10.0, step=10.0 / 4096)
-        dense = _solve(ModelParams(omega, beta, alpha), 0.0, 10.0, (1e-12, 1e-10))
+        dense = _rk.solve(dynamics.u_form_field(beta / math.sqrt(omega), 0.0),
+                          (0.5 * alpha * alpha, 0.0), 10.0, (1e-12, 1e-10))
         d = float(np.max(np.abs(res.solution.values - dense(res.solution.grid)[0])))
         per_point.append({"beta": beta, "omega": omega, "alpha": alpha,
                           "iterations": res.iterations, "sup_distance": d})

@@ -95,7 +95,8 @@ class KernelOperator:
         self.c = math.sqrt(omega) / beta
         h = self.grid[1] - self.grid[0]
         self._hc = h / self.c  # 0 for c = inf, inf for c = 0
-        self._r = -math.expm1(-self._hc)
+        # r c, or its limit h (the kernel's, s - t) where h/c is 0 and r c is 0 inf.
+        self._scale = h if self._hc == 0.0 else -math.expm1(-self._hc) * self.c
         if self._hc * (DEFAULT_INTERVALS - 1) <= BLOCK_EXPONENT:
             block = DEFAULT_INTERVALS
         else:
@@ -133,7 +134,7 @@ class KernelOperator:
             blocks[1:] += ends[:-1, None] * self._powers[1:]
         sums = np.zeros(n + 1)
         np.cumsum(s, out=sums[1:])
-        sums *= self._r * self.c
+        sums *= self._scale
         sums += 0.5 * alpha * alpha
         return sums
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -20,7 +21,8 @@ SUBNORMAL = json.dumps({**WATER_JSON, "rho": 6.92e48, "mu": 1.12e-253, "gamma": 
                         "g": 6.08e23, "R": 2.0e-141}).encode()
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(argv):
@@ -256,8 +258,7 @@ class TestPicard:
         assert code == 2
         assert err.startswith("configuration error: tol:")
 
-    @pytest.mark.parametrize("run_args", [["--omega", "1", "--beta", "1", "--horizon", "1e300"],
-                                          ["--omega", "1e300", "--beta", "1e-300"]])
+    @pytest.mark.parametrize("run_args", [["--omega", "1", "--beta", "1", "--horizon", "1e300"]])
     def test_overflowing_iterate_exits_3_without_warnings(self, tmp_path, capsys, run_args):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would escape main()
@@ -407,13 +408,25 @@ class TestRegimeCommand:
         assert code == 3
         assert "implicit_time oracle is not finite from t* = " in err
 
-    @pytest.mark.parametrize("case,oracle", [("1", "closed_form_u"), ("3", "closed_form_h")])
+    @pytest.mark.parametrize("case,oracle", [("3", "closed_form_h")])
     def test_overflowing_run_exits_3_without_warnings(self, tmp_path, capsys, case, oracle):
         code, err = run_without_warnings(["regime", "--case", case, "--beta", "1e-308",
                                           "-o", str(tmp_path / "r")], capsys)
         assert code == 3
         assert err.startswith(f"numeric failure: {oracle} oracle is not finite from t* = ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("beta,horizon", [("1e-308", 20.0), ("1e-300", 1000.0)])
+    def test_case1_at_a_vanishing_beta_keeps_a_finite_oracle(self, tmp_path, capsys, beta,
+                                                             horizon):
+        # u* = t*^2/2 to the last bit; t*/beta alone overflows, and the
+        # closed form's two terms cancel to nothing.
+        code, err = run_without_warnings(["regime", "--case", "1", "--beta", beta,
+                                          "--horizon", repr(horizon),
+                                          "-o", str(tmp_path / "r")], capsys)
+        assert (code, err) == (0, "")
+        summary = json.loads((tmp_path / "r.json").read_text())
+        assert summary["max_residual"] <= 1e-14 * horizon**2
 
 
 class TestVerifyCommand:
@@ -439,6 +452,43 @@ class TestVerifyCommand:
 
     def test_unknown_filter_exits_2(self):
         assert run(["verify", "--only", "no-such-check"]) == 2
+
+
+def readme_commands() -> list:
+    """The argvs of the `washburn` lines in README's "Command line" block,
+    comments stripped."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()
+            if line.startswith("washburn ")]
+
+
+FULL_VERIFY = ["verify", "--output", "report.json"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_the_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "water.json").write_text(json.dumps(WATER_JSON))
+    monkeypatch.chdir(tmp_path)
+    code = run(argv)
+    out = capsys.readouterr().out
+    if argv != FULL_VERIFY:
+        assert code == 0
+        return
+    # The full sweep fails criterion 11 alone, as README's Verification says.
+    assert code == 4
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = [check["name"] for check in report["checks"] if not check["passed"]]
+    assert failed == ["acceptance.c11_convergence_to_equilibrium"]
+    [fail] = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fail.startswith("FAIL acceptance.c11_convergence_to_equilibrium ")
+
+
+def test_the_readme_block_holds_every_command():
+    commands = [argv[0] for argv in readme_commands()]
+    assert commands == ["nondim", "simulate", "picard", "classify", "basin", "regime",
+                        "verify", "verify"]
+    assert FULL_VERIFY in readme_commands()
 
 
 EDGE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300")
@@ -468,6 +518,10 @@ EDGE_TABLE = {
        for case in (2, 3)},
     "picard": (["picard", "--omega=1", "--beta=1", "--alpha=0", "--horizon=1", "--step=0.01"],
                ["omega", "beta", "alpha", "horizon", "step", "tol", "max-iter"]),
+    # c = sqrt(omega)/beta overflows to inf: the kernel is its limit s - t.
+    "picard-undamped": (["picard", "--omega=1e300", "--beta=1e-300", "--alpha=0"], []),
+    # beta t stays below 1e-296, where the case-1 closed form cancels to nothing.
+    "regime1-tiny-beta": (["regime", "--case=1", "--beta=1e-300", "--horizon=1000"], []),
     "basin": (["basin", "--alpha=0"], ["alpha"]),
 }
 

@@ -173,6 +173,13 @@ class TestRegimeOracles:
         _, resid = regime_oracle_residuals(traj)
         assert np.max(resid) < 1e-8
 
+    def test_case1_oracle_does_not_cancel_at_small_beta_t(self):
+        # u0 + t/beta - (1 - e^(-beta t))/beta^2 cancels to 7.6e-3 here.
+        spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY)
+        traj = integrate_regime(spec, beta=1e-7, alpha=0.0, horizon=10.0)
+        _, resid = regime_oracle_residuals(traj)
+        assert np.max(resid) <= 1e-9
+
     def test_case1_slip_rises_faster(self):
         spec = RegimeSpec.standard(RegimeCase.NEGLIGIBLE_GRAVITY)
         slip = integrate_regime(spec, beta=0.5, alpha=0.0, horizon=5.0)

@@ -3,6 +3,7 @@ emitter's rendering of result types against the hand converters it
 replaced (`stability_report_dict`, `crossings_json`, `outcome_dict` and
 the asdict/.value/numerator unpacking of the command-line front end),
 byte for byte."""
+import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -66,6 +67,17 @@ def test_write_json_refuses_a_non_finite_value_before_opening_the_file(tmp_path)
     with pytest.raises(ValueError, match="non-finite value inf in output"):
         write_json(tmp_path / "x.json", {"x": math.inf})
     assert not (tmp_path / "x.json").exists()
+
+
+AWKWARD_STRINGS = ["\x01", "\b", "\f", "\x1f", '"', "\\", "\u00e9",
+                   'a\x01b\bc\fd\x1fe"f\\g\u00e9h\n\r\t', ""]
+
+
+@pytest.mark.parametrize("text", AWKWARD_STRINGS, ids=ascii)
+def test_strings_and_keys_round_trip_through_json(text):
+    obj = {text: text, "list": [text, {text: [text]}]}
+    assert json.loads(dumps_json(obj)) == obj
+    assert json.loads(dumps_json(text)) == text
 
 
 def stability_report_dict(report):

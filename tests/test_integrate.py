@@ -249,7 +249,7 @@ def synthetic(values):
     for k in range(u.size - 1):
         slope = u[k + 1] - u[k]
         steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 5)
-    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, (0.0,), 0, 0)
+    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, (0.0,), 0)
 
 
 B = CROSSING_BAND

@@ -15,7 +15,6 @@ for a one-component state; both references step a generic f(t, y).
 `field_of` turns an acceleration into that f, so the references do not
 share the stepper's reading of the state."""
 import math
-import tracemalloc
 from bisect import bisect_left
 from itertools import chain
 from types import SimpleNamespace
@@ -31,8 +30,10 @@ from washburn._rk import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61,
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import NumericError, StepSizeUnderflowError
 from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, REGIME_TOLERANCES,
-                                _solve, default_horizon)
+                                default_horizon, integrate)
 from washburn.params import ModelParams
+
+from test_package import fresh
 
 
 def field_of(accel, n=2):
@@ -46,11 +47,10 @@ def field_of(accel, n=2):
 
 def u_form_at(params, epsilon=0.0):
     """The solve `integrate` makes, from rest at s = 0, dry start or wet."""
-    horizon = default_horizon(params)
-    dense = _solve(params, epsilon, horizon, DEFAULT_TOLERANCES)
+    dense = integrate(params, epsilon).dense
     y0 = (0.5 * params.alpha * params.alpha, 0.0)
     accel = dynamics.u_form_field(params.damping, epsilon)
-    return dense, accel, 0.0, y0, horizon, DEFAULT_TOLERANCES
+    return dense, accel, y0, default_horizon(params), DEFAULT_TOLERANCES
 
 
 def u_form(gamma, alpha):
@@ -64,9 +64,8 @@ def regime(case, beta, alpha, horizon):
     u0 = 0.5 * alpha * alpha
     y0 = (u0,) if spec.first_order else (u0, 0.0)
     accel = dynamics.regime_field(spec, beta)
-    abs_tol, rel_tol = REGIME_TOLERANCES
-    dense = _rk.solve(accel, 0.0, y0, horizon, rel_tol, abs_tol)
-    return dense, accel, 0.0, y0, horizon, REGIME_TOLERANCES
+    dense = _rk.solve(accel, y0, horizon, REGIME_TOLERANCES)
+    return dense, accel, y0, horizon, REGIME_TOLERANCES
 
 
 PROBLEMS = {
@@ -80,15 +79,15 @@ PROBLEMS = {
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_takes_the_steps_of_scipy_rk45(name):
-    dense, accel, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS[name]()
-    ref = solve_ivp(field_of(accel, len(y0)), (t0, t_bound), y0, method="RK45", rtol=rel_tol,
+    dense, accel, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS[name]()
+    ref = solve_ivp(field_of(accel, len(y0)), (0.0, t_bound), y0, method="RK45", rtol=rel_tol,
                     atol=abs_tol, dense_output=True)
     assert ref.status == 0
     assert dense.nfev == ref.nfev
     assert dense.accepted == ref.t.size - 1
     assert dense.nfev == 2 + 6 * (dense.accepted + dense.rejected)
     assert np.max(np.abs(np.array(dense.y) - ref.y[:, -1])) <= 1e-14
-    times = np.random.default_rng(5).uniform(t0, t_bound, 1000)
+    times = np.random.default_rng(5).uniform(0.0, t_bound, 1000)
     assert np.max(np.abs(dense(times) - ref.sol(times))) <= 1e-14
 
 
@@ -192,13 +191,15 @@ def _initial_step_by_loop(fun, t0, y0, f0, t_bound, rtol, atol):
 C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 
 
-def solve_by_loop(fun, t0, y0, t_bound, rtol, atol):
+def solve_by_loop(fun, y0, t_bound, tolerances):
     """The comprehension loop over a field f(t, y) on a state of any length
-    that `_rk.solve` unrolled, kept as its reference; returns the fields of
-    its solution that `assert_same_solve` compares."""
+    that `_rk.solve` unrolled, kept as its reference; it steps from t = 0
+    with an (abs, rel) tolerance pair and returns the fields of its solution
+    that `assert_same_solve` compares."""
+    atol, rtol = tolerances
     rtol = max(rtol, MIN_RTOL)
     max_steps = _rk.MAX_STEPS
-    t = t0
+    t = 0.0
     y = tuple([float(c) for c in y0])
     f = fun(t, y)
     h_abs = _initial_step_by_loop(fun, t, y, f, t_bound, rtol, atol)
@@ -309,7 +310,7 @@ def signed_zero(u, v):
 
 def plain(accel, y0, t_bound, tolerances=DEFAULT_TOLERANCES):
     """An acceleration with no dense solution of its own."""
-    return None, accel, 0.0, y0, t_bound, tolerances
+    return None, accel, y0, t_bound, tolerances
 
 
 def h_form():
@@ -337,8 +338,8 @@ LOOP_RAISES = {"overflow-to-nan": StepSizeUnderflowError}
 
 @pytest.mark.parametrize("name", LOOP_PROBLEMS)
 def test_unrolled_loop_matches_the_loop_bit_for_bit(name):
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
-    args = t0, y0, t_bound, rel_tol, abs_tol
+    _, accel, *args = LOOP_PROBLEMS[name]()
+    y0 = args[0]
     fun = field_of(accel, len(y0))
     # Overflowing runs leave non-finite stages; numpy need not warn about
     # them while Q is built, as in `integrate_regime`.
@@ -355,7 +356,7 @@ def test_unrolled_loop_matches_the_loop_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", [name for name in LOOP_PROBLEMS if name not in LOOP_RAISES])
 def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS[name]()
+    _, accel, y0, t_bound, tolerances = LOOP_PROBLEMS[name]()
     stored = []
 
     class Recording(_rk.DenseSolution):
@@ -365,7 +366,7 @@ def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
 
     monkeypatch.setattr(_rk, "DenseSolution", Recording)
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
+        dense = _rk.solve(accel, y0, t_bound, tolerances)
     # Each record is the step's start time and the start state's first
     # slot, then the stages K1, K3-K7 as pairs; a one-component state's W is
     # the first slot of each pair.
@@ -379,15 +380,15 @@ def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
 
 
 def test_the_signed_zero_field_keeps_both_zeros():
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["signed-zero"]()
-    dense = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
+    _, accel, *args = LOOP_PROBLEMS["signed-zero"]()
+    dense = _rk.solve(accel, *args)
     u = dense._y0[0]
     assert dense.accepted > 100 and np.all(u == 0.0)
     assert np.signbit(u).any() and not np.signbit(u).all()
 
 
 def test_the_overflow_field_accepts_a_nan_state():
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["overflow-to-nan"]()
+    _, accel, *args = LOOP_PROBLEMS["overflow-to-nan"]()
     seen = []
 
     def recording(W, w):
@@ -395,7 +396,7 @@ def test_the_overflow_field_accepts_a_nan_state():
         return accel(W, w)
 
     with pytest.raises(StepSizeUnderflowError):
-        _rk.solve(recording, t0, y0, t_bound, rel_tol, abs_tol)
+        _rk.solve(recording, *args)
     # w reached inf, and the last trial ran from a NaN state, which only an
     # accepted step leaves: a step that short turns no inf or finite w NaN.
     assert math.inf in seen
@@ -403,7 +404,7 @@ def test_the_overflow_field_accepts_a_nan_state():
 
 
 def test_the_case3_overflow_carries_a_nan_w_integral():
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = LOOP_PROBLEMS["case3-overflow"]()
+    _, accel, y0, t_bound, tolerances = LOOP_PROBLEMS["case3-overflow"]()
     stage_W = []
 
     def recording(W, w):
@@ -411,20 +412,20 @@ def test_the_case3_overflow_carries_a_nan_w_integral():
         return accel(W, w)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = _rk.solve(recording, t0, y0, t_bound, rel_tol, abs_tol)
+        dense = _rk.solve(recording, y0, t_bound, tolerances)
     assert any(math.isnan(W) for W in stage_W) and dense.t[-1] == t_bound
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_solve_calls_the_acceleration_once_per_stage(name):
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS[name]()
+    _, accel, *args = PROBLEMS[name]()
     calls = []
 
     def counting(u, v):
         calls.append(None)
         return accel(u, v)
 
-    dense = _rk.solve(counting, t0, y0, t_bound, rel_tol, abs_tol)
+    dense = _rk.solve(counting, *args)
     assert len(calls) == dense.nfev == 2 + 6 * (dense.accepted + dense.rejected)
 
 
@@ -435,9 +436,8 @@ def case4_field_by_copy(u, v):
 
 
 def test_case4_field_matches_its_written_out_copy_bit_for_bit():
-    dense, _, t0, y0, t_bound, (abs_tol, rel_tol) = regime(
-        RegimeCase.NEGLIGIBLE_VISCOSITY, 1.0, 0.5, REGIME_HORIZON_CAP)
-    assert_same_solve(dense, _rk.solve(case4_field_by_copy, t0, y0, t_bound, rel_tol, abs_tol))
+    dense, _, *args = regime(RegimeCase.NEGLIGIBLE_VISCOSITY, 1.0, 0.5, REGIME_HORIZON_CAP)
+    assert_same_solve(dense, _rk.solve(case4_field_by_copy, *args))
 
 
 def blow_up(W, w):
@@ -450,34 +450,48 @@ def huge(W, w):
 
 def test_step_size_underflow_raises():
     with pytest.raises(StepSizeUnderflowError) as got:
-        _rk.solve(blow_up, 0.0, (1.0,), 2.0, 1e-8, 1e-10)
+        _rk.solve(blow_up, (1.0,), 2.0, (1e-10, 1e-8))
     with pytest.raises(StepSizeUnderflowError) as want:
-        solve_by_loop(field_of(blow_up, 1), 0.0, (1.0,), 2.0, 1e-8, 1e-10)
+        solve_by_loop(field_of(blow_up, 1), (1.0,), 2.0, (1e-10, 1e-8))
     assert str(got.value) == str(want.value)
 
 
 def test_initial_step_underflow_raises():
     with pytest.raises(StepSizeUnderflowError, match="initial step size is zero") as got:
-        _rk.solve(huge, 0.0, (1.0,), 1.0, 1e-8, 1e-10)
+        _rk.solve(huge, (1.0,), 1.0, (1e-10, 1e-8))
     with pytest.raises(StepSizeUnderflowError) as want:
-        solve_by_loop(field_of(huge, 1), 0.0, (1.0,), 1.0, 1e-8, 1e-10)
+        solve_by_loop(field_of(huge, 1), (1.0,), 1.0, (1e-10, 1e-8))
     assert str(got.value) == str(want.value)
 
 
 def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
-    _, accel, t0, y0, t_bound, (abs_tol, rel_tol) = PROBLEMS["gamma=1,dry"]()
-    full = _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
+    _, accel, *args = PROBLEMS["gamma=1,dry"]()
+    full = _rk.solve(accel, *args)
     steps = full.accepted + full.rejected
     assert full.rejected > 0
     monkeypatch.setattr(_rk, "MAX_STEPS", steps)
-    assert_same_solve(_rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol),
-                      solve_by_loop(field_of(accel), t0, y0, t_bound, rel_tol, abs_tol))
+    assert_same_solve(_rk.solve(accel, *args), solve_by_loop(field_of(accel), *args))
     monkeypatch.setattr(_rk, "MAX_STEPS", steps - 1)
     with pytest.raises(NumericError, match=f"step budget of {steps - 1} steps .* at t = ") as got:
-        _rk.solve(accel, t0, y0, t_bound, rel_tol, abs_tol)
+        _rk.solve(accel, *args)
     with pytest.raises(NumericError) as want:
-        solve_by_loop(field_of(accel), t0, y0, t_bound, rel_tol, abs_tol)
+        solve_by_loop(field_of(accel), *args)
     assert str(got.value) == str(want.value)
+
+
+# The traced solve of the memory test, run in a fresh interpreter: once
+# scipy.integrate is loaded, as this module loads it, the same solve runs
+# about eight times slower under tracemalloc.
+MEMORY_PROBE = """
+import json, tracemalloc
+from washburn import _rk, dynamics
+from washburn.params import DEFAULT_TOLERANCES
+tracemalloc.start()
+dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), (0.0, 0.0), 1e4, DEFAULT_TOLERANCES)
+held, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+print(json.dumps([dense.accepted, held, peak]))
+"""
 
 
 def test_step_store_memory_per_accepted_step():
@@ -487,14 +501,7 @@ def test_step_store_memory_per_accepted_step():
     # kept per step would add over 400 B more. Once the store is freed, the
     # solution holds its times, start states and Q, 88 B per step (two
     # components); a per-step list of times would add 32 B more.
-    abs_tol, rel_tol = DEFAULT_TOLERANCES
-    tracemalloc.start()
-    try:
-        dense = _rk.solve(dynamics.u_form_field(0.01, 0.0), 0.0, (0.0, 0.0), 1e4, rel_tol,
-                          abs_tol)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dense.accepted > 20_000
-    assert peak < 500 * dense.accepted
-    assert held < 100 * dense.accepted
+    accepted, held, peak = fresh(MEMORY_PROBE)
+    assert accepted > 20_000
+    assert peak < 500 * accepted
+    assert held < 100 * accepted

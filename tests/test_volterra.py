@@ -285,6 +285,16 @@ class TestPicard:
         assert result.solution.grid.size == traj.s.size
         assert np.max(np.abs(result.solution.values - traj.u)) < 1e-5
 
+    def test_the_undamped_limit_is_the_largest_finite_c(self):
+        # c = sqrt(1e300)/1e-300 overflows to inf; the kernel's limit there,
+        # s - t, is what c = 1e300 already gives to the last bit.
+        limit = picard_solve(1e300, 1e-300, 0.0, 10.0)
+        finite = picard_solve(1e300, 1e-150, 0.0, 10.0)
+        assert limit.iterations == finite.iterations
+        assert np.array_equal(limit.solution.values.view(np.int64),
+                              finite.solution.values.view(np.int64))
+        assert np.array_equal(limit.diffs.view(np.int64), finite.diffs.view(np.int64))
+
     def test_iteration_log_turns_geometric(self):
         result = picard_solve(1.0, 1.0, 0.0, 5.0, step=5.0 / 512)
         diffs = result.diffs

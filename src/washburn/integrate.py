@@ -94,8 +94,10 @@ def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
     if horizon > cap:
         raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
     abs_tol, rel_tol = tolerances
-    check_positive("abs_tol", abs_tol)
-    check_positive("rel_tol", rel_tol)
+    for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+        # 1 or more asks for no correct digit of a state bounded by 9/8.
+        if not 0.0 < tol < 1.0:
+            raise DomainError(name, f"must lie in (0, 1), got {tol!r}")
     if sample_step is None:
         sample_step = horizon / DEFAULT_INTERVALS
         if sample_step == 0.0:

@@ -73,9 +73,8 @@ def test_check_set():
         "params.roundtrip", "params.omega_consistency", "params.beta_slip_monotone",
         "params.critical_omega_scaling",
         "dynamics.equilibrium_rhs", "dynamics.regularization_ordering",
-        "dynamics.case4_conservation", "dynamics.h_u_consistency",
-        "integrate.positivity_and_bounds", "integrate.energy_monotone",
-        "integrate.tolerance_convergence",
+        "dynamics.h_u_consistency",
+        "integrate.energy_monotone", "integrate.tolerance_convergence",
         "volterra.operator_monotone", "volterra.self_mapping", "volterra.quadrature_order",
         "stability.v_positivity", "stability.eigenvalue_real_part",
         "stability.classification_boundary", "stability.basin_geometry",

@@ -194,7 +194,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "classify"])
     @pytest.mark.parametrize("tol_args", [["--abs-tol", "nan"], ["--rel-tol", "inf"],
-                                          ["--rel-tol", "0"],
+                                          ["--rel-tol", "0"], ["--rel-tol", "1"],
+                                          ["--abs-tol", "1e3"],
                                           # more than MAX_INTERVALS samples
                                           ["--sample-step", "1e-15"]])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):

@@ -138,24 +138,7 @@ class TestLyapunov:
 
 
 class TestBasin:
-    def test_alpha_zero(self):
-        spec = basin(0.0)
-        assert spec.C == 1.0 / 6.0
-        assert spec.u_min == 0.0
-        assert spec.u_max == 9.0 / 8.0
-
-    def test_alpha_one_collapses(self):
-        spec = basin(1.0)
-        assert spec.C == 0.0
-        assert spec.u_min == pytest.approx(0.5, abs=1e-15)
-        assert spec.u_max == pytest.approx(0.5, abs=1e-15)
-
-    def test_alpha_three_halves(self):
-        spec = basin(1.5)
-        assert spec.C == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert spec.u_min == 0.0
-        assert spec.u_max == 9.0 / 8.0
-
+    # basin(0), basin(1) and basin(3/2) are acceptance.c06_basin_formulas.
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             basin(-0.1)

@@ -1,14 +1,18 @@
-"""The verify runner and the seeded draws its checks loop over.
+"""The verify runner, the seeded draws its checks loop over, and the
+failure branches of checks that a passing build never reaches.
 
 Each seeded check draws its input table with one `Generator.uniform`
 call. The loops below are the per-call draws the checks made before;
 each table must hold their floats bit for bit, so a numpy release that
 fills a broadcast-bounds table in another order fails here, by name.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 from washburn import verify
+from washburn.dynamics import RegimeCase
 
 
 def omega_consistency_row(rng):
@@ -71,3 +75,35 @@ def test_failure_message(monkeypatch, check, message):
     (outcome,) = verify.run_checks(only="synthetic.failing")
     assert not outcome.passed and outcome.details == {}
     assert outcome.message == message
+
+
+def test_c02_names_a_dry_start_that_returns_to_zero(monkeypatch):
+    integrate = verify.integrate
+
+    def touching_zero(params, **kwargs):
+        traj = integrate(params, **kwargs)
+        if (params.beta, params.omega, params.alpha) != (1.0, 1.0, 0.0):
+            return traj
+        u = traj.u.copy()
+        u[2] = 0.0  # past the dry start's first sample, u = 0
+        return dataclasses.replace(traj, u=u)
+
+    monkeypatch.setattr(verify, "integrate", touching_zero)
+    named = r"^u not strictly positive at \(beta, omega, alpha\) = \(1\.0, 1\.0, 0\.0\)$"
+    with pytest.raises(verify.CheckFailure, match=named):
+        verify.acceptance_c02_bounds()
+
+
+def test_c10_names_the_case4_horizon_20_row_above_its_bound(monkeypatch):
+    residuals = verify.regime_oracle_residuals
+
+    def drifting(traj):
+        name, resid = residuals(traj)
+        if traj.spec.case is RegimeCase.NEGLIGIBLE_VISCOSITY and round(traj.t[-1]) == 20:
+            # 1e-10 is above that row's bound 10 * 1e-11 = 9.999999999999999e-11.
+            resid = np.full_like(resid, 1e-10)
+        return name, resid
+
+    monkeypatch.setattr(verify, "regime_oracle_residuals", drifting)
+    with pytest.raises(verify.CheckFailure, match=r"^case4,horizon=20: oracle residual "):
+        verify.acceptance_c10_regime_oracles()

@@ -9,8 +9,7 @@ from washburn.integrate import integrate
 from washburn.params import DEFAULT_INTERVALS, MAX_INTERVALS, ModelParams
 from washburn.volterra import (BLOCK_EXPONENT, GridFunction, KernelOperator,
                                apply_T, bracket_lower, bracket_upper,
-                               check_scaling_inequality, order_interval_check,
-                               picard_solve, uniqueness_window)
+                               check_scaling_inequality, picard_solve, uniqueness_window)
 
 
 def grid_fn(fn, horizon, nodes):
@@ -237,25 +236,10 @@ class TestOrderInterval:
         assert np.allclose(bracket_lower(s), s**2 / 6.0)
         assert np.allclose(bracket_upper(s), s**2 / 2.0)
 
-    @pytest.mark.parametrize("omega,beta", [(1.0, 1.0), (0.1, 1.0), (1.0, 0.5),
-                                            (0.25, 0.5)])
-    def test_self_mapping_inequalities(self, omega, beta):
-        report = order_interval_check(omega, beta)
-        assert report.holds
-        assert report.lower_margin >= -1e-10
-        assert report.upper_margin >= -1e-10
-
 
 class TestScalingInequality:
-    def test_near_one(self):
-        f = grid_fn(bracket_upper, uniqueness_window(1.0, 1.0), 512)
-        report = check_scaling_inequality(f, 0.999999, 1.0, 1.0)
-        assert report.max_violation <= 1e-9
-
-    def test_quarter_on_upper(self):
-        f = grid_fn(bracket_upper, uniqueness_window(1.0, 1.0), 512)
-        assert check_scaling_inequality(f, 0.25, 1.0, 1.0).holds
-
+    # The order interval and the scaling bound at omega <= 1 are
+    # acceptance.c07_volterra_cross_validation.
     def test_half_on_lower_strong_inertia(self):
         f = grid_fn(bracket_lower, uniqueness_window(4.0, 1.0), 512)
         assert check_scaling_inequality(f, 0.5, 4.0, 1.0).holds

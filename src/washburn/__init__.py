@@ -5,8 +5,11 @@ integration in the square-height coordinates, a Volterra fixed-point
 solver, reduced flow regimes with closed-form oracles, and linear plus
 Lyapunov-based stability analysis of the equilibrium column.
 
-The exports load on first use (PEP 562), so `import washburn` and the
-CLI's scalar commands do not import numpy.
+The exports load on first use (PEP 562), and `_rk`, `integrate`,
+`stability` and `_format` import numpy only inside their array paths, so
+`import washburn`, the CLI's scalar commands and its `simulate` and
+`classify` (which sample on Python floats through
+`integrate.integrate_floats`) do not import numpy.
 """
 import sys as _sys
 from importlib import import_module as _import_module

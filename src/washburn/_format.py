@@ -14,7 +14,8 @@ Anything else is refused with TypeError, numpy arrays and numpy integers
 included; numpy's float64 and complex128 subclass float and complex, so
 they are written as those.
 
-Importing this module loads no numpy; `write_csv` imports numpy itself.
+This module loads no numpy: `write_csv` reads a numpy array's blocks
+through their `tolist`.
 """
 from __future__ import annotations
 
@@ -23,10 +24,8 @@ import json
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import chain
+from typing import Iterable, Sequence
 
 CSV_BLOCK_ROWS = 1024
 
@@ -86,21 +85,32 @@ def write_json(path, obj):
         fh.write(text)
 
 
-def write_csv(path, header: str, columns: Iterable[np.ndarray]):
+def write_csv(path, header: str, columns: Iterable[Sequence[float]]):
     """Rows of 17-digit values, byte for byte what fmt17 gives per value.
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, so a large file costs
-    no more memory than one block of text.
+    The columns are equally long sequences of floats: lists, tuples,
+    memoryviews of doubles or numpy arrays, the last two read a block at a
+    time through their `tolist`. Every value is checked before the file is opened, and
+    the first non-finite one in row order is refused as fmt17 refuses it.
+    Rows are read and formatted CSV_BLOCK_ROWS at a time, so a large file
+    costs no more memory than one block of text.
     """
-    import numpy as np
+    columns = list(columns)
+    rows = len(columns[0]) if columns else 0
 
-    data = np.column_stack([np.asarray(col, dtype=float) for col in columns])
-    finite = np.isfinite(data)
-    if not finite.all():
-        fmt17(data.flat[np.argmin(finite.ravel())])  # raises for the first in row order
-    row = ",".join(["%.16e"] * data.shape[1]) + "\n"
+    def block(start):  # the block's columns as sequences of Python floats
+        parts = [col[start:start + CSV_BLOCK_ROWS] for col in columns]
+        return [part.tolist() if hasattr(part, "tolist") else part for part in parts]
+
+    starts = range(0, rows, CSV_BLOCK_ROWS)
+    for start in starts:
+        parts = block(start)
+        if not all([all(map(math.isfinite, part)) for part in parts]):
+            for x in chain.from_iterable(zip(*parts)):
+                fmt17(x)  # raises for the first in row order
+    row = ",".join(["%.16e"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
-            block = data[start:start + CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        for start in starts:
+            values = tuple(chain.from_iterable(zip(*block(start))))
+            fh.write((row * (len(values) // len(columns))) % values)

@@ -19,21 +19,29 @@ tolerances it takes the same steps as
 holds it to that) without importing scipy or building arrays on every
 stage.
 
-Each accepted step packs its record, 14 doubles, with one `STEP_RECORD`
+Each accepted step packs its record, 12 doubles, with one `STEP_RECORD`
 and appends the bytes to one `bytearray`: the step's start time, the
-start state and the six stages Shampine's quartic interpolant needs. The
-`DenseSolution` it returns reads that store as floats, builds each step's
-quartic coefficients as an explicit sum over its six stages, added left
-to right with elementwise numpy operations (no BLAS call, so the bits do
-not depend on the CPU's BLAS kernel, and plain Python floats reproduce
-them), and evaluates the interpolants on an array of times from
-contiguous coefficient blocks, running the Horner sum in place on one
-accumulator.
-`DenseSolution.bisect`, the crossing refinement of `integrate`, evaluates
-the same quartics inline, one float time at a time, with the same bits,
-and finds a time's step by the same rule. The solution knows only its
-steps: a time before the first step extrapolates that step's quartic, as a
-time past the last extrapolates the last one.
+start state and the stages K1 and K3-K6 that Shampine's quartic
+interpolant needs. Its seventh stage K7 is the first-same-as-last pair,
+which is the next record's K1, so only the last step's K7 is kept apart.
+The `DenseSolution` it returns keeps that store and reads it two ways,
+with the same bits (tests/test_rk.py and tests/test_float_path.py hold
+them to that):
+
+- in plain Python floats, one step at a time: `bisect`, the crossing
+  refinement of `integrate`, and `sample`, the list sampler of the command
+  line. A step's quartic coefficients are its stage sum, built when a
+  time first falls in the step;
+- as numpy arrays, built on the first array call: calling the solution
+  evaluates the interpolants on an array of times from contiguous
+  coefficient blocks, running the Horner sum in place on one accumulator.
+
+Both build each coefficient as the same explicit sum over the six stages,
+added left to right (no BLAS call, so the bits do not depend on the CPU's
+BLAS kernel), and find a time's step by the same rule. The solution knows
+only its steps: a time before the first step extrapolates that step's
+quartic, as a time past the last extrapolates the last one. This module
+imports no numpy; the array evaluator imports it on first use.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -43,8 +51,9 @@ from __future__ import annotations
 
 import math
 import struct
-
-import numpy as np
+from array import array
+from bisect import bisect_left
+from functools import cache, cached_property
 
 from .errors import NumericError, StepSizeUnderflowError
 from .params import MAX_STEPS  # `solve` reads the step budget from this module
@@ -71,21 +80,35 @@ E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
 # Q_j = K1 P1j + K3 P3j + K4 P4j + K5 P5j + K6 P6j + K7 P7j over the stages
 # K, every term included (zeros too) and added left to right: the order
 # plain Python floats give, and no BLAS kernel chooses another.
-P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-P_BLOCKS = P[:, :, None, None]  # each stage's row, shaped to scale an (n, m) block
+P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+P_COLUMNS = tuple(zip(*P))  # Q_j's six stage weights, for j = 0-3
 
-# One accepted step in the store: its start time and u, then (v, v') of K1, K3-K7.
-STEP_RECORD = struct.Struct("14d")
+# One accepted step in the store: its start time and u, then (v, v') of K1, K3-K6.
+STEP_RECORD = struct.Struct("12d")
+RECORD_FLOATS = 12
+# A record and the next one's t, u and K1, which is the record's step's K7.
+RECORD_AND_NEXT = struct.Struct("16d")
+
+
+@cache
+def _p_blocks():
+    """P's rows as read-only numpy blocks, shaped (6, 4, 1, 1) to scale a
+    stage's (n, m) block; built once, on the first array call."""
+    import numpy as np
+
+    blocks = np.array(P)[:, :, None, None]
+    blocks.setflags(write=False)
+    return blocks
 
 
 def _rms(a: float, b: float, one: bool) -> float:
@@ -127,7 +150,7 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
     then reject or shrink a step). accel is called once per stage with two
     floats and returns one float. tolerances is the package's (abs, rel)
     pair; abs must be positive, and a rel below 100 machine epsilons is
-    raised to that floor, as scipy does. Each accepted step's 14 floats, its
+    raised to that floor, as scipy does. Each accepted step's 12 floats, its
     start time first, are packed into one bytes store, from which the
     returned DenseSolution reads its steps. Raises StepSizeUnderflowError
     when the step falls below ten units in the last place of t, or the
@@ -154,7 +177,7 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
     fb = accel(ya, yb)
     h_abs = _initial_step(accel, ya, yb, fb, one, t_bound, rtol, atol)
     rejected = 0
-    steps = bytearray()  # per accepted step: t, ya, then the six stage pairs
+    steps = bytearray()  # per accepted step: t, ya, then the stage pairs K1, K3-K6
     store, pack = steps.extend, STEP_RECORD.pack
     scale_a = -ya if ya < 0.0 else ya  # |y| of the step's start, for the error scale
     scale_b = -yb if yb < 0.0 else yb
@@ -218,14 +241,14 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
             h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR  # max's rule: NaN gives 0.2
             step_rejected = True
             rejected += 1
-        store(pack(t, ya, yb, fb, v3, k3, v4, k4, v5, k5, v6, k6, nb, gb))
+        store(pack(t, ya, yb, fb, v3, k3, v4, k4, v5, k5, v6, k6))
         t = t_new
         ya = na
         yb = nb
         fb = gb
         scale_a = new_a
         scale_b = new_b
-    return DenseSolution(t, steps, (yb,) if one else (ya, yb), rejected)
+    return DenseSolution(t, steps, fb, (yb,) if one else (ya, yb), rejected)
 
 
 class DenseSolution:
@@ -233,47 +256,171 @@ class DenseSolution:
 
     Calling it evaluates the interpolants on a float or an array of times
     (shape (n,) or (n,) + t.shape), the Horner sum running in place on one
-    accumulator; a float is evaluated as an array of one time. `bisect`,
-    which finds where component 0 crosses a level, evaluates the same
-    quartics in plain Python with the same bits. Both take a time to step
-    k, a left `searchsorted` over the interior step times t[1:-1]: a time
-    on a step boundary takes the earlier step, and times before the first
-    step or past the last extrapolate that end step, as scipy's OdeSolution
-    does.
+    accumulator; a float is evaluated as an array of one time. `sample`
+    evaluates them on a sequence of float times in plain Python, and
+    `bisect`, which finds where component 0 crosses a level, evaluates them
+    one float time at a time; both give the bits of calling the solution.
+    All three take a time to step k by the rule of a left `searchsorted`
+    over the interior step times t[1:-1]: a time on a step boundary takes
+    the earlier step, and times before the first step or past the last
+    extrapolate that end step, as scipy's OdeSolution does.
 
     `t` holds the step times, `accepted` and `rejected` count the steps and
     `nfev` the calls of the acceleration they took, 2 + 6 (accepted +
-    rejected); `y` is the final state, without W.
+    rejected); `y` is the final state, without W. `t` and the coefficient
+    arrays are built from the store on first use, so a solution that is
+    only sampled in plain Python imports no numpy.
     """
 
-    def __init__(self, t_end, steps, y, rejected):
+    def __init__(self, t_end, steps, f_end, y, rejected):
         """`steps` is the packed bytes store `solve` fills, read as native
-        doubles, one `STEP_RECORD` per accepted step; t_end is where the
-        last step ends. A one-component state keeps its W in u's slot and in
-        the first slot of each pair; W is dropped here, before Q is built."""
+        doubles, one `STEP_RECORD` per accepted step; it is kept as bytes,
+        without the slack of a growing bytearray. t_end is where the last
+        step ends, and (y[-1], f_end) the last step's K7, the state's last
+        slot and its derivative there. A one-component state keeps its W in
+        u's slot and in the first slot of each pair; W is dropped when a
+        step's coefficients are built."""
         self.y = y
         self.rejected = rejected
-        records = np.frombuffer(steps, float).reshape(-1, 14)
-        self.accepted = len(records)
+        self._steps = bytes(steps)
+        self._end = t_end, (y[-1], f_end)
+        self.accepted = len(self._steps) // STEP_RECORD.size
         self.nfev = 2 + 6 * (self.accepted + rejected)
-        self.t = np.append(records[:, 0], t_end)
-        # (n, m) views of the start state, then of the stages K1, K3-K7.
-        n = len(y)
-        self._y0 = records[:, 3 - n:3].T.copy()
-        stages = records[:, 2:].reshape(-1, 6, 2)[:, :, 2 - n:].transpose(1, 2, 0)
+
+    @cached_property
+    def _starts(self):
+        """The step start times, read in place from the store."""
+        return memoryview(self._steps).cast("d")[::RECORD_FLOATS]
+
+    def _step_at(self, t: float):
+        """The step a float time falls in: its end, its record (which starts
+        with the step's start time) and its K7 pair."""
+        m = self.accepted
+        k = bisect_left(self._starts, t, 1, m) - 1
+        if k + 1 < m:
+            both = RECORD_AND_NEXT.unpack_from(self._steps, k * STEP_RECORD.size)
+            return both[RECORD_FLOATS], both, both[RECORD_FLOATS + 2:]
+        t_end, k7 = self._end
+        return t_end, STEP_RECORD.unpack_from(self._steps, k * STEP_RECORD.size), k7
+
+    @staticmethod
+    def _quartic(record, k7, c: int):
+        """Slot c's start value and quartic coefficients (y_k, q0, q1, q2,
+        q3) in a step: each Q_j the sum K1 P1j + K3 P3j + ... + K7 P7j, added
+        left to right as the array build adds it."""
+        k1, k3, k4, k5, k6 = record[2 + c:RECORD_FLOATS:2]
+        k7 = k7[c]
+        row = [record[1 + c]]
+        for p1, p3, p4, p5, p6, p7 in P_COLUMNS:
+            row.append(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7)
+        return row
+
+    def sample(self, times) -> list[array]:
+        """The interpolants at each float time, one `array("d")` per
+        component (8 B a value), with the bits of calling the solution. A
+        step's coefficients are built when a time first falls in it and kept
+        while the times stay there, so sorted times build each step they
+        visit once."""
+        columns = [array("d") for _ in self.y]
+        slots = range(2 - len(self.y), 2)
+        t_k = t_next = math.nan  # bounds of the step held in h and rows: none yet
+        for t in times:
+            if not t_k < t <= t_next:
+                t_next, record, k7 = self._step_at(t)
+                t_k = record[0]
+                h = t_next - t_k
+                rows = [(column.append, *self._quartic(record, k7, c))
+                        for column, c in zip(columns, slots)]
+            x = (t - t_k) / h
+            for append, y_k, q0, q1, q2, q3 in rows:
+                append(y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))))
+        return columns
+
+    def bisect(self, level: float, lo: float, hi: float, tol: float) -> float:
+        """A time in [lo, hi] at which component 0 crosses level, by bisection.
+
+        The bracket halves, at most 128 times, until it is no wider than tol
+        or component 0 at its mid equals level; then the mid is returned.
+        Each value has the bits of calling the solution at that time: a
+        step's coefficients are built when a time first falls in the step,
+        and its quartic is evaluated inline while the mids stay there.
+        """
+        slot = 2 - len(self.y)  # component 0's slot in the record's pairs
+        t_k = t_next = math.nan  # bounds of the step held in h and q0-q3: none yet
+        t, f_lo = lo, None
+        for _ in range(129):  # at lo, then at most 128 mids
+            if not t_k < t <= t_next:
+                t_next, record, k7 = self._step_at(t)
+                t_k = record[0]
+                h = t_next - t_k  # the same subtraction as in calling the solution
+                y_k, q0, q1, q2, q3 = self._quartic(record, k7, slot)
+            x = (t - t_k) / h
+            f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
+            if f_lo is None:
+                f_lo = f
+            elif f == 0.0:
+                return t
+            elif (f > 0.0) == (f_lo > 0.0):
+                lo, f_lo = t, f
+            else:
+                hi = t
+            if hi - lo <= tol:
+                break
+            t = 0.5 * (lo + hi)
+        return 0.5 * (lo + hi)
+
+    @cached_property
+    def _records(self):
+        """The store as an (accepted, 12) numpy view."""
+        import numpy as np
+
+        return np.frombuffer(self._steps, float).reshape(-1, RECORD_FLOATS)
+
+    @cached_property
+    def t(self):
+        """The step start times, then the last step's end."""
+        import numpy as np
+
+        t = np.empty(self.accepted + 1)
+        t[:-1] = self._records[:, 0]
+        t[-1] = self._end[0]
+        return t
+
+    @cached_property
+    def _y0(self):
+        """(n, m): the start state of each step."""
+        return self._records[:, 3 - len(self.y):3].T.copy()
+
+    @cached_property
+    def _q(self):
+        """(4, n, m): the quartic coefficients of each step."""
+        import numpy as np
+
+        n, m = len(self.y), self.accepted
+        records = self._records
+        # The stages as contiguous (n, m) blocks: K1, K3-K6 from each record,
+        # then K7, the next record's K1 and the last step's kept pair.
+        # Contiguous blocks make each product 3-4 times faster than one of
+        # a strided view on a two-component solve.
+        stages = np.empty((6, n, m))
+        stages[:5] = records[:, 2:].reshape(m, 5, 2)[:, :, 2 - n:].transpose(1, 2, 0)
+        stages[5, :, :-1] = records[1:, 4 - n:4].T
+        stages[5, :, -1:] = np.reshape(self._end[1][2 - n:], (n, 1))  # m = 0: an empty slice
         # Q_j = K1 P1j + K3 P3j + ... + K7 P7j, summed left to right over the
         # stages, each stage's (n, m) block times its row of P as (4, 1, 1):
         # one elementwise product and one sum per stage, Q in its final
-        # (4, n, m) layout. Each stage is copied contiguous before its
-        # product, which is 3-4 times faster than the product of the strided
-        # view on a two-component solve.
-        self._q = q = np.multiply(stages[0].copy(), P_BLOCKS[0])
+        # (4, n, m) layout.
+        p_blocks = _p_blocks()
+        q = np.multiply(stages[0], p_blocks[0])
         term = np.empty_like(q)
-        for k_i, p_i in zip(stages[1:], P_BLOCKS[1:]):
-            np.multiply(k_i.copy(), p_i, out=term)
+        for k_i, p_i in zip(stages[1:], p_blocks[1:]):
+            np.multiply(k_i, p_i, out=term)
             q += term
+        return q
 
-    def __call__(self, t) -> np.ndarray:
+    def __call__(self, t):
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self(t.reshape(1))[:, 0]
@@ -300,39 +447,3 @@ class DenseSolution:
         y = self._y0.take(k, axis=1)
         y += acc
         return y
-
-    def bisect(self, level: float, lo: float, hi: float, tol: float) -> float:
-        """A time in [lo, hi] at which component 0 crosses level, by bisection.
-
-        The bracket halves, at most 128 times, until it is no wider than tol
-        or component 0 at its mid equals level; then the mid is returned.
-        Each value has the bits of calling the solution at that time: a
-        step k's coefficients are read once from the arrays, when a time
-        first falls in the step (k found by the rule of calling the
-        solution), and its quartic is evaluated inline while the mids stay
-        there.
-        """
-        ts, interior, qs, y0s = self.t, self.t[1:-1], self._q, self._y0
-        t_k = t_next = math.nan  # bounds of the step held in h, y_k, q0-q3: none yet
-        t, f_lo = lo, None
-        for _ in range(129):  # at lo, then at most 128 mids
-            if not t_k < t <= t_next:
-                k = interior.searchsorted(t, side="left")
-                t_k, t_next = ts.item(k), ts.item(k + 1)
-                h = t_next - t_k  # the same subtraction as in calling the solution
-                y_k = y0s.item(0, k)
-                q0, q1, q2, q3 = qs[:, 0, k].tolist()
-            x = (t - t_k) / h
-            f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
-            if f_lo is None:
-                f_lo = f
-            elif f == 0.0:
-                return t
-            elif (f > 0.0) == (f_lo > 0.0):
-                lo, f_lo = t, f
-            else:
-                hi = t
-            if hi - lo <= tol:
-                break
-            t = 0.5 * (lo + hi)
-        return 0.5 * (lo + hi)

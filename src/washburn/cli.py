@@ -7,10 +7,12 @@ report; run metadata is echoed into a separate .meta.json sidecar.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
 
-Only the commands that solve something import numpy and the solvers, and
-only once their parameters have passed the `params` checks: `nondim`,
-`basin`, `--help`, `--version` and every argv refused by those checks
-run without numpy.
+The solvers are imported only once a command's parameters have passed
+the `params` checks. `simulate` and `classify` work on Python floats
+(`integrate.integrate_floats`) and, like `nondim`, `basin`, `--help`,
+`--version` and every argv refused by those checks, run without numpy:
+in a fresh process, importing numpy would cost more than the run.
+`picard`, `regime` and `verify` import numpy.
 """
 from __future__ import annotations
 
@@ -149,13 +151,11 @@ def cmd_nondim(args) -> int:
 
 def cmd_simulate(args) -> int:
     mp = _model_params_from_args(args)
-    import numpy as np
-
-    from .integrate import CSV_HEADER, integrate
+    from .integrate import CSV_HEADER, integrate_floats
 
     tolerances = (args.abs_tol, args.rel_tol)
-    traj = integrate(mp, epsilon=args.epsilon, horizon=args.horizon,
-                           tolerances=tolerances, sample_step=args.sample_step)
+    traj = integrate_floats(mp, epsilon=args.epsilon, horizon=args.horizon,
+                            tolerances=tolerances, sample_step=args.sample_step)
     summary = {
         "params": params_module.model_params_report(mp),
         "epsilon": traj.epsilon,
@@ -168,10 +168,10 @@ def cmd_simulate(args) -> int:
         "crossings": traj.crossings,
     }
     if traj.epsilon > 0.0:
-        twin = integrate(mp, epsilon=0.0, horizon=float(traj.s[-1]),
-                         tolerances=tolerances, sample_step=args.sample_step)
-        summary["sup_distance_to_unregularized"] = float(
-            np.max(np.abs(traj.u - twin.u)))
+        twin = integrate_floats(mp, epsilon=0.0, horizon=traj.s[-1],
+                                tolerances=tolerances, sample_step=args.sample_step)
+        summary["sup_distance_to_unregularized"] = max(
+            [abs(a - b) for a, b in zip(traj.u, twin.u)])
     if args.classify:
         summary["classification"] = _classification(traj)
     _write_run(args, ("omega", "beta", "alpha", "epsilon", "horizon", "sample_step",
@@ -201,11 +201,11 @@ def cmd_picard(args) -> int:
 
 def cmd_classify(args) -> int:
     mp = _model_params_from_args(args)
-    from .integrate import integrate
+    from .integrate import integrate_floats
 
-    traj = integrate(mp, horizon=args.horizon,
-                           tolerances=(args.abs_tol, args.rel_tol),
-                           sample_step=args.sample_step)
+    traj = integrate_floats(mp, horizon=args.horizon,
+                            tolerances=(args.abs_tol, args.rel_tol),
+                            sample_step=args.sample_step)
     report = stability.classify_approach(traj)
     _emit({
         "params": params_module.model_params_report(mp),

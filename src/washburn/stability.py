@@ -10,17 +10,15 @@ provides the basin of attraction for each admissible starting height.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from . import params as params_module
 from .dynamics import TWO_SQRT2_OVER_3, energy
 from .errors import ConsistencyError, DomainError, InconclusiveError
 from .params import U_BOUND, U_EQUILIBRIUM
-
-if TYPE_CHECKING:
-    import numpy as np
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -118,8 +116,24 @@ def lyapunov(u: float, v: float) -> tuple[float, float]:
     return E, V
 
 
-def lyapunov_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (E, V) for trajectory columns; clamps u dust below 0."""
+def _is_array(x) -> bool:
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    return np is not None and isinstance(x, np.ndarray)
+
+
+def lyapunov_columns(u, v):
+    """(E, V) for trajectory columns; clamps u dust below 0.
+
+    numpy arrays give numpy arrays. Sequences of floats give `array("d")`
+    columns with the same bits, from the float branches of `energy` and
+    `_lyapunov_factored`, and load no numpy.
+    """
+    if not (_is_array(u) or _is_array(v)):
+        E = array("d", [energy(x, y) for x, y in zip(u, v)])
+        V = array("d", [_lyapunov_factored(x, y, math.sqrt)
+                        if abs(x - U_EQUILIBRIUM) < FACTORED_WINDOW else e + 1.0 / 6.0
+                        for x, y, e in zip(u, v, E)])
+        return E, V
     import numpy as np
 
     u = np.asarray(u, dtype=float)
@@ -180,11 +194,10 @@ def classify_approach(traj) -> ApproachReport:
 
     Requires the run to have settled (|u(S) - 1/2| < 1e-4). A single
     crossing, or a non-monotone crossing-free run, is deliberately
-    inconclusive: near the critical omega the dichotomy is ill-posed.
+    inconclusive: near the critical omega the dichotomy is ill-posed. The
+    columns are arrays or sequences of floats, with the same verdict.
     """
-    import numpy as np
-
-    u = np.asarray(traj.u)
+    u = traj.u
     final_distance = float(traj.final_distance_to_equilibrium())
     if abs(u[-1] - U_EQUILIBRIUM) >= SETTLED_TOL:
         raise InconclusiveError(
@@ -202,8 +215,14 @@ def classify_approach(traj) -> ApproachReport:
             "exactly one equilibrium crossing: horizon too short or omega "
             "too close to the critical value"
         )
-    diffs = np.diff(u[1:])
-    if np.all(diffs >= -MONOTONE_TOL) or np.all(diffs <= MONOTONE_TOL):
+    if _is_array(u):
+        diffs = u[2:] - u[1:-1]
+        monotone = bool((diffs >= -MONOTONE_TOL).all() or (diffs <= MONOTONE_TOL).all())
+    else:
+        diffs = [b - a for a, b in zip(u[1:], u[2:])]
+        monotone = (all(d >= -MONOTONE_TOL for d in diffs)
+                    or all(d <= MONOTONE_TOL for d in diffs))
+    if monotone:
         return ApproachReport(ApproachKind.MONOTONE, crossings, final_distance)
     raise InconclusiveError(
         "no crossings but the approach is not monotone: horizon too short "
@@ -224,17 +243,20 @@ def audit_trajectory(traj, spec: BasinSpec) -> BasinAudit:
     """Check that a trajectory never leaves {V <= C} and that V never rises.
 
     Findings are reported, not raised; only a start outside the basin is
-    rejected.
+    rejected. The columns are arrays or sequences of floats, with the same
+    findings.
     """
-    import numpy as np
-
-    V = np.asarray(traj.V)
+    V = traj.V
     if V[0] > spec.C + 1e-12:
         raise DomainError(
-            "traj", f"initial state has V = {V[0]!r} > C = {spec.C!r}"
+            "traj", f"initial state has V = {float(V[0])!r} > C = {spec.C!r}"
         )
-    excess = float(np.max(V - spec.C))
-    rises = np.diff(V)
-    max_rise = float(max(0.0, np.max(rises))) if rises.size else 0.0
+    if _is_array(V):
+        excess = float((V - spec.C).max())
+        rises = V[1:] - V[:-1]
+        max_rise = float(max(0.0, rises.max())) if rises.size else 0.0
+    else:
+        excess = max([x - spec.C for x in V])
+        max_rise = max([0.0] + [b - a for a, b in zip(V, V[1:])])
     return BasinAudit(max_level_excess=excess, max_lyapunov_rise=max_rise,
                       final_distance=float(traj.final_distance_to_equilibrium()))

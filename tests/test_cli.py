@@ -611,6 +611,8 @@ def test_import_loads_no_numpy(code):
     assert "numpy" not in fresh(code)[-1]
 
 
+# Runs that load no numpy: the scalar commands, argvs the parameter checks
+# refuse, and simulate and classify, which solve on Python floats.
 NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
     "nondim": (["nondim", "--input", "water.json"], 0),
     "basin": (["basin", "--alpha", "0.5", "--output", "basin.json"], 0),
@@ -621,6 +623,13 @@ NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
     "picard-alpha-9": (["picard", "--omega", "1", "--beta", "1", "--alpha", "9",
                         "-o", "pic"], 2),
     "regime-negative-beta": (["regime", "--case", "1", "--beta", "-1", "-o", "reg"], 2),
+    "simulate": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "-o", "run"], 0),
+    "simulate-classify": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5",
+                           "--classify", "-o", "run"], 0),
+    "simulate-epsilon": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0",
+                          "--epsilon", "1e-4", "-o", "run"], 0),
+    "simulate-input": (["simulate", "--input", "water.json", "-o", "run"], 0),
+    "classify": (["classify", "--omega", "0.5", "--beta", "0.5", "--alpha", "0"], 0),
 }
 
 
@@ -634,8 +643,10 @@ def test_scalar_and_refused_runs_load_no_numpy(tmp_path, name):
 
 
 def test_a_solving_run_loads_numpy(tmp_path):
-    argv = ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "1",
-            "-o", "run"]
-    code, modules = main_in_fresh(argv, tmp_path)
-    assert code == 0
-    assert "numpy" in modules
+    # Only picard and regime: simulate and classify solve on Python floats.
+    for argv in (["picard", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "1",
+                  "-o", "pic"],
+                 ["regime", "--case", "1", "--beta", "1", "--horizon", "1", "-o", "reg"]):
+        code, modules = main_in_fresh(argv, tmp_path)
+        assert code == 0
+        assert "numpy" in modules

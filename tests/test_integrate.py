@@ -240,16 +240,19 @@ def crossings_by_loop(s, u, u_at, level, brackets=None):
 
 def synthetic(values):
     """u on the unit-step grid, and a stand-in for its dense output: a
-    one-component solution (its W slot 0.0) whose every step has all six
-    stages equal to the step's slope, nearly linear interpolation through (s, u). The tests take
-    the level 0, so that u - level is exact and +-CROSSING_BAND is the edge."""
+    one-component solution (its W slot 0.0) whose every step has the stages
+    K1, K3-K6 equal to the step's slope and K7 equal to the next step's (the
+    next record's K1, as in a solve; the last step's own), nearly linear
+    interpolation through (s, u). The tests take the level 0, so that
+    u - level is exact and +-CROSSING_BAND is the edge."""
     u = np.asarray(values, dtype=float)
     s = np.arange(u.size, dtype=float)
     steps = bytearray()
+    slope = 0.0
     for k in range(u.size - 1):
         slope = u[k + 1] - u[k]
-        steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 5)
-    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, (0.0,), 0)
+        steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 4)
+    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, slope, (0.0,), 0)
 
 
 B = CROSSING_BAND

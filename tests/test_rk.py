@@ -269,16 +269,15 @@ def q_by_sum(stages):
     tuple of n floats) are `stages[s]`: Q_j = K1 P1j + K3 P3j + ... + K7 P7j
     added left to right in plain Python floats, every term included, as an
     (4, n, m) array. No numpy arithmetic or BLAS kernel takes part."""
-    p = P.tolist()
     n = len(stages[0][0])
     q = [[[] for _ in range(n)] for _ in range(4)]
     for step in stages:
         for c in range(n):
             k = [stage[c] for stage in step]
             for j in range(4):
-                total = k[0] * p[0][j]
+                total = k[0] * P[0][j]
                 for i in range(1, 6):
-                    total = total + k[i] * p[i][j]
+                    total = total + k[i] * P[i][j]
                 q[j][c].append(total)
     return np.array(q)
 
@@ -360,22 +359,27 @@ def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
     stored = []
 
     class Recording(_rk.DenseSolution):
-        def __init__(self, t_end, steps, y, *args):
-            stored.append(bytes(steps))
-            super().__init__(t_end, steps, y, *args)
+        def __init__(self, t_end, steps, f_end, y, *args):
+            stored.append((bytes(steps), (y[-1], f_end)))
+            super().__init__(t_end, steps, f_end, y, *args)
 
     monkeypatch.setattr(_rk, "DenseSolution", Recording)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # Q of an overflowing run
         dense = _rk.solve(accel, y0, t_bound, tolerances)
+        q = dense._q
     # Each record is the step's start time and the start state's first
-    # slot, then the stages K1, K3-K7 as pairs; a one-component state's W is
-    # the first slot of each pair.
+    # slot, then the stages K1, K3-K6 as pairs; a step's K7 is the next
+    # record's K1, and the last step's is the pair kept apart. A
+    # one-component state's W is the first slot of each pair.
     skip = 2 - len(y0)
-    records = list(_rk.STEP_RECORD.iter_unpack(stored[0]))
-    stages = [[pair[skip:] for pair in zip(record[2::2], record[3::2])] for record in records]
+    steps, last = stored[0]
+    records = list(_rk.STEP_RECORD.iter_unpack(steps))
+    pairs = [list(zip(record[2::2], record[3::2])) for record in records]
+    k7s = [following[0] for following in pairs[1:]] + [last]
+    stages = [[pair[skip:] for pair in own + [k7]] for own, k7 in zip(pairs, k7s)]
     want = q_by_sum(stages)
-    assert dense._q.shape == want.shape == (4, len(y0), dense.accepted)
-    assert np.array_equal(bits(dense._q), bits(want))
+    assert q.shape == want.shape == (4, len(y0), dense.accepted)
+    assert np.array_equal(bits(q), bits(want))
     assert np.array_equal(bits([record[0] for record in records]), bits(dense.t[:-1]))
 
 
@@ -496,11 +500,12 @@ print(json.dumps([dense.accepted, held, peak]))
 
 def test_step_store_memory_per_accepted_step():
     # A lightly damped dry start from rest, the long run the store is sized
-    # for. The flat store and the dense coefficients, with the product block
-    # Q is summed from, peak at about 292 B per accepted step; a tuple of floats
-    # kept per step would add over 400 B more. Once the store is freed, the
-    # solution holds its times, start states and Q, 88 B per step (two
-    # components); a per-step list of times would add 32 B more.
+    # for. The growing bytearray and the exact-size bytes copy the solution
+    # keeps peak at about 203 B per accepted step; a tuple of floats kept per
+    # step would add over 400 B more. The solution holds the 12-double
+    # records, 96 B per step, and builds no arrays until an array call; a
+    # record that also kept K7, the next record's K1 (14 doubles), or the
+    # bytearray's growth slack (up to 1/8) would pass 100 B.
     accepted, held, peak = fresh(MEMORY_PROBE)
     assert accepted > 20_000
     assert peak < 500 * accepted

@@ -30,8 +30,10 @@ them to that):
 
 - in plain Python floats, one step at a time: `bisect`, the crossing
   refinement of `integrate`, and `sample`, the list sampler of the command
-  line. A step's quartic coefficients are its stage sum, built when a
-  time first falls in the step;
+  line. Each runs its own loop and Horner sum, and calls the one step
+  reader `_step`, which finds a time's step and builds its quartic
+  coefficients as the stage sum, only when a time leaves the step it
+  holds;
 - as numpy arrays, built on the first array call: calling the solution
   evaluates the interpolants on an array of times from contiguous
   coefficient blocks, running the Horner sum in place on one accumulator.
@@ -53,7 +55,7 @@ import math
 import struct
 from array import array
 from bisect import bisect_left
-from functools import cache, cached_property
+from functools import cached_property
 
 from .errors import NumericError, StepSizeUnderflowError
 from .params import MAX_STEPS  # `solve` reads the step budget from this module
@@ -98,17 +100,6 @@ STEP_RECORD = struct.Struct("12d")
 RECORD_FLOATS = 12
 # A record and the next one's t, u and K1, which is the record's step's K7.
 RECORD_AND_NEXT = struct.Struct("16d")
-
-
-@cache
-def _p_blocks():
-    """P's rows as read-only numpy blocks, shaped (6, 4, 1, 1) to scale a
-    stage's (n, m) block; built once, on the first array call."""
-    import numpy as np
-
-    blocks = np.array(P)[:, :, None, None]
-    blocks.setflags(write=False)
-    return blocks
 
 
 def _rms(a: float, b: float, one: bool) -> float:
@@ -292,28 +283,28 @@ class DenseSolution:
         """The step start times, read in place from the store."""
         return memoryview(self._steps).cast("d")[::RECORD_FLOATS]
 
-    def _step_at(self, t: float):
-        """The step a float time falls in: its end, its record (which starts
-        with the step's start time) and its K7 pair."""
+    def _step(self, t: float, slots):
+        """The step a float time falls in, by the rule of calling the solution:
+        (t_k, t_next, h, rows), a row (y_k, q0, q1, q2, q3) for each slot in
+        slots, each Q_j the sum K1 P1j + K3 P3j + ... + K7 P7j added left to
+        right as the array build adds it."""
         m = self.accepted
         k = bisect_left(self._starts, t, 1, m) - 1
         if k + 1 < m:
-            both = RECORD_AND_NEXT.unpack_from(self._steps, k * STEP_RECORD.size)
-            return both[RECORD_FLOATS], both, both[RECORD_FLOATS + 2:]
-        t_end, k7 = self._end
-        return t_end, STEP_RECORD.unpack_from(self._steps, k * STEP_RECORD.size), k7
-
-    @staticmethod
-    def _quartic(record, k7, c: int):
-        """Slot c's start value and quartic coefficients (y_k, q0, q1, q2,
-        q3) in a step: each Q_j the sum K1 P1j + K3 P3j + ... + K7 P7j, added
-        left to right as the array build adds it."""
-        k1, k3, k4, k5, k6 = record[2 + c:RECORD_FLOATS:2]
-        k7 = k7[c]
-        row = [record[1 + c]]
-        for p1, p3, p4, p5, p6, p7 in P_COLUMNS:
-            row.append(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7)
-        return row
+            record = RECORD_AND_NEXT.unpack_from(self._steps, k * STEP_RECORD.size)
+            t_next, k7 = record[RECORD_FLOATS], record[RECORD_FLOATS + 2:]
+        else:
+            record = STEP_RECORD.unpack_from(self._steps, k * STEP_RECORD.size)
+            t_next, k7 = self._end
+        rows = []
+        for c in slots:
+            k1, k3, k4, k5, k6 = record[2 + c:RECORD_FLOATS:2]
+            k7c = k7[c]
+            row = [record[1 + c]]
+            for p1, p3, p4, p5, p6, p7 in P_COLUMNS:
+                row.append(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7c * p7)
+            rows.append(row)
+        return record[0], t_next, t_next - record[0], rows
 
     def sample(self, times) -> list[array]:
         """The interpolants at each float time, one `array("d")` per
@@ -326,11 +317,8 @@ class DenseSolution:
         t_k = t_next = math.nan  # bounds of the step held in h and rows: none yet
         for t in times:
             if not t_k < t <= t_next:
-                t_next, record, k7 = self._step_at(t)
-                t_k = record[0]
-                h = t_next - t_k
-                rows = [(column.append, *self._quartic(record, k7, c))
-                        for column, c in zip(columns, slots)]
+                t_k, t_next, h, rows = self._step(t, slots)
+                rows = [(column.append, *row) for column, row in zip(columns, rows)]
             x = (t - t_k) / h
             for append, y_k, q0, q1, q2, q3 in rows:
                 append(y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))))
@@ -350,10 +338,7 @@ class DenseSolution:
         t, f_lo = lo, None
         for _ in range(129):  # at lo, then at most 128 mids
             if not t_k < t <= t_next:
-                t_next, record, k7 = self._step_at(t)
-                t_k = record[0]
-                h = t_next - t_k  # the same subtraction as in calling the solution
-                y_k, q0, q1, q2, q3 = self._quartic(record, k7, slot)
+                t_k, t_next, h, ((y_k, q0, q1, q2, q3),) = self._step(t, (slot,))
             x = (t - t_k) / h
             f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
             if f_lo is None:
@@ -410,7 +395,7 @@ class DenseSolution:
         # stages, each stage's (n, m) block times its row of P as (4, 1, 1):
         # one elementwise product and one sum per stage, Q in its final
         # (4, n, m) layout.
-        p_blocks = _p_blocks()
+        p_blocks = np.array(P)[:, :, None, None]
         q = np.multiply(stages[0], p_blocks[0])
         term = np.empty_like(q)
         for k_i, p_i in zip(stages[1:], p_blocks[1:]):

@@ -29,7 +29,8 @@ from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLERANCES,
-                     MAX_INTERVALS, MAX_STEPS, REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP)
+                     HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, REGIME_DEFAULT_HORIZON,
+                     REGIME_HORIZON_CAP)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -231,16 +232,10 @@ def cmd_regime(args) -> int:
             raise DomainError("b", f"must be finite, got {b!r}")
         b = Fraction(repr(b))  # the decimal the user typed: 0.1 gives 1/10
     spec = RegimeSpec.standard(case, b=b)
-    # integrate_regime's own first checks, so that a refused run loads no numpy
-    params_module.check_positive("beta", args.beta)
-    params_module.check_alpha(args.alpha)
-    import numpy as np
-
     from .integrate import integrate_regime, regime_oracle_residuals
 
-    traj = integrate_regime(spec, beta=args.beta, alpha=args.alpha,
-                                  horizon=args.horizon,
-                                  sample_step=args.sample_step)
+    traj = integrate_regime(spec, beta=args.beta, alpha=args.alpha, horizon=args.horizon,
+                            sample_step=args.sample_step)
     oracle_name, resid = regime_oracle_residuals(traj)
     columns = {"t": traj.t, "u": traj.u, "v": traj.v, "h": traj.h, "residual": resid}
     if traj.v is None:
@@ -253,7 +248,7 @@ def cmd_regime(args) -> int:
         "alpha": args.alpha,
         "horizon": args.horizon,
         "oracle": oracle_name,
-        "max_residual": float(np.max(resid)),
+        "max_residual": float(resid.max()),
         "final_height": float(traj.h[-1]),
     }
     _write_run(args, ("case", "beta", "alpha", "b_exponent", "horizon", "sample_step"),
@@ -294,7 +289,8 @@ def _add_model_args(parser, with_input=True):
 
 def _add_run_args(parser):
     parser.add_argument("--horizon", type=float, default=None,
-                        help="integration horizon (default: 30 damping e-folds); "
+                        help=f"integration horizon (default: {HORIZON_EFOLDS:g} damping "
+                             "e-folds); "
                              + STEP_BUDGET_HELP)
     parser.add_argument("--sample-step", type=float, default=None,
                         help=SAMPLE_STEP_HELP)

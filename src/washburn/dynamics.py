@@ -92,6 +92,14 @@ def h_form_field(omega: float, beta: float):
     return accel
 
 
+def _numpy_if_array(u, v=None):
+    """numpy if u or v is a numpy array, else None; it never imports numpy."""
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and (isinstance(u, np.ndarray) or isinstance(v, np.ndarray)):
+        return np
+    return None
+
+
 def energy(u, v):
     """First integral E = v^2/2 - u + (2 sqrt2 / 3) [u]_+^{3/2} of the undamped model.
 
@@ -99,8 +107,8 @@ def energy(u, v):
     regime. Takes scalars (returns a float) or arrays, and clamps slightly
     negative u so it can be evaluated on raw integrator output.
     """
-    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
-    if np is not None and (isinstance(u, np.ndarray) or isinstance(v, np.ndarray)):
+    np = _numpy_if_array(u, v)
+    if np is not None:
         up = np.maximum(u, 0.0)
         root = np.sqrt(up)
     else:  # math on floats: several times faster than numpy scalars

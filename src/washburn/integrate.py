@@ -20,7 +20,6 @@ itself: each array path imports it when it runs, so a run through
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
@@ -28,9 +27,10 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 from . import _rk, dynamics, stability
 from .dynamics import RegimeSpec, State
 from .errors import DomainError, HorizonError, NumericError
-from .params import (DEFAULT_INTERVALS, DEFAULT_TOLERANCES, MAX_INTERVALS,
-                     REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP, U_EQUILIBRIUM, ModelParams,
-                     check_alpha, check_nonnegative, check_positive)
+from .params import (DEFAULT_INTERVALS, DEFAULT_TOLERANCES, HORIZON_EFOLDS, MAX_INTERVALS,
+                     MAX_TOLERANCE, REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP,
+                     U_EQUILIBRIUM, ModelParams, check_alpha, check_nonnegative,
+                     check_positive)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 Column = Union["np.ndarray", memoryview]
 
 HORIZON_CAP = 1e6
-HORIZON_EFOLDS = 30.0
 
 CROSSING_BAND = 1e-9
 CROSSING_REFINE_TOL = 1e-10
@@ -100,18 +99,18 @@ def default_horizon(params: ModelParams) -> float:
 
 def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
                sample_step: float | None):
-    """Validate a run's horizon, tolerances and sample step, with the sample
-    step defaulting to horizon/DEFAULT_INTERVALS (a horizon too small for
-    that to be positive is refused) and the sample count capped at
-    MAX_INTERVALS; returns (horizon, tolerances, sample_step) as floats."""
+    """Validate a run's horizon, tolerances (each in (0, MAX_TOLERANCE]) and
+    sample step, with the sample step defaulting to horizon/DEFAULT_INTERVALS
+    (a horizon too small for that to be positive is refused) and the sample
+    count capped at MAX_INTERVALS; returns (horizon, tolerances,
+    sample_step) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
         raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
     abs_tol, rel_tol = tolerances
     for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
-        # 1 or more asks for no correct digit of a state bounded by 9/8.
-        if not 0.0 < tol < 1.0:
-            raise DomainError(name, f"must lie in (0, 1), got {tol!r}")
+        if not 0.0 < tol <= MAX_TOLERANCE:
+            raise DomainError(name, f"must lie in (0, {MAX_TOLERANCE:g}], got {tol!r}")
     if sample_step is None:
         sample_step = horizon / DEFAULT_INTERVALS
         if sample_step == 0.0:
@@ -183,8 +182,8 @@ def _brackets(s, u, level: float) -> list[tuple[float, float, int]]:
     """(lo, hi, direction) of each sign change of u - level between
     consecutive samples outside the band: samples within CROSSING_BAND of
     the level belong to neither side, and NaN counts as below."""
-    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
-    if np is not None and isinstance(u, np.ndarray):
+    np = dynamics._numpy_if_array(u)
+    if np is not None:
         d = u - level
         kept = np.flatnonzero(~(np.abs(d) <= CROSSING_BAND))
         above = d[kept] > 0.0
@@ -320,12 +319,12 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
     The horizon is capped at REGIME_HORIZON_CAP: the undamped case 4 takes
     a number of steps proportional to it.
     """
-    import numpy as np
-
     check_positive("beta", beta)
     check_alpha(alpha)
     horizon, tolerances, sample_step = _check_run(horizon, REGIME_HORIZON_CAP, tolerances,
                                                   sample_step)
+    import numpy as np  # only once the run is checked: a refused run loads none
+
     u0 = 0.5 * alpha * alpha
     y0 = (u0,) if spec.first_order else (u0, 0.0)
     # A run that overflows leaves non-finite samples, which

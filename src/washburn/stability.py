@@ -10,12 +10,11 @@ provides the basin of attraction for each admissible starting height.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from . import params as params_module
+from . import dynamics, params as params_module
 from .dynamics import TWO_SQRT2_OVER_3, energy
 from .errors import ConsistencyError, DomainError, InconclusiveError
 from .params import U_BOUND, U_EQUILIBRIUM
@@ -109,33 +108,28 @@ def lyapunov(u: float, v: float) -> tuple[float, float]:
     if u < 0.0:
         raise DomainError("u", f"must be >= 0, got {u!r}")
     E = energy(u, v)
+    return E, _lyapunov_float(u, v, E)
+
+
+def _lyapunov_float(u: float, v: float, E: float) -> float:
+    """V at a float phase point of energy E: the factored form within
+    FACTORED_WINDOW of u = 1/2, else E + 1/6 (a NaN u takes the latter)."""
     if abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW:
-        V = float(_lyapunov_factored(u, v, math.sqrt))
-    else:
-        V = E + 1.0 / 6.0
-    return E, V
-
-
-def _is_array(x) -> bool:
-    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
-    return np is not None and isinstance(x, np.ndarray)
+        return _lyapunov_factored(u, v, math.sqrt)
+    return E + 1.0 / 6.0
 
 
 def lyapunov_columns(u, v):
     """(E, V) for trajectory columns; clamps u dust below 0.
 
     numpy arrays give numpy arrays. Sequences of floats give `array("d")`
-    columns with the same bits, from the float branches of `energy` and
-    `_lyapunov_factored`, and load no numpy.
+    columns with the same bits, from the float branch of `energy` and
+    `lyapunov`'s rule for V, and load no numpy.
     """
-    if not (_is_array(u) or _is_array(v)):
+    np = dynamics._numpy_if_array(u, v)
+    if np is None:
         E = array("d", [energy(x, y) for x, y in zip(u, v)])
-        V = array("d", [_lyapunov_factored(x, y, math.sqrt)
-                        if abs(x - U_EQUILIBRIUM) < FACTORED_WINDOW else e + 1.0 / 6.0
-                        for x, y, e in zip(u, v, E)])
-        return E, V
-    import numpy as np
-
+        return E, array("d", [_lyapunov_float(x, y, e) for x, y, e in zip(u, v, E)])
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     up = np.maximum(u, 0.0)
@@ -215,7 +209,7 @@ def classify_approach(traj) -> ApproachReport:
             "exactly one equilibrium crossing: horizon too short or omega "
             "too close to the critical value"
         )
-    if _is_array(u):
+    if dynamics._numpy_if_array(u):
         diffs = u[2:] - u[1:-1]
         monotone = bool((diffs >= -MONOTONE_TOL).all() or (diffs <= MONOTONE_TOL).all())
     else:
@@ -251,7 +245,7 @@ def audit_trajectory(traj, spec: BasinSpec) -> BasinAudit:
         raise DomainError(
             "traj", f"initial state has V = {float(V[0])!r} > C = {spec.C!r}"
         )
-    if _is_array(V):
+    if dynamics._numpy_if_array(V):
         excess = float((V - spec.C).max())
         rises = V[1:] - V[:-1]
         max_rise = float(max(0.0, rises.max())) if rises.size else 0.0

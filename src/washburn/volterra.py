@@ -208,7 +208,10 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
 
 
 def uniqueness_window(omega: float, beta: float) -> float:
-    """s* = min(1/2, sqrt(omega)/beta), the horizon of the order-interval argument."""
+    """s* = min(1/2, sqrt(omega)/beta), the horizon of the order-interval
+    argument. Raises DomainError unless omega and beta are finite and > 0."""
+    check_positive("omega", omega)
+    check_positive("beta", beta)
     return min(0.5, math.sqrt(omega) / beta)
 
 

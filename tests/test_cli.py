@@ -197,7 +197,10 @@ class TestSimulate:
                                           ["--rel-tol", "0"], ["--rel-tol", "1"],
                                           ["--abs-tol", "1e3"],
                                           # more than MAX_INTERVALS samples
-                                          ["--sample-step", "1e-15"]])
+                                          ["--sample-step", "1e-15"],
+                                          # above params.MAX_TOLERANCE, where u can
+                                          # leave [0, 9/8]
+                                          ["--rel-tol", "0.05"], ["--abs-tol", "0.01"]])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):
         code, err = run_rejected([command, "--omega", "1", "--beta", "1", "--alpha", "0",
                                   *tol_args, "--output", str(tmp_path / "x")], capsys)
@@ -623,6 +626,10 @@ NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
     "picard-alpha-9": (["picard", "--omega", "1", "--beta", "1", "--alpha", "9",
                         "-o", "pic"], 2),
     "regime-negative-beta": (["regime", "--case", "1", "--beta", "-1", "-o", "reg"], 2),
+    "regime-horizon-2e3": (["regime", "--case", "2", "--beta", "1", "--horizon", "2e3",
+                            "-o", "reg"], 2),
+    "regime-sample-step": (["regime", "--case", "2", "--beta", "1", "--sample-step", "1e-12",
+                            "-o", "reg"], 2),
     "simulate": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "-o", "run"], 0),
     "simulate-classify": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5",
                            "--classify", "-o", "run"], 0),

@@ -9,7 +9,8 @@ from washburn.integrate import integrate
 from washburn.params import DEFAULT_INTERVALS, MAX_INTERVALS, ModelParams
 from washburn.volterra import (BLOCK_EXPONENT, GridFunction, KernelOperator,
                                apply_T, bracket_lower, bracket_upper,
-                               check_scaling_inequality, picard_solve, uniqueness_window)
+                               check_scaling_inequality, order_interval_check, picard_solve,
+                               uniqueness_window)
 
 
 def grid_fn(fn, horizon, nodes):
@@ -230,6 +231,18 @@ class TestOrderInterval:
         assert uniqueness_window(1.0, 1.0) == 0.5
         assert uniqueness_window(0.01, 1.0) == pytest.approx(0.1)
         assert uniqueness_window(4.0, 0.5) == 0.5
+
+    @pytest.mark.parametrize("omega,beta,key", [(-1.0, 1.0, "omega"), (1.0, 0.0, "beta"),
+                                                (math.nan, 1.0, "omega"),
+                                                (1.0, math.inf, "beta")])
+    def test_window_refuses_nonpositive_parameters(self, omega, beta, key):
+        # Without the check, sqrt(-1) raised ValueError and x/0 ZeroDivisionError.
+        for call in (lambda: uniqueness_window(omega, beta),
+                     lambda: order_interval_check(omega, beta),
+                     lambda: check_scaling_inequality(
+                         grid_fn(bracket_lower, 0.5, 8), 0.5, omega, beta)):
+            with pytest.raises(DomainError, match=f"^{key}: "):
+                call()
 
     def test_brackets(self):
         s = np.array([0.0, 0.3, 0.5])

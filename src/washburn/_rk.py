@@ -42,8 +42,9 @@ Both build each coefficient as the same explicit sum over the six stages,
 added left to right (no BLAS call, so the bits do not depend on the CPU's
 BLAS kernel), and find a time's step by the same rule. The solution knows
 only its steps: a time before the first step extrapolates that step's
-quartic, as a time past the last extrapolates the last one. This module
-imports no numpy; the array evaluator imports it on first use.
+quartic, as a time past the last extrapolates the last one. `ends` reads
+the step ends in place, to bracket events (Hairer, Norsett & Wanner, II.6).
+This module imports no numpy; the array evaluator imports it on first use.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150 (the dense output); Hairer,
@@ -56,6 +57,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from functools import cached_property
+from itertools import chain
 
 from .errors import NumericError, StepSizeUnderflowError
 from .params import MAX_STEPS  # `solve` reads the step budget from this module
@@ -282,6 +284,11 @@ class DenseSolution:
     def _starts(self):
         """The step start times, read in place from the store."""
         return memoryview(self._steps).cast("d")[::RECORD_FLOATS]
+
+    def ends(self, c: int):
+        """(t, y[c]) as floats at each step's start, then at the last step's end."""
+        values = memoryview(self._steps).cast("d")[3 - len(self.y) + c::RECORD_FLOATS]
+        return chain(zip(self._starts, values), ((self._end[0], self.y[c]),))
 
     def _step(self, t: float, slots):
         """The step a float time falls in, by the rule of calling the solution:

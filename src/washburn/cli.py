@@ -29,8 +29,8 @@ from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLERANCES,
-                     HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, REGIME_DEFAULT_HORIZON,
-                     REGIME_HORIZON_CAP)
+                     HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, MAX_TOLERANCE,
+                     REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +40,7 @@ EXIT_VERIFY = 4
 STEP_RANGE_HELP = f"at least horizon/{MAX_INTERVALS} (default: horizon/{DEFAULT_INTERVALS})"
 SAMPLE_STEP_HELP = "output sampling step, " + STEP_RANGE_HELP
 STEP_BUDGET_HELP = f"a run that needs more than {MAX_STEPS} RK steps exits 3"
+TOLERANCE_RANGE = f"(0, {MAX_TOLERANCE:g}]"  # the range `integrate` accepts
 
 
 def _case_name(case: RegimeCase) -> str:
@@ -295,9 +296,9 @@ def _add_run_args(parser):
     parser.add_argument("--sample-step", type=float, default=None,
                         help=SAMPLE_STEP_HELP)
     parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOLERANCES[0],
-                        help="absolute tolerance (default: %(default)g)")
+                        help=f"absolute tolerance in {TOLERANCE_RANGE} (default: %(default)g)")
     parser.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCES[1],
-                        help="relative tolerance (default: %(default)g)")
+                        help=f"relative tolerance in {TOLERANCE_RANGE} (default: %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,10 @@ The u-form model (the acceleration `dynamics.u_form_field`) and each
 reduced regime are integrated from rest at s = 0 by one `_rk.solve` call,
 Dormand and Prince's embedded Runge-Kutta 5(4) pair with quartic dense
 output, at the run's (abs, rel) tolerances. Trajectories carry derived
-height/energy columns, equilibrium-crossing events detected with a
-hysteresis band and refined by bisection on the dense output's quartic
-for u (`DenseSolution.bisect`, with the bits of calling the dense
-output), and the evaluation handle needed to re-detect crossings at
-other levels.
+height/energy columns, equilibrium crossings bracketed at the step ends
+with a hysteresis band and refined by bisection on the dense output's
+quartic for u (`DenseSolution.bisect`, with the bits of calling the
+dense output), and the handle that re-detects them at other levels.
 
 `integrate` samples and derives its columns as read-only numpy arrays;
 `integrate_floats`, the command line's path, computes the same columns,
@@ -178,33 +177,28 @@ def _float_columns(dense, horizon, sample_step, y0, omega):
     return tuple(memoryview(column).toreadonly() for column in (s, u, v, H, T, E, V))
 
 
-def _brackets(s, u, level: float) -> list[tuple[float, float, int]]:
-    """(lo, hi, direction) of each sign change of u - level between
-    consecutive samples outside the band: samples within CROSSING_BAND of
-    the level belong to neither side, and NaN counts as below."""
-    np = dynamics._numpy_if_array(u)
-    if np is not None:
-        d = u - level
-        kept = np.flatnonzero(~(np.abs(d) <= CROSSING_BAND))
-        above = d[kept] > 0.0
-        return [(float(s[kept[i]]), float(s[kept[i + 1]]), 1 if above[i + 1] else -1)
-                for i in np.flatnonzero(above[1:] != above[:-1]).tolist()]
-    brackets, last = [], None
-    for t, x in zip(s, u):
+def _brackets(points, level: float) -> list[tuple[float, float, int]]:
+    """(lo, hi, direction) of each sign change of x - level between
+    consecutive (t, x) points outside the band: points within CROSSING_BAND
+    of the level belong to neither side, and NaN counts as below."""
+    brackets, lo, side = [], None, None  # the last point outside the band
+    for t, x in points:
         d = x - level
         if abs(d) <= CROSSING_BAND:
             continue
         above = d > 0.0
-        if last is not None and above != last[1]:
-            brackets.append((last[0], t, 1 if above else -1))
-        last = t, above
+        if above is not side:
+            if side is not None:
+                brackets.append((lo, t, 1 if above else -1))
+            side = above
+        lo = t
     return brackets
 
 
-def _detect_crossings(s, u, dense: _rk.DenseSolution, level: float) -> tuple[Crossing, ...]:
-    # Each bracket is refined by bisection on the dense output's u.
+def _detect_crossings(dense: _rk.DenseSolution, level: float) -> tuple[Crossing, ...]:
+    # Each step-end bracket is refined by bisection on the dense output's u.
     return tuple(Crossing(dense.bisect(level, lo, hi, CROSSING_REFINE_TOL), direction)
-                 for lo, hi, direction in _brackets(s, u, level))
+                 for lo, hi, direction in _brackets(dense.ends(0), level))
 
 
 def _integrate(params, epsilon, horizon, tolerances, sample_step, columns) -> Trajectory:
@@ -223,7 +217,7 @@ def _integrate(params, epsilon, horizon, tolerances, sample_step, columns) -> Tr
     s, u, v, H, T, E, V = columns(dense, horizon, sample_step, y0, params.omega)
     return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
                       epsilon=epsilon, tolerances=tolerances, sample_step=sample_step,
-                      crossings=_detect_crossings(s, u, dense, U_EQUILIBRIUM),
+                      crossings=_detect_crossings(dense, U_EQUILIBRIUM),
                       dense=dense)
 
 
@@ -238,12 +232,12 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
     multiples of sample_step (plus the final time) through the integrator's
     quartic dense output; the first sample matches the initial data
     exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
-    Equilibrium crossings are bracketed by the samples and refined to
-    CROSSING_REFINE_TOL by bisection on the dense output's u, each step's
-    quartic evaluated inline with the bits of `dense(t)[0]`. The
-    regularization epsilon lies in [0, 1]: above 1 the regularized
-    equilibrium (1 - epsilon)/2 is negative. The columns are read-only
-    numpy arrays.
+    Equilibrium crossings are bracketed by the accepted step ends, not the
+    samples, and refined to CROSSING_REFINE_TOL by bisection on the dense
+    output's u, each step's quartic evaluated inline with the bits of
+    `dense(t)[0]`. The regularization epsilon lies in [0, 1]: above 1 the
+    regularized equilibrium (1 - epsilon)/2 is negative. The columns are
+    read-only numpy arrays.
     """
     return _integrate(params, epsilon, horizon, tolerances, sample_step, _array_columns)
 
@@ -271,7 +265,7 @@ def detect_crossings(traj: Trajectory, level: float = U_EQUILIBRIUM) -> tuple[Cr
     Raises DomainError for a level that is not finite."""
     if not math.isfinite(level):
         raise DomainError("level", f"must be finite, got {level!r}")
-    return _detect_crossings(traj.s, traj.u, traj.dense, level)
+    return _detect_crossings(traj.dense, level)
 
 
 def continuous_dependence(params: ModelParams, alpha0: float,

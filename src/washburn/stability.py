@@ -186,10 +186,11 @@ class ApproachReport:
 def classify_approach(traj) -> ApproachReport:
     """Monotone / oscillatory / at-equilibrium settling of a trajectory.
 
-    Requires the run to have settled (|u(S) - 1/2| < 1e-4). A single
-    crossing, or a non-monotone crossing-free run, is deliberately
-    inconclusive: near the critical omega the dichotomy is ill-posed. The
-    columns are arrays or sequences of floats, with the same verdict.
+    Requires the run to have settled (|u(S) - 1/2| < 1e-4). Like the
+    crossings, monotonicity is read at the step ends, not the samples: v
+    keeps one sign, to MONOTONE_TOL, at every step end past the start. A
+    single crossing, or a non-monotone crossing-free run, is deliberately
+    inconclusive: near the critical omega the dichotomy is ill-posed.
     """
     u = traj.u
     final_distance = float(traj.final_distance_to_equilibrium())
@@ -209,14 +210,9 @@ def classify_approach(traj) -> ApproachReport:
             "exactly one equilibrium crossing: horizon too short or omega "
             "too close to the critical value"
         )
-    if dynamics._numpy_if_array(u):
-        diffs = u[2:] - u[1:-1]
-        monotone = bool((diffs >= -MONOTONE_TOL).all() or (diffs <= MONOTONE_TOL).all())
-    else:
-        diffs = [b - a for a, b in zip(u[1:], u[2:])]
-        monotone = (all(d >= -MONOTONE_TOL for d in diffs)
-                    or all(d <= MONOTONE_TOL for d in diffs))
-    if monotone:
+    velocities = [v for _, v in traj.dense.ends(1)][1:]
+    if (all(v >= -MONOTONE_TOL for v in velocities)
+            or all(v <= MONOTONE_TOL for v in velocities)):
         return ApproachReport(ApproachKind.MONOTONE, crossings, final_distance)
     raise InconclusiveError(
         "no crossings but the approach is not monotone: horizon too short "

@@ -306,6 +306,19 @@ class TestClassifyCommand:
         assert run(["classify", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "2"]) == 3
 
+    def test_the_verdict_does_not_depend_on_the_sample_step(self, capsys):
+        # Underdamped (omega > omega* = 1/4): samples 10 or 15 apart fall on
+        # the same side of 1/2 across one or two of its three crossings.
+        reports = []
+        for step in ("0.01", "4", "10", "15"):
+            assert run(["classify", "--omega", "0.3", "--beta", "1", "--alpha", "0.2",
+                        "--horizon", "60", "--sample-step", step]) == 0, step
+            report = json.loads(capsys.readouterr().out)
+            reports.append((report["approach"], report["crossings"]))
+        assert reports[0][0] == "oscillatory"
+        assert [c["direction"] for c in reports[0][1]] == [1, -1, 1]
+        assert reports == reports[:1] * 4
+
     @pytest.mark.parametrize("output", [[], ["--output", "c.json"]], ids=["stdout", "file"])
     @pytest.mark.parametrize("argv", [
         # beta^2 underflows to 0

@@ -1,7 +1,7 @@
 """Every file a small set of CLI runs writes, byte for byte against the
-copies under tests/golden/, which the package wrote at version 0.7.0,
-and every `--help` text at COLUMNS=80 against
-tests/golden/help/, written before the parser's defaults moved to `params`.
+copies under tests/golden/, which the package wrote at version 0.8.0,
+and every `--help` text at COLUMNS=80 against tests/golden/help/, written
+at the same version.
 
 tests/golden/verify/details.json holds the details of every passing check
 of `verify.CHECKS`, keyed by check name, and under the criterion-11 name

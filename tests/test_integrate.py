@@ -14,8 +14,9 @@ from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
                                 integrate_regime)
 from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
 from washburn.stability import lyapunov
+from washburn.verify import ACCEPTANCE_GRID
 
-from test_rk import at_by_lists
+from test_rk import at_by_lists, regime
 
 
 def mp(omega, beta, alpha):
@@ -213,10 +214,17 @@ def bisect_level(u_at, level, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def crossings_by_loop(s, u, u_at, level, brackets=None):
-    """The per-sample hysteresis loop that `_detect_crossings` replaced, kept
-    as its reference (as tests/test_volterra.py keeps the dense kernel).
+def step_ends(dense):
+    """The step times and component 0 at each, from the numpy views of the
+    store: the steps' start values, then the final state's."""
+    return dense.t, np.append(dense._y0[0], dense.y[0])
+
+
+def crossings_by_loop(dense, u_at, level, brackets=None):
+    """The per-step hysteresis loop over the step ends, the reference of
+    `_detect_crossings` (as tests/test_volterra.py keeps the dense kernel).
     Each bracket it bisects is appended to `brackets`, if given."""
+    s, u = step_ends(dense)
     crossings = []
     side = 0
     armed_index = None
@@ -243,8 +251,9 @@ def synthetic(values):
     one-component solution (its W slot 0.0) whose every step has the stages
     K1, K3-K6 equal to the step's slope and K7 equal to the next step's (the
     next record's K1, as in a solve; the last step's own), nearly linear
-    interpolation through (s, u). The tests take the level 0, so that
-    u - level is exact and +-CROSSING_BAND is the edge."""
+    interpolation through (s, u), whose step ends are the samples. The
+    tests take the level 0, so that u - level is exact and +-CROSSING_BAND
+    is the edge."""
     u = np.asarray(values, dtype=float)
     s = np.arange(u.size, dtype=float)
     steps = bytearray()
@@ -252,7 +261,8 @@ def synthetic(values):
     for k in range(u.size - 1):
         slope = u[k + 1] - u[k]
         steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 4)
-    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, slope, (0.0,), 0)
+    final = (float(u[-1]),) if u.size else (0.0,)
+    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, slope, final, 0)
 
 
 B = CROSSING_BAND
@@ -291,8 +301,8 @@ def seeded_runs(count=150):
 
 
 class TestCrossingScan:
-    """`_detect_crossings` against the loop and the bisection it replaced,
-    crossing for crossing."""
+    """`_detect_crossings` against the per-step loop and the bisection it
+    replaced, crossing for crossing."""
 
     @pytest.mark.parametrize("point", [(0.1, 1.0, 0.0), (0.25, 1.0, 0.0), (1.0, 1.0, 0.0),
                                        (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
@@ -300,21 +310,32 @@ class TestCrossingScan:
         traj = integrate(mp(*point))
         by_lists = at_by_lists(traj.dense)
         for level in LEVELS:
-            found = _detect_crossings(traj.s, traj.u, traj.dense, level)
-            assert found == crossings_by_loop(traj.s, traj.u, by_lists, level)
-        assert traj.crossings == crossings_by_loop(traj.s, traj.u, by_lists, 0.5)
+            found = _detect_crossings(traj.dense, level)
+            assert found == crossings_by_loop(traj.dense, by_lists, level)
+        assert traj.crossings == crossings_by_loop(traj.dense, by_lists, 0.5)
+
+    def test_ends_are_the_stored_step_starts_then_the_final_state(self):
+        dense = integrate(mp(1.0, 1.0, 0.5)).dense
+        case2, *_ = regime(RegimeCase.NEGLIGIBLE_INERTIA, 1.0, 0.1, 5.0)  # one component
+        for solution, c in ((dense, 0), (dense, 1), (case2, 0)):
+            ends = list(solution.ends(c))
+            assert all(type(t) is float and type(y) is float for t, y in ends)
+            assert ends == list(zip(solution.t.tolist(),
+                                    np.append(solution._y0[c], solution.y[c]).tolist()))
 
     def test_seeded_sweep(self):
-        # A dry start rises from u = 0 as s^2/2, so at level 2e-9 its early
-        # samples lie outside the band and bracket the first crossing, and at
-        # 1e-12 they lie inside it.
+        # A dry start rises from u = 0 as s^2/2, so at level 2e-9 its first
+        # step end lies outside the band and brackets the first crossing from
+        # s = 0, and at 1e-12 it lies inside it. A level equal to u at a step
+        # end puts that end inside the band, so a bracket there spans two steps.
         brackets = {"several steps": 0, "from s = 0": 0}
         for traj in seeded_runs():
             dense, by_lists = traj.dense, at_by_lists(traj.dense)
-            for level in LEVELS + (2e-9, 1e-12):
+            on_an_end = float(step_ends(dense)[1][dense.accepted // 8])
+            for level in LEVELS + (2e-9, 1e-12, on_an_end):
                 seen = []
-                assert (_detect_crossings(traj.s, traj.u, dense, level)
-                        == crossings_by_loop(traj.s, traj.u, by_lists, level, seen))
+                assert (_detect_crossings(dense, level)
+                        == crossings_by_loop(dense, by_lists, level, seen))
                 for lo, hi in seen:
                     first, last = np.searchsorted(dense.t, [lo, hi])
                     brackets["several steps"] += last - first >= 2
@@ -324,13 +345,37 @@ class TestCrossingScan:
     def test_lightly_damped_point_crosses_76_times(self):
         assert len(integrate(mp(31.4, 0.7, 0.0)).crossings) == 76
 
+    def test_no_accepted_step_holds_two_crossings(self):
+        # Step-end brackets miss a crossing only where one step holds two.
+        # Each step's quartic for u at 64 points, as the stage sums of
+        # `dense._q` give it, changes side of 1/2 outside the band at most
+        # once, and the steps that change side are the run's crossings.
+        runs = [(mp(omega, beta, alpha), None) for beta, omega, alpha in ACCEPTANCE_GRID]
+        runs += [(mp(31.4, 0.7, 0.0), None), (mp(1.0, 0.2, 0.5), None),
+                 (mp(0.3, 1.0, 0.2), 60.0)]
+        x = np.linspace(0.0, 1.0, 64)[:, None]
+        steps = 0
+        for params, horizon in runs:
+            traj = integrate(params, horizon=horizon)
+            dense = traj.dense
+            q0, q1, q2, q3 = dense._q[:, 0]
+            h = np.diff(dense.t)
+            d = dense._y0[0] + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - 0.5
+            side = np.where(np.abs(d) > CROSSING_BAND, np.sign(d), 0.0)
+            changes = [np.count_nonzero(kept[1:] != kept[:-1])
+                       for kept in (column[column != 0.0] for column in side.T)]
+            assert max(changes) <= 1 and sum(changes) == len(traj.crossings), params
+            steps += dense.accepted
+        assert steps > 5000
+
     @pytest.mark.parametrize("name", SYNTHETIC)
     def test_synthetic_samples(self, name):
-        s, u, dense = synthetic(SYNTHETIC[name])
+        _, u, dense = synthetic(SYNTHETIC[name])
+        assert np.array_equal(step_ends(dense)[1][:u.size], u, equal_nan=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = _detect_crossings(s, u, dense, 0.0)
-        assert found == crossings_by_loop(s, u, at_by_lists(dense), 0.0)
+            found = _detect_crossings(dense, 0.0)
+        assert found == crossings_by_loop(dense, at_by_lists(dense), 0.0)
         assert (found == ()) == (name in ("all-inside-band", "single-sample", "empty"))
 
 

@@ -7,23 +7,24 @@ Lyapunov-based stability analysis of the equilibrium column.
 
 The exports load on first use (PEP 562), and `_rk`, `integrate`,
 `stability` and `_format` import numpy only inside their array paths, so
-`import washburn`, the CLI's scalar commands and its `simulate` and
-`classify` (which sample on Python floats through
-`integrate.integrate_floats`) do not import numpy.
+`import washburn`, the CLI's scalar commands, its `simulate` (which
+samples on Python floats through `integrate.integrate_floats`) and its
+`classify` (which solves through `integrate.solve` and samples nothing)
+do not import numpy.
 """
 import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 _EXPORTS = {
     "dynamics": ("RegimeCase", "RegimeSpec", "State", "energy", "rhs_u"),
     "errors": ("ConsistencyError", "ConvergenceError", "DomainError", "HorizonError",
                "InconclusiveError", "NumericError", "SingularityError",
                "StepSizeUnderflowError", "WashburnError"),
-    "integrate": ("Crossing", "Trajectory", "continuous_dependence", "detect_crossings",
-                  "integrate", "integrate_regime", "regime_oracle_residuals"),
+    "integrate": ("Crossing", "Run", "Trajectory", "continuous_dependence", "detect_crossings",
+                  "integrate", "integrate_regime", "regime_oracle_residuals", "solve"),
     "params": ("ModelParams", "PhysicalParams", "critical_omega", "H_from_u",
                "nondimensionalize", "u_from_H"),
     "stability": ("ApproachKind", "ApproachReport", "BasinAudit", "BasinSpec", "PointKind",

@@ -8,11 +8,13 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
 
 The solvers are imported only once a command's parameters have passed
-the `params` checks. `simulate` and `classify` work on Python floats
-(`integrate.integrate_floats`) and, like `nondim`, `basin`, `--help`,
-`--version` and every argv refused by those checks, run without numpy:
-in a fresh process, importing numpy would cost more than the run.
-`picard`, `regime` and `verify` import numpy.
+the `params` checks. `simulate` samples on Python floats
+(`integrate.integrate_floats`); `classify` solves and samples nothing
+(`integrate.solve`): its verdict reads the run's step ends and its state
+at the horizon. Both, like `nondim`, `basin`, `--help`, `--version` and
+every argv refused by those checks, run without numpy: in a fresh
+process, importing numpy would cost more than the run. `picard`,
+`regime` and `verify` import numpy.
 """
 from __future__ import annotations
 
@@ -161,7 +163,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "params": params_module.model_params_report(mp),
         "epsilon": traj.epsilon,
-        "horizon": float(traj.s[-1]),
+        "horizon": traj.horizon,
         "sample_step": traj.sample_step,
         "tolerances": {"abs": traj.tolerances[0], "rel": traj.tolerances[1]},
         "final_state": {"s": float(traj.s[-1]), "u": float(traj.u[-1]),
@@ -170,7 +172,7 @@ def cmd_simulate(args) -> int:
         "crossings": traj.crossings,
     }
     if traj.epsilon > 0.0:
-        twin = integrate_floats(mp, epsilon=0.0, horizon=traj.s[-1],
+        twin = integrate_floats(mp, epsilon=0.0, horizon=traj.horizon,
                                 tolerances=tolerances, sample_step=args.sample_step)
         summary["sup_distance_to_unregularized"] = max(
             [abs(a - b) for a, b in zip(traj.u, twin.u)])
@@ -203,16 +205,14 @@ def cmd_picard(args) -> int:
 
 def cmd_classify(args) -> int:
     mp = _model_params_from_args(args)
-    from .integrate import integrate_floats
+    from .integrate import solve
 
-    traj = integrate_floats(mp, horizon=args.horizon,
-                            tolerances=(args.abs_tol, args.rel_tol),
-                            sample_step=args.sample_step)
-    report = stability.classify_approach(traj)
+    run = solve(mp, horizon=args.horizon, tolerances=(args.abs_tol, args.rel_tol))
+    report = stability.classify_approach(run)
     _emit({
         "params": params_module.model_params_report(mp),
         "approach": report.kind,
-        "crossings": traj.crossings,
+        "crossings": run.crossings,
         "final_distance": report.final_distance,
         "linear": stability.linearize(mp.omega, mp.beta),
     }, args.output)
@@ -288,13 +288,14 @@ def _add_model_args(parser, with_input=True):
                             help="physical-parameter JSON (overrides the triple)")
 
 
-def _add_run_args(parser):
+def _add_run_args(parser, sample_step: bool):
     parser.add_argument("--horizon", type=float, default=None,
                         help=f"integration horizon (default: {HORIZON_EFOLDS:g} damping "
                              "e-folds); "
                              + STEP_BUDGET_HELP)
-    parser.add_argument("--sample-step", type=float, default=None,
-                        help=SAMPLE_STEP_HELP)
+    if sample_step:
+        parser.add_argument("--sample-step", type=float, default=None,
+                            help=SAMPLE_STEP_HELP)
     parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOLERANCES[0],
                         help=f"absolute tolerance in {TOLERANCE_RANGE} (default: %(default)g)")
     parser.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCES[1],
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="square-root regularization in [0, 1] (default: 0)")
-    _add_run_args(p)
+    _add_run_args(p, sample_step=True)
     p.add_argument("--classify", action="store_true",
                    help="include settling classification in the summary")
     p.add_argument("--output", "-o", required=True, metavar="PREFIX",
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify how a trajectory settles")
     _add_model_args(p)
-    _add_run_args(p)
+    _add_run_args(p, sample_step=False)
     p.add_argument("--output", default=None, metavar="FILE")
     p.set_defaults(fn=cmd_classify)
 

@@ -3,24 +3,27 @@
 The u-form model (the acceleration `dynamics.u_form_field`) and each
 reduced regime are integrated from rest at s = 0 by one `_rk.solve` call,
 Dormand and Prince's embedded Runge-Kutta 5(4) pair with quartic dense
-output, at the run's (abs, rel) tolerances. Trajectories carry derived
-height/energy columns, equilibrium crossings bracketed at the step ends
-with a hysteresis band and refined by bisection on the dense output's
-quartic for u (`DenseSolution.bisect`, with the bits of calling the
-dense output), and the handle that re-detects them at other levels.
+output, at the run's (abs, rel) tolerances. `solve` returns the unsampled
+`Run`: the dense output, which re-detects crossings at other levels, the
+equilibrium crossings bracketed at the step ends with a hysteresis band
+and refined by bisection on the dense output's quartic for u
+(`DenseSolution.bisect`, with the bits of calling the dense output), and
+the final state, the dense output at the horizon.
 
-`integrate` samples and derives its columns as read-only numpy arrays;
-`integrate_floats`, the command line's path, computes the same columns,
+A `Trajectory` is a run plus its samples and their derived height/energy
+columns. `integrate` samples and derives them as read-only numpy arrays;
+`integrate_floats`, the path of `simulate`, computes the same columns,
 bit for bit, in Python floats through `DenseSolution.sample`, and keeps
 them as read-only memoryviews of doubles. This module imports no numpy
-itself: each array path imports it when it runs, so a run through
-`integrate_floats` loads none.
+itself: each array path imports it when it runs, so `solve` and
+`integrate_floats` load none.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from . import _rk, dynamics, stability
@@ -52,8 +55,38 @@ class Crossing(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution with derived columns and integration metadata.
+class Run:
+    """An unsampled u-form solve: its dense output over [0, horizon] and the
+    equilibrium crossings bracketed at its step ends. The initial state is
+    rest at the starting height; the final state is the dense output at the
+    horizon, read once, with the bits of a sample there."""
+
+    params: ModelParams
+    epsilon: float
+    tolerances: tuple[float, float]
+    horizon: float
+    crossings: tuple[Crossing, ...]
+    dense: _rk.DenseSolution = field(repr=False, compare=False)
+
+    def initial_state(self) -> State:
+        return _initial_state(self.params)
+
+    @cached_property
+    def _final(self) -> State:
+        (u,), (v,) = self.dense.sample((self.horizon,))
+        return State(u, v)
+
+    def final_state(self) -> State:
+        return self._final
+
+    def final_distance_to_equilibrium(self) -> float:
+        u, v = self._final
+        return math.hypot(u - U_EQUILIBRIUM, v)
+
+
+@dataclass(frozen=True)
+class Trajectory(Run):
+    """A run sampled every sample_step, with derived columns.
 
     E and V are recomputed from (u, v) at each sample, never integrated;
     H = sqrt(2u) and T = s sqrt(omega) are pure coordinate changes. Every
@@ -69,24 +102,17 @@ class Trajectory:
     T: Column
     E: Column
     V: Column
-    params: ModelParams
-    epsilon: float
-    tolerances: tuple[float, float]
     sample_step: float
-    crossings: tuple[Crossing, ...]
-    dense: _rk.DenseSolution = field(repr=False, compare=False)
-
-    def final_state(self) -> State:
-        return State(float(self.u[-1]), float(self.v[-1]))
-
-    def final_distance_to_equilibrium(self) -> float:
-        return math.hypot(self.u[-1] - U_EQUILIBRIUM, self.v[-1])
 
 
 class DependenceRecord(NamedTuple):
     alpha: float
     delta_alpha: float
     distance: float
+
+
+def _initial_state(params: ModelParams) -> State:
+    return State(0.5 * params.alpha * params.alpha, 0.0)
 
 
 def default_horizon(params: ModelParams) -> float:
@@ -96,13 +122,9 @@ def default_horizon(params: ModelParams) -> float:
     return min(HORIZON_EFOLDS / damping, HORIZON_CAP) if damping > 0.0 else HORIZON_CAP
 
 
-def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
-               sample_step: float | None):
-    """Validate a run's horizon, tolerances (each in (0, MAX_TOLERANCE]) and
-    sample step, with the sample step defaulting to horizon/DEFAULT_INTERVALS
-    (a horizon too small for that to be positive is refused) and the sample
-    count capped at MAX_INTERVALS; returns (horizon, tolerances,
-    sample_step) as floats."""
+def _check_run(horizon: float, cap: float, tolerances: tuple[float, float]):
+    """Validate a run's horizon (positive, at most cap) and tolerances (each
+    in (0, MAX_TOLERANCE]); returns (horizon, tolerances) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
         raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
@@ -110,6 +132,14 @@ def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
     for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
         if not 0.0 < tol <= MAX_TOLERANCE:
             raise DomainError(name, f"must lie in (0, {MAX_TOLERANCE:g}], got {tol!r}")
+    return float(horizon), (float(abs_tol), float(rel_tol))
+
+
+def _check_samples(horizon: float, sample_step: float | None) -> float:
+    """Validate the sample step of a checked horizon, defaulting to
+    horizon/DEFAULT_INTERVALS (a horizon too small for that to be positive
+    is refused), with the sample count capped at MAX_INTERVALS; returns it
+    as a float."""
     if sample_step is None:
         sample_step = horizon / DEFAULT_INTERVALS
         if sample_step == 0.0:
@@ -119,18 +149,20 @@ def _check_run(horizon: float, cap: float, tolerances: tuple[float, float],
     if horizon / sample_step > MAX_INTERVALS:
         raise DomainError("sample_step", f"{sample_step!r} asks for more than "
                                          f"{MAX_INTERVALS} samples over the horizon {horizon!r}")
-    return float(horizon), (float(abs_tol), float(rel_tol)), float(sample_step)
+    return float(sample_step)
 
 
 def _sample_grid(horizon: float, step: float) -> tuple[int, list[float]]:
     """The sample times as n and a tail: the multiples step * i for i < n,
-    then the tail, the nth multiple (capped at the horizon) and the horizon
-    itself when that multiple falls short of it."""
+    then the tail, which ends on the horizon itself: the nth multiple and
+    the horizon, or the horizon alone where the nth multiple rounds to
+    within 1e-12 of it (0.3 * 9 is 2.6999999999999997). So the last sample
+    is the run's final state, bit for bit."""
     n = int(math.floor(horizon / step + 1e-9))
-    last = min(step * n, horizon)
+    last = step * n
     if horizon - last > 1e-12 * max(1.0, horizon):
         return n, [last, horizon]
-    return n, [last]
+    return n, [horizon]
 
 
 def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0):
@@ -201,43 +233,58 @@ def _detect_crossings(dense: _rk.DenseSolution, level: float) -> tuple[Crossing,
                  for lo, hi, direction in _brackets(dense.ends(0), level))
 
 
-def _integrate(params, epsilon, horizon, tolerances, sample_step, columns) -> Trajectory:
-    """Check and solve a u-form run; `columns` samples it and derives the
-    columns, as numpy arrays or as read-only memoryviews of doubles."""
+def _check_solve(params, epsilon, horizon, tolerances):
+    """(epsilon, horizon, tolerances) of a u-form run, checked, with the
+    default horizon for None."""
     check_nonnegative("epsilon", epsilon)
     if epsilon > 1.0:
         raise DomainError("epsilon", f"must lie in [0, 1], got {epsilon!r}")
-    epsilon = float(epsilon)
     if horizon is None:
         horizon = default_horizon(params)
-    horizon, tolerances, sample_step = _check_run(horizon, HORIZON_CAP, tolerances,
-                                                  sample_step)
-    y0 = (0.5 * params.alpha * params.alpha, 0.0)
-    dense = _rk.solve(dynamics.u_form_field(params.damping, epsilon), y0, horizon, tolerances)
-    s, u, v, H, T, E, V = columns(dense, horizon, sample_step, y0, params.omega)
-    return Trajectory(s=s, u=u, v=v, H=H, T=T, E=E, V=V, params=params,
-                      epsilon=epsilon, tolerances=tolerances, sample_step=sample_step,
-                      crossings=_detect_crossings(dense, U_EQUILIBRIUM),
-                      dense=dense)
+    return (float(epsilon), *_check_run(horizon, HORIZON_CAP, tolerances))
+
+
+def solve(params: ModelParams, epsilon: float = 0.0, horizon: float | None = None,
+          tolerances: tuple[float, float] = DEFAULT_TOLERANCES) -> Run:
+    """Solve the u-form model over [0, horizon] and sample nothing.
+
+    Every run, the dry start alpha = 0 included (u = H^2/2 leaves the field
+    regular there, u'' = 1), is stepped from rest at s = 0. Default
+    tolerances are (abs, rel) = (1e-10, 1e-8). Equilibrium crossings are
+    bracketed by the accepted step ends and refined to CROSSING_REFINE_TOL
+    by bisection on the dense output's u, each step's quartic evaluated
+    inline with the bits of `dense(t)[0]`. The regularization epsilon lies
+    in [0, 1]: above 1 the regularized equilibrium (1 - epsilon)/2 is
+    negative. Loads no numpy.
+    """
+    epsilon, horizon, tolerances = _check_solve(params, epsilon, horizon, tolerances)
+    dense = _rk.solve(dynamics.u_form_field(params.damping, epsilon), _initial_state(params),
+                      horizon, tolerances)
+    return Run(params=params, epsilon=epsilon, tolerances=tolerances, horizon=horizon,
+               crossings=_detect_crossings(dense, U_EQUILIBRIUM), dense=dense)
+
+
+def _integrate(params, epsilon, horizon, tolerances, sample_step, columns) -> Trajectory:
+    """`solve`, then sample: `columns` samples the run and derives the
+    columns, as numpy arrays or as read-only memoryviews of doubles. The
+    sample step is checked first, so a refused one costs no steps."""
+    _, horizon, _ = _check_solve(params, epsilon, horizon, tolerances)
+    sample_step = _check_samples(horizon, sample_step)
+    run = solve(params, epsilon, horizon, tolerances)
+    s, u, v, H, T, E, V = columns(run.dense, horizon, sample_step, run.initial_state(),
+                                  params.omega)
+    return Trajectory(**{f.name: getattr(run, f.name) for f in fields(Run)},
+                      s=s, u=u, v=v, H=H, T=T, E=E, V=V, sample_step=sample_step)
 
 
 def integrate(params: ModelParams, epsilon: float = 0.0,
               horizon: float | None = None,
               tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
               sample_step: float | None = None) -> Trajectory:
-    """Integrate the u-form model over [0, horizon].
-
-    Every run, the dry start alpha = 0 included (u = H^2/2 leaves the field
-    regular there, u'' = 1), is stepped from rest at s = 0. Samples land on
-    multiples of sample_step (plus the final time) through the integrator's
-    quartic dense output; the first sample matches the initial data
-    exactly. Default tolerances are (abs, rel) = (1e-10, 1e-8).
-    Equilibrium crossings are bracketed by the accepted step ends, not the
-    samples, and refined to CROSSING_REFINE_TOL by bisection on the dense
-    output's u, each step's quartic evaluated inline with the bits of
-    `dense(t)[0]`. The regularization epsilon lies in [0, 1]: above 1 the
-    regularized equilibrium (1 - epsilon)/2 is negative. The columns are
-    read-only numpy arrays.
+    """`solve`, then sample the run on multiples of sample_step, ending on
+    the horizon itself, through the integrator's quartic dense output; the
+    first sample matches the initial data exactly, and the last is the
+    run's final state. The columns are read-only numpy arrays.
     """
     return _integrate(params, epsilon, horizon, tolerances, sample_step, _array_columns)
 
@@ -255,17 +302,17 @@ def integrate_floats(params: ModelParams, epsilon: float = 0.0,
     sample more than `integrate` (2^20 samples: 1.63 s against 0.29 s on a
     2-vCPU Xeon VM). That pays only where importing numpy, about 0.16 s,
     is the larger cost: one run of up to about 10^5 samples in a fresh
-    process, as the command line makes.
+    process, as `simulate` makes. A verdict needs no samples: `solve`.
     """
     return _integrate(params, epsilon, horizon, tolerances, sample_step, _float_columns)
 
 
-def detect_crossings(traj: Trajectory, level: float = U_EQUILIBRIUM) -> tuple[Crossing, ...]:
-    """Level crossings of u, hysteresis-filtered and bisection-refined.
-    Raises DomainError for a level that is not finite."""
+def detect_crossings(run: Run, level: float = U_EQUILIBRIUM) -> tuple[Crossing, ...]:
+    """Level crossings of a run's u, hysteresis-filtered and
+    bisection-refined. Raises DomainError for a level that is not finite."""
     if not math.isfinite(level):
         raise DomainError("level", f"must be finite, got {level!r}")
-    return _detect_crossings(traj.dense, level)
+    return _detect_crossings(run.dense, level)
 
 
 def continuous_dependence(params: ModelParams, alpha0: float,
@@ -315,8 +362,8 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
     """
     check_positive("beta", beta)
     check_alpha(alpha)
-    horizon, tolerances, sample_step = _check_run(horizon, REGIME_HORIZON_CAP, tolerances,
-                                                  sample_step)
+    horizon, tolerances = _check_run(horizon, REGIME_HORIZON_CAP, tolerances)
+    sample_step = _check_samples(horizon, sample_step)
     import numpy as np  # only once the run is checked: a refused run loads none
 
     u0 = 0.5 * alpha * alpha

@@ -183,25 +183,27 @@ class ApproachReport:
     final_distance: float
 
 
-def classify_approach(traj) -> ApproachReport:
-    """Monotone / oscillatory / at-equilibrium settling of a trajectory.
+def classify_approach(run) -> ApproachReport:
+    """Monotone / oscillatory / at-equilibrium settling of a run.
 
+    Reads the run alone, no samples: its start state, its crossings, v at
+    its step ends and its final state, the dense output at the horizon.
     Requires the run to have settled (|u(S) - 1/2| < 1e-4). Like the
-    crossings, monotonicity is read at the step ends, not the samples: v
-    keeps one sign, to MONOTONE_TOL, at every step end past the start. A
-    single crossing, or a non-monotone crossing-free run, is deliberately
-    inconclusive: near the critical omega the dichotomy is ill-posed.
+    crossings, monotonicity is read at the step ends: v keeps one sign, to
+    MONOTONE_TOL, at every step end past the start. A single crossing, or a
+    non-monotone crossing-free run, is deliberately inconclusive: near the
+    critical omega the dichotomy is ill-posed.
     """
-    u = traj.u
-    final_distance = float(traj.final_distance_to_equilibrium())
-    if abs(u[-1] - U_EQUILIBRIUM) >= SETTLED_TOL:
+    u_end = run.final_state().u
+    final_distance = run.final_distance_to_equilibrium()
+    if abs(u_end - U_EQUILIBRIUM) >= SETTLED_TOL:
         raise InconclusiveError(
-            f"trajectory has not settled: |u(S) - 1/2| = {abs(u[-1] - 0.5):.3e}; "
+            f"trajectory has not settled: |u(S) - 1/2| = {abs(u_end - 0.5):.3e}; "
             "extend the horizon"
         )
-    crossings = tuple(traj.crossings)
-    if (abs(u[0] - U_EQUILIBRIUM) <= EXACT_EQUILIBRIUM_TOL
-            and abs(traj.v[0]) <= EXACT_EQUILIBRIUM_TOL):
+    crossings = tuple(run.crossings)
+    u0, v0 = run.initial_state()
+    if abs(u0 - U_EQUILIBRIUM) <= EXACT_EQUILIBRIUM_TOL and abs(v0) <= EXACT_EQUILIBRIUM_TOL:
         return ApproachReport(ApproachKind.AT_EQUILIBRIUM, crossings, final_distance)
     if len(crossings) >= 2:
         return ApproachReport(ApproachKind.OSCILLATORY, crossings, final_distance)
@@ -210,7 +212,7 @@ def classify_approach(traj) -> ApproachReport:
             "exactly one equilibrium crossing: horizon too short or omega "
             "too close to the critical value"
         )
-    velocities = [v for _, v in traj.dense.ends(1)][1:]
+    velocities = [v for _, v in run.dense.ends(1)][1:]
     if (all(v >= -MONOTONE_TOL for v in velocities)
             or all(v <= MONOTONE_TOL for v in velocities)):
         return ApproachReport(ApproachKind.MONOTONE, crossings, final_distance)
@@ -233,8 +235,9 @@ def audit_trajectory(traj, spec: BasinSpec) -> BasinAudit:
     """Check that a trajectory never leaves {V <= C} and that V never rises.
 
     Findings are reported, not raised; only a start outside the basin is
-    rejected. The columns are arrays or sequences of floats, with the same
-    findings.
+    rejected. V is read at the samples: the columns are arrays or
+    sequences of floats, with the same findings. The final distance is the
+    run's, at the horizon.
     """
     V = traj.V
     if V[0] > spec.C + 1e-12:
@@ -249,4 +252,4 @@ def audit_trajectory(traj, spec: BasinSpec) -> BasinAudit:
         excess = max([x - spec.C for x in V])
         max_rise = max([0.0] + [b - a for a, b in zip(V, V[1:])])
     return BasinAudit(max_level_excess=excess, max_lyapunov_rise=max_rise,
-                      final_distance=float(traj.final_distance_to_equilibrium()))
+                      final_distance=traj.final_distance_to_equilibrium())

@@ -29,7 +29,7 @@ from . import _rk, dynamics, params as params_module, stability, volterra
 from .dynamics import RegimeCase, RegimeSpec, State
 from .errors import WashburnError
 from .integrate import (REGIME_TOLERANCES, continuous_dependence, integrate, integrate_regime,
-                        regime_oracle_residuals)
+                        regime_oracle_residuals, solve)
 from .params import ModelParams, PhysicalParams
 
 SEED = 20250810
@@ -202,9 +202,9 @@ def _fd_order_holds(errors):
 
 def check_integrate_tolerance_convergence() -> dict:
     params = ModelParams(1.0, 1.0, 0.0)
-    coarse = integrate(params, horizon=30.0, tolerances=(1e-10, 1e-8))
-    fine = integrate(params, horizon=30.0, tolerances=(5e-11, 5e-9))
-    change = float(abs(coarse.u[-1] - fine.u[-1]) + abs(coarse.v[-1] - fine.v[-1]))
+    coarse = solve(params, horizon=30.0, tolerances=(1e-10, 1e-8)).final_state()
+    fine = solve(params, horizon=30.0, tolerances=(5e-11, 5e-9)).final_state()
+    change = abs(coarse.u - fine.u) + abs(coarse.v - fine.v)
     _require(change < 10 * 1e-8,
              f"final state moved by {change:.3e} under tolerance halving")
     return {"final_state_change": change}
@@ -380,9 +380,8 @@ def acceptance_c03_energy_lyapunov() -> dict:
 
 
 def _has_crossings(omega: float, beta: float) -> bool:
-    traj = integrate(ModelParams(omega, beta, 0.0), horizon=80.0,
-                     tolerances=(1e-12, 1e-10), sample_step=0.05)
-    return len(traj.crossings) > 0
+    run = solve(ModelParams(omega, beta, 0.0), horizon=80.0, tolerances=(1e-12, 1e-10))
+    return len(run.crossings) > 0
 
 
 def _bracket_transition(beta: float, lo: float, hi: float) -> tuple[float, float]:
@@ -399,12 +398,6 @@ def _bracket_transition(beta: float, lo: float, hi: float) -> tuple[float, float
     return lo, hi
 
 
-def _settled_classification(omega, beta):
-    traj = integrate(ModelParams(omega, beta, 0.0), horizon=40.0,
-                     tolerances=(1e-12, 1e-10), sample_step=0.02)
-    return stability.classify_approach(traj)
-
-
 def acceptance_c04_bifurcation() -> dict:
     """criterion 04: monotone/oscillatory bifurcation bracket"""
     cases = {
@@ -414,7 +407,8 @@ def acceptance_c04_bifurcation() -> dict:
         (0.5, 0.5): stability.ApproachKind.OSCILLATORY,
     }
     for (beta, omega), expected in cases.items():
-        got = _settled_classification(omega, beta).kind
+        run = solve(ModelParams(omega, beta, 0.0), horizon=40.0, tolerances=(1e-12, 1e-10))
+        got = stability.classify_approach(run).kind
         _require(got is expected,
                  f"(beta, omega) = ({beta}, {omega}) classified {got.value}, "
                  f"expected {expected.value}")
@@ -543,8 +537,8 @@ def acceptance_c10_regime_oracles() -> dict:
 def convergence_distance(beta: float, omega: float, alpha: float) -> float:
     """Distance to equilibrium at the criterion-11 horizon 60 sqrt(omega)/beta."""
     horizon = 60.0 * math.sqrt(omega) / beta
-    traj = integrate(ModelParams(omega, beta, alpha), horizon=horizon)
-    return traj.final_distance_to_equilibrium()
+    run = solve(ModelParams(omega, beta, alpha), horizon=horizon)
+    return run.final_distance_to_equilibrium()
 
 
 def acceptance_c11_convergence_to_equilibrium() -> dict:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from washburn import _rk, cli, verify
+from washburn import _rk, cli, stability, verify
 from washburn.integrate import REGIME_HORIZON_CAP
 
 
@@ -192,15 +193,19 @@ class TestSimulate:
         assert run(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "2e6", "-o", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("command", ["simulate", "classify"])
-    @pytest.mark.parametrize("tol_args", [["--abs-tol", "nan"], ["--rel-tol", "inf"],
-                                          ["--rel-tol", "0"], ["--rel-tol", "1"],
-                                          ["--abs-tol", "1e3"],
-                                          # more than MAX_INTERVALS samples
-                                          ["--sample-step", "1e-15"],
-                                          # above params.MAX_TOLERANCE, where u can
-                                          # leave [0, 9/8]
-                                          ["--rel-tol", "0.05"], ["--abs-tol", "0.01"]])
+    @pytest.mark.parametrize("command,tol_args", [
+        pytest.param(command, tol_args, id=f"tol_args{i}-{command}")
+        for i, tol_args in enumerate([["--abs-tol", "nan"], ["--rel-tol", "inf"],
+                                      ["--rel-tol", "0"], ["--rel-tol", "1"],
+                                      ["--abs-tol", "1e3"],
+                                      # more than MAX_INTERVALS samples; classify
+                                      # samples nothing and has no --sample-step
+                                      ["--sample-step", "1e-15"],
+                                      # above params.MAX_TOLERANCE, where u can
+                                      # leave [0, 9/8]
+                                      ["--rel-tol", "0.05"], ["--abs-tol", "0.01"]])
+        for command in ("classify", "simulate")
+        if command == "simulate" or tol_args[0] != "--sample-step"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):
         code, err = run_rejected([command, "--omega", "1", "--beta", "1", "--alpha", "0",
                                   *tol_args, "--output", str(tmp_path / "x")], capsys)
@@ -306,18 +311,42 @@ class TestClassifyCommand:
         assert run(["classify", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "2"]) == 3
 
-    def test_the_verdict_does_not_depend_on_the_sample_step(self, capsys):
-        # Underdamped (omega > omega* = 1/4): samples 10 or 15 apart fall on
-        # the same side of 1/2 across one or two of its three crossings.
-        reports = []
-        for step in ("0.01", "4", "10", "15"):
-            assert run(["classify", "--omega", "0.3", "--beta", "1", "--alpha", "0.2",
-                        "--horizon", "60", "--sample-step", step]) == 0, step
-            report = json.loads(capsys.readouterr().out)
-            reports.append((report["approach"], report["crossings"]))
-        assert reports[0][0] == "oscillatory"
-        assert [c["direction"] for c in reports[0][1]] == [1, -1, 1]
-        assert reports == reports[:1] * 4
+    def test_a_sample_step_is_a_usage_error(self, tmp_path, capsys):
+        # classify samples nothing, so it takes no --sample-step.
+        with pytest.raises(SystemExit) as done:
+            run(["classify", "--omega", "0.3", "--beta", "1", "--alpha", "0.2",
+                 "--horizon", "60", "--sample-step", "0.01",
+                 "--output", str(tmp_path / "c.json")])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: washburn ")
+        assert err.endswith("washburn: error: unrecognized arguments: --sample-step 0.01\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_verdict_samples_nothing(self, capsys, monkeypatch):
+        # One dense-output time, the horizon, for the final state; no E/V
+        # columns and no sampled trajectory.
+        asked = []
+        sample = _rk.DenseSolution.sample
+
+        def recording_sample(self, times):
+            asked.append(list(times))
+            return sample(self, times)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("classify sampled a trajectory")
+
+        integrate = importlib.import_module("washburn.integrate")  # the module, not the function
+        monkeypatch.setattr(_rk.DenseSolution, "sample", recording_sample)
+        monkeypatch.setattr(stability, "lyapunov_columns", refused)
+        monkeypatch.setattr(integrate, "integrate_floats", refused)
+        monkeypatch.setattr(integrate, "integrate", refused)
+        assert run(["classify", "--omega", "0.3", "--beta", "1", "--alpha", "0.2",
+                    "--horizon", "60"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["approach"] == "oscillatory"
+        assert [c["direction"] for c in report["crossings"]] == [1, -1, 1]
+        assert asked == [[60.0]]
 
     @pytest.mark.parametrize("output", [[], ["--output", "c.json"]], ids=["stdout", "file"])
     @pytest.mark.parametrize("argv", [
@@ -525,11 +554,10 @@ EDGE_TABLE = {
                           ["omega", "beta", "alpha", "epsilon", "horizon", "sample-step",
                            "abs-tol", "rel-tol"]),
     "classify": (["classify", "--omega=1", "--beta=1", "--alpha=0", "--horizon=40"],
-                 ["omega", "beta", "alpha", "horizon", "sample-step", "abs-tol", "rel-tol"]),
+                 ["omega", "beta", "alpha", "horizon", "abs-tol", "rel-tol"]),
     "classify-at-equilibrium": (["classify", "--omega=1", "--beta=1", "--alpha=1",
                                  "--horizon=40"],
-                                ["omega", "beta", "alpha", "horizon", "sample-step",
-                                 "abs-tol", "rel-tol"]),
+                                ["omega", "beta", "alpha", "horizon", "abs-tol", "rel-tol"]),
     **{f"regime{case}": (["regime", f"--case={case}", "--beta=1", "--horizon=2"],
                          ["beta", "alpha", "b-exponent", "horizon", "sample-step"])
        for case in (2, 3)},
@@ -572,18 +600,24 @@ def test_missing_flag_exits_with_a_documented_code(tmp_path, capsys, monkeypatch
     assert code in (0, 2, 3, 4), argv
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "1e-320"],
-    ["classify", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "1e-320"],
-    ["regime", "--case", "1", "--beta", "1", "--horizon", "1e-320"],
-    ["picard", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "5e-324"],
-], ids=lambda argv: argv[0])
-def test_horizon_too_small_for_its_default_step_names_horizon(tmp_path, capsys, argv):
-    # horizon/4096 underflows to 0, which the run would otherwise report
-    # as the sample step or the grid, keys the argv never passed.
-    code, err = run_rejected([*argv, "--output", str(tmp_path / "run")], capsys)
-    assert code == 2
-    assert err.startswith("configuration error: horizon: "), err
+@pytest.mark.parametrize("argv,code,message", [pytest.param(*case, id=case[0][0]) for case in [
+    (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "1e-320"],
+     2, "configuration error: horizon: "),
+    # classify samples nothing: the run takes one step and has not settled.
+    (["classify", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "1e-320"],
+     3, "numeric failure: trajectory has not settled"),
+    (["regime", "--case", "1", "--beta", "1", "--horizon", "1e-320"],
+     2, "configuration error: horizon: "),
+    (["picard", "--omega", "1", "--beta", "1", "--alpha", "0", "--horizon", "5e-324"],
+     2, "configuration error: horizon: "),
+]])
+def test_horizon_too_small_for_its_default_step_names_horizon(tmp_path, capsys, argv, code,
+                                                              message):
+    # horizon/4096 underflows to 0, which a sampled run would otherwise
+    # report as the sample step or the grid, keys the argv never passed.
+    got, err = run_rejected([*argv, "--output", str(tmp_path / "run")], capsys)
+    assert got == code
+    assert err.startswith(message), err
 
 
 def fresh(code: str, cwd=None) -> list:

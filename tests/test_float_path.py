@@ -1,7 +1,8 @@
 """The command line's float path against the library's array path, bit for
 bit: `integrate_floats` against `integrate` on every column, the
-crossings, the final distance, the classify verdict and the basin audit;
-and `DenseSolution.sample` against calling the solution. A one-ulp change
+crossings, the final distance, the classify verdict and the basin audit,
+and both against the unsampled `solve`'s crossings and final state; and
+`DenseSolution.sample` against calling the solution. A one-ulp change
 on either side, such as a reordered sum of the dense coefficients, fails
 here."""
 import math
@@ -13,7 +14,7 @@ import pytest
 from washburn import stability
 from washburn.dynamics import RegimeCase
 from washburn.errors import InconclusiveError
-from washburn.integrate import CSV_HEADER, integrate, integrate_floats
+from washburn.integrate import CSV_HEADER, integrate, integrate_floats, solve
 from washburn.params import ModelParams, critical_omega
 
 from test_rk import PROBLEMS, bits, reference_times, regime
@@ -30,6 +31,8 @@ def seeded_runs():
     yield "light-spiral", ModelParams(25.0, 0.75, 0.0), {}  # damping 0.15
     yield "epsilon", ModelParams(0.5, 0.8, 0.0), {"epsilon": 1e-4}
     yield "ragged-horizon", ModelParams(1.0, 1.0, 0.5), {"horizon": 10.0, "sample_step": 0.3}
+    # 0.3 * 18 is 5.3999999999999995: the last sample is the horizon itself.
+    yield "short-multiple", ModelParams(1.0, 1.0, 0.5), {"horizon": 5.4, "sample_step": 0.3}
     yield "40001-samples", ModelParams(0.55, 0.75, 0.8), {"horizon": 40.0,
                                                           "sample_step": 0.001}
     yield "omega=1e-308", ModelParams(1e-308, 1.0, 0.0), {}
@@ -56,6 +59,10 @@ def verdict(traj):
     return report.kind, bits(report.final_distance).item()
 
 
+def crossing_bits(run):
+    return [(bits(c.s).item(), c.direction) for c in run.crossings]
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_float_path_has_the_bits_of_the_array_path(name):
     params, keywords = RUNS[name]
@@ -65,8 +72,7 @@ def test_float_path_has_the_bits_of_the_array_path(name):
         got, want = getattr(floats, column), getattr(arrays, column)
         assert isinstance(got, memoryview) and got.readonly and got.format == "d", column
         assert np.array_equal(bits(got), bits(want)), column
-    assert [(bits(c.s).item(), c.direction) for c in floats.crossings] == [
-        (bits(c.s).item(), c.direction) for c in arrays.crossings]
+    assert crossing_bits(floats) == crossing_bits(arrays)
     assert all(type(c.s) is float for c in floats.crossings)
     assert (bits(floats.final_distance_to_equilibrium()).item()
             == bits(arrays.final_distance_to_equilibrium()).item())
@@ -76,6 +82,12 @@ def test_float_path_has_the_bits_of_the_array_path(name):
     assert np.array_equal(bits(got), bits(want))
     assert (floats.epsilon, floats.tolerances, floats.sample_step) == (
         arrays.epsilon, arrays.tolerances, arrays.sample_step)
+    # The unsampled run has the crossings and, at the horizon, the last
+    # sample of both paths.
+    run = solve(params, **{k: v for k, v in keywords.items() if k != "sample_step"})
+    assert all(crossing_bits(traj) == crossing_bits(run)
+               and bits([traj.u[-1], traj.v[-1]]).tolist() == bits(run.final_state()).tolist()
+               for traj in (floats, arrays))
 
 
 def test_the_table_covers_its_cases():

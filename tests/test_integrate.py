@@ -11,7 +11,7 @@ from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
                                 HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing,
                                 _detect_crossings, continuous_dependence,
                                 default_horizon, detect_crossings, integrate,
-                                integrate_regime)
+                                integrate_regime, solve)
 from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
 from washburn.stability import lyapunov
 from washburn.verify import ACCEPTANCE_GRID
@@ -96,6 +96,28 @@ class TestIntegrate:
             integrate(mp(1.0, 1.0, 0.0), epsilon=1.0 + 1e-9)
         with pytest.raises(DomainError):
             integrate(mp(1.0, 1.0, 0.0), horizon=30.0, sample_step=30.0 / MAX_INTERVALS / 2)
+
+    def test_a_refused_sample_step_takes_no_step(self, monkeypatch):
+        # The sample checks come before the solve, so a run refused for its
+        # samples costs no steps and never reaches the step budget.
+        def refused(*args):
+            raise AssertionError("solved a run whose samples are refused")
+
+        monkeypatch.setattr(_rk, "solve", refused)
+        for sample_step in (0.0, -1.0, math.nan, 30.0 / MAX_INTERVALS / 2):
+            with pytest.raises(DomainError, match="sample_step"):
+                integrate(mp(1.0, 1.0, 0.0), horizon=30.0, sample_step=sample_step)
+
+    def test_solve_checks_the_run_and_not_its_samples(self):
+        # horizon/4096 underflows to 0: too small to sample, not to solve.
+        with pytest.raises(DomainError, match="horizon"):
+            integrate(mp(1.0, 1.0, 0.0), horizon=1e-320)
+        run = solve(mp(1.0, 1.0, 0.0), horizon=1e-320)
+        assert (run.horizon, run.dense.accepted) == (1e-320, 1)
+        for bad, key in (({"horizon": -1.0}, "horizon"), ({"horizon": 2e6}, "cap"),
+                         ({"tolerances": (1e-10, 0.1)}, "rel_tol"), ({"epsilon": 1.5}, "epsilon")):
+            with pytest.raises(DomainError, match=key):
+                solve(mp(1.0, 1.0, 0.0), **bad)
 
     def test_regularized_equilibrium_shift(self):
         # With the square-root regularization the stationary level moves to

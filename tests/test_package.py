@@ -48,7 +48,7 @@ def test_star_import_binds_every_export():
             "import washburn\n"
             "missing = [n for n in washburn.__all__ if globals().get(n) is not getattr(washburn, n)]\n"
             "print(json.dumps([len(washburn.__all__), missing]))")
-    assert fresh(code) == [47, []]
+    assert fresh(code) == [49, []]
 
 
 def test_every_export_is_listed_by_dir_before_first_use():

@@ -23,7 +23,10 @@ Each accepted step packs its record, 12 doubles, with one `STEP_RECORD`
 and appends the bytes to one `bytearray`: the step's start time, the
 start state and the stages K1 and K3-K6 that Shampine's quartic
 interpolant needs. Its seventh stage K7 is the first-same-as-last pair,
-which is the next record's K1, so only the last step's K7 is kept apart.
+which is the next record's K1. After the last step one closing record
+holds the end time, the end state and its derivative, so that its K1 is
+the last step's K7 (its K3-K6 are zeros, never read): the store lists
+every step end, and every step reads its K7 from the record after it.
 The `DenseSolution` it returns keeps that store and reads it two ways,
 with the same bits (tests/test_rk.py and tests/test_float_path.py hold
 them to that):
@@ -57,7 +60,6 @@ import struct
 from array import array
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain
 
 from .errors import NumericError, StepSizeUnderflowError
 from .params import MAX_STEPS  # `solve` reads the step budget from this module
@@ -97,7 +99,8 @@ P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 P_COLUMNS = tuple(zip(*P))  # Q_j's six stage weights, for j = 0-3
 
-# One accepted step in the store: its start time and u, then (v, v') of K1, K3-K6.
+# One accepted step in the store: its start time and u, then (v, v') of K1, K3-K6;
+# the closing record: the end time and state, (v, v') there, then zeros.
 STEP_RECORD = struct.Struct("12d")
 RECORD_FLOATS = 12
 # A record and the next one's t, u and K1, which is the record's step's K7.
@@ -144,11 +147,12 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
     floats and returns one float. tolerances is the package's (abs, rel)
     pair; abs must be positive, and a rel below 100 machine epsilons is
     raised to that floor, as scipy does. Each accepted step's 12 floats, its
-    start time first, are packed into one bytes store, from which the
-    returned DenseSolution reads its steps. Raises StepSizeUnderflowError
-    when the step falls below ten units in the last place of t, or the
-    starting step to 0, and NumericError when MAX_STEPS steps, accepted or
-    rejected, do not reach t_bound.
+    start time first, are packed into one bytes store, closed by one record
+    of the end time and state, from which the returned DenseSolution reads
+    its steps. Raises StepSizeUnderflowError when the step falls below ten
+    units in the last place of t, or the starting step to 0, and
+    NumericError when MAX_STEPS steps, accepted or rejected, do not reach
+    t_bound.
     """
     if not t_bound > 0.0:
         raise ValueError(f"t_bound {t_bound!r} must be positive")
@@ -241,7 +245,8 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
         fb = gb
         scale_a = new_a
         scale_b = new_b
-    return DenseSolution(t, steps, fb, (yb,) if one else (ya, yb), rejected)
+    store(pack(t, ya, yb, fb, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    return DenseSolution(steps, (yb,) if one else (ya, yb), rejected)
 
 
 class DenseSolution:
@@ -258,58 +263,54 @@ class DenseSolution:
     the earlier step, and times before the first step or past the last
     extrapolate that end step, as scipy's OdeSolution does.
 
-    `t` holds the step times, `accepted` and `rejected` count the steps and
+    `t` holds the step times, the store's first column: each step's start,
+    then the last step's end. `accepted` and `rejected` count the steps and
     `nfev` the calls of the acceleration they took, 2 + 6 (accepted +
-    rejected); `y` is the final state, without W. `t` and the coefficient
-    arrays are built from the store on first use, so a solution that is
-    only sampled in plain Python imports no numpy.
+    rejected); `y` is the final state, without W, which the closing record
+    also holds. `t` and the coefficient arrays are built from the store on
+    first use, so a solution that is only sampled in plain Python imports
+    no numpy.
     """
 
-    def __init__(self, t_end, steps, f_end, y, rejected):
+    def __init__(self, steps, y, rejected):
         """`steps` is the packed bytes store `solve` fills, read as native
-        doubles, one `STEP_RECORD` per accepted step; it is kept as bytes,
-        without the slack of a growing bytearray. t_end is where the last
-        step ends, and (y[-1], f_end) the last step's K7, the state's last
-        slot and its derivative there. A one-component state keeps its W in
-        u's slot and in the first slot of each pair; W is dropped when a
-        step's coefficients are built."""
+        doubles, one `STEP_RECORD` per accepted step and a closing one at
+        the end, whose first pair is the last step's K7; it is kept as
+        bytes, without the slack of a growing bytearray. y is the end state.
+        A one-component state keeps its W in u's slot and in the first slot
+        of each pair; W is dropped when a step's coefficients are built."""
         self.y = y
         self.rejected = rejected
         self._steps = bytes(steps)
-        self._end = t_end, (y[-1], f_end)
-        self.accepted = len(self._steps) // STEP_RECORD.size
+        self.accepted = len(self._steps) // STEP_RECORD.size - 1
         self.nfev = 2 + 6 * (self.accepted + rejected)
 
     @cached_property
-    def _starts(self):
-        """The step start times, read in place from the store."""
+    def _times(self):
+        """The step times, each step's start then the last step's end, read
+        in place from the store."""
         return memoryview(self._steps).cast("d")[::RECORD_FLOATS]
 
     def ends(self, c: int):
         """(t, y[c]) as floats at each step's start, then at the last step's end."""
         values = memoryview(self._steps).cast("d")[3 - len(self.y) + c::RECORD_FLOATS]
-        return chain(zip(self._starts, values), ((self._end[0], self.y[c]),))
+        return zip(self._times, values)
 
     def _step(self, t: float, slots):
         """The step a float time falls in, by the rule of calling the solution:
         (t_k, t_next, h, rows), a row (y_k, q0, q1, q2, q3) for each slot in
         slots, each Q_j the sum K1 P1j + K3 P3j + ... + K7 P7j added left to
         right as the array build adds it."""
-        m = self.accepted
-        k = bisect_left(self._starts, t, 1, m) - 1
-        if k + 1 < m:
-            record = RECORD_AND_NEXT.unpack_from(self._steps, k * STEP_RECORD.size)
-            t_next, k7 = record[RECORD_FLOATS], record[RECORD_FLOATS + 2:]
-        else:
-            record = STEP_RECORD.unpack_from(self._steps, k * STEP_RECORD.size)
-            t_next, k7 = self._end
+        k = bisect_left(self._times, t, 1, self.accepted) - 1
+        record = RECORD_AND_NEXT.unpack_from(self._steps, k * STEP_RECORD.size)
+        t_next = record[RECORD_FLOATS]
         rows = []
         for c in slots:
             k1, k3, k4, k5, k6 = record[2 + c:RECORD_FLOATS:2]
-            k7c = k7[c]
+            k7 = record[RECORD_FLOATS + 2 + c]
             row = [record[1 + c]]
             for p1, p3, p4, p5, p6, p7 in P_COLUMNS:
-                row.append(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7c * p7)
+                row.append(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7)
             rows.append(row)
         return record[0], t_next, t_next - record[0], rows
 
@@ -363,25 +364,20 @@ class DenseSolution:
 
     @cached_property
     def _records(self):
-        """The store as an (accepted, 12) numpy view."""
+        """The store as an (accepted + 1, 12) numpy view."""
         import numpy as np
 
         return np.frombuffer(self._steps, float).reshape(-1, RECORD_FLOATS)
 
     @cached_property
     def t(self):
-        """The step start times, then the last step's end."""
-        import numpy as np
-
-        t = np.empty(self.accepted + 1)
-        t[:-1] = self._records[:, 0]
-        t[-1] = self._end[0]
-        return t
+        """The step times: each step's start, then the last step's end."""
+        return self._records[:, 0].copy()
 
     @cached_property
     def _y0(self):
         """(n, m): the start state of each step."""
-        return self._records[:, 3 - len(self.y):3].T.copy()
+        return self._records[:-1, 3 - len(self.y):3].T.copy()
 
     @cached_property
     def _q(self):
@@ -390,14 +386,13 @@ class DenseSolution:
 
         n, m = len(self.y), self.accepted
         records = self._records
-        # The stages as contiguous (n, m) blocks: K1, K3-K6 from each record,
-        # then K7, the next record's K1 and the last step's kept pair.
-        # Contiguous blocks make each product 3-4 times faster than one of
-        # a strided view on a two-component solve.
+        # The stages as contiguous (n, m) blocks: K1, K3-K6 from each step's
+        # record, then K7, the next record's K1. Contiguous blocks make each
+        # product 3-4 times faster than one of a strided view on a
+        # two-component solve.
         stages = np.empty((6, n, m))
-        stages[:5] = records[:, 2:].reshape(m, 5, 2)[:, :, 2 - n:].transpose(1, 2, 0)
-        stages[5, :, :-1] = records[1:, 4 - n:4].T
-        stages[5, :, -1:] = np.reshape(self._end[1][2 - n:], (n, 1))  # m = 0: an empty slice
+        stages[:5] = records[:-1, 2:].reshape(m, 5, 2)[:, :, 2 - n:].transpose(1, 2, 0)
+        stages[5] = records[1:, 4 - n:4].T
         # Q_j = K1 P1j + K3 P3j + ... + K7 P7j, summed left to right over the
         # stages, each stage's (n, m) block times its row of P as (4, 1, 1):
         # one elementwise product and one sum per stage, Q in its final

@@ -33,7 +33,8 @@ MAX_INTERVALS = 2**20
 # cap, Picard's tolerance and iteration cap, and the RK step budget, the
 # accepted plus rejected steps one solve may take. Each accepted step keeps
 # its start time, u and five stage pairs, 96 B in one float store (about
-# 12.6 MB at 2^17 steps), so the budget bounds time and memory alike.
+# 12.6 MB at 2^17 steps), and each solve one extra 96 B record for its end
+# state, so the budget bounds time and memory alike.
 # Above MAX_TOLERANCE the controller lets u leave the paper's bounds
 # [0, 9/8]: at rel_tol 0.05 or abs_tol 0.01 some runs from rest do.
 DEFAULT_TOLERANCES = (1e-10, 1e-8)

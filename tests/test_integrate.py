@@ -237,9 +237,9 @@ def bisect_level(u_at, level, lo, hi, tol):
 
 
 def step_ends(dense):
-    """The step times and component 0 at each, from the numpy views of the
-    store: the steps' start values, then the final state's."""
-    return dense.t, np.append(dense._y0[0], dense.y[0])
+    """The step times and component 0 at each, from the numpy view of the
+    store: its records' u column, the closing record's the final state's."""
+    return dense.t, dense._records[:, 3 - len(dense.y)]
 
 
 def crossings_by_loop(dense, u_at, level, brackets=None):
@@ -272,10 +272,10 @@ def synthetic(values):
     """u on the unit-step grid, and a stand-in for its dense output: a
     one-component solution (its W slot 0.0) whose every step has the stages
     K1, K3-K6 equal to the step's slope and K7 equal to the next step's (the
-    next record's K1, as in a solve; the last step's own), nearly linear
-    interpolation through (s, u), whose step ends are the samples. The
-    tests take the level 0, so that u - level is exact and +-CROSSING_BAND
-    is the edge."""
+    next record's K1, as in a solve; the closing record holds the last
+    step's own), nearly linear interpolation through (s, u), whose step
+    ends are the samples. The tests take the level 0, so that u - level is
+    exact and +-CROSSING_BAND is the edge."""
     u = np.asarray(values, dtype=float)
     s = np.arange(u.size, dtype=float)
     steps = bytearray()
@@ -284,7 +284,8 @@ def synthetic(values):
         slope = u[k + 1] - u[k]
         steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 4)
     final = (float(u[-1]),) if u.size else (0.0,)
-    return s, u, _rk.DenseSolution(s[-1] if s.size else 0.0, steps, slope, final, 0)
+    steps += _rk.STEP_RECORD.pack(s[-1] if s.size else 0.0, 0.0, *final, slope, *[0.0] * 8)
+    return s, u, _rk.DenseSolution(steps, final, 0)
 
 
 B = CROSSING_BAND
@@ -344,6 +345,11 @@ class TestCrossingScan:
             assert all(type(t) is float and type(y) is float for t, y in ends)
             assert ends == list(zip(solution.t.tolist(),
                                     np.append(solution._y0[c], solution.y[c]).tolist()))
+            # The store closes with the end record: the last step's end time and state.
+            records = solution._records
+            assert len(records) == solution.accepted + 1
+            assert records[-1, 0] == solution.t[-1]
+            assert records[-1, 3 - len(solution.y):3].tolist() == list(solution.y)
 
     def test_seeded_sweep(self):
         # A dry start rises from u = 0 as s^2/2, so at level 2e-9 its first

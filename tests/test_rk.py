@@ -359,9 +359,9 @@ def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
     stored = []
 
     class Recording(_rk.DenseSolution):
-        def __init__(self, t_end, steps, f_end, y, *args):
-            stored.append((bytes(steps), (y[-1], f_end)))
-            super().__init__(t_end, steps, f_end, y, *args)
+        def __init__(self, steps, *args):
+            stored.append(bytes(steps))
+            super().__init__(steps, *args)
 
     monkeypatch.setattr(_rk, "DenseSolution", Recording)
     with np.errstate(over="ignore", invalid="ignore"):  # Q of an overflowing run
@@ -369,18 +369,17 @@ def test_dense_coefficients_are_the_plain_left_to_right_sum(monkeypatch, name):
         q = dense._q
     # Each record is the step's start time and the start state's first
     # slot, then the stages K1, K3-K6 as pairs; a step's K7 is the next
-    # record's K1, and the last step's is the pair kept apart. A
+    # record's K1, the closing record's for the last step. A
     # one-component state's W is the first slot of each pair.
     skip = 2 - len(y0)
-    steps, last = stored[0]
-    records = list(_rk.STEP_RECORD.iter_unpack(steps))
+    records = list(_rk.STEP_RECORD.iter_unpack(stored[0]))
     pairs = [list(zip(record[2::2], record[3::2])) for record in records]
-    k7s = [following[0] for following in pairs[1:]] + [last]
-    stages = [[pair[skip:] for pair in own + [k7]] for own, k7 in zip(pairs, k7s)]
+    stages = [[pair[skip:] for pair in own + [following[0]]]
+              for own, following in zip(pairs, pairs[1:])]
     want = q_by_sum(stages)
     assert q.shape == want.shape == (4, len(y0), dense.accepted)
     assert np.array_equal(bits(q), bits(want))
-    assert np.array_equal(bits([record[0] for record in records]), bits(dense.t[:-1]))
+    assert np.array_equal(bits([record[0] for record in records]), bits(dense.t))
 
 
 def test_the_signed_zero_field_keeps_both_zeros():

@@ -6,7 +6,7 @@ import pytest
 
 from washburn.errors import ConvergenceError, DomainError
 from washburn.integrate import integrate
-from washburn.params import DEFAULT_INTERVALS, MAX_INTERVALS, ModelParams
+from washburn.params import DEFAULT_INTERVALS, DEFAULT_TOL, MAX_INTERVALS, ModelParams
 from washburn.volterra import (BLOCK_EXPONENT, GridFunction, KernelOperator,
                                apply_T, bracket_lower, bracket_upper,
                                check_scaling_inequality, order_interval_check, picard_solve,
@@ -67,6 +67,28 @@ def recurrence_in_longdouble(grid, omega, beta, values, alpha):
         d += r * b
         b *= q
     return ld(0.5) * ld(alpha) * ld(alpha) + c * sums
+
+
+def forward_substitution(omega, beta, alpha, h, nodes):
+    """The discrete Volterra equation solved exactly, node by node: the
+    trapezoid kernel is zero on the diagonal, so node i depends only on the
+    nodes j < i. With g_j = 1 - sqrt(2 [f_j]_+), w_0 = h/2 and w_j = h
+    otherwise, c = sqrt(omega)/beta and q = exp(-h/c), node i is
+    alpha^2/2 + c (A - B), A = sum_{j<i} w_j g_j and B_i = q (B_{i-1} +
+    w_{i-1} g_{i-1})."""
+    c = math.sqrt(omega) / beta
+    q = math.exp(-h / c)
+    start = 0.5 * alpha * alpha
+    f = [start]
+    a = b = 0.0
+    w = 0.5 * h
+    for _ in range(nodes):
+        wg = w * (1.0 - math.sqrt(2.0 * max(f[-1], 0.0)))
+        a += wg
+        b = q * (b + wg)
+        f.append(start + c * (a - b))
+        w = h
+    return np.array(f)
 
 
 def assert_close_to_loop(grid, omega, beta, values, alpha):
@@ -281,6 +303,15 @@ class TestPicard:
                          sample_step=result.step)
         assert result.solution.grid.size == traj.s.size
         assert np.max(np.abs(result.solution.values - traj.u)) < 1e-5
+
+    @pytest.mark.parametrize("omega,beta,alpha,horizon", [
+        (1.0, 1.0, 0.0, 10.0), (1.0, 0.5, 0.1, 100.0), (0.25, 1.0, 1.5, 8.0),
+        (4.0, 0.3, 0.6, 20.0), (0.1, 1.0, 0.5, 10.0)])
+    def test_reaches_the_forward_substitution_solution(self, omega, beta, alpha, horizon):
+        # The fixed point of the discrete operator, found without iterating.
+        result = picard_solve(omega, beta, alpha, horizon)
+        exact = forward_substitution(omega, beta, alpha, result.step, DEFAULT_INTERVALS)
+        assert np.max(np.abs(result.solution.values - exact)) < DEFAULT_TOL
 
     def test_the_undamped_limit_is_the_largest_finite_c(self):
         # c = sqrt(1e300)/1e-300 overflows to inf; the kernel's limit there,

@@ -223,8 +223,12 @@ def case1_closed_form_u(t, beta: float, u0: float = 0.0):
     g = 0.0
     for k in range(12, 1, -1):
         g = 1 / math.factorial(k) - xs * g
+    try:
+        beta2 = beta**2
+    except OverflowError:  # beta above about 1.34e154: the last term's limit is 0
+        beta2 = math.inf
     with np.errstate(all="ignore"):  # may overflow where the series is taken instead
-        closed = u0 + t / beta - (1.0 - np.exp(-x)) / beta**2
+        closed = u0 + t / beta - (1.0 - np.exp(-x)) / beta2
     return np.where(series, u0 + t * t * g, closed)
 
 

@@ -31,8 +31,8 @@ from .dynamics import RegimeSpec, State
 from .errors import DomainError, HorizonError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_TOLERANCES, HORIZON_EFOLDS, MAX_INTERVALS,
                      MAX_TOLERANCE, REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP,
-                     U_EQUILIBRIUM, ModelParams, check_alpha, check_nonnegative,
-                     check_positive)
+                     U_EQUILIBRIUM, H_from_u, ModelParams, check_alpha, check_nonnegative,
+                     check_positive, u_from_H)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,7 +112,7 @@ class DependenceRecord(NamedTuple):
 
 
 def _initial_state(params: ModelParams) -> State:
-    return State(0.5 * params.alpha * params.alpha, 0.0)
+    return State(u_from_H(params.alpha), 0.0)
 
 
 def default_horizon(params: ModelParams) -> float:
@@ -165,25 +165,24 @@ def _sample_grid(horizon: float, step: float) -> tuple[int, list[float]]:
     return n, [horizon]
 
 
-def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float, y0):
+def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float):
     """Sample times, state rows and height sqrt(2u) from the dense output,
-    with the first sample pinned to the initial state y0; all read-only."""
+    all read-only; the first sample, the dense output at s = 0, is the start state."""
     import numpy as np
 
     n, tail = _sample_grid(horizon, sample_step)
     s = sample_step * np.arange(n + len(tail), dtype=float)
     s[n:] = tail
     y = dense(s)
-    y[:, 0] = y0
     h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
     for arr in (s, y, h):
         arr.setflags(write=False)
     return s, y, h
 
 
-def _array_columns(dense, horizon, sample_step, y0, omega):
+def _array_columns(dense, horizon, sample_step, omega):
     """The columns s, u, v, H, T, E, V of a u-form run as read-only arrays."""
-    s, (u, v), H = _sampled(dense, horizon, sample_step, y0)
+    s, (u, v), H = _sampled(dense, horizon, sample_step)
     T = s * math.sqrt(omega)
     E, V = stability.lyapunov_columns(u, v)
     for arr in (T, E, V):
@@ -191,17 +190,15 @@ def _array_columns(dense, horizon, sample_step, y0, omega):
     return s, u, v, H, T, E, V
 
 
-def _float_columns(dense, horizon, sample_step, y0, omega):
+def _float_columns(dense, horizon, sample_step, omega):
     """`_array_columns` as read-only memoryviews of doubles, with the same
-    bits, computed in Python floats: H clamps u as numpy's maximum(u, 0.0)
-    does, a NaN kept and -0.0 taken to 0.0. Doubles take 8 B a value where
-    a tuple of floats takes 32 B, so even at 2^20 samples a run peaks
-    below the array path's memory."""
+    bits: every sample, the start state at s = 0 too, is `dense.sample` at its
+    time, and H clamps u in Python floats as numpy's maximum(u, 0.0) does (NaN
+    kept, -0.0 taken to 0.0). Doubles take 8 B a value where a tuple of floats
+    takes 32 B, so even at 2^20 samples a run peaks below the array path's memory."""
     n, tail = _sample_grid(horizon, sample_step)
     s = array("d", [sample_step * i for i in range(n)] + tail)
-    u, v = dense.sample(s[1:])
-    u.insert(0, y0[0])
-    v.insert(0, y0[1])
+    u, v = dense.sample(s)
     sqrt, root = math.sqrt, math.sqrt(omega)
     H = array("d", [sqrt(2.0 * (0.0 if x <= 0.0 else x)) for x in u])
     T = array("d", [t * root for t in s])
@@ -271,8 +268,7 @@ def _integrate(params, epsilon, horizon, tolerances, sample_step, columns) -> Tr
     _, horizon, _ = _check_solve(params, epsilon, horizon, tolerances)
     sample_step = _check_samples(horizon, sample_step)
     run = solve(params, epsilon, horizon, tolerances)
-    s, u, v, H, T, E, V = columns(run.dense, horizon, sample_step, run.initial_state(),
-                                  params.omega)
+    s, u, v, H, T, E, V = columns(run.dense, horizon, sample_step, params.omega)
     return Trajectory(**{f.name: getattr(run, f.name) for f in fields(Run)},
                       s=s, u=u, v=v, H=H, T=T, E=E, V=V, sample_step=sample_step)
 
@@ -282,9 +278,9 @@ def integrate(params: ModelParams, epsilon: float = 0.0,
               tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
               sample_step: float | None = None) -> Trajectory:
     """`solve`, then sample the run on multiples of sample_step, ending on
-    the horizon itself, through the integrator's quartic dense output; the
-    first sample matches the initial data exactly, and the last is the
-    run's final state. The columns are read-only numpy arrays.
+    the horizon itself, through the integrator's quartic dense output: the
+    first sample is the dense output at s = 0, which is the start state, and
+    the last is the run's final state. The columns are read-only numpy arrays.
     """
     return _integrate(params, epsilon, horizon, tolerances, sample_step, _array_columns)
 
@@ -366,14 +362,14 @@ def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
     sample_step = _check_samples(horizon, sample_step)
     import numpy as np  # only once the run is checked: a refused run loads none
 
-    u0 = 0.5 * alpha * alpha
+    u0 = u_from_H(alpha)
     y0 = (u0,) if spec.first_order else (u0, 0.0)
+    dense = _rk.solve(dynamics.regime_field(spec, beta), y0, horizon, tolerances)
     # A run that overflows leaves non-finite samples, which
     # regime_oracle_residuals rejects; numpy need not warn about them first.
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = _rk.solve(dynamics.regime_field(spec, beta), y0, horizon, tolerances)
-        t, y, h = _sampled(dense, horizon, sample_step, y0)
-    return RegimeTrajectory(spec=spec, beta=beta, h0=math.sqrt(2.0 * u0), t=t, u=y[0],
+        t, y, h = _sampled(dense, horizon, sample_step)
+    return RegimeTrajectory(spec=spec, beta=beta, h0=H_from_u(u0), t=t, u=y[0],
                             v=None if spec.first_order else y[1], h=h, tolerances=tolerances)
 
 
@@ -389,7 +385,7 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:
     beta = traj.beta
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
-            exact = dynamics.case1_closed_form_u(traj.t, beta, u0=0.5 * traj.h0**2)
+            exact = dynamics.case1_closed_form_u(traj.t, beta, u0=u_from_H(traj.h0))
             name, resid = "closed_form_u", np.abs(traj.u - exact)
         elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
             times = dynamics.case2_implicit_time(traj.h, beta, traj.h0)
@@ -398,7 +394,7 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:
             exact = dynamics.case3_closed_form_h(traj.t, beta, traj.h0)
             name, resid = "closed_form_h", np.abs(traj.h - exact)
         else:
-            drift = dynamics.energy(traj.u, traj.v) - dynamics.energy(0.5 * traj.h0**2, 0.0)
+            drift = dynamics.energy(traj.u, traj.v) - dynamics.energy(u_from_H(traj.h0), 0.0)
             name, resid = "energy_drift", np.abs(drift)
     bad = np.flatnonzero(~np.isfinite(resid))
     if bad.size:

@@ -167,7 +167,7 @@ def basin(alpha: float) -> BasinSpec:
     of the level equation.
     """
     params_module.check_alpha(alpha)
-    u_init = 0.5 * alpha * alpha
+    u_init = params_module.u_from_H(alpha)
     _, C = lyapunov(u_init, 0.0)
     other = (9.0 / 8.0) * (0.5 - alpha / 3.0
                            + math.sqrt(9.0 + 12.0 * alpha - 12.0 * alpha * alpha) / 6.0) ** 2

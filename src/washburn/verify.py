@@ -453,8 +453,8 @@ def acceptance_c07_volterra_cross_validation() -> dict:
     per_point = []
     for beta, omega, alpha in VOLTERRA_GRID:
         res = volterra.picard_solve(omega, beta, alpha, 10.0, step=10.0 / 4096)
-        dense = _rk.solve(dynamics.u_form_field(beta / math.sqrt(omega), 0.0),
-                          (0.5 * alpha * alpha, 0.0), 10.0, (1e-12, 1e-10))
+        dense = solve(ModelParams(omega, beta, alpha), horizon=10.0,
+                      tolerances=(1e-12, 1e-10)).dense
         d = float(np.max(np.abs(res.solution.values - dense(res.solution.grid)[0])))
         per_point.append({"beta": beta, "omega": omega, "alpha": alpha,
                           "iterations": res.iterations, "sup_distance": d})

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_INTERVALS,
-                     check_alpha, check_positive)
+                     check_alpha, check_positive, u_from_H)
 
 SELF_MAP_NODES = 512
 SELF_MAP_SLACK = 1e-10
@@ -135,7 +135,7 @@ class KernelOperator:
         sums = np.zeros(n + 1)
         np.cumsum(s, out=sums[1:])
         sums *= self._scale
-        sums += 0.5 * alpha * alpha
+        sums += u_from_H(alpha)
         return sums
 
 
@@ -189,7 +189,7 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
     grid = np.linspace(0.0, horizon, nodes + 1)
     operator = KernelOperator(grid, omega, beta)
 
-    values = np.full(grid.shape, 0.5 * alpha * alpha)
+    values = np.full(grid.shape, u_from_H(alpha))
     diffs = []
     # An overflowing iterate shows up as a non-finite diff, which ends the loop.
     with np.errstate(over="ignore", invalid="ignore"):

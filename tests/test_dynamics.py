@@ -14,7 +14,7 @@ from washburn.errors import DomainError, NumericError, SingularityError
 from washburn.integrate import integrate, integrate_regime, regime_oracle_residuals
 from washburn.params import ModelParams
 
-from test_rk import field_of
+from test_rk import bits, field_of
 
 
 def stepped_fields(monkeypatch):
@@ -147,8 +147,10 @@ class TestRegimeRhs:
     def test_matches_the_integrated_field_bit_for_bit(self, monkeypatch, case):
         spec, beta = RegimeSpec.standard(case), 0.7
         fields = stepped_fields(monkeypatch)
-        integrate_regime(spec, beta=beta, alpha=0.5, horizon=1.0)
+        traj = integrate_regime(spec, beta=beta, alpha=0.5, horizon=1.0)
         (field,) = fields
+        # The first sample, the dense output at s = 0, is the start u* = alpha^2/2.
+        assert bits(traj.u[0]) == bits(0.5 * 0.5 * 0.5)
         states = np.random.default_rng(17).uniform([-0.5, -2.0], [1.2, 2.0], size=(1000, 2))
         width = 1 if spec.first_order else 2  # first-order cases step u* alone
         stepped = np.array([field_of(field, width)(0.0, y[:width]) for y in states.tolist()])

@@ -88,6 +88,9 @@ def test_float_path_has_the_bits_of_the_array_path(name):
     assert all(crossing_bits(traj) == crossing_bits(run)
                and bits([traj.u[-1], traj.v[-1]]).tolist() == bits(run.final_state()).tolist()
                for traj in (floats, arrays))
+    # The first sample, the dense output at s = 0, is the start state.
+    assert all(bits([traj.u[0], traj.v[0]]).tolist() == bits(traj.initial_state()).tolist()
+               for traj in (floats, arrays))
 
 
 def test_the_table_covers_its_cases():

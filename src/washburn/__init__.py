@@ -6,17 +6,18 @@ solver, reduced flow regimes with closed-form oracles, and linear plus
 Lyapunov-based stability analysis of the equilibrium column.
 
 The exports load on first use (PEP 562), and `_rk`, `integrate`,
-`stability` and `_format` import numpy only inside their array paths, so
-`import washburn`, the CLI's scalar commands, its `simulate` (which
-samples on Python floats through `integrate.integrate_floats`) and its
-`classify` (which solves through `integrate.solve` and samples nothing)
-do not import numpy.
+`dynamics`, `stability` and `_format` import numpy only inside their
+array paths, so `import washburn`, the CLI's scalar commands, its
+`simulate` and `regime` (which sample on Python floats through
+`integrate.integrate_floats` and `integrate.integrate_regime_floats`) and
+its `classify` (which solves through `integrate.solve` and samples
+nothing) do not import numpy.
 """
 import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 _EXPORTS = {
     "dynamics": ("RegimeCase", "RegimeSpec", "State", "energy", "rhs_u"),

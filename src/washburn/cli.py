@@ -9,12 +9,13 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 
 The solvers are imported only once a command's parameters have passed
 the `params` checks. `simulate` samples on Python floats
-(`integrate.integrate_floats`); `classify` solves and samples nothing
-(`integrate.solve`): its verdict reads the run's step ends and its state
-at the horizon. Both, like `nondim`, `basin`, `--help`, `--version` and
-every argv refused by those checks, run without numpy: in a fresh
-process, importing numpy would cost more than the run. `picard`,
-`regime` and `verify` import numpy.
+(`integrate.integrate_floats`), and so does `regime`
+(`integrate.integrate_regime_floats`), its oracle residuals too;
+`classify` solves and samples nothing (`integrate.solve`): its verdict
+reads the run's step ends and its state at the horizon. All three, like
+`nondim`, `basin`, `--help`, `--version` and every argv refused by those
+checks, run without numpy: in a fresh process, importing numpy would cost
+more than the run. `picard` and `verify` import numpy.
 """
 from __future__ import annotations
 
@@ -233,10 +234,10 @@ def cmd_regime(args) -> int:
             raise DomainError("b", f"must be finite, got {b!r}")
         b = Fraction(repr(b))  # the decimal the user typed: 0.1 gives 1/10
     spec = RegimeSpec.standard(case, b=b)
-    from .integrate import integrate_regime, regime_oracle_residuals
+    from .integrate import integrate_regime_floats, regime_oracle_residuals
 
-    traj = integrate_regime(spec, beta=args.beta, alpha=args.alpha, horizon=args.horizon,
-                            sample_step=args.sample_step)
+    traj = integrate_regime_floats(spec, beta=args.beta, alpha=args.alpha,
+                                   horizon=args.horizon, sample_step=args.sample_step)
     oracle_name, resid = regime_oracle_residuals(traj)
     columns = {"t": traj.t, "u": traj.u, "v": traj.v, "h": traj.h, "residual": resid}
     if traj.v is None:
@@ -249,7 +250,7 @@ def cmd_regime(args) -> int:
         "alpha": args.alpha,
         "horizon": args.horizon,
         "oracle": oracle_name,
-        "max_residual": float(resid.max()),
+        "max_residual": max(resid),
         "final_height": float(traj.h[-1]),
     }
     _write_run(args, ("case", "beta", "alpha", "b_exponent", "horizon", "sample_step"),

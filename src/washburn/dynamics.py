@@ -20,6 +20,7 @@ u* = (h*)^2/2 and come with closed-form or implicit oracles.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -108,13 +109,17 @@ def energy(u, v):
     negative u so it can be evaluated on raw integrator output.
     """
     np = _numpy_if_array(u, v)
-    if np is not None:
-        up = np.maximum(u, 0.0)
-        root = np.sqrt(up)
-    else:  # math on floats: several times faster than numpy scalars
-        up = max(u, 0.0)
-        root = math.sqrt(up)
-    return 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * root
+    if np is None:  # math on floats: several times faster than numpy scalars
+        return _energy(u, v)
+    return _energy(u, v, np.maximum, np.sqrt)
+
+
+def _energy(u, v, maximum=max, sqrt=math.sqrt):
+    """`energy` without the dispatch: on Python floats by default, on arrays
+    with maximum = np.maximum and sqrt = np.sqrt. max(u, 0.0) keeps a NaN u,
+    as np.maximum does."""
+    up = maximum(u, 0.0)
+    return 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * sqrt(up)
 
 
 class RegimeCase(IntEnum):
@@ -209,44 +214,93 @@ def regime_field(spec: RegimeSpec, beta: float):
     return accel
 
 
+class _FloatMath:
+    """The numpy calls of the regime oracles on Python floats, with numpy's
+    values where `math` or `/` would raise: inf for an exp that overflows,
+    -inf for log1p(-1) and NaN below it, NaN for the sqrt of a negative
+    number, and +-inf or NaN for a quotient by zero."""
+
+    @staticmethod
+    def exp(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def log1p(x):
+        if x <= -1.0:
+            return -math.inf if x == -1.0 else math.nan
+        return math.log1p(x)
+
+    @staticmethod
+    def sqrt(x):
+        return math.nan if x < 0.0 else math.sqrt(x)
+
+    @staticmethod
+    def divide(a, b):
+        if b == 0.0:
+            if a == 0.0 or a != a:
+                return math.nan
+            return math.copysign(math.inf, a) * math.copysign(1.0, b)
+        return a / b
+
+    @staticmethod
+    def where(condition, a, b):
+        return a if condition else b
+
+    @staticmethod
+    def errstate(**_):
+        return _NO_ERRSTATE
+
+
+_NO_ERRSTATE = contextlib.nullcontext()  # reusable: floats raise no numpy warnings
+
+
+def _math_for(x):
+    """numpy for an array x, else `_FloatMath`; it never imports numpy."""
+    return _numpy_if_array(x) or _FloatMath
+
+
+# 1/k! for k = 12 down to 2: the Horner coefficients of case 1's series.
+_CASE1_SERIES = tuple(1 / math.factorial(k) for k in range(12, 1, -1))
+
+
 def case1_closed_form_u(t, beta: float, u0: float = 0.0):
     """Exact solution of u'' + beta u' = 1 with u(0) = u0, u'(0) = 0:
     u0 + t^2 g(x), x = beta t, g(x) = (x - 1 + e^-x)/x^2. The closed form
     u0 + t/beta - (1 - e^-x)/beta^2 loses up to 2 eps/x to cancellation, so
-    below x = 0.1 g is its Taylor series sum_{k>=2} (-x)^(k-2)/k! to k = 12."""
-    import numpy as np
-
-    t = np.asarray(t, dtype=float)
+    below x = 0.1 g is its Taylor series sum_{k>=2} (-x)^(k-2)/k! to k = 12.
+    Takes a float t (returns a float) or an array."""
+    xp = _math_for(t)
     x = beta * t
-    series = np.abs(x) < 0.1
-    xs = np.where(series, x, 0.0)
+    series = abs(x) < 0.1
+    xs = xp.where(series, x, 0.0)
     g = 0.0
-    for k in range(12, 1, -1):
-        g = 1 / math.factorial(k) - xs * g
+    for c in _CASE1_SERIES:
+        g = c - xs * g
     try:
         beta2 = beta**2
     except OverflowError:  # beta above about 1.34e154: the last term's limit is 0
         beta2 = math.inf
-    with np.errstate(all="ignore"):  # may overflow where the series is taken instead
-        closed = u0 + t / beta - (1.0 - np.exp(-x)) / beta2
-    return np.where(series, u0 + t * t * g, closed)
+    with xp.errstate(all="ignore"):  # may overflow where the series is taken instead
+        closed = u0 + xp.divide(t, beta) - xp.divide(1.0 - xp.exp(-x), beta2)
+    return xp.where(series, u0 + t * t * g, closed)
 
 
 def case2_implicit_time(h, beta: float, h0: float):
     """Separable time-height relation t*(h*) for the inertia-free regime.
 
     Valid for heights in [0, 1); diverges logarithmically as h* -> 1.
+    Takes a float h (returns a float) or an array.
     """
-    import numpy as np
-
-    h = np.asarray(h, dtype=float)
-    anti = lambda x: -x - np.log1p(-x)
+    xp = _math_for(h)
+    anti = lambda x: -x - xp.log1p(-x)
     return beta * (anti(h) - anti(h0))
 
 
 def case3_closed_form_h(t, beta: float, h0: float = 0.0):
-    """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2)."""
-    import numpy as np
-
-    t = np.asarray(t, dtype=float)
-    return np.sqrt(2.0 * t / beta + h0 * h0)
+    """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2). Takes a float t
+    (returns a float) or an array."""
+    xp = _math_for(t)
+    return xp.sqrt(xp.divide(2.0 * t, beta) + h0 * h0)

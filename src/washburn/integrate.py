@@ -14,9 +14,13 @@ A `Trajectory` is a run plus its samples and their derived height/energy
 columns. `integrate` samples and derives them as read-only numpy arrays;
 `integrate_floats`, the path of `simulate`, computes the same columns,
 bit for bit, in Python floats through `DenseSolution.sample`, and keeps
-them as read-only memoryviews of doubles. This module imports no numpy
-itself: each array path imports it when it runs, so `solve` and
-`integrate_floats` load none.
+them as read-only memoryviews of doubles. A `RegimeTrajectory` is a
+reduced regime sampled the same two ways: `integrate_regime` through the
+arrays, `integrate_regime_floats`, the path of `regime`, through the same
+float sampler. This module imports no numpy itself: each array path
+imports it when it runs, so `solve`, `integrate_floats` and
+`integrate_regime_floats` load none, and neither do the oracle residuals
+of a float run.
 """
 from __future__ import annotations
 
@@ -165,19 +169,41 @@ def _sample_grid(horizon: float, step: float) -> tuple[int, list[float]]:
     return n, [horizon]
 
 
+def _readonly(column) -> memoryview:
+    return memoryview(column).toreadonly()
+
+
 def _sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float):
     """Sample times, state rows and height sqrt(2u) from the dense output,
-    all read-only; the first sample, the dense output at s = 0, is the start state."""
+    all read-only numpy arrays; the first sample, the dense output at s = 0,
+    is the start state. A run that overflows leaves non-finite samples, as
+    `_float_sampled` does, without a numpy warning."""
     import numpy as np
 
     n, tail = _sample_grid(horizon, sample_step)
     s = sample_step * np.arange(n + len(tail), dtype=float)
     s[n:] = tail
-    y = dense(s)
-    h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = dense(s)
+        h = np.sqrt(2.0 * np.maximum(y[0], 0.0))
     for arr in (s, y, h):
         arr.setflags(write=False)
     return s, y, h
+
+
+def _float_sampled(dense: _rk.DenseSolution, horizon: float, sample_step: float):
+    """`_sampled` as read-only memoryviews of doubles, one a component, with
+    the same bits: every sample, the start state at s = 0 too, is
+    `dense.sample` at its time, and the height clamps u in Python floats as
+    numpy's maximum(u, 0.0) does (NaN kept, -0.0 taken to 0.0). Doubles take
+    8 B a value where a tuple of floats takes 32 B, so even at 2^20 samples a
+    run peaks below the array path's memory."""
+    n, tail = _sample_grid(horizon, sample_step)
+    s = array("d", [sample_step * i for i in range(n)] + tail)
+    y = dense.sample(s)
+    sqrt = math.sqrt
+    h = array("d", [sqrt(2.0 * (0.0 if x <= 0.0 else x)) for x in y[0]])
+    return _readonly(s), [_readonly(component) for component in y], _readonly(h)
 
 
 def _array_columns(dense, horizon, sample_step, omega):
@@ -191,19 +217,13 @@ def _array_columns(dense, horizon, sample_step, omega):
 
 
 def _float_columns(dense, horizon, sample_step, omega):
-    """`_array_columns` as read-only memoryviews of doubles, with the same
-    bits: every sample, the start state at s = 0 too, is `dense.sample` at its
-    time, and H clamps u in Python floats as numpy's maximum(u, 0.0) does (NaN
-    kept, -0.0 taken to 0.0). Doubles take 8 B a value where a tuple of floats
-    takes 32 B, so even at 2^20 samples a run peaks below the array path's memory."""
-    n, tail = _sample_grid(horizon, sample_step)
-    s = array("d", [sample_step * i for i in range(n)] + tail)
-    u, v = dense.sample(s)
-    sqrt, root = math.sqrt, math.sqrt(omega)
-    H = array("d", [sqrt(2.0 * (0.0 if x <= 0.0 else x)) for x in u])
+    """`_array_columns` on `_float_sampled`: read-only memoryviews of doubles
+    with the same bits."""
+    s, (u, v), H = _float_sampled(dense, horizon, sample_step)
+    root = math.sqrt(omega)
     T = array("d", [t * root for t in s])
     E, V = stability.lyapunov_columns(u, v)
-    return tuple(memoryview(column).toreadonly() for column in (s, u, v, H, T, E, V))
+    return (s, u, v, H, *(_readonly(column) for column in (T, E, V)))
 
 
 def _brackets(points, level: float) -> list[tuple[float, float, int]]:
@@ -332,72 +352,110 @@ def continuous_dependence(params: ModelParams, alpha0: float,
 
 @dataclass(frozen=True)
 class RegimeTrajectory:
-    """Sampled reduced-regime run in u* coordinates, with h* = sqrt(2 u*)."""
+    """Sampled reduced-regime run in u* coordinates, with h* = sqrt(2 u*).
+
+    The columns t, u, v (None in the first-order cases 2 and 3) and h are
+    read-only numpy arrays from `integrate_regime` and read-only memoryviews
+    of doubles, with the same bits, from `integrate_regime_floats`.
+    """
 
     spec: RegimeSpec
     beta: float
     h0: float
-    t: np.ndarray
-    u: np.ndarray
-    v: np.ndarray | None
-    h: np.ndarray
+    t: Column
+    u: Column
+    v: Column | None
+    h: Column
     tolerances: tuple[float, float]
 
 
 REGIME_TOLERANCES = (1e-12, 1e-11)
 
 
-def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
-                     horizon: float = REGIME_DEFAULT_HORIZON,
-                     tolerances: tuple[float, float] = REGIME_TOLERANCES,
-                     sample_step: float | None = None) -> RegimeTrajectory:
-    """Integrate a reduced regime from u*(0) = alpha^2/2 at rest.
-
-    The horizon is capped at REGIME_HORIZON_CAP: the undamped case 4 takes
-    a number of steps proportional to it.
-    """
+def _integrate_regime(spec, beta, alpha, horizon, tolerances, sample_step,
+                      sampled) -> RegimeTrajectory:
+    """Check, solve and sample a reduced regime: `sampled` is `_sampled` or
+    `_float_sampled`. The run is checked first, so a refused one costs no
+    steps and loads no numpy."""
     check_positive("beta", beta)
     check_alpha(alpha)
     horizon, tolerances = _check_run(horizon, REGIME_HORIZON_CAP, tolerances)
     sample_step = _check_samples(horizon, sample_step)
-    import numpy as np  # only once the run is checked: a refused run loads none
-
     u0 = u_from_H(alpha)
     y0 = (u0,) if spec.first_order else (u0, 0.0)
     dense = _rk.solve(dynamics.regime_field(spec, beta), y0, horizon, tolerances)
-    # A run that overflows leaves non-finite samples, which
-    # regime_oracle_residuals rejects; numpy need not warn about them first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        t, y, h = _sampled(dense, horizon, sample_step)
+    t, y, h = sampled(dense, horizon, sample_step)
     return RegimeTrajectory(spec=spec, beta=beta, h0=H_from_u(u0), t=t, u=y[0],
                             v=None if spec.first_order else y[1], h=h, tolerances=tolerances)
 
 
-def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, np.ndarray]:
-    """Residual of the regime's closed-form / implicit / conservation oracle.
+def integrate_regime(spec: RegimeSpec, beta: float, alpha: float = 0.0,
+                     horizon: float = REGIME_DEFAULT_HORIZON,
+                     tolerances: tuple[float, float] = REGIME_TOLERANCES,
+                     sample_step: float | None = None) -> RegimeTrajectory:
+    """Integrate a reduced regime from u*(0) = alpha^2/2 at rest, sampled as
+    `integrate` samples, into read-only numpy arrays.
+
+    The horizon is capped at REGIME_HORIZON_CAP: the undamped case 4 takes
+    a number of steps proportional to it.
+    """
+    return _integrate_regime(spec, beta, alpha, horizon, tolerances, sample_step, _sampled)
+
+
+def integrate_regime_floats(spec: RegimeSpec, beta: float, alpha: float = 0.0,
+                            horizon: float = REGIME_DEFAULT_HORIZON,
+                            tolerances: tuple[float, float] = REGIME_TOLERANCES,
+                            sample_step: float | None = None) -> RegimeTrajectory:
+    """`integrate_regime` without numpy, as `integrate_floats` is `integrate`
+    without it: the same run and checks, its columns read-only memoryviews of
+    doubles with the bits of the arrays. The path of the `regime` command;
+    many runs in one process, as verify's criterion 10 makes, sample faster
+    through the arrays."""
+    return _integrate_regime(spec, beta, alpha, horizon, tolerances, sample_step,
+                             _float_sampled)
+
+
+def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, Column]:
+    """Residual of the regime's closed-form / implicit / conservation oracle,
+    a read-only numpy array for array columns and a read-only memoryview of
+    doubles for float columns. On floats the case-1 `exp` and case-2 `log1p`
+    are libm's, which can differ from numpy's in the last bit.
 
     Raises NumericError where the oracle is not finite: the case-2
     relation holds only for h* < 1.
     """
-    import numpy as np
+    case, beta, h0 = traj.spec.case, traj.beta, traj.h0
+    if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
+        u0 = u_from_H(h0)
+        name, columns = "closed_form_u", (traj.t, traj.u)
 
-    case = traj.spec.case
-    beta = traj.beta
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
-            exact = dynamics.case1_closed_form_u(traj.t, beta, u0=u_from_H(traj.h0))
-            name, resid = "closed_form_u", np.abs(traj.u - exact)
-        elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
-            times = dynamics.case2_implicit_time(traj.h, beta, traj.h0)
-            name, resid = "implicit_time", np.abs(times - traj.t)
-        elif case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
-            exact = dynamics.case3_closed_form_h(traj.t, beta, traj.h0)
-            name, resid = "closed_form_h", np.abs(traj.h - exact)
-        else:
-            drift = dynamics.energy(traj.u, traj.v) - dynamics.energy(u_from_H(traj.h0), 0.0)
-            name, resid = "energy_drift", np.abs(drift)
-    bad = np.flatnonzero(~np.isfinite(resid))
-    if bad.size:
+        def error(t, u):
+            return u - dynamics.case1_closed_form_u(t, beta, u0=u0)
+    elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
+        name, columns = "implicit_time", (traj.t, traj.h)
+
+        def error(t, h):
+            return dynamics.case2_implicit_time(h, beta, h0) - t
+    elif case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
+        name, columns = "closed_form_h", (traj.t, traj.h)
+
+        def error(t, h):
+            return h - dynamics.case3_closed_form_h(t, beta, h0)
+    else:
+        e0 = dynamics.energy(u_from_H(h0), 0.0)
+        name, columns = "energy_drift", (traj.u, traj.v)
+
+        def error(u, v):
+            return dynamics.energy(u, v) - e0
+    np = dynamics._numpy_if_array(traj.t)
+    if np is None:
+        resid = _readonly(array("d", [abs(error(*row)) for row in zip(*columns)]))
+        bad = [i for i, x in enumerate(resid) if not math.isfinite(x)]
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            resid = np.abs(error(*columns))
+        bad = np.flatnonzero(~np.isfinite(resid))
+    if len(bad):
         i = bad[0]
         raise NumericError(f"{name} oracle is not finite from t* = {float(traj.t[i])!r} "
                            f"(h* = {float(traj.h[i])!r})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import dynamics, params as params_module
-from .dynamics import TWO_SQRT2_OVER_3, energy
+from .dynamics import TWO_SQRT2_OVER_3, _energy, energy
 from .errors import ConsistencyError, DomainError, InconclusiveError
 from .params import U_BOUND, U_EQUILIBRIUM
 
@@ -123,12 +123,12 @@ def lyapunov_columns(u, v):
     """(E, V) for trajectory columns; clamps u dust below 0.
 
     numpy arrays give numpy arrays. Sequences of floats give `array("d")`
-    columns with the same bits, from the float branch of `energy` and
-    `lyapunov`'s rule for V, and load no numpy.
+    columns with the same bits, from `energy`'s float body and `lyapunov`'s
+    rule for V, and load no numpy.
     """
     np = dynamics._numpy_if_array(u, v)
     if np is None:
-        E = array("d", [energy(x, y) for x, y in zip(u, v)])
+        E = array("d", [_energy(x, y) for x, y in zip(u, v)])
         return E, array("d", [_lyapunov_float(x, y, e) for x, y, e in zip(u, v, E)])
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -664,7 +664,7 @@ def test_import_loads_no_numpy(code):
 
 
 # Runs that load no numpy: the scalar commands, argvs the parameter checks
-# refuse, and simulate and classify, which solve on Python floats.
+# refuse, and simulate, classify and regime, which solve on Python floats.
 NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
     "nondim": (["nondim", "--input", "water.json"], 0),
     "basin": (["basin", "--alpha", "0.5", "--output", "basin.json"], 0),
@@ -686,6 +686,12 @@ NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
                           "--epsilon", "1e-4", "-o", "run"], 0),
     "simulate-input": (["simulate", "--input", "water.json", "-o", "run"], 0),
     "classify": (["classify", "--omega", "0.5", "--beta", "0.5", "--alpha", "0"], 0),
+    "regime1": (["regime", "--case", "1", "--beta", "1", "--horizon", "1", "-o", "reg"], 0),
+    "regime2": (["regime", "--case", "2", "--beta", "0.7", "--alpha", "0.2", "--horizon", "4",
+                 "-o", "reg"], 0),
+    "regime3": (["regime", "--case", "3", "--beta", "0.7", "--horizon", "5", "--sample-step",
+                 "0.3", "-o", "reg"], 0),
+    "regime4": (["regime", "--case", "4", "--beta", "0.7", "--alpha", "0.5", "-o", "reg"], 0),
 }
 
 
@@ -699,10 +705,9 @@ def test_scalar_and_refused_runs_load_no_numpy(tmp_path, name):
 
 
 def test_a_solving_run_loads_numpy(tmp_path):
-    # Only picard and regime: simulate and classify solve on Python floats.
-    for argv in (["picard", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "1",
-                  "-o", "pic"],
-                 ["regime", "--case", "1", "--beta", "1", "--horizon", "1", "-o", "reg"]):
-        code, modules = main_in_fresh(argv, tmp_path)
-        assert code == 0
-        assert "numpy" in modules
+    # Only picard: simulate, classify and regime solve on Python floats.
+    argv = ["picard", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "1",
+            "-o", "pic"]
+    code, modules = main_in_fresh(argv, tmp_path)
+    assert code == 0
+    assert "numpy" in modules

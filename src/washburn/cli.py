@@ -156,7 +156,7 @@ def cmd_nondim(args) -> int:
 
 def cmd_simulate(args) -> int:
     mp = _model_params_from_args(args)
-    from .integrate import CSV_HEADER, integrate_floats
+    from .integrate import CSV_HEADER, integrate_floats, solve
 
     tolerances = (args.abs_tol, args.rel_tol)
     traj = integrate_floats(mp, epsilon=args.epsilon, horizon=args.horizon,
@@ -173,10 +173,9 @@ def cmd_simulate(args) -> int:
         "crossings": traj.crossings,
     }
     if traj.epsilon > 0.0:
-        twin = integrate_floats(mp, epsilon=0.0, horizon=traj.horizon,
-                                tolerances=tolerances, sample_step=args.sample_step)
+        twin = solve(mp, 0.0, traj.horizon, tolerances).dense.sample(traj.s)[0]
         summary["sup_distance_to_unregularized"] = max(
-            [abs(a - b) for a, b in zip(traj.u, twin.u)])
+            [abs(a - b) for a, b in zip(traj.u, twin)])
     if args.classify:
         summary["classification"] = _classification(traj)
     _write_run(args, ("omega", "beta", "alpha", "epsilon", "horizon", "sample_step",

@@ -4,11 +4,11 @@ The u-form model (the acceleration `dynamics.u_form_field`) and each
 reduced regime are integrated from rest at s = 0 by one `_rk.solve` call,
 Dormand and Prince's embedded Runge-Kutta 5(4) pair with quartic dense
 output, at the run's (abs, rel) tolerances. `solve` returns the unsampled
-`Run`: the dense output, which re-detects crossings at other levels, the
-equilibrium crossings bracketed at the step ends with a hysteresis band
-and refined by bisection on the dense output's quartic for u
-(`DenseSolution.bisect`, with the bits of calling the dense output), and
-the final state, the dense output at the horizon.
+`Run`: its inputs and dense output. The rest is computed from the dense
+output on first read and kept: the final state, the dense output at the
+horizon, and the equilibrium crossings, bracketed at the step ends with a
+hysteresis band and refined by bisection on the quartic for u
+(`DenseSolution.bisect`, with the bits of calling the dense output).
 
 A `Trajectory` is a run plus its samples and their derived height/energy
 columns. `integrate` samples and derives them as read-only numpy arrays;
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
@@ -60,20 +60,23 @@ class Crossing(NamedTuple):
 
 @dataclass(frozen=True)
 class Run:
-    """An unsampled u-form solve: its dense output over [0, horizon] and the
-    equilibrium crossings bracketed at its step ends. The initial state is
-    rest at the starting height; the final state is the dense output at the
-    horizon, read once, with the bits of a sample there."""
+    """An unsampled u-form solve: its inputs and dense output over [0, horizon].
+    The initial state is rest at the starting height. The final state (the
+    dense output at the horizon, with the bits of a sample there) and the
+    equilibrium crossings are computed on first read and kept."""
 
     params: ModelParams
     epsilon: float
     tolerances: tuple[float, float]
     horizon: float
-    crossings: tuple[Crossing, ...]
     dense: _rk.DenseSolution = field(repr=False, compare=False)
 
     def initial_state(self) -> State:
         return _initial_state(self.params)
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        return _detect_crossings(self.dense, U_EQUILIBRIUM)
 
     @cached_property
     def _final(self) -> State:
@@ -245,7 +248,7 @@ def _brackets(points, level: float) -> list[tuple[float, float, int]]:
 
 
 def _detect_crossings(dense: _rk.DenseSolution, level: float) -> tuple[Crossing, ...]:
-    # Each step-end bracket is refined by bisection on the dense output's u.
+    # Each step-end bracket is refined to CROSSING_REFINE_TOL by bisection on u.
     return tuple(Crossing(dense.bisect(level, lo, hi, CROSSING_REFINE_TOL), direction)
                  for lo, hi, direction in _brackets(dense.ends(0), level))
 
@@ -261,36 +264,35 @@ def _check_solve(params, epsilon, horizon, tolerances):
     return (float(epsilon), *_check_run(horizon, HORIZON_CAP, tolerances))
 
 
+def _solve_dense(params, epsilon, horizon, tolerances) -> _rk.DenseSolution:
+    return _rk.solve(dynamics.u_form_field(params.damping, epsilon), _initial_state(params),
+                     horizon, tolerances)
+
+
 def solve(params: ModelParams, epsilon: float = 0.0, horizon: float | None = None,
           tolerances: tuple[float, float] = DEFAULT_TOLERANCES) -> Run:
     """Solve the u-form model over [0, horizon] and sample nothing.
 
     Every run, the dry start alpha = 0 included (u = H^2/2 leaves the field
     regular there, u'' = 1), is stepped from rest at s = 0. Default
-    tolerances are (abs, rel) = (1e-10, 1e-8). Equilibrium crossings are
-    bracketed by the accepted step ends and refined to CROSSING_REFINE_TOL
-    by bisection on the dense output's u, each step's quartic evaluated
-    inline with the bits of `dense(t)[0]`. The regularization epsilon lies
-    in [0, 1]: above 1 the regularized equilibrium (1 - epsilon)/2 is
-    negative. Loads no numpy.
+    tolerances are (abs, rel) = (1e-10, 1e-8). The regularization epsilon
+    lies in [0, 1]: above 1 the regularized equilibrium (1 - epsilon)/2 is
+    negative. Loads no numpy, and bisects nothing until `.crossings` is read.
     """
     epsilon, horizon, tolerances = _check_solve(params, epsilon, horizon, tolerances)
-    dense = _rk.solve(dynamics.u_form_field(params.damping, epsilon), _initial_state(params),
-                      horizon, tolerances)
-    return Run(params=params, epsilon=epsilon, tolerances=tolerances, horizon=horizon,
-               crossings=_detect_crossings(dense, U_EQUILIBRIUM), dense=dense)
+    return Run(params, epsilon, tolerances, horizon,
+               _solve_dense(params, epsilon, horizon, tolerances))
 
 
 def _integrate(params, epsilon, horizon, tolerances, sample_step, columns) -> Trajectory:
-    """`solve`, then sample: `columns` samples the run and derives the
-    columns, as numpy arrays or as read-only memoryviews of doubles. The
-    sample step is checked first, so a refused one costs no steps."""
-    _, horizon, _ = _check_solve(params, epsilon, horizon, tolerances)
+    """Check and solve as `solve` does, then sample: `columns` samples the run
+    and derives the columns, as numpy arrays or as read-only memoryviews of
+    doubles. The sample step is checked first, so a refused one costs no steps."""
+    epsilon, horizon, tolerances = _check_solve(params, epsilon, horizon, tolerances)
     sample_step = _check_samples(horizon, sample_step)
-    run = solve(params, epsilon, horizon, tolerances)
-    s, u, v, H, T, E, V = columns(run.dense, horizon, sample_step, params.omega)
-    return Trajectory(**{f.name: getattr(run, f.name) for f in fields(Run)},
-                      s=s, u=u, v=v, H=H, T=T, E=E, V=V, sample_step=sample_step)
+    dense = _solve_dense(params, epsilon, horizon, tolerances)
+    return Trajectory(params, epsilon, tolerances, horizon, dense,
+                      *columns(dense, horizon, sample_step, params.omega), sample_step)
 
 
 def integrate(params: ModelParams, epsilon: float = 0.0,

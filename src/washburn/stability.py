@@ -201,13 +201,12 @@ def classify_approach(run) -> ApproachReport:
             f"trajectory has not settled: |u(S) - 1/2| = {abs(u_end - 0.5):.3e}; "
             "extend the horizon"
         )
-    crossings = tuple(run.crossings)
     u0, v0 = run.initial_state()
     if abs(u0 - U_EQUILIBRIUM) <= EXACT_EQUILIBRIUM_TOL and abs(v0) <= EXACT_EQUILIBRIUM_TOL:
-        return ApproachReport(ApproachKind.AT_EQUILIBRIUM, crossings, final_distance)
-    if len(crossings) >= 2:
-        return ApproachReport(ApproachKind.OSCILLATORY, crossings, final_distance)
-    if len(crossings) == 1:
+        return ApproachReport(ApproachKind.AT_EQUILIBRIUM, run.crossings, final_distance)
+    if len(run.crossings) >= 2:
+        return ApproachReport(ApproachKind.OSCILLATORY, run.crossings, final_distance)
+    if len(run.crossings) == 1:
         raise InconclusiveError(
             "exactly one equilibrium crossing: horizon too short or omega "
             "too close to the critical value"
@@ -215,7 +214,7 @@ def classify_approach(run) -> ApproachReport:
     velocities = [v for _, v in run.dense.ends(1)][1:]
     if (all(v >= -MONOTONE_TOL for v in velocities)
             or all(v <= MONOTONE_TOL for v in velocities)):
-        return ApproachReport(ApproachKind.MONOTONE, crossings, final_distance)
+        return ApproachReport(ApproachKind.MONOTONE, run.crossings, final_distance)
     raise InconclusiveError(
         "no crossings but the approach is not monotone: horizon too short "
         "or omega too close to the critical value"

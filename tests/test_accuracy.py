@@ -1,20 +1,28 @@
-"""Dry starts against an independent solution.
+"""The integrator against independent solutions of the u-form model,
+u'' = 1 - gamma u' - sqrt(2u).
 
-The reference is scipy's DOP853 at rtol 1e-13 and atol 1e-15 on this
-module's own right-hand side of the u-form model,
-u'' = 1 - gamma u' - sqrt(2u). It cannot start at the corner u = 0, where
-sqrt(2u) has no derivative, so it starts at s0 from this module's own
+Dry starts: the reference is scipy's DOP853 at rtol 1e-13 and atol 1e-15
+on this module's own right-hand side. It cannot start at the corner u = 0,
+where sqrt(2u) has no derivative, so it starts at s0 from this module's own
 Taylor series of y = sqrt(2u), in which the dry start is regular, and the
-series itself is the reference below s0. Nothing here but `integrate`
-and `ModelParams` comes from the package.
+series itself is the reference below s0.
+
+Wet starts: the reference is a Taylor-series integrator in the standard
+library's `decimal` at 40 digits (Corliss & Chang, ACM TOMS 8 (1982)
+114-144). Software arithmetic, so its bits do not depend on the CPU.
+
+Nothing here but `integrate`, `solve` and `ModelParams` comes from the
+package.
 """
+import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from washburn import ModelParams, integrate
+from washburn import ModelParams, integrate, solve
 
 S0 = 1e-5
 SERIES_ORDER = 8
@@ -77,3 +85,67 @@ def test_dry_start_matches_the_reference(omega, run, bound):
     traj = integrate(params, **run)
     error = np.max(np.abs(traj.u - reference_u(params.damping, traj.s)))
     assert error <= bound
+
+
+TAYLOR_DIGITS = 40
+TAYLOR_ORDER = 30
+TAYLOR_STEP = Decimal("0.05")
+WET_POINTS = [(1.0, 1.0, 0.5), (0.1, 0.5, 1.4), (1.0, 0.5, 0.1)]  # (omega, beta, alpha)
+WET_TIMES = (1.0, 5.0)
+
+
+def taylor_coefficients(u, v, gamma):
+    """Taylor coefficients u_0 .. u_TAYLOR_ORDER of u about a wet state
+    (u, v), with w = sqrt(2u) expanded alongside: w^2 = 2u gives
+    w_k = (2 u_k - sum_{j=1..k-1} w_j w_{k-j}) / (2 w_0), and the model's s^k
+    coefficient (k+2)(k+1) u_{k+2} = [k = 0] - gamma (k+1) u_{k+1} - w_k."""
+    w0 = (2 * u).sqrt()
+    us, ws = [u, v], [w0]
+    for k in range(TAYLOR_ORDER - 1):
+        if k:
+            ws.append((2 * us[k] - sum(ws[j] * ws[k - j] for j in range(1, k))) / (2 * w0))
+        us.append(((k == 0) - gamma * (k + 1) * us[k + 1] - ws[k]) / ((k + 2) * (k + 1)))
+    return us
+
+
+@functools.cache
+def taylor_u(omega, beta, alpha, max_step=TAYLOR_STEP):
+    """u at WET_TIMES from rest at u = alpha^2/2, as Decimals. A step is at
+    most max_step and at most w_0/4: the branch point of sqrt(2u), where u
+    reaches 0, lies about w_0 = sqrt(2u) from the expansion point."""
+    with localcontext() as ctx:
+        ctx.prec = TAYLOR_DIGITS
+        gamma = Decimal(beta) / Decimal(omega).sqrt()
+        u, v, s = Decimal(alpha) ** 2 / 2, Decimal(0), Decimal(0)
+        at_times = []
+        for target in map(Decimal, WET_TIMES):
+            while s < target:
+                h = min(max_step, (2 * u).sqrt() / 4, target - s)
+                us = taylor_coefficients(u, v, gamma)
+                u = v = Decimal(0)
+                for k in range(TAYLOR_ORDER, 0, -1):  # Horner, for u and u'
+                    u = u * h + us[k]
+                    v = v * h + k * us[k]
+                u = u * h + us[0]
+                s += h
+            at_times.append(u)
+        return tuple(at_times)
+
+
+@pytest.mark.parametrize("point", WET_POINTS)
+def test_taylor_reference_agrees_with_itself_at_half_the_step(point):
+    for u, u_half in zip(taylor_u(*point), taylor_u(*point, TAYLOR_STEP / 2)):
+        assert abs(u - u_half) <= Decimal("1e-24")
+
+
+@pytest.mark.parametrize("point", WET_POINTS)
+def test_wet_start_matches_the_decimal_reference(point):
+    # Measured: 1.2e-10 to 2.2e-9 at the default tolerances, and 98 to 120
+    # times closer at (1e-12, 1e-10).
+    params = ModelParams(*point)
+    for s, u_ref in zip(WET_TIMES, taylor_u(*point)):
+        default, tight = (abs(run.final_state().u - float(u_ref))
+                          for run in (solve(params, horizon=s),
+                                      solve(params, horizon=s, tolerances=(1e-12, 1e-10))))
+        assert default <= 1e-8, (point, s)
+        assert 10.0 * tight <= default, (point, s)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from washburn import _rk, cli, stability, verify
-from washburn.integrate import REGIME_HORIZON_CAP
+from washburn.integrate import REGIME_HORIZON_CAP, integrate
+from washburn.params import ModelParams
 
 
 WATER_JSON = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 0.0,
@@ -168,13 +169,17 @@ class TestSimulate:
         assert classification["audit"]["max_level_excess"] <= 1e-8
 
     def test_epsilon_twin_distance(self, tmp_path):
+        # The largest |u_eps - u_0| over the samples, bit for bit that of
+        # two array runs at the same horizon and sample step.
         prefix = str(tmp_path / "eps")
         code = run(["simulate", "--omega", "1", "--beta", "1", "--alpha", "0",
                     "--horizon", "20", "--epsilon", "1e-4", "-o", prefix])
         assert code == 0
         summary = json.loads((tmp_path / "eps.json").read_text())
-        gap = summary["sup_distance_to_unregularized"]
-        assert 0.0 < gap < 1e-2
+        params = ModelParams(1.0, 1.0, 0.0)
+        u_eps, u_0 = (integrate(params, epsilon, horizon=20.0).u for epsilon in (1e-4, 0.0))
+        gap = float(np.max(np.abs(u_eps - u_0)))
+        assert summary["sup_distance_to_unregularized"] == gap == 1.1973771253526166e-04
 
     def test_physical_input(self, tmp_path):
         src = tmp_path / "water.json"

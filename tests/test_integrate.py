@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from washburn import _rk
+from washburn import _rk, verify
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
 from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
@@ -215,6 +215,45 @@ class TestCrossings:
     def test_non_finite_level_rejected(self, traj, level):
         with pytest.raises(DomainError, match="^level: must be finite"):
             detect_crossings(traj, level)
+
+
+class TestLazyCrossings:
+    """A run bisects its equilibrium crossings when `.crossings` is first
+    read, and only then: the runs that read only the dense output or the
+    final state bisect nothing."""
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        calls = []
+        bisect = _rk.DenseSolution.bisect
+
+        def counting_bisect(self, *args):
+            calls.append(args)
+            return bisect(self, *args)
+
+        monkeypatch.setattr(_rk.DenseSolution, "bisect", counting_bisect)
+        return calls
+
+    def test_solve_bisects_nothing_until_crossings_are_read(self, bisections):
+        run = solve(mp(1.0, 1.0, 0.0), horizon=20.0)
+        run.final_state()
+        assert bisections == []
+        crossings = run.crossings
+        assert len(crossings) == len(bisections) > 0
+        assert run.crossings is crossings
+        assert len(bisections) == len(crossings)
+        assert crossings == detect_crossings(run)
+
+    def test_a_trajectory_bisects_on_first_read(self, bisections):
+        traj = integrate(mp(1.0, 1.0, 0.0), horizon=20.0)
+        assert bisections == []
+        assert traj.crossings == detect_crossings(traj) != ()
+
+    def test_checks_that_read_no_crossings_bisect_nothing(self, bisections):
+        verify.acceptance_c07_volterra_cross_validation()
+        verify.check_integrate_tolerance_convergence()
+        verify.convergence_distance(1.0, 1.0, 0.5)  # one run of criterion 11
+        assert bisections == []
 
 
 def bisect_level(u_at, level, lo, hi, tol):

@@ -68,7 +68,6 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimator + 1)
-MIN_RTOL = 100 * 2.220446049250313e-16  # as scipy, 100 machine epsilons
 ROOT_2 = 2 ** 0.5  # the RMS norm's divisor for two components
 
 A21 = 1 / 5
@@ -144,15 +143,14 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
     w' = accel(W, w) with W = 0.0 at s = 0 carried in the first slot but kept
     out of the error norm and the starting step (an overflowing W cannot
     then reject or shrink a step). accel is called once per stage with two
-    floats and returns one float. tolerances is the package's (abs, rel)
-    pair; abs must be positive, and a rel below 100 machine epsilons is
-    raised to that floor, as scipy does. Each accepted step's 12 floats, its
-    start time first, are packed into one bytes store, closed by one record
-    of the end time and state, from which the returned DenseSolution reads
-    its steps. Raises StepSizeUnderflowError when the step falls below ten
-    units in the last place of t, or the starting step to 0, and
-    NumericError when MAX_STEPS steps, accepted or rejected, do not reach
-    t_bound.
+    floats and returns one float. tolerances is an (abs, rel) pair that
+    `integrate._check_run` accepts, applied as given. Each accepted step's
+    12 floats, its start time first, are packed into one bytes store, closed
+    by one record of the end time and state, from which the returned
+    DenseSolution reads its steps. Raises StepSizeUnderflowError when the
+    step falls below ten units in the last place of t, or the starting step
+    to 0, and NumericError when MAX_STEPS steps, accepted or rejected, do
+    not reach t_bound.
     """
     if not t_bound > 0.0:
         raise ValueError(f"t_bound {t_bound!r} must be positive")
@@ -165,7 +163,6 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
         raise ValueError(f"the state has {n} components; solve steps 1 or 2")
     one = n == 1
     atol, rtol = tolerances
-    rtol = max(rtol, MIN_RTOL)
     max_steps = budget = MAX_STEPS
     ulp, sqrt = math.ulp, math.sqrt
     t = 0.0
@@ -246,7 +243,7 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
         scale_a = new_a
         scale_b = new_b
     store(pack(t, ya, yb, fb, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    return DenseSolution(steps, (yb,) if one else (ya, yb), rejected)
+    return DenseSolution(steps, n, rejected)
 
 
 class DenseSolution:
@@ -264,23 +261,22 @@ class DenseSolution:
     extrapolate that end step, as scipy's OdeSolution does.
 
     `t` holds the step times, the store's first column: each step's start,
-    then the last step's end. `accepted` and `rejected` count the steps and
-    `nfev` the calls of the acceleration they took, 2 + 6 (accepted +
-    rejected); `y` is the final state, without W, which the closing record
-    also holds. `t` and the coefficient arrays are built from the store on
-    first use, so a solution that is only sampled in plain Python imports
-    no numpy.
+    then the last step's end. `n` counts the state's components, without W.
+    `accepted` and `rejected` count the steps and `nfev` the calls of the
+    acceleration they took, 2 + 6 (accepted + rejected). The end state is
+    the closing record's alone. `t` and the coefficient arrays are built
+    from the store on first use, so a solution that is only sampled in plain
+    Python imports no numpy.
     """
 
-    def __init__(self, steps, y, rejected):
+    def __init__(self, steps, n, rejected):
         """`steps` is the packed bytes store `solve` fills, read as native
-        doubles, one `STEP_RECORD` per accepted step and a closing one at
-        the end, whose first pair is the last step's K7; it is kept as
-        bytes, without the slack of a growing bytearray. y is the end state.
-        A one-component state keeps its W in u's slot and in the first slot
-        of each pair; W is dropped when a step's coefficients are built."""
-        self.y = y
-        self.rejected = rejected
+        doubles: one `STEP_RECORD` per accepted step, then the closing one
+        of the end time, state and derivative (the last step's K7), kept as
+        bytes without a growing bytearray's slack. A state of n = 1 keeps
+        its W in u's slot and in the first slot of each pair; W is dropped
+        when a step's coefficients are built."""
+        self.n, self.rejected = n, rejected
         self._steps = bytes(steps)
         self.accepted = len(self._steps) // STEP_RECORD.size - 1
         self.nfev = 2 + 6 * (self.accepted + rejected)
@@ -293,7 +289,7 @@ class DenseSolution:
 
     def ends(self, c: int):
         """(t, y[c]) as floats at each step's start, then at the last step's end."""
-        values = memoryview(self._steps).cast("d")[3 - len(self.y) + c::RECORD_FLOATS]
+        values = memoryview(self._steps).cast("d")[3 - self.n + c::RECORD_FLOATS]
         return zip(self._times, values)
 
     def _step(self, t: float, slots):
@@ -320,8 +316,8 @@ class DenseSolution:
         step's coefficients are built when a time first falls in it and kept
         while the times stay there, so sorted times build each step they
         visit once."""
-        columns = [array("d") for _ in self.y]
-        slots = range(2 - len(self.y), 2)
+        columns = [array("d") for _ in range(self.n)]
+        slots = range(2 - self.n, 2)
         t_k = t_next = math.nan  # bounds of the step held in h and rows: none yet
         for t in times:
             if not t_k < t <= t_next:
@@ -341,7 +337,7 @@ class DenseSolution:
         step's coefficients are built when a time first falls in the step,
         and its quartic is evaluated inline while the mids stay there.
         """
-        slot = 2 - len(self.y)  # component 0's slot in the record's pairs
+        slot = 2 - self.n  # component 0's slot in the record's pairs
         t_k = t_next = math.nan  # bounds of the step held in h and q0-q3: none yet
         t, f_lo = lo, None
         for _ in range(129):  # at lo, then at most 128 mids
@@ -377,14 +373,14 @@ class DenseSolution:
     @cached_property
     def _y0(self):
         """(n, m): the start state of each step."""
-        return self._records[:-1, 3 - len(self.y):3].T.copy()
+        return self._records[:-1, 3 - self.n:3].T.copy()
 
     @cached_property
     def _q(self):
         """(4, n, m): the quartic coefficients of each step."""
         import numpy as np
 
-        n, m = len(self.y), self.accepted
+        n, m = self.n, self.accepted
         records = self._records
         # The stages as contiguous (n, m) blocks: K1, K3-K6 from each step's
         # record, then K7, the next record's K1. Contiguous blocks make each

@@ -32,7 +32,7 @@ from ._format import dumps_json, write_csv, write_json
 from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLERANCES,
-                     HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, MAX_TOLERANCE,
+                     HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, MAX_TOLERANCE, MIN_REL_TOL,
                      REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP)
 
 EXIT_OK = 0
@@ -43,7 +43,8 @@ EXIT_VERIFY = 4
 STEP_RANGE_HELP = f"at least horizon/{MAX_INTERVALS} (default: horizon/{DEFAULT_INTERVALS})"
 SAMPLE_STEP_HELP = "output sampling step, " + STEP_RANGE_HELP
 STEP_BUDGET_HELP = f"a run that needs more than {MAX_STEPS} RK steps exits 3"
-TOLERANCE_RANGE = f"(0, {MAX_TOLERANCE:g}]"  # the range `integrate` accepts
+# The (abs, rel) tolerance ranges that `integrate._check_run` accepts.
+TOLERANCE_RANGE = (f"(0, {MAX_TOLERANCE:g}]", f"[{MIN_REL_TOL:g}, {MAX_TOLERANCE:g}]")
 
 
 def _case_name(case: RegimeCase) -> str:
@@ -296,10 +297,10 @@ def _add_run_args(parser, sample_step: bool):
     if sample_step:
         parser.add_argument("--sample-step", type=float, default=None,
                             help=SAMPLE_STEP_HELP)
-    parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOLERANCES[0],
-                        help=f"absolute tolerance in {TOLERANCE_RANGE} (default: %(default)g)")
-    parser.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCES[1],
-                        help=f"relative tolerance in {TOLERANCE_RANGE} (default: %(default)g)")
+    for flag, kind, default, limits in zip(("--abs-tol", "--rel-tol"), ("absolute", "relative"),
+                                           DEFAULT_TOLERANCES, TOLERANCE_RANGE):
+        parser.add_argument(flag, type=float, default=default,
+                            help=f"{kind} tolerance in {limits} (default: %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,7 @@ from . import _rk, dynamics, stability
 from .dynamics import RegimeSpec, State
 from .errors import DomainError, HorizonError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_TOLERANCES, HORIZON_EFOLDS, MAX_INTERVALS,
-                     MAX_TOLERANCE, REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP,
+                     MAX_TOLERANCE, MIN_REL_TOL, REGIME_DEFAULT_HORIZON, REGIME_HORIZON_CAP,
                      U_EQUILIBRIUM, H_from_u, ModelParams, check_alpha, check_nonnegative,
                      check_positive, u_from_H)
 
@@ -130,15 +130,17 @@ def default_horizon(params: ModelParams) -> float:
 
 
 def _check_run(horizon: float, cap: float, tolerances: tuple[float, float]):
-    """Validate a run's horizon (positive, at most cap) and tolerances (each
-    in (0, MAX_TOLERANCE]); returns (horizon, tolerances) as floats."""
+    """Validate a run's horizon (positive, at most cap) and tolerances, which
+    `_rk.solve` then applies as given; returns (horizon, tolerances) as floats."""
     check_positive("horizon", horizon)
     if horizon > cap:
         raise HorizonError(f"{horizon!r} exceeds the cap {cap:g}")
     abs_tol, rel_tol = tolerances
-    for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
-        if not 0.0 < tol <= MAX_TOLERANCE:
-            raise DomainError(name, f"must lie in (0, {MAX_TOLERANCE:g}], got {tol!r}")
+    if not 0.0 < abs_tol <= MAX_TOLERANCE:
+        raise DomainError("abs_tol", f"must lie in (0, {MAX_TOLERANCE:g}], got {abs_tol!r}")
+    if not MIN_REL_TOL <= rel_tol <= MAX_TOLERANCE:
+        raise DomainError("rel_tol", f"must lie in [{MIN_REL_TOL:g}, {MAX_TOLERANCE:g}], "
+                                     f"got {rel_tol!r}")
     return float(horizon), (float(abs_tol), float(rel_tol))
 
 

@@ -28,17 +28,18 @@ MAX_INTERVALS = 2**20
 
 # The other defaults and caps of a run, kept here with the grid's so that
 # the CLI can state them without importing a solver: the trajectory
-# tolerances (absolute, relative) and the cap on each, the default
-# trajectory horizon in damping e-folds, the reduced-regime horizon and its
-# cap, Picard's tolerance and iteration cap, and the RK step budget, the
-# accepted plus rejected steps one solve may take. Each accepted step keeps
-# its start time, u and five stage pairs, 96 B in one float store (about
-# 12.6 MB at 2^17 steps), and each solve one extra 96 B record for its end
-# state, so the budget bounds time and memory alike.
-# Above MAX_TOLERANCE the controller lets u leave the paper's bounds
+# tolerances (absolute, relative), the cap on each and rel's floor (scipy's,
+# 100 machine epsilons), the default trajectory horizon in damping e-folds,
+# the reduced-regime horizon and its cap, Picard's tolerance and iteration
+# cap, and the RK step budget, the accepted plus rejected steps one solve
+# may take. Each accepted step keeps its start time, u and five stage pairs,
+# 96 B in one float store (about 12.6 MB at 2^17 steps), and each solve one
+# extra 96 B record for its end state, so the budget bounds time and memory
+# alike. Above MAX_TOLERANCE the controller lets u leave the paper's bounds
 # [0, 9/8]: at rel_tol 0.05 or abs_tol 0.01 some runs from rest do.
 DEFAULT_TOLERANCES = (1e-10, 1e-8)
 MAX_TOLERANCE = 1e-3
+MIN_REL_TOL = 100 * sys.float_info.epsilon
 HORIZON_EFOLDS = 30.0
 REGIME_DEFAULT_HORIZON = 20.0
 REGIME_HORIZON_CAP = 1e3

@@ -7,12 +7,14 @@ where sqrt(2u) has no derivative, so it starts at s0 from this module's own
 Taylor series of y = sqrt(2u), in which the dry start is regular, and the
 series itself is the reference below s0.
 
-Wet starts: the reference is a Taylor-series integrator in the standard
-library's `decimal` at 40 digits (Corliss & Chang, ACM TOMS 8 (1982)
-114-144). Software arithmetic, so its bits do not depend on the CPU.
+Both starts, against a second reference: a Taylor-series integrator in
+the standard library's `decimal` at 40 digits (Corliss & Chang, ACM TOMS 8
+(1982) 114-144). A dry start takes its first step on the corner series of
+y = sqrt(2u) at that precision. Software arithmetic, so its bits do not
+depend on the CPU.
 
-Nothing here but `integrate`, `solve` and `ModelParams` comes from the
-package.
+Nothing here but `integrate`, `solve`, `ModelParams` and the points of
+`verify.ACCEPTANCE_GRID` comes from the package.
 """
 import functools
 import math
@@ -23,18 +25,19 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from washburn import ModelParams, integrate, solve
+from washburn.verify import ACCEPTANCE_GRID
 
 S0 = 1e-5
 SERIES_ORDER = 8
 
 
-def corner_series(gamma):
-    """Taylor coefficients b_k of y = sqrt(2u) = s + b_2 s^2 + ... from rest
-    at u = 0: u = y^2/2 turns the model into y'^2 + y y'' + gamma y y' + y = 1,
-    and its s^n coefficient gives b_(n+1) times (n+1)(n+2) plus the terms of
-    lower coefficients."""
-    b = [0.0, 1.0]
-    for n in range(1, SERIES_ORDER):
+def corner_series(gamma, order=SERIES_ORDER):
+    """Taylor coefficients b_0 .. b_order of y = sqrt(2u) = s + b_2 s^2 + ...
+    from rest at u = 0, floats or Decimals as gamma is: u = y^2/2 turns the
+    model into y'^2 + y y'' + gamma y y' + y = 1, and its s^n coefficient
+    gives b_(n+1) times (n+1)(n+2) plus the terms of lower coefficients."""
+    b = [0, 1]
+    for n in range(1, order):
         rest = (sum((i + 1) * b[i + 1] * (n - i + 1) * b[n - i + 1] for i in range(1, n))
                 + sum(b[i] * (n - i + 2) * (n - i + 1) * b[n - i + 2] for i in range(2, n + 1))
                 + gamma * sum(b[i] * (n - i + 1) * b[n - i + 1] for i in range(1, n + 1))
@@ -91,6 +94,7 @@ TAYLOR_DIGITS = 40
 TAYLOR_ORDER = 30
 TAYLOR_STEP = Decimal("0.05")
 WET_POINTS = [(1.0, 1.0, 0.5), (0.1, 0.5, 1.4), (1.0, 0.5, 0.1)]  # (omega, beta, alpha)
+DRY_POINTS = [(omega, beta, alpha) for beta, omega, alpha in ACCEPTANCE_GRID if alpha == 0.0]
 WET_TIMES = (1.0, 5.0)
 
 
@@ -108,40 +112,50 @@ def taylor_coefficients(u, v, gamma):
     return us
 
 
+def series_at(c, h):
+    """The series with coefficients c and its derivative at h, by Horner."""
+    y = dy = 0
+    for k in range(len(c) - 1, 0, -1):
+        y = y * h + c[k]
+        dy = dy * h + k * c[k]
+    return y * h + c[0], dy
+
+
 @functools.cache
 def taylor_u(omega, beta, alpha, max_step=TAYLOR_STEP):
-    """u at WET_TIMES from rest at u = alpha^2/2, as Decimals. A step is at
-    most max_step and at most w_0/4: the branch point of sqrt(2u), where u
-    reaches 0, lies about w_0 = sqrt(2u) from the expansion point."""
+    """u at WET_TIMES from rest at u = alpha^2/2, as Decimals. A dry start
+    (alpha = 0) first steps max_step on the corner series, to the wet state
+    (u, v) = (y^2/2, y y'). Each wet step is at most max_step and at most
+    w_0/4: the branch point of sqrt(2u), where u reaches 0, lies about
+    w_0 = sqrt(2u) from the expansion point."""
     with localcontext() as ctx:
         ctx.prec = TAYLOR_DIGITS
         gamma = Decimal(beta) / Decimal(omega).sqrt()
         u, v, s = Decimal(alpha) ** 2 / 2, Decimal(0), Decimal(0)
+        if alpha == 0.0:
+            y, dy = series_at(corner_series(gamma, TAYLOR_ORDER), max_step)
+            u, v, s = y * y / 2, y * dy, max_step
         at_times = []
         for target in map(Decimal, WET_TIMES):
             while s < target:
                 h = min(max_step, (2 * u).sqrt() / 4, target - s)
-                us = taylor_coefficients(u, v, gamma)
-                u = v = Decimal(0)
-                for k in range(TAYLOR_ORDER, 0, -1):  # Horner, for u and u'
-                    u = u * h + us[k]
-                    v = v * h + k * us[k]
-                u = u * h + us[0]
+                u, v = series_at(taylor_coefficients(u, v, gamma), h)
                 s += h
             at_times.append(u)
         return tuple(at_times)
 
 
-@pytest.mark.parametrize("point", WET_POINTS)
+@pytest.mark.parametrize("point", WET_POINTS + DRY_POINTS)
 def test_taylor_reference_agrees_with_itself_at_half_the_step(point):
+    # Measured: at most 5.2e-26 from a wet start, and 5e-40 from a dry one,
+    # whose first step is halved too.
     for u, u_half in zip(taylor_u(*point), taylor_u(*point, TAYLOR_STEP / 2)):
         assert abs(u - u_half) <= Decimal("1e-24")
 
 
-@pytest.mark.parametrize("point", WET_POINTS)
-def test_wet_start_matches_the_decimal_reference(point):
-    # Measured: 1.2e-10 to 2.2e-9 at the default tolerances, and 98 to 120
-    # times closer at (1e-12, 1e-10).
+def assert_matches_the_decimal_reference(point):
+    """`solve` within 1e-8 of `taylor_u` at WET_TIMES at the default
+    tolerances, and at least ten times closer at (1e-12, 1e-10)."""
     params = ModelParams(*point)
     for s, u_ref in zip(WET_TIMES, taylor_u(*point)):
         default, tight = (abs(run.final_state().u - float(u_ref))
@@ -149,3 +163,18 @@ def test_wet_start_matches_the_decimal_reference(point):
                                       solve(params, horizon=s, tolerances=(1e-12, 1e-10))))
         assert default <= 1e-8, (point, s)
         assert 10.0 * tight <= default, (point, s)
+
+
+@pytest.mark.parametrize("point", WET_POINTS)
+def test_wet_start_matches_the_decimal_reference(point):
+    # Measured: 1.2e-10 to 2.2e-9 at the default tolerances, and 98 to 120
+    # times closer at (1e-12, 1e-10).
+    assert_matches_the_decimal_reference(point)
+
+
+@pytest.mark.parametrize("point", DRY_POINTS)
+def test_dry_start_matches_the_decimal_reference(point):
+    # The alpha = 0 points of ACCEPTANCE_GRID. Measured: 7.0e-11 to 2.2e-9 at
+    # the default tolerances, and 89 to 532 times closer at (1e-12, 1e-10).
+    # The scipy DOP853 reference above agrees with this one to 5e-15.
+    assert_matches_the_decimal_reference(point)

@@ -208,14 +208,17 @@ class TestSimulate:
                                       ["--sample-step", "1e-15"],
                                       # above params.MAX_TOLERANCE, where u can
                                       # leave [0, 9/8]
-                                      ["--rel-tol", "0.05"], ["--abs-tol", "0.01"]])
+                                      ["--rel-tol", "0.05"], ["--abs-tol", "0.01"],
+                                      # below params.MIN_REL_TOL
+                                      ["--rel-tol", "1e-15"]])
         for command in ("classify", "simulate")
         if command == "simulate" or tol_args[0] != "--sample-step"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol_args):
         code, err = run_rejected([command, "--omega", "1", "--beta", "1", "--alpha", "0",
                                   *tol_args, "--output", str(tmp_path / "x")], capsys)
         assert code == 2
-        assert err.startswith("configuration error:")
+        name = tol_args[0][2:].replace("-", "_")
+        assert err.startswith(f"configuration error: {name}:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "classify"])

@@ -230,5 +230,5 @@ def test_sample_has_the_bits_of_calling_the_solution(name):
     times = reference_times(dense)
     for t in (times, np.sort(times)):
         got = dense.sample(t.tolist())
-        assert len(got) == len(dense.y)
+        assert len(got) == dense.n
         assert np.array_equal(bits(got), bits(dense(t)))

@@ -115,7 +115,8 @@ class TestIntegrate:
         run = solve(mp(1.0, 1.0, 0.0), horizon=1e-320)
         assert (run.horizon, run.dense.accepted) == (1e-320, 1)
         for bad, key in (({"horizon": -1.0}, "horizon"), ({"horizon": 2e6}, "cap"),
-                         ({"tolerances": (1e-10, 0.1)}, "rel_tol"), ({"epsilon": 1.5}, "epsilon")):
+                         ({"tolerances": (1e-10, 0.1)}, "rel_tol"),
+                         ({"tolerances": (1e-10, 1e-15)}, "rel_tol"), ({"epsilon": 1.5}, "epsilon")):
             with pytest.raises(DomainError, match=key):
                 solve(mp(1.0, 1.0, 0.0), **bad)
 
@@ -278,7 +279,7 @@ def bisect_level(u_at, level, lo, hi, tol):
 def step_ends(dense):
     """The step times and component 0 at each, from the numpy view of the
     store: its records' u column, the closing record's the final state's."""
-    return dense.t, dense._records[:, 3 - len(dense.y)]
+    return dense.t, dense._records[:, 3 - dense.n]
 
 
 def crossings_by_loop(dense, u_at, level, brackets=None):
@@ -322,9 +323,9 @@ def synthetic(values):
     for k in range(u.size - 1):
         slope = u[k + 1] - u[k]
         steps += _rk.STEP_RECORD.pack(s[k], 0.0, u[k], slope, *[0.0, slope] * 4)
-    final = (float(u[-1]),) if u.size else (0.0,)
-    steps += _rk.STEP_RECORD.pack(s[-1] if s.size else 0.0, 0.0, *final, slope, *[0.0] * 8)
-    return s, u, _rk.DenseSolution(steps, final, 0)
+    final = float(u[-1]) if u.size else 0.0
+    steps += _rk.STEP_RECORD.pack(s[-1] if s.size else 0.0, 0.0, final, slope, *[0.0] * 8)
+    return s, u, _rk.DenseSolution(steps, 1, 0)
 
 
 B = CROSSING_BAND
@@ -380,15 +381,17 @@ class TestCrossingScan:
         dense = integrate(mp(1.0, 1.0, 0.5)).dense
         case2, *_ = regime(RegimeCase.NEGLIGIBLE_INERTIA, 1.0, 0.1, 5.0)  # one component
         for solution, c in ((dense, 0), (dense, 1), (case2, 0)):
+            # The store closes with the end record: the last step's end time and
+            # state, which the last step's quartic reaches up to rounding.
+            records = solution._records
+            end = records[-1, 3 - solution.n:3]
+            assert len(records) == solution.accepted + 1
+            assert records[-1, 0] == solution.t[-1]
+            assert np.max(np.abs(end - solution(solution.t[-1]))) <= 1e-15
             ends = list(solution.ends(c))
             assert all(type(t) is float and type(y) is float for t, y in ends)
             assert ends == list(zip(solution.t.tolist(),
-                                    np.append(solution._y0[c], solution.y[c]).tolist()))
-            # The store closes with the end record: the last step's end time and state.
-            records = solution._records
-            assert len(records) == solution.accepted + 1
-            assert records[-1, 0] == solution.t[-1]
-            assert records[-1, 3 - len(solution.y):3].tolist() == list(solution.y)
+                                    np.append(solution._y0[c], end[c]).tolist()))
 
     def test_seeded_sweep(self):
         # A dry start rises from u = 0 as s^2/2, so at level 2e-9 its first

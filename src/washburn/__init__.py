@@ -17,7 +17,7 @@ import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 _EXPORTS = {
     "dynamics": ("RegimeCase", "RegimeSpec", "State", "energy", "rhs_u"),

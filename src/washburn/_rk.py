@@ -31,7 +31,7 @@ The `DenseSolution` it returns keeps that store and reads it two ways,
 with the same bits (tests/test_rk.py and tests/test_float_path.py hold
 them to that):
 
-- in plain Python floats, one step at a time: `bisect`, the crossing
+- in plain Python floats, one step at a time: `refine`, the crossing
   refinement of `integrate`, and `sample`, the list sampler of the command
   line. Each runs its own loop and Horner sum, and calls the one step
   reader `_step`, which finds a time's step and builds its quartic
@@ -39,7 +39,9 @@ them to that):
   holds;
 - as numpy arrays, built on the first array call: calling the solution
   evaluates the interpolants on an array of times from contiguous
-  coefficient blocks, running the Horner sum in place on one accumulator.
+  coefficient blocks (sorted times, every sample grid, fill them by run
+  lengths of times per step), running the Horner sum in place on one
+  accumulator.
 
 Both build each coefficient as the same explicit sum over the six stages,
 added left to right (no BLAS call, so the bits do not depend on the CPU's
@@ -251,19 +253,24 @@ class DenseSolution:
 
     Calling it evaluates the interpolants on a float or an array of times
     (shape (n,) or (n,) + t.shape), the Horner sum running in place on one
-    accumulator; a float is evaluated as an array of one time. `sample`
-    evaluates them on a sequence of float times in plain Python, and
-    `bisect`, which finds where component 0 crosses a level, evaluates them
-    one float time at a time; both give the bits of calling the solution.
-    All three take a time to step k by the rule of a left `searchsorted`
-    over the interior step times t[1:-1]: a time on a step boundary takes
-    the earlier step, and times before the first step or past the last
-    extrapolate that end step, as scipy's OdeSolution does.
+    accumulator; a float is evaluated as an array of one time. Nondecreasing
+    1-D times, every sample grid, take their steps by run lengths: one
+    `searchsorted` of the step times into them and one `repeat` a
+    coefficient block; other times take a binary search and a `take` each.
+    `sample` evaluates the interpolants on a sequence of float times in
+    plain Python, and `refine`, which finds where component 0 crosses a
+    level, evaluates them one float time at a time; both give the bits of
+    calling the solution. All of them take a time to step k by the rule of
+    a left `searchsorted` over the interior step times t[1:-1]: a time on a
+    step boundary takes the earlier step, and times before the first step
+    or past the last extrapolate that end step, as scipy's OdeSolution does.
 
     `t` holds the step times, the store's first column: each step's start,
     then the last step's end. `n` counts the state's components, without W.
     `accepted` and `rejected` count the steps and `nfev` the calls of the
-    acceleration they took, 2 + 6 (accepted + rejected). The end state is
+    acceleration they took, 2 + 6 (accepted + rejected);
+    `crossing_evaluations` counts the quartic evaluations that `refine`
+    has made on this solution. The end state is
     the closing record's alone. `t` and the coefficient arrays are built
     from the store on first use, so a solution that is only sampled in plain
     Python imports no numpy.
@@ -280,6 +287,7 @@ class DenseSolution:
         self._steps = bytes(steps)
         self.accepted = len(self._steps) // STEP_RECORD.size - 1
         self.nfev = 2 + 6 * (self.accepted + rejected)
+        self.crossing_evaluations = 0
 
     @cached_property
     def _times(self):
@@ -328,35 +336,59 @@ class DenseSolution:
                 append(y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))))
         return columns
 
-    def bisect(self, level: float, lo: float, hi: float, tol: float) -> float:
-        """A time in [lo, hi] at which component 0 crosses level, by bisection.
+    def refine(self, level: float, lo: float, hi: float, direction: int, tol: float) -> float:
+        """A time in [lo, hi] at which component 0 crosses level, by Newton's
+        method safeguarded by halving (rtsafe: Press et al., Numerical
+        Recipes, 9.4).
 
-        The bracket halves, at most 128 times, until it is no wider than tol
-        or component 0 at its mid equals level; then the mid is returned.
-        Each value has the bits of calling the solution at that time: a
-        step's coefficients are built when a time first falls in the step,
-        and its quartic is evaluated inline while the mids stay there.
+        direction is the bracket's, +1 where component 0 rises through level
+        and -1 where it falls, so lo's side is known and never evaluated. From
+        the bracket's mid, each iterate is evaluated on the quartic of the
+        step that holds it, with the bits of calling the solution, and
+        becomes the bracket end on its side (NaN counts as below level). The
+        next iterate is the Newton point t - f / f', with the slope
+        f' = q0 + x (2 q1 + x (3 q2 + 4 x q3)) from the same coefficients,
+        or the bracket's mid where that point leaves the open bracket or its
+        correction is more than half the one before. The iteration returns
+        the iterate where component 0 equals level, the Newton point once
+        its correction is below tol, or the bracket's mid once the bracket
+        is no wider than tol or after 128 evaluations. A step's coefficients
+        are built when an iterate first falls in it. Each evaluation adds one
+        to `crossing_evaluations`.
         """
         slot = 2 - self.n  # component 0's slot in the record's pairs
+        rising = direction > 0
         t_k = t_next = math.nan  # bounds of the step held in h and q0-q3: none yet
-        t, f_lo = lo, None
-        for _ in range(129):  # at lo, then at most 128 mids
+        t = 0.5 * (lo + hi)
+        correction = hi - lo  # the last move, Newton's or a halving's
+        for evaluations in range(1, 129):
             if not t_k < t <= t_next:
                 t_k, t_next, h, ((y_k, q0, q1, q2, q3),) = self._step(t, (slot,))
             x = (t - t_k) / h
             f = y_k + h * (x * (q0 + x * (q1 + x * (q2 + x * q3)))) - level
-            if f_lo is None:
-                f_lo = f
-            elif f == 0.0:
-                return t
-            elif (f > 0.0) == (f_lo > 0.0):
-                lo, f_lo = t, f
-            else:
-                hi = t
-            if hi - lo <= tol:
+            if f == 0.0:
                 break
+            if (f > 0.0) == rising:
+                hi = t
+            else:
+                lo = t
+            if hi - lo <= tol:
+                t = 0.5 * (lo + hi)
+                break
+            slope = q0 + x * (2.0 * q1 + x * (3.0 * q2 + x * (4.0 * q3)))
+            newton = f / slope if slope else math.inf
+            if lo < t - newton < hi and abs(newton) <= 0.5 * correction:
+                t -= newton
+                correction = abs(newton)
+                if correction < tol:
+                    break
+            else:
+                correction = 0.5 * (hi - lo)
+                t = 0.5 * (lo + hi)
+        else:
             t = 0.5 * (lo + hi)
-        return 0.5 * (lo + hi)
+        self.crossing_evaluations += evaluations
+        return t
 
     @cached_property
     def _records(self):
@@ -407,18 +439,31 @@ class DenseSolution:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self(t.reshape(1))[:, 0]
-        k = self.t[1:-1].searchsorted(t, side="left")
-        x = self.t.take(k)
-        h = self.t.take(k + 1)
+        # Each time's step start x, step end h, coefficients and start state,
+        # copied into contiguous blocks: the fancy index self._q[:, :, k]
+        # leaves strided views that slow every Horner ufunc about twofold.
+        if t.ndim == 1 and (t[1:] >= t[:-1]).all():
+            # Sorted times come in one run a step: a step takes the times
+            # above its start up to its end (the left rule), so the run ends
+            # where the step's end time would go on the right of equal times.
+            runs = np.diff(t.searchsorted(self.t[1:-1], side="right"), prepend=0,
+                           append=t.size)
+            x = self.t[:-1].repeat(runs)
+            h = self.t[1:].repeat(runs)
+            q0, q1, q2, q3 = self._q.repeat(runs, axis=2)  # (4, n) + t.shape
+            y = self._y0.repeat(runs, axis=1)
+        else:
+            k = self.t[1:-1].searchsorted(t, side="left")
+            x = self.t.take(k)
+            h = self.t.take(k + 1)
+            q0, q1, q2, q3 = self._q.take(k, axis=2)
+            y = self._y0.take(k, axis=1)
         h -= x
         np.subtract(t, x, out=x)
         x /= h
-        # `take` writes each coefficient block contiguously, where the fancy
-        # index self._q[:, :, k] leaves strided views that slow every Horner
-        # ufunc about twofold. The Horner sum y0 + h (x (q0 + x (q1 + x (q2 +
-        # x q3)))) runs in place on one accumulator: the same IEEE operations
-        # on the same operands, some of them commuted, so the same bits.
-        q0, q1, q2, q3 = self._q.take(k, axis=2)  # (4, n) + t.shape
+        # The Horner sum y0 + h (x (q0 + x (q1 + x (q2 + x q3)))) runs in
+        # place on one accumulator: the same IEEE operations on the same
+        # operands, some of them commuted, so the same bits.
         acc = x * q3
         acc += q2
         acc *= x
@@ -427,6 +472,5 @@ class DenseSolution:
         acc += q0
         acc *= x
         acc *= h
-        y = self._y0.take(k, axis=1)
         y += acc
         return y

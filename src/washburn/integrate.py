@@ -7,8 +7,8 @@ output, at the run's (abs, rel) tolerances. `solve` returns the unsampled
 `Run`: its inputs and dense output. The rest is computed from the dense
 output on first read and kept: the final state, the dense output at the
 horizon, and the equilibrium crossings, bracketed at the step ends with a
-hysteresis band and refined by bisection on the quartic for u
-(`DenseSolution.bisect`, with the bits of calling the dense output).
+hysteresis band and refined by safeguarded Newton on the quartic for u
+(`DenseSolution.refine`, with the bits of calling the dense output).
 
 A `Trajectory` is a run plus its samples and their derived height/energy
 columns. `integrate` samples and derives them as read-only numpy arrays;
@@ -46,7 +46,7 @@ Column = Union["np.ndarray", memoryview]
 HORIZON_CAP = 1e6
 
 CROSSING_BAND = 1e-9
-CROSSING_REFINE_TOL = 1e-10
+CROSSING_REFINE_TOL = 1e-10  # refinement stops at this bracket width or Newton correction
 
 CSV_HEADER = "s,u,v,H,T,E,V"
 
@@ -250,8 +250,10 @@ def _brackets(points, level: float) -> list[tuple[float, float, int]]:
 
 
 def _detect_crossings(dense: _rk.DenseSolution, level: float) -> tuple[Crossing, ...]:
-    # Each step-end bracket is refined to CROSSING_REFINE_TOL by bisection on u.
-    return tuple(Crossing(dense.bisect(level, lo, hi, CROSSING_REFINE_TOL), direction)
+    # Each step-end bracket is refined to CROSSING_REFINE_TOL by safeguarded
+    # Newton on u's quartic, its direction telling the side of its start.
+    return tuple(Crossing(dense.refine(level, lo, hi, direction, CROSSING_REFINE_TOL),
+                          direction)
                  for lo, hi, direction in _brackets(dense.ends(0), level))
 
 
@@ -279,7 +281,7 @@ def solve(params: ModelParams, epsilon: float = 0.0, horizon: float | None = Non
     regular there, u'' = 1), is stepped from rest at s = 0. Default
     tolerances are (abs, rel) = (1e-10, 1e-8). The regularization epsilon
     lies in [0, 1]: above 1 the regularized equilibrium (1 - epsilon)/2 is
-    negative. Loads no numpy, and bisects nothing until `.crossings` is read.
+    negative. Loads no numpy, and refines nothing until `.crossings` is read.
     """
     epsilon, horizon, tolerances = _check_solve(params, epsilon, horizon, tolerances)
     return Run(params, epsilon, tolerances, horizon,
@@ -328,8 +330,8 @@ def integrate_floats(params: ModelParams, epsilon: float = 0.0,
 
 
 def detect_crossings(run: Run, level: float = U_EQUILIBRIUM) -> tuple[Crossing, ...]:
-    """Level crossings of a run's u, hysteresis-filtered and
-    bisection-refined. Raises DomainError for a level that is not finite."""
+    """Level crossings of a run's u, hysteresis-filtered and refined by
+    safeguarded Newton. Raises DomainError for a level that is not finite."""
     if not math.isfinite(level):
         raise DomainError("level", f"must be finite, got {level!r}")
     return _detect_crossings(run.dense, level)

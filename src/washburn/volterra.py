@@ -108,6 +108,8 @@ class KernelOperator:
         self._grow = h * np.exp(ramp[:-1])  # h q^-m for m < B
 
     def apply(self, values: np.ndarray, alpha: float) -> np.ndarray:
+        if values.shape != self.grid.shape:
+            raise DomainError("values", "shape must match the grid")
         n = values.size - 1
         block = self._block
         rows = -(-n // block)

@@ -1,5 +1,5 @@
 """Every file a small set of CLI runs writes, byte for byte against the
-copies under tests/golden/, which the package wrote at version 0.11.0,
+copies under tests/golden/, which the package wrote at version 0.12.0,
 and every `--help` text at COLUMNS=80 against tests/golden/help/, written
 at the same version.
 

@@ -1,5 +1,7 @@
 import math
 import warnings
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
 from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
                                 HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing,
-                                _detect_crossings, continuous_dependence,
+                                _brackets, _detect_crossings, continuous_dependence,
                                 default_horizon, detect_crossings, integrate,
                                 integrate_regime, solve)
 from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
 from washburn.stability import lyapunov
 from washburn.verify import ACCEPTANCE_GRID
 
-from test_rk import at_by_lists, regime
+from test_rk import (PROBLEMS, at_by_lists, bits, call_by_fancy_index, reference_times,
+                     regime)
 
 
 def mp(omega, beta, alpha):
@@ -52,6 +55,25 @@ class TestTrajectoryInvariants:
     def test_immutable(self, traj):
         with pytest.raises(ValueError):
             traj.u[0] = 3.0
+
+
+class TestSortedTimes:
+    """Calling a solution on nondecreasing times, which find their steps by
+    run lengths, gives the bits of its reference on the same times: step
+    boundaries, repeats, and times before the first step and past the last
+    included."""
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_sorted_times_match_the_reference_bit_for_bit(self, name):
+        dense, *_ = PROBLEMS[name]()
+        times = np.sort(reference_times(dense))
+        times = np.sort(np.concatenate([times, times[::7], dense.t[:3]]))
+        for t in (times, times[:1], times[-5:], times[:0], dense.t, dense.t[1:-1]):
+            got, want = dense(t), call_by_fancy_index(dense, t)
+            assert got.shape == want.shape == (dense.n, t.size)
+            assert np.array_equal(bits(got), bits(want))
+        shuffled = np.random.default_rng(13).permutation(times.size)
+        assert np.array_equal(bits(dense(times)[:, shuffled]), bits(dense(times[shuffled])))
 
 
 class TestIntegrate:
@@ -219,61 +241,101 @@ class TestCrossings:
 
 
 class TestLazyCrossings:
-    """A run bisects its equilibrium crossings when `.crossings` is first
+    """A run refines its equilibrium crossings when `.crossings` is first
     read, and only then: the runs that read only the dense output or the
-    final state bisect nothing."""
+    final state refine nothing."""
 
     @pytest.fixture
-    def bisections(self, monkeypatch):
+    def refinements(self, monkeypatch):
         calls = []
-        bisect = _rk.DenseSolution.bisect
+        refine = _rk.DenseSolution.refine
 
-        def counting_bisect(self, *args):
+        def counting_refine(self, *args):
             calls.append(args)
-            return bisect(self, *args)
+            return refine(self, *args)
 
-        monkeypatch.setattr(_rk.DenseSolution, "bisect", counting_bisect)
+        monkeypatch.setattr(_rk.DenseSolution, "refine", counting_refine)
         return calls
 
-    def test_solve_bisects_nothing_until_crossings_are_read(self, bisections):
+    def test_solve_refines_nothing_until_crossings_are_read(self, refinements):
         run = solve(mp(1.0, 1.0, 0.0), horizon=20.0)
         run.final_state()
-        assert bisections == []
+        assert refinements == []
         crossings = run.crossings
-        assert len(crossings) == len(bisections) > 0
+        assert len(crossings) == len(refinements) > 0
         assert run.crossings is crossings
-        assert len(bisections) == len(crossings)
+        assert len(refinements) == len(crossings)
         assert crossings == detect_crossings(run)
 
-    def test_a_trajectory_bisects_on_first_read(self, bisections):
+    def test_a_trajectory_refines_on_first_read(self, refinements):
         traj = integrate(mp(1.0, 1.0, 0.0), horizon=20.0)
-        assert bisections == []
+        assert refinements == []
         assert traj.crossings == detect_crossings(traj) != ()
 
-    def test_checks_that_read_no_crossings_bisect_nothing(self, bisections):
+    def test_checks_that_read_no_crossings_refine_nothing(self, refinements):
         verify.acceptance_c07_volterra_cross_validation()
         verify.check_integrate_tolerance_convergence()
         verify.convergence_distance(1.0, 1.0, 0.5)  # one run of criterion 11
-        assert bisections == []
+        assert refinements == []
 
 
-def bisect_level(u_at, level, lo, hi, tol):
-    """The crossing bisection on a scalar function of time that
-    `DenseSolution.bisect` replaced, kept as its reference; the tests run it
-    on `at_by_lists`."""
-    f_lo = u_at(lo) - level
-    for _ in range(128):
+class TestRefinementWork:
+    """Each solution counts the quartic evaluations its crossing refinements
+    made, a deterministic count; bisection to the same width took 161 and
+    2481 at these points."""
+
+    @pytest.mark.parametrize("point,horizon,crossings,evaluations",
+                             [((1.0, 1.0, 0.0), 20.0, 5, 20),
+                              ((31.4, 0.7, 0.0), None, 76, 391)])
+    def test_counts(self, point, horizon, crossings, evaluations):
+        run = solve(mp(*point), horizon=horizon)
+        assert run.dense.crossing_evaluations == 0
+        assert len(run.crossings) == crossings
+        assert run.dense.crossing_evaluations == evaluations
+        detect_crossings(run)  # each refinement counts again
+        assert run.dense.crossing_evaluations == 2 * evaluations
+
+
+def slope_by_lists(dense):
+    """The slope in time of component 0's quartic, q0 + x (2 q1 + x (3 q2 +
+    4 x q3)), over lists of the coefficients, with `at_by_lists`' step rule."""
+    ts, hs, last = dense.t.tolist(), np.diff(dense.t).tolist(), dense.accepted - 1
+    qs = dense._q[:, 0].T.tolist()
+
+    def slope(t):
+        k = min(max(bisect_left(ts, t) - 1, 0), last)
+        x = (t - ts[k]) / hs[k]
+        q0, q1, q2, q3 = qs[k]
+        return q0 + x * (2.0 * q1 + x * (3.0 * q2 + x * (4.0 * q3)))
+
+    return slope
+
+
+def newton_level(u_at, slope_at, level, lo, hi, direction, tol):
+    """`DenseSolution.refine` on scalar functions of time, kept as its
+    reference; the tests run it on `at_by_lists` and `slope_by_lists`.
+    Returns the time and the evaluations of u_at it made."""
+    rising = direction > 0
+    t, last = 0.5 * (lo + hi), hi - lo
+    for evaluations in range(1, 129):
+        f = u_at(t) - level
+        if f == 0.0:
+            return t, evaluations
+        if (f > 0.0) == rising:
+            hi = t
+        else:
+            lo = t
         if hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = u_at(mid) - level
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        slope = slope_at(t)
+        step = f / slope if slope != 0.0 else math.inf
+        if lo < t - step < hi and abs(step) <= 0.5 * last:
+            t, last = t - step, abs(step)
+            if last < tol:
+                return t, evaluations
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            t, last = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return 0.5 * (lo + hi), evaluations
 
 
 def step_ends(dense):
@@ -282,12 +344,14 @@ def step_ends(dense):
     return dense.t, dense._records[:, 3 - dense.n]
 
 
-def crossings_by_loop(dense, u_at, level, brackets=None):
+def crossings_by_loop(dense, level, brackets=None):
     """The per-step hysteresis loop over the step ends, the reference of
-    `_detect_crossings` (as tests/test_volterra.py keeps the dense kernel).
-    Each bracket it bisects is appended to `brackets`, if given."""
+    `_detect_crossings` (as tests/test_volterra.py keeps the dense kernel),
+    refining on `at_by_lists`. Each bracket it refines is appended to
+    `brackets`, if given. Returns the crossings and the evaluations made."""
+    u_at, slope_at = at_by_lists(dense), slope_by_lists(dense)
     s, u = step_ends(dense)
-    crossings = []
+    crossings, evaluations = [], 0
     side = 0
     armed_index = None
     for i in range(s.size):
@@ -301,11 +365,51 @@ def crossings_by_loop(dense, u_at, level, brackets=None):
             lo, hi = float(s[armed_index]), float(s[i])
             if brackets is not None:
                 brackets.append((lo, hi))
-            crossings.append(Crossing(bisect_level(u_at, level, lo, hi, CROSSING_REFINE_TOL),
-                                      this_side))
+            t, spent = newton_level(u_at, slope_at, level, lo, hi, this_side,
+                                    CROSSING_REFINE_TOL)
+            crossings.append(Crossing(t, this_side))
+            evaluations += spent
             side = this_side
         armed_index = i
-    return tuple(crossings)
+    return tuple(crossings), evaluations
+
+
+ROOT_BITS = 64
+
+
+def exact_root(dense, t, lo, hi, direction, level):
+    """The root of component 0's quartic less level on the step that holds t
+    (by `at_by_lists`' rule), in that step's part of the bracket [lo, hi]
+    whose side changes in the given direction: exact rationals from the
+    stored float coefficients, bisected to 2^-ROOT_BITS of the step. The
+    quartic, y_k - level + h (q0 x + q1 x^2 + q2 x^3 + q3 x^4) at
+    x = (t - t_k) / h, is scaled to integer coefficients and evaluated at
+    x = X / 2^ROOT_BITS times 2^(4 ROOT_BITS) for integer X."""
+    ts = dense.t.tolist()
+    k = min(max(bisect_left(ts, t) - 1, 0), dense.accepted - 1)
+    t_k, h = Fraction(ts[k]), Fraction(ts[k + 1] - ts[k])  # h as the float step
+    a = [Fraction(float(dense._y0[0, k])) - Fraction(level)]
+    a += [h * Fraction(q) for q in dense._q[:, 0, k].tolist()]
+    scale = max(c.denominator for c in a)  # every denominator is a power of two
+    a = [int(c * scale) for c in a]
+    one = 1 << ROOT_BITS
+
+    def side(X):
+        acc = a[4]
+        for j in (3, 2, 1, 0):
+            acc = acc * X + a[j] * one ** (4 - j)
+        return direction if acc * direction > 0 else -direction
+
+    below = math.floor((max(Fraction(lo), t_k) - t_k) / h * one)
+    above = math.ceil((min(Fraction(hi), Fraction(ts[k + 1])) - t_k) / h * one)
+    assert side(below) == -direction and side(above) == direction, (t, lo, hi)
+    while above - below > 1:
+        mid = (below + above) // 2
+        if side(mid) == direction:
+            above = mid
+        else:
+            below = mid
+    return t_k + h * Fraction(below, one)
 
 
 def synthetic(values):
@@ -364,18 +468,24 @@ def seeded_runs(count=150):
 
 
 class TestCrossingScan:
-    """`_detect_crossings` against the per-step loop and the bisection it
-    replaced, crossing for crossing."""
+    """`_detect_crossings` against the per-step loop and the refinement's
+    reference, crossing for crossing and evaluation for evaluation."""
+
+    @staticmethod
+    def assert_detects_as_the_loop(dense, level, brackets=None):
+        before = dense.crossing_evaluations
+        found = _detect_crossings(dense, level)
+        assert (found, dense.crossing_evaluations - before) == crossings_by_loop(
+            dense, level, brackets)
+        return found
 
     @pytest.mark.parametrize("point", [(0.1, 1.0, 0.0), (0.25, 1.0, 0.0), (1.0, 1.0, 0.0),
                                        (1.0, 1.0, 1.4), (4.0, 0.5, 1.5), (31.4, 0.7, 0.0)])
     def test_trajectories(self, point):
         traj = integrate(mp(*point))
-        by_lists = at_by_lists(traj.dense)
         for level in LEVELS:
-            found = _detect_crossings(traj.dense, level)
-            assert found == crossings_by_loop(traj.dense, by_lists, level)
-        assert traj.crossings == crossings_by_loop(traj.dense, by_lists, 0.5)
+            self.assert_detects_as_the_loop(traj.dense, level)
+        assert traj.crossings == crossings_by_loop(traj.dense, 0.5)[0]
 
     def test_ends_are_the_stored_step_starts_then_the_final_state(self):
         dense = integrate(mp(1.0, 1.0, 0.5)).dense
@@ -400,17 +510,33 @@ class TestCrossingScan:
         # end puts that end inside the band, so a bracket there spans two steps.
         brackets = {"several steps": 0, "from s = 0": 0}
         for traj in seeded_runs():
-            dense, by_lists = traj.dense, at_by_lists(traj.dense)
+            dense = traj.dense
             on_an_end = float(step_ends(dense)[1][dense.accepted // 8])
             for level in LEVELS + (2e-9, 1e-12, on_an_end):
                 seen = []
-                assert (_detect_crossings(dense, level)
-                        == crossings_by_loop(dense, by_lists, level, seen))
+                self.assert_detects_as_the_loop(dense, level, seen)
                 for lo, hi in seen:
                     first, last = np.searchsorted(dense.t, [lo, hi])
                     brackets["several steps"] += last - first >= 2
                     brackets["from s = 0"] += lo == 0.0  # at_by_lists' step -1, clamped to 0
         assert min(brackets.values()) >= 10, brackets
+
+    def test_crossings_lie_at_the_exact_roots_of_their_quartics(self):
+        # Where |v| >= 1e-6, rounding moves the float quartic's root by at
+        # most a few 1e-16 / |v|, below the refinement's width; below that
+        # the float quartic is flat to rounding and the crossing sits below
+        # the run's integration error.
+        checked = 0
+        for traj in seeded_runs():
+            dense = traj.dense
+            for (lo, hi, direction), crossing in zip(_brackets(dense.ends(0), 0.5),
+                                                    traj.crossings):
+                if abs(float(dense(crossing.s)[1])) < 1e-6:
+                    continue
+                root = exact_root(dense, crossing.s, lo, hi, direction, 0.5)
+                assert abs(Fraction(crossing.s) - root) <= CROSSING_REFINE_TOL, crossing
+                checked += 1
+        assert checked > 700
 
     def test_lightly_damped_point_crosses_76_times(self):
         assert len(integrate(mp(31.4, 0.7, 0.0)).crossings) == 76
@@ -444,8 +570,7 @@ class TestCrossingScan:
         assert np.array_equal(step_ends(dense)[1][:u.size], u, equal_nan=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = _detect_crossings(dense, 0.0)
-        assert found == crossings_by_loop(dense, at_by_lists(dense), 0.0)
+            found = self.assert_detects_as_the_loop(dense, 0.0)
         assert (found == ()) == (name in ("all-inside-band", "single-sample", "empty"))
 
 

@@ -178,6 +178,12 @@ class TestKernelOperator:
         with pytest.raises(DomainError):
             KernelOperator(np.linspace(0.0, 1.0, 9), omega, beta)
 
+    @pytest.mark.parametrize("size", [2, 8, 10, 20])
+    def test_rejects_values_off_the_grid(self, size):
+        op = KernelOperator(np.linspace(0.0, 1.0, 9), 1.0, 1.0)
+        with pytest.raises(DomainError, match="^values: shape must match the grid"):
+            op.apply(np.zeros(size), 0.5)
+
 
 class TestScan:
     @pytest.mark.parametrize("nodes", [2, 3, 1000, 4096, 4097])

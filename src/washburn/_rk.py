@@ -8,9 +8,13 @@ one-component state (w,) is stepped as the velocity equation
 w' = accel(W, w) of W = the integral of w: W rides in the first slot from
 0.0, is left out of the error norm and the starting step, and is dropped
 from the solution. The loop is written out as scalar locals, with no
-per-stage lists or tuples. It uses the step-size controller of scipy's
-RK45: the Hairer-Norsett-Wanner initial-step rule, safety factor 0.9,
-step factors bounded to [0.2, 10], the RMS norm of the error over
+per-stage lists or tuples, and with Dormand and Prince's tableau written
+into the stage sums: each weight is the fraction that defines it
+(`44 / 45 * fb`), which the compiler folds into the double a named
+constant would hold, so the loop looks up no global name but its two
+errors. It uses the step-size controller of scipy's RK45: the
+Hairer-Norsett-Wanner initial-step rule, safety factor 0.9, step factors
+bounded to [0.2, 10], the RMS norm of the error over
 atol + rtol max(|y_old|, |y_new|) (taken with conditional expressions,
 not builtin calls, and with max's choice on NaN), the first-same-as-last
 stage, and the last step clipped to the bound. Given the same field and
@@ -66,21 +70,6 @@ from functools import cached_property
 from .errors import NumericError, StepSizeUnderflowError
 from .params import MAX_STEPS  # `solve` reads the step budget from this module
 
-SAFETY = 0.9
-MIN_FACTOR = 0.2
-MAX_FACTOR = 10.0
-ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimator + 1)
-ROOT_2 = 2 ** 0.5  # the RMS norm's divisor for two components
-
-A21 = 1 / 5
-A31, A32 = 3 / 40, 9 / 40
-A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
-                          -22 / 525, 1 / 40)
-
 # Quartic dense output (Shampine's choice of c6): the rows for stages 1 and
 # 3-7 (stage 2's row is zero). Within a step of length h from (t_k, y_k),
 # y(t_k + x h) = y_k + h sum_j Q_j x^(j+1), where each coefficient is the sum
@@ -111,7 +100,7 @@ RECORD_AND_NEXT = struct.Struct("16d")
 def _rms(a: float, b: float, one: bool) -> float:
     """RMS norm of the pair (a, b), or of b alone when the state has one
     component: the W slot a of such a state is not error-controlled."""
-    return math.sqrt(b * b) if one else math.sqrt(a * a + b * b) / ROOT_2
+    return math.sqrt(b * b) if one else math.sqrt(a * a + b * b) / 2 ** 0.5
 
 
 def _initial_step(accel, ya, yb, fb, one, t_bound, rtol, atol) -> float:
@@ -145,7 +134,9 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
     w' = accel(W, w) with W = 0.0 at s = 0 carried in the first slot but kept
     out of the error norm and the starting step (an overflowing W cannot
     then reject or shrink a step). accel is called once per stage with two
-    floats and returns one float. tolerances is an (abs, rel) pair that
+    floats and returns one float. The tableau and the controller's
+    constants are written into the stage sums as literals, which the
+    compiler folds. tolerances is an (abs, rel) pair that
     `integrate._check_run` accepts, applied as given. Each accepted step's
     12 floats, its start time first, are packed into one bytes store, closed
     by one record of the end time and state, from which the returned
@@ -195,46 +186,58 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
                 t_new = t_bound
             h = t_new - t
             h_abs = h
-            v2 = yb + (A21 * fb) * h
-            k2 = accel(ya + (A21 * yb) * h, v2)
-            v3 = yb + (A31 * fb + A32 * k2) * h
-            k3 = accel(ya + (A31 * yb + A32 * v2) * h, v3)
-            v4 = yb + (A41 * fb + A42 * k2 + A43 * k3) * h
-            k4 = accel(ya + (A41 * yb + A42 * v2 + A43 * v3) * h, v4)
-            v5 = yb + (A51 * fb + A52 * k2 + A53 * k3 + A54 * k4) * h
-            k5 = accel(ya + (A51 * yb + A52 * v2 + A53 * v3 + A54 * v4) * h, v5)
-            v6 = yb + (A61 * fb + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5) * h
-            k6 = accel(ya + (A61 * yb + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5) * h, v6)
-            na = ya + h * (B1 * yb + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
-            nb = yb + h * (B1 * fb + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+            # The stages, each weight of the tableau the fraction that defines it.
+            v2 = yb + (1 / 5 * fb) * h
+            k2 = accel(ya + (1 / 5 * yb) * h, v2)
+            v3 = yb + (3 / 40 * fb + 9 / 40 * k2) * h
+            k3 = accel(ya + (3 / 40 * yb + 9 / 40 * v2) * h, v3)
+            v4 = yb + (44 / 45 * fb + -56 / 15 * k2 + 32 / 9 * k3) * h
+            k4 = accel(ya + (44 / 45 * yb + -56 / 15 * v2 + 32 / 9 * v3) * h, v4)
+            v5 = yb + (19372 / 6561 * fb + -25360 / 2187 * k2 + 64448 / 6561 * k3
+                       + -212 / 729 * k4) * h
+            k5 = accel(ya + (19372 / 6561 * yb + -25360 / 2187 * v2 + 64448 / 6561 * v3
+                             + -212 / 729 * v4) * h, v5)
+            v6 = yb + (9017 / 3168 * fb + -355 / 33 * k2 + 46732 / 5247 * k3
+                       + 49 / 176 * k4 + -5103 / 18656 * k5) * h
+            k6 = accel(ya + (9017 / 3168 * yb + -355 / 33 * v2 + 46732 / 5247 * v3
+                             + 49 / 176 * v4 + -5103 / 18656 * v5) * h, v6)
+            na = ya + h * (35 / 384 * yb + 500 / 1113 * v3 + 125 / 192 * v4
+                           + -2187 / 6784 * v5 + 11 / 84 * v6)
+            nb = yb + h * (35 / 384 * fb + 500 / 1113 * k3 + 125 / 192 * k4
+                           + -2187 / 6784 * k5 + 11 / 84 * k6)
             gb = accel(na, nb)
             # The scale max(|y_old|, |y_new|) without builtin calls: `b if b > a
             # else a` keeps max's choice, a when either is NaN. A zero's sign
             # cannot reach the quotient, since atol > 0 absorbs it.
             new_a = -na if na < 0.0 else na
             new_b = -nb if nb < 0.0 else nb
-            eb = ((E1 * fb + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * gb) * h
+            # The error weights are B - B*, B* the embedded fourth-order row.
+            eb = ((-71 / 57600 * fb + 71 / 16695 * k3 + -71 / 1920 * k4
+                   + 17253 / 339200 * k5 + -22 / 525 * k6 + 1 / 40 * gb) * h
                   / (atol + (new_b if new_b > scale_b else scale_b) * rtol))
             if one:
                 error_norm = sqrt(eb * eb)
             else:
-                ea = ((E1 * yb + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * nb) * h
+                ea = ((-71 / 57600 * yb + 71 / 16695 * v3 + -71 / 1920 * v4
+                       + 17253 / 339200 * v5 + -22 / 525 * v6 + 1 / 40 * nb) * h
                       / (atol + (new_a if new_a > scale_a else scale_a) * rtol))
-                error_norm = sqrt(ea * ea + eb * eb) / ROOT_2
+                error_norm = sqrt(ea * ea + eb * eb) / 2 ** 0.5
+            # The controller: safety factor 0.9, error exponent -1 / 5 (that is,
+            # -1 / (the estimator's order 4 + 1)), step factors within [0.2, 10].
             if error_norm < 1.0:
                 # error_norm lies in [0, 1) here, so no NaN meets the clamps.
                 if error_norm == 0.0:
-                    factor = MAX_FACTOR
+                    factor = 10.0
                 else:
-                    factor = SAFETY * error_norm ** ERROR_EXPONENT
-                    if factor > MAX_FACTOR:
-                        factor = MAX_FACTOR
+                    factor = 0.9 * error_norm ** (-1 / 5)
+                    if factor > 10.0:
+                        factor = 10.0
                 if step_rejected and factor > 1.0:
                     factor = 1.0
                 h_abs *= factor
                 break
-            factor = SAFETY * error_norm ** ERROR_EXPONENT
-            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR  # max's rule: NaN gives 0.2
+            factor = 0.9 * error_norm ** (-1 / 5)
+            h_abs *= factor if factor > 0.2 else 0.2  # max's rule: NaN gives 0.2
             step_rejected = True
             rejected += 1
         store(pack(t, ya, yb, fb, v3, k3, v4, k4, v5, k5, v6, k6))
@@ -446,8 +449,13 @@ class DenseSolution:
             # Sorted times come in one run a step: a step takes the times
             # above its start up to its end (the left rule), so the run ends
             # where the step's end time would go on the right of equal times.
-            runs = np.diff(t.searchsorted(self.t[1:-1], side="right"), prepend=0,
-                           append=t.size)
+            # The run lengths are the differences of the runs' ends, 0 first
+            # and t.size last, taken by one subtraction.
+            ends = np.empty(self.accepted + 1, dtype=np.intp)
+            ends[0] = 0
+            ends[1:-1] = t.searchsorted(self.t[1:-1], side="right")
+            ends[-1] = t.size
+            runs = ends[1:] - ends[:-1]
             x = self.t[:-1].repeat(runs)
             h = self.t[1:].repeat(runs)
             q0, q1, q2, q3 = self._q.repeat(runs, axis=2)  # (4, n) + t.shape

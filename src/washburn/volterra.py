@@ -11,10 +11,11 @@ evaluated exactly at the nodes, and solved by plain successive
 substitution. The kernel is separable, so the sums at all N+1 nodes are
 two prefix sums: within each block of at most DEFAULT_INTERVALS nodes one
 `np.cumsum` between two multiplies by fixed exponential weight rows, with
-the carries between blocks added after. That is O(N) arithmetic in about
-a dozen numpy passes, whatever N is, and O(N) memory. The operator is
-order-reversing; on [0, s*] with s* = min(1/2, sqrt(omega)/beta) it maps
-the parabola interval [s^2/6, s^2/2] into itself and satisfies the
+the carries between blocks added after. That is O(N) arithmetic and O(N)
+memory, whatever N is. `picard_solve` sweeps in place: two iterate grids,
+one work grid and one scratch block, allocated once per solve. The
+operator is order-reversing; on [0, s*] with s* = min(1/2, sqrt(omega)/beta)
+it maps the parabola interval [s^2/6, s^2/2] into itself and satisfies the
 sublinear scaling bound T(lambda f) <= lambda^{-1/2} T(f), both of which
 are checkable nodewise.
 """
@@ -86,6 +87,13 @@ class KernelOperator:
     k = 1, 2, 4, ..., and stops once that weight underflows. One block
     spans any grid with N <= DEFAULT_INTERVALS nodes and a horizon of at
     most BLOCK_EXPONENT c, and then the chain makes no pass.
+
+    `apply` returns a fresh array. It and `picard_solve` both run the
+    private `_sweep`, which writes T(values) into an output grid the caller
+    owns, with a caller-owned scratch array of `_scratch_shape`: the whole
+    blocks, (rows, B), whose padding past node N it zeroes on each sweep.
+    The block carries are staged in the output before the last prefix sum
+    overwrites it, so one application holds two grids at its peak.
     """
 
     def __init__(self, grid: np.ndarray, omega: float, beta: float):
@@ -101,19 +109,26 @@ class KernelOperator:
             block = DEFAULT_INTERVALS
         else:
             block = int(BLOCK_EXPONENT / self._hc) + 1
-        self._block = min(block, self.grid.size - 1)
-        ramp = np.zeros(self._block + 1)
-        ramp[1:] = np.arange(1, self._block + 1) * self._hc  # m h/c, never 0 * inf
+        block = min(block, self.grid.size - 1)
+        self._scratch_shape = (-(-(self.grid.size - 1) // block), block)  # (rows, B)
+        ramp = np.zeros(block + 1)
+        ramp[1:] = np.arange(1, block + 1) * self._hc  # m h/c, never 0 * inf
         self._powers = np.exp(-ramp)  # q^m for m = 0..B
         self._grow = h * np.exp(ramp[:-1])  # h q^-m for m < B
 
     def apply(self, values: np.ndarray, alpha: float) -> np.ndarray:
         if values.shape != self.grid.shape:
             raise DomainError("values", "shape must match the grid")
+        out = np.empty(values.size)
+        self._sweep(values, alpha, out, np.empty(self._scratch_shape))
+        return out
+
+    def _sweep(self, values, alpha, out, blocks):
+        """Write T(values) into out, a float array of the grid's shape that
+        does not overlap values, with blocks, a caller-owned float scratch
+        array of `_scratch_shape`, as work space."""
         n = values.size - 1
-        block = self._block
-        rows = -(-n // block)
-        padded = np.zeros(rows * block)
+        padded = blocks.reshape(-1)
         # The last node's forcing never enters: the kernel vanishes on the diagonal.
         s = padded[:n]
         np.maximum(values[:-1], 0.0, out=s)
@@ -121,10 +136,11 @@ class KernelOperator:
         np.sqrt(s, out=s)
         np.subtract(1.0, s, out=s)
         s[0] *= 0.5
-        blocks = padded.reshape(rows, block)
+        padded[n:] = 0.0  # the padding, which the last sweep's prefix sum filled
         blocks *= self._grow
         np.cumsum(blocks, axis=1, out=blocks)
         blocks *= self._powers[:-1]
+        rows, block = self._scratch_shape
         if rows > 1:
             ends = blocks[:, -1].copy()
             shift = 1
@@ -133,12 +149,15 @@ class KernelOperator:
                 ends[shift:] += carry * ends[:-shift]
                 shift *= 2
                 carry = math.exp(-self._hc * block * shift)
-            blocks[1:] += ends[:-1, None] * self._powers[1:]
-        sums = np.zeros(n + 1)
-        np.cumsum(s, out=sums[1:])
-        sums *= self._scale
-        sums += u_from_H(alpha)
-        return sums
+            # The carries are staged in out, which the prefix sum below
+            # overwrites: (rows - 1) block < n + 1 floats.
+            carries = out[:(rows - 1) * block].reshape(rows - 1, block)
+            np.multiply(ends[:-1, None], self._powers[1:], out=carries)
+            blocks[1:] += carries
+        out[0] = 0.0
+        np.cumsum(s, out=out[1:])
+        out *= self._scale
+        out += u_from_H(alpha)
 
 
 def apply_T(f: GridFunction, omega: float, beta: float, alpha: float) -> GridFunction:
@@ -191,15 +210,22 @@ def picard_solve(omega: float, beta: float, alpha: float, horizon: float,
     grid = np.linspace(0.0, horizon, nodes + 1)
     operator = KernelOperator(grid, omega, beta)
 
+    # Each sweep writes T(values) into the spare iterate, then the two swap;
+    # no grid-sized array is allocated inside the loop.
     values = np.full(grid.shape, u_from_H(alpha))
+    spare = np.empty(grid.shape)
+    work = np.empty(grid.shape)
+    blocks = np.empty(operator._scratch_shape)
     diffs = []
     # An overflowing iterate shows up as a non-finite diff, which ends the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            new_values = operator.apply(values, alpha)
-            diff = float(np.max(np.abs(new_values - values)))
+            operator._sweep(values, alpha, spare, blocks)
+            np.subtract(spare, values, out=work)
+            np.abs(work, out=work)
+            diff = float(work.max())
             diffs.append(diff)
-            values = new_values
+            values, spare = spare, values
             if diff < tol:
                 return PicardResult(solution=GridFunction(grid, values),
                                     diffs=np.asarray(diffs), iterations=len(diffs),

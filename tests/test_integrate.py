@@ -57,15 +57,26 @@ class TestTrajectoryInvariants:
             traj.u[0] = 3.0
 
 
+def one_step():
+    """A solve of one accepted step: it has no interior step time, so sorted
+    times make one run. (`mp(1e-308, 1.0, 0.0)` also takes one step, but of
+    3e-153, so the reference times past its end overflow the quartic.)"""
+    dense = solve(mp(1.0, 1.0, 0.5), horizon=1e-3).dense
+    assert dense.accepted == 1
+    return (dense,)
+
+
 class TestSortedTimes:
     """Calling a solution on nondecreasing times, which find their steps by
     run lengths, gives the bits of its reference on the same times: step
     boundaries, repeats, and times before the first step and past the last
     included."""
 
-    @pytest.mark.parametrize("name", PROBLEMS)
+    SOLVES = {**PROBLEMS, "one-step": one_step}
+
+    @pytest.mark.parametrize("name", SOLVES)
     def test_sorted_times_match_the_reference_bit_for_bit(self, name):
-        dense, *_ = PROBLEMS[name]()
+        dense, *_ = self.SOLVES[name]()
         times = np.sort(reference_times(dense))
         times = np.sort(np.concatenate([times, times[::7], dense.t[:3]]))
         for t in (times, times[:1], times[-5:], times[:0], dense.t, dense.t[1:-1]):

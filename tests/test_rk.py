@@ -24,9 +24,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from washburn import _rk, dynamics
-from washburn._rk import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
-                          A64, A65, B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7,
-                          ERROR_EXPONENT, MAX_FACTOR, MIN_FACTOR, P, SAFETY)
+from washburn._rk import P
 from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import NumericError, StepSizeUnderflowError
 from washburn.integrate import (DEFAULT_TOLERANCES, REGIME_HORIZON_CAP, REGIME_TOLERANCES,
@@ -189,9 +187,25 @@ def _initial_step_by_loop(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-# The stage times of the Dormand-Prince tableau: `_rk.solve` steps an
-# autonomous system, so only this reference reads them.
+# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
+# 6 (1980) 19-26), copied here so that the reference shares no constant
+# with the stepper: the stage times, which only this reference reads
+# (`_rk.solve` steps an autonomous system), the stage weights, the
+# fifth-order weights B and the error weights E = B - B*, B* the embedded
+# fourth-order row (B2 and E2 are 0).
 C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21 = 1 / 5
+A31, A32 = 3 / 40, 9 / 40
+A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+                          1 / 40)
+# The step-size controller of scipy's RK45: its safety factor, its bounds
+# on the step factor, and the exponent -1 / (error estimator order 4 + 1).
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1 / 5
 
 
 def solve_by_loop(fun, y0, t_bound, tolerances):

@@ -248,8 +248,15 @@ class TestScan:
     def test_picard_iterations_match_the_loop(self, monkeypatch, omega, beta, alpha,
                                               horizon, nodes):
         scan = picard_solve(omega, beta, alpha, horizon, step=horizon / nodes)
-        monkeypatch.setattr(KernelOperator, "apply", recurrence_by_loop)
+        sweeps = []
+
+        def sweep_by_loop(op, values, alpha, out, blocks):
+            sweeps.append(values.size)
+            out[:] = recurrence_by_loop(op, values, alpha)
+
+        monkeypatch.setattr(KernelOperator, "_sweep", sweep_by_loop)
         loop = picard_solve(omega, beta, alpha, horizon, step=horizon / nodes)
+        assert sweeps == [nodes + 1] * loop.iterations
         assert scan.iterations == loop.iterations
         assert np.max(np.abs(scan.solution.values - loop.solution.values)) < 1e-12
 

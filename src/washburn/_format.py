@@ -14,16 +14,17 @@ Anything else is refused with TypeError, numpy arrays and numpy integers
 included; numpy's float64 and complex128 subclass float and complex, so
 they are written as those.
 
-This module loads no numpy: `write_csv` reads a numpy array's blocks
-through their `tolist`.
+This module loads neither numpy nor fractions: `write_csv` reads a numpy
+array's blocks through their `tolist`, and `_emit` looks for a Fraction
+only once `fractions` is loaded, since no Fraction exists before.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import sys
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -54,7 +55,8 @@ def _emit(obj, level: int) -> str:
         return _emit(obj.value, level)
     if isinstance(obj, complex):
         return _emit({"re": obj.real, "im": obj.imag}, level)
-    if isinstance(obj, Fraction):
+    fractions = sys.modules.get("fractions")  # a Fraction exists only once it is loaded
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return _emit([obj.numerator, obj.denominator], level)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, level)

@@ -7,15 +7,17 @@ report; run metadata is echoed into a separate .meta.json sidecar.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
 
-The solvers are imported only once a command's parameters have passed
-the `params` checks. `simulate` samples on Python floats
-(`integrate.integrate_floats`), and so does `regime`
-(`integrate.integrate_regime_floats`), its oracle residuals too;
-`classify` solves and samples nothing (`integrate.solve`): its verdict
-reads the run's step ends and its state at the horizon. All three, like
-`nondim`, `basin`, `--help`, `--version` and every argv refused by those
-checks, run without numpy: in a fresh process, importing numpy would cost
-more than the run. `picard` and `verify` import numpy.
+Each command imports what it runs, so a fresh process pays only for that:
+the solvers once its parameters have passed the `params` checks,
+`stability` only in `classify`, `basin` and `simulate --classify`, and
+`fractions` only in `regime`. `simulate` samples on Python floats
+(`integrate.integrate_floats`, E and V from `dynamics.lyapunov_columns`),
+and so does `regime` (`integrate.integrate_regime_floats`), its oracle
+residuals too; `classify` solves and samples nothing (`integrate.solve`):
+its verdict reads the run's step ends and its state at the horizon. All
+three, like `nondim`, `basin`, `--help`, `--version` and every argv
+refused by those checks, run without numpy: in a fresh process, importing
+numpy would cost more than the run. `picard` and `verify` import numpy.
 """
 from __future__ import annotations
 
@@ -24,12 +26,9 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict
-from fractions import Fraction
 
-from . import __version__, params as params_module, stability
+from . import __version__, params as params_module
 from ._format import dumps_json, write_csv, write_json
-from .dynamics import RegimeCase, RegimeSpec
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLERANCES,
                      HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, MAX_TOLERANCE, MIN_REL_TOL,
@@ -47,17 +46,18 @@ STEP_BUDGET_HELP = f"a run that needs more than {MAX_STEPS} RK steps exits 3"
 TOLERANCE_RANGE = (f"(0, {MAX_TOLERANCE:g}]", f"[{MIN_REL_TOL:g}, {MAX_TOLERANCE:g}]")
 
 
-def _case_name(case: RegimeCase) -> str:
+def _case_name(case) -> str:
     return case.name.lower().replace("_", "-")
 
 
-_CASE_NAMES = {spelling: case for case in RegimeCase
-               for spelling in (str(int(case)), _case_name(case))}
+def _parse_case(text: str):
+    """The `dynamics.RegimeCase` that text names by number or name."""
+    from .dynamics import RegimeCase
 
-
-def _parse_case(text: str) -> RegimeCase:
+    names = {spelling: case for case in RegimeCase
+             for spelling in (str(int(case)), _case_name(case))}
     try:
-        return _CASE_NAMES[text.strip().lower()]
+        return names[text.strip().lower()]
     except KeyError:
         raise DomainError("case", f"unknown regime case {text!r}") from None
 
@@ -104,6 +104,8 @@ def _model_params_from_args(args) -> params_module.ModelParams:
 
 
 def _classification(traj) -> dict:
+    from . import stability
+
     out = {"linear": stability.linearize(traj.params.omega, traj.params.beta)}
     try:
         report = stability.classify_approach(traj)
@@ -206,6 +208,7 @@ def cmd_picard(args) -> int:
 
 def cmd_classify(args) -> int:
     mp = _model_params_from_args(args)
+    from . import stability
     from .integrate import solve
 
     run = solve(mp, horizon=args.horizon, tolerances=(args.abs_tol, args.rel_tol))
@@ -221,12 +224,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_basin(args) -> int:
+    from dataclasses import asdict
+
+    from . import stability
+
     spec = stability.basin(args.alpha)
     _emit({"alpha": args.alpha, **asdict(spec)}, args.output)
     return EXIT_OK
 
 
 def cmd_regime(args) -> int:
+    from fractions import Fraction
+
+    from .dynamics import RegimeSpec
+
     case = _parse_case(args.case)
     b = args.b_exponent
     if b is not None:

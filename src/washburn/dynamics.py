@@ -11,7 +11,9 @@ validated single-point form. `h_form_field` is the one implementation of
 the H-form acceleration. `regime_field` is the one implementation of each
 reduced regime's field.
 `energy` is the one implementation of the first integral, which the
-Lyapunov function, the basin level set and the case-4 oracle all use.
+Lyapunov function, the basin level set and the case-4 oracle all use;
+`lyapunov_columns` gives E and the Lyapunov function V = E + 1/6 of
+sampled trajectory columns, V in its factored form near the equilibrium.
 The H-form is kept only to cross-check the u-form (the
 `dynamics.h_u_consistency` check of `verify` steps it); it is singular at
 H = 0. The four reduced regimes (negligible gravity / inertia /
@@ -23,15 +25,22 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SingularityError
-from .params import check_nonnegative, check_positive
+from .params import U_EQUILIBRIUM, check_nonnegative, check_positive
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TWO_SQRT2_OVER_3 = 2.0 * math.sqrt(2.0) / 3.0
+INV_SQRT2 = math.sqrt(0.5)
+
+# Switch to the factored Lyapunov form this close to the equilibrium.
+FACTORED_WINDOW = 1e-3
 
 # Below this height the H-form right-hand side is numerically meaningless.
 H_SINGULARITY_FLOOR = 1e-12
@@ -122,6 +131,64 @@ def _energy(u, v, maximum=max, sqrt=math.sqrt):
     return 0.5 * v * v - u + TWO_SQRT2_OVER_3 * up * sqrt(up)
 
 
+def _lyapunov_factored(u, v, sqrt):
+    """V from its factored form, with sqrt = math.sqrt on floats or np.sqrt on
+    arrays. The square is written as a product, which numpy also computes for
+    an array's ** 2; a float's ** 2 calls libm pow, which is not always
+    correctly rounded."""
+    root = sqrt(u)
+    d = root - INV_SQRT2
+    return 0.5 * v * v + TWO_SQRT2_OVER_3 * (d * d) * (root + 0.5 * INV_SQRT2)
+
+
+def _lyapunov_float(u: float, v: float, E: float) -> float:
+    """V at a float phase point of energy E: the factored form within
+    FACTORED_WINDOW of u = 1/2, else E + 1/6 (a NaN u takes the latter)."""
+    if abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW:
+        return _lyapunov_factored(u, v, math.sqrt)
+    return E + 1.0 / 6.0
+
+
+def lyapunov_columns(u, v):
+    """(E, V) for trajectory columns; clamps u dust below 0.
+
+    numpy arrays give numpy arrays. Sequences of floats give `array("d")`
+    columns with the same bits and load no numpy: one loop that does the
+    operations of `_energy` and `_lyapunov_float`, in their order.
+    """
+    np = _numpy_if_array(u, v)
+    if np is None:
+        return _float_lyapunov_columns(u, v)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    up = np.maximum(u, 0.0)
+    E = energy(u, v)
+    V = np.where(np.abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW,
+                 _lyapunov_factored(up, v, np.sqrt), E + 1.0 / 6.0)
+    return E, V
+
+
+def _float_lyapunov_columns(u, v):
+    """`lyapunov_columns` on sequences of floats, inlined: about half the time
+    of calling `_energy` and `_lyapunov_float` at each row."""
+    sqrt, c, r, half_r = math.sqrt, TWO_SQRT2_OVER_3, INV_SQRT2, 0.5 * INV_SQRT2
+    eq, window = U_EQUILIBRIUM, FACTORED_WINDOW
+    E, V = [], []
+    add_e, add_v = E.append, V.append
+    for x, y in zip(u, v):
+        up = 0.0 if x < 0.0 else x  # max(x, 0.0): a NaN x and -0.0 are kept
+        k = 0.5 * y * y
+        e = k - x + c * up * sqrt(up)
+        add_e(e)
+        if abs(x - eq) < window:
+            root = sqrt(x)
+            d = root - r
+            add_v(k + c * (d * d) * (root + half_r))
+        else:
+            add_v(e + 1.0 / 6.0)
+    return array("d", E), array("d", V)
+
+
 class RegimeCase(IntEnum):
     """The four reduced flow regimes."""
 
@@ -134,11 +201,22 @@ class RegimeCase(IntEnum):
 _FIRST_ORDER_CASES = (RegimeCase.NEGLIGIBLE_INERTIA,
                       RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA)
 
+# The (a, b) that cases 1, 2 and 4 fix, as (numerator, denominator) pairs:
+# `_fixed_exponents` makes the Fractions, so importing this module loads no
+# fractions.
 _FIXED_EXPONENTS = {
-    RegimeCase.NEGLIGIBLE_GRAVITY: (Fraction(1), Fraction(1, 2)),
-    RegimeCase.NEGLIGIBLE_INERTIA: (Fraction(0), Fraction(0)),
-    RegimeCase.NEGLIGIBLE_VISCOSITY: (Fraction(1, 2), Fraction(0)),
+    RegimeCase.NEGLIGIBLE_GRAVITY: ((1, 1), (1, 2)),
+    RegimeCase.NEGLIGIBLE_INERTIA: ((0, 1), (0, 1)),
+    RegimeCase.NEGLIGIBLE_VISCOSITY: ((1, 2), (0, 1)),
 }
+
+
+def _fixed_exponents(case: RegimeCase) -> tuple[Fraction, Fraction] | None:
+    """The (a, b) that case fixes, as Fractions; None for case 3."""
+    from fractions import Fraction
+
+    pair = _FIXED_EXPONENTS.get(case)
+    return None if pair is None else tuple(Fraction(*ratio) for ratio in pair)
 
 
 @dataclass(frozen=True)
@@ -154,10 +232,12 @@ class RegimeSpec:
     b: Fraction
 
     def __post_init__(self):
+        from fractions import Fraction
+
         object.__setattr__(self, "case", RegimeCase(self.case))
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        fixed = _FIXED_EXPONENTS.get(self.case)
+        fixed = _fixed_exponents(self.case)
         if fixed is not None:
             if (self.a, self.b) != fixed:
                 raise DomainError("a", f"case {int(self.case)} fixes (a, b) = {fixed}")
@@ -172,13 +252,15 @@ class RegimeSpec:
     def standard(cls, case: RegimeCase, b: Fraction | None = None) -> "RegimeSpec":
         """The fixed pair of cases 1, 2 and 4, or case 3's pair (2b, b) with
         b = 1/4 by default; b is refused for the fixed cases."""
+        from fractions import Fraction
+
         case = RegimeCase(case)
         if case is RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
             b = Fraction(1, 4) if b is None else Fraction(b)
             return cls(case, 2 * b, b)
         if b is not None:
             raise DomainError("b", f"the free exponent is for case 3 only, not case {int(case)}")
-        return cls(case, *_FIXED_EXPONENTS[case])
+        return cls(case, *_fixed_exponents(case))
 
     @property
     def first_order(self) -> bool:
@@ -272,20 +354,40 @@ def case1_closed_form_u(t, beta: float, u0: float = 0.0):
     u0 + t/beta - (1 - e^-x)/beta^2 loses up to 2 eps/x to cancellation, so
     below x = 0.1 g is its Taylor series sum_{k>=2} (-x)^(k-2)/k! to k = 12.
     Takes a float t (returns a float) or an array."""
-    xp = _math_for(t)
-    x = beta * t
-    series = abs(x) < 0.1
-    xs = xp.where(series, x, 0.0)
-    g = 0.0
-    for c in _CASE1_SERIES:
-        g = c - xs * g
+    return _case1_solution(beta, u0, _math_for(t))(t)
+
+
+def _case1_solution(beta: float, u0: float, xp):
+    """`case1_closed_form_u` as a function of t alone, its per-run constants
+    computed once: xp is `_FloatMath` for float times, numpy for arrays. On a
+    float only the branch that is taken is evaluated."""
     try:
         beta2 = beta**2
     except OverflowError:  # beta above about 1.34e154: the last term's limit is 0
         beta2 = math.inf
-    with xp.errstate(all="ignore"):  # may overflow where the series is taken instead
-        closed = u0 + xp.divide(t, beta) - xp.divide(1.0 - xp.exp(-x), beta2)
-    return xp.where(series, u0 + t * t * g, closed)
+    divide, exp = xp.divide, xp.exp
+
+    def series(t, x):
+        g = 0.0
+        for c in _CASE1_SERIES:
+            g = c - x * g
+        return u0 + t * t * g
+
+    def closed(t, x):
+        return u0 + divide(t, beta) - divide(1.0 - exp(-x), beta2)
+
+    if xp is _FloatMath:
+        def u(t):
+            x = beta * t
+            return series(t, x) if abs(x) < 0.1 else closed(t, x)
+    else:
+        def u(t):
+            x = beta * t
+            near = abs(x) < 0.1
+            with xp.errstate(all="ignore"):  # may overflow where the series is taken
+                far = closed(t, x)
+            return xp.where(near, series(t, xp.where(near, x, 0.0)), far)
+    return u
 
 
 def case2_implicit_time(h, beta: float, h0: float):
@@ -294,13 +396,35 @@ def case2_implicit_time(h, beta: float, h0: float):
     Valid for heights in [0, 1); diverges logarithmically as h* -> 1.
     Takes a float h (returns a float) or an array.
     """
-    xp = _math_for(h)
-    anti = lambda x: -x - xp.log1p(-x)
-    return beta * (anti(h) - anti(h0))
+    return _case2_time(beta, h0, _math_for(h))(h)
+
+
+def _case2_time(beta: float, h0: float, xp):
+    """`case2_implicit_time` as a function of h alone, with the start's term
+    computed once: xp is `_FloatMath` for float heights, numpy for arrays."""
+    log1p = xp.log1p
+
+    def anti(x):
+        return -x - log1p(-x)
+
+    start = anti(h0)
+
+    def t(h):
+        return beta * (anti(h) - start)
+    return t
 
 
 def case3_closed_form_h(t, beta: float, h0: float = 0.0):
     """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2). Takes a float t
     (returns a float) or an array."""
-    xp = _math_for(t)
-    return xp.sqrt(xp.divide(2.0 * t, beta) + h0 * h0)
+    return _case3_height(beta, h0, _math_for(t))(t)
+
+
+def _case3_height(beta: float, h0: float, xp):
+    """`case3_closed_form_h` as a function of t alone, with h0^2 computed
+    once: xp is `_FloatMath` for float times, numpy for arrays."""
+    sqrt, divide, h0_sq = xp.sqrt, xp.divide, h0 * h0
+
+    def h(t):
+        return sqrt(divide(2.0 * t, beta) + h0_sq)
+    return h

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from . import _rk, dynamics, stability
+from . import _rk, dynamics
 from .dynamics import RegimeSpec, State
 from .errors import DomainError, HorizonError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_TOLERANCES, HORIZON_EFOLDS, MAX_INTERVALS,
@@ -215,7 +215,7 @@ def _array_columns(dense, horizon, sample_step, omega):
     """The columns s, u, v, H, T, E, V of a u-form run as read-only arrays."""
     s, (u, v), H = _sampled(dense, horizon, sample_step)
     T = s * math.sqrt(omega)
-    E, V = stability.lyapunov_columns(u, v)
+    E, V = dynamics.lyapunov_columns(u, v)
     for arr in (T, E, V):
         arr.setflags(write=False)
     return s, u, v, H, T, E, V
@@ -227,7 +227,7 @@ def _float_columns(dense, horizon, sample_step, omega):
     s, (u, v), H = _float_sampled(dense, horizon, sample_step)
     root = math.sqrt(omega)
     T = array("d", [t * root for t in s])
-    E, V = stability.lyapunov_columns(u, v)
+    E, V = dynamics.lyapunov_columns(u, v)
     return (s, u, v, H, *(_readonly(column) for column in (T, E, V)))
 
 
@@ -320,11 +320,12 @@ def integrate_floats(params: ModelParams, epsilon: float = 0.0,
     arrays.
 
     The samples come from `DenseSolution.sample` and E and V from the float
-    branch of `stability.lyapunov_columns`. A run costs about 1.3 us a
-    sample more than `integrate` (2^20 samples: 1.63 s against 0.29 s on a
-    2-vCPU Xeon VM). That pays only where importing numpy, about 0.16 s,
-    is the larger cost: one run of up to about 10^5 samples in a fresh
-    process, as `simulate` makes. A verdict needs no samples: `solve`.
+    branch of `dynamics.lyapunov_columns`. A run costs about 0.9 us a
+    sample more than `integrate` (2^20 samples at (1, 1, 0.5): 1.05 s
+    against 0.09 s, best of 4, on a 2-vCPU Xeon VM). That pays only where
+    importing numpy, about 0.16 s, is the larger cost: one run of up to
+    about 10^5 samples in a fresh process, as `simulate` makes. A verdict
+    needs no samples: `solve`.
     """
     return _integrate(params, epsilon, horizon, tolerances, sample_step, _float_columns)
 
@@ -430,35 +431,14 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, Column]:
     Raises NumericError where the oracle is not finite: the case-2
     relation holds only for h* < 1.
     """
-    case, beta, h0 = traj.spec.case, traj.beta, traj.h0
-    if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
-        u0 = u_from_H(h0)
-        name, columns = "closed_form_u", (traj.t, traj.u)
-
-        def error(t, u):
-            return u - dynamics.case1_closed_form_u(t, beta, u0=u0)
-    elif case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
-        name, columns = "implicit_time", (traj.t, traj.h)
-
-        def error(t, h):
-            return dynamics.case2_implicit_time(h, beta, h0) - t
-    elif case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
-        name, columns = "closed_form_h", (traj.t, traj.h)
-
-        def error(t, h):
-            return h - dynamics.case3_closed_form_h(t, beta, h0)
-    else:
-        e0 = dynamics.energy(u_from_H(h0), 0.0)
-        name, columns = "energy_drift", (traj.u, traj.v)
-
-        def error(u, v):
-            return dynamics.energy(u, v) - e0
     np = dynamics._numpy_if_array(traj.t)
     if np is None:
+        name, columns, error = _regime_error(traj, dynamics._FloatMath)
         resid = _readonly(array("d", [abs(error(*row)) for row in zip(*columns)]))
         bad = [i for i, x in enumerate(resid) if not math.isfinite(x)]
     else:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            name, columns, error = _regime_error(traj, np)
             resid = np.abs(error(*columns))
         bad = np.flatnonzero(~np.isfinite(resid))
     if len(bad):
@@ -466,3 +446,34 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, Column]:
         raise NumericError(f"{name} oracle is not finite from t* = {float(traj.t[i])!r} "
                            f"(h* = {float(traj.h[i])!r})")
     return name, resid
+
+
+def _regime_error(traj: RegimeTrajectory, xp):
+    """(oracle name, the columns it reads, error at one row of them) for the
+    regime of traj, on floats (xp = `dynamics._FloatMath`) or on arrays
+    (xp = numpy); the oracle's per-run constants are computed once here."""
+    case, beta, h0 = traj.spec.case, traj.beta, traj.h0
+    if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
+        exact_u = dynamics._case1_solution(beta, u_from_H(h0), xp)
+
+        def error(t, u):
+            return u - exact_u(t)
+        return "closed_form_u", (traj.t, traj.u), error
+    if case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
+        time_at = dynamics._case2_time(beta, h0, xp)
+
+        def error(t, h):
+            return time_at(h) - t
+        return "implicit_time", (traj.t, traj.h), error
+    if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY_INERTIA:
+        exact_h = dynamics._case3_height(beta, h0, xp)
+
+        def error(t, h):
+            return h - exact_h(t)
+        return "closed_form_h", (traj.t, traj.h), error
+    energy = dynamics._energy if xp is dynamics._FloatMath else dynamics.energy
+    e0 = energy(u_from_H(h0), 0.0)
+
+    def error(u, v):
+        return energy(u, v) - e0
+    return "energy_drift", (traj.u, traj.v), error

@@ -3,29 +3,25 @@
 Linearization gives eigenvalues -(beta/(2 sqrt(omega)))(1 +- sqrt(1 - 4
 omega/beta^2)); the sign of the discriminant classifies the point as a
 stable node, spiral, or (at omega = beta^2/4) inflected node. The
-Lyapunov function V = E + 1/6 is evaluated through a factored form near
-the equilibrium to avoid cancellation, and its sublevel set {V <= C}
-provides the basin of attraction for each admissible starting height.
+Lyapunov function V = E + 1/6 (`dynamics.lyapunov_columns`, beside the
+energy) is evaluated through a factored form near the equilibrium to avoid
+cancellation, and its sublevel set {V <= C} provides the basin of
+attraction for each admissible starting height.
 """
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 from . import dynamics, params as params_module
-from .dynamics import TWO_SQRT2_OVER_3, _energy, energy
+from .dynamics import _lyapunov_float, energy
+from .dynamics import lyapunov_columns  # noqa: F401  (also read from this module)
 from .errors import ConsistencyError, DomainError, InconclusiveError
 from .params import U_BOUND, U_EQUILIBRIUM
 
-INV_SQRT2 = math.sqrt(0.5)
-
 # |discriminant| below this is treated as the degenerate double eigenvalue.
 INFLECTED_BAND = 1e-12
-
-# Switch to the factored Lyapunov form this close to the equilibrium.
-FACTORED_WINDOW = 1e-3
 
 BASIN_RESIDUAL_TOL = 1e-10
 
@@ -89,16 +85,6 @@ def linearize(omega: float, beta: float) -> StabilityReport:
                            discriminant=disc)
 
 
-def _lyapunov_factored(u, v, sqrt):
-    """V from its factored form, with sqrt = math.sqrt on floats or np.sqrt on
-    arrays. The square is written as a product, which numpy also computes for
-    an array's ** 2; a float's ** 2 calls libm pow, which is not always
-    correctly rounded."""
-    root = sqrt(u)
-    d = root - INV_SQRT2
-    return 0.5 * v * v + TWO_SQRT2_OVER_3 * (d * d) * (root + 0.5 * INV_SQRT2)
-
-
 def lyapunov(u: float, v: float) -> tuple[float, float]:
     """Energy E and Lyapunov value V = E + 1/6 at a phase point.
 
@@ -109,34 +95,6 @@ def lyapunov(u: float, v: float) -> tuple[float, float]:
         raise DomainError("u", f"must be >= 0, got {u!r}")
     E = energy(u, v)
     return E, _lyapunov_float(u, v, E)
-
-
-def _lyapunov_float(u: float, v: float, E: float) -> float:
-    """V at a float phase point of energy E: the factored form within
-    FACTORED_WINDOW of u = 1/2, else E + 1/6 (a NaN u takes the latter)."""
-    if abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW:
-        return _lyapunov_factored(u, v, math.sqrt)
-    return E + 1.0 / 6.0
-
-
-def lyapunov_columns(u, v):
-    """(E, V) for trajectory columns; clamps u dust below 0.
-
-    numpy arrays give numpy arrays. Sequences of floats give `array("d")`
-    columns with the same bits, from `energy`'s float body and `lyapunov`'s
-    rule for V, and load no numpy.
-    """
-    np = dynamics._numpy_if_array(u, v)
-    if np is None:
-        E = array("d", [_energy(x, y) for x, y in zip(u, v)])
-        return E, array("d", [_lyapunov_float(x, y, e) for x, y, e in zip(u, v, E)])
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    up = np.maximum(u, 0.0)
-    E = energy(u, v)
-    V = np.where(np.abs(u - U_EQUILIBRIUM) < FACTORED_WINDOW,
-                 _lyapunov_factored(up, v, np.sqrt), E + 1.0 / 6.0)
-    return E, V
 
 
 @dataclass(frozen=True)

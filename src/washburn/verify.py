@@ -267,11 +267,11 @@ def check_stability_v_positivity() -> dict:
     v = rng.uniform(-2.0, 2.0, 100_000)
     keep = np.abs(u - 0.5) + np.abs(v) > 1e-6
     u, v = u[keep], v[keep]
-    E, V = stability.lyapunov_columns(u, v)
+    E, V = dynamics.lyapunov_columns(u, v)
     _require(bool(np.all(V > 0.0)),
              f"V not positive away from equilibrium (min {np.min(V):.3e})")
     direct = E + 1.0 / 6.0
-    factored = stability._lyapunov_factored(u, v, np.sqrt)
+    factored = dynamics._lyapunov_factored(u, v, np.sqrt)
     gap = np.max(np.abs(direct - factored) / np.maximum(1.0, np.abs(factored)))
     _require(float(gap) <= 1e-13,
              f"direct and factored V forms disagree by {gap:.3e}")

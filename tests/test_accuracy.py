@@ -94,6 +94,9 @@ TAYLOR_DIGITS = 40
 TAYLOR_ORDER = 30
 TAYLOR_STEP = Decimal("0.05")
 WET_POINTS = [(1.0, 1.0, 0.5), (0.1, 0.5, 1.4), (1.0, 0.5, 0.1)]  # (omega, beta, alpha)
+# The other 14 wet points of ACCEPTANCE_GRID; alpha = 1 starts at the equilibrium.
+WET_GRID_POINTS = [(omega, beta, alpha) for beta, omega, alpha in ACCEPTANCE_GRID
+                   if alpha != 0.0 and (omega, beta, alpha) not in WET_POINTS]
 DRY_POINTS = [(omega, beta, alpha) for beta, omega, alpha in ACCEPTANCE_GRID if alpha == 0.0]
 WET_TIMES = (1.0, 5.0)
 
@@ -145,9 +148,9 @@ def taylor_u(omega, beta, alpha, max_step=TAYLOR_STEP):
         return tuple(at_times)
 
 
-@pytest.mark.parametrize("point", WET_POINTS + DRY_POINTS)
+@pytest.mark.parametrize("point", WET_POINTS + WET_GRID_POINTS + DRY_POINTS)
 def test_taylor_reference_agrees_with_itself_at_half_the_step(point):
-    # Measured: at most 5.2e-26 from a wet start, and 5e-40 from a dry one,
+    # Measured: at most 7.3e-26 from a wet start, and 5e-40 from a dry one,
     # whose first step is halved too.
     for u, u_half in zip(taylor_u(*point), taylor_u(*point, TAYLOR_STEP / 2)):
         assert abs(u - u_half) <= Decimal("1e-24")
@@ -165,10 +168,10 @@ def assert_matches_the_decimal_reference(point):
         assert 10.0 * tight <= default, (point, s)
 
 
-@pytest.mark.parametrize("point", WET_POINTS)
+@pytest.mark.parametrize("point", WET_POINTS + WET_GRID_POINTS)
 def test_wet_start_matches_the_decimal_reference(point):
-    # Measured: 1.2e-10 to 2.2e-9 at the default tolerances, and 98 to 120
-    # times closer at (1e-12, 1e-10).
+    # Measured: 8.1e-11 to 2.4e-9 at the default tolerances, and 87 to 2403
+    # times closer at (1e-12, 1e-10); 0 at both from the equilibrium start.
     assert_matches_the_decimal_reference(point)
 
 

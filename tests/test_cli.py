@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from washburn import _rk, cli, stability, verify
+from washburn import _rk, cli, dynamics, verify
 from washburn.integrate import REGIME_HORIZON_CAP, integrate
 from washburn.params import ModelParams
 
@@ -346,7 +346,7 @@ class TestClassifyCommand:
 
         integrate = importlib.import_module("washburn.integrate")  # the module, not the function
         monkeypatch.setattr(_rk.DenseSolution, "sample", recording_sample)
-        monkeypatch.setattr(stability, "lyapunov_columns", refused)
+        monkeypatch.setattr(dynamics, "lyapunov_columns", refused)
         monkeypatch.setattr(integrate, "integrate_floats", refused)
         monkeypatch.setattr(integrate, "integrate", refused)
         assert run(["classify", "--omega", "0.3", "--beta", "1", "--alpha", "0.2",
@@ -671,45 +671,63 @@ def test_import_loads_no_numpy(code):
     assert "numpy" not in fresh(code)[-1]
 
 
+# The package modules (and fractions) each kind of run may load: a command
+# imports what it runs and no more.
+BASE = {"washburn", "washburn.cli", "washburn.errors", "washburn.params", "washburn._format"}
+SOLVES = BASE | {"washburn.integrate", "washburn._rk", "washburn.dynamics"}
+STABILITY = {"washburn.stability", "washburn.dynamics"}
+REGIME = SOLVES | {"fractions"}
+
 # Runs that load no numpy: the scalar commands, argvs the parameter checks
 # refuse, and simulate, classify and regime, which solve on Python floats.
-NUMPY_FREE_ARGVS = {  # name: (argv, exit code)
-    "nondim": (["nondim", "--input", "water.json"], 0),
-    "basin": (["basin", "--alpha", "0.5", "--output", "basin.json"], 0),
-    "help": (["--help"], 0),
-    "version": (["--version"], 0),
-    "simulate-missing-alpha": (["simulate", "--omega", "1", "--beta", "1", "-o", "run"], 2),
-    "classify-beta-2": (["classify", "--omega", "1", "--beta", "2", "--alpha", "0"], 2),
+NUMPY_FREE_ARGVS = {  # name: (argv, exit code, modules)
+    "nondim": (["nondim", "--input", "water.json"], 0, BASE),
+    "basin": (["basin", "--alpha", "0.5", "--output", "basin.json"], 0, BASE | STABILITY),
+    "help": (["--help"], 0, BASE),
+    "version": (["--version"], 0, BASE),
+    "simulate-missing-alpha": (["simulate", "--omega", "1", "--beta", "1", "-o", "run"], 2,
+                               BASE),
+    "classify-beta-2": (["classify", "--omega", "1", "--beta", "2", "--alpha", "0"], 2, BASE),
     "picard-alpha-9": (["picard", "--omega", "1", "--beta", "1", "--alpha", "9",
-                        "-o", "pic"], 2),
-    "regime-negative-beta": (["regime", "--case", "1", "--beta", "-1", "-o", "reg"], 2),
+                        "-o", "pic"], 2, BASE),
+    "regime-negative-beta": (["regime", "--case", "1", "--beta", "-1", "-o", "reg"], 2, REGIME),
     "regime-horizon-2e3": (["regime", "--case", "2", "--beta", "1", "--horizon", "2e3",
-                            "-o", "reg"], 2),
+                            "-o", "reg"], 2, REGIME),
     "regime-sample-step": (["regime", "--case", "2", "--beta", "1", "--sample-step", "1e-12",
-                            "-o", "reg"], 2),
-    "simulate": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "-o", "run"], 0),
+                            "-o", "reg"], 2, REGIME),
+    "simulate": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "-o", "run"], 0,
+                 SOLVES),
     "simulate-classify": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5",
-                           "--classify", "-o", "run"], 0),
+                           "--classify", "-o", "run"], 0, SOLVES | STABILITY),
     "simulate-epsilon": (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0",
-                          "--epsilon", "1e-4", "-o", "run"], 0),
-    "simulate-input": (["simulate", "--input", "water.json", "-o", "run"], 0),
-    "classify": (["classify", "--omega", "0.5", "--beta", "0.5", "--alpha", "0"], 0),
-    "regime1": (["regime", "--case", "1", "--beta", "1", "--horizon", "1", "-o", "reg"], 0),
+                          "--epsilon", "1e-4", "-o", "run"], 0, SOLVES),
+    "simulate-input": (["simulate", "--input", "water.json", "-o", "run"], 0, SOLVES),
+    "classify": (["classify", "--omega", "0.5", "--beta", "0.5", "--alpha", "0"], 0,
+                 SOLVES | STABILITY),
+    "regime1": (["regime", "--case", "1", "--beta", "1", "--horizon", "1", "-o", "reg"], 0,
+                REGIME),
     "regime2": (["regime", "--case", "2", "--beta", "0.7", "--alpha", "0.2", "--horizon", "4",
-                 "-o", "reg"], 0),
+                 "-o", "reg"], 0, REGIME),
     "regime3": (["regime", "--case", "3", "--beta", "0.7", "--horizon", "5", "--sample-step",
-                 "0.3", "-o", "reg"], 0),
-    "regime4": (["regime", "--case", "4", "--beta", "0.7", "--alpha", "0.5", "-o", "reg"], 0),
+                 "0.3", "-o", "reg"], 0, REGIME),
+    "regime4": (["regime", "--case", "4", "--beta", "0.7", "--alpha", "0.5", "-o", "reg"], 0,
+                REGIME),
 }
+
+
+def package_modules(modules) -> set:
+    """The washburn modules among the names in modules, and fractions if there."""
+    return {m for m in modules if m.split(".")[0] == "washburn" or m == "fractions"}
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE_ARGVS)
 def test_scalar_and_refused_runs_load_no_numpy(tmp_path, name):
-    argv, exit_code = NUMPY_FREE_ARGVS[name]
+    argv, exit_code, loaded = NUMPY_FREE_ARGVS[name]
     (tmp_path / "water.json").write_text(json.dumps(WATER_JSON))
     code, modules = main_in_fresh(argv, tmp_path)
     assert code == exit_code
     assert "numpy" not in modules
+    assert package_modules(modules) == loaded
 
 
 def test_a_solving_run_loads_numpy(tmp_path):
@@ -719,3 +737,4 @@ def test_a_solving_run_loads_numpy(tmp_path):
     code, modules = main_in_fresh(argv, tmp_path)
     assert code == 0
     assert "numpy" in modules
+    assert package_modules(modules) == BASE | {"washburn.volterra"}

@@ -14,10 +14,16 @@ block, several blocks with a partial last one, blocks of 7 nodes (h/c = 10)
 and a non-finite iterate. One run of the whole ledger takes about 0.13 s
 on a 2-vCPU Xeon VM.
 
-Regenerate the file (only when a bit is meant to move) with
-    PYTHONPATH=src python tests/test_ledger.py
-It writes nothing and exits 1 when the file already records the package's
-version: bump the version first.
+The column ledger, tests/golden/ledger/columns.json, holds the SHA-256 of
+every sampled column that the CLI writes: s, u, v, H, T, E and V of
+`integrate_floats` at the first COLUMN_SOLVES points of the table, at their
+defaults, and at one regularized point; and t, u, v, h and the oracle
+residual of `integrate_regime_floats` in cases 1 to 4. It takes about 0.10 s.
+
+Regenerate a file (only when a bit is meant to move) with
+    PYTHONPATH=src python tests/test_ledger.py [ledger.json] [columns.json]
+(both without a name). It writes nothing and exits 1 when a named file
+already records the package's version: bump the version first.
 """
 import hashlib
 import json
@@ -29,12 +35,19 @@ import pytest
 
 from washburn import __version__, verify
 from washburn.errors import ConvergenceError
-from washburn.integrate import solve
+from washburn.dynamics import RegimeSpec
+from washburn.integrate import (CSV_HEADER, integrate_floats, integrate_regime_floats,
+                                regime_oracle_residuals, solve)
 from washburn.params import ModelParams
 from washburn.volterra import picard_solve
 
 LEDGER = Path(__file__).resolve().parent / "golden" / "ledger" / "ledger.json"
+COLUMNS = LEDGER.with_name("columns.json")
 SOLVES = 40
+COLUMN_SOLVES = 6
+EPSILON_RUN = (1.0, 1.0, 0.0, 1e-4)  # (omega, beta, alpha, epsilon)
+# (case, beta, alpha, horizon) of the regime rows; case 2 stays below h* = 1
+REGIMES = [(1, 0.7, 0.3, 20.0), (2, 0.7, 0.2, 4.0), (3, 0.7, 0.0, 20.0), (4, 0.7, 0.5, 20.0)]
 # (omega, beta, alpha, horizon, intervals or None for picard_solve's default)
 PICARD = [(1.0, 1.0, 0.5, 10.0, 2), (0.55, 0.8, 0.45, 8.0, 256),
           (0.9, 0.95, 0.7, 9.5, 4096), (1.0, 1.0, 0.0, 20.0, 3 * 4096 + 123),
@@ -45,14 +58,20 @@ def sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def table_points(count: int) -> list[tuple[float, float, float]]:
+    """(omega, beta, alpha) of the first count rows of the seeded table."""
+    table = verify._uniform_rows((-1.5, -1.2, 0.0), (1.5, 0.0, 1.5))[:count]
+    return [(10.0 ** log_omega, 10.0 ** log_beta, alpha)
+            for log_omega, log_beta, alpha in table]
+
+
 def solve_rows() -> list[dict]:
     rows = []
-    table = verify._uniform_rows((-1.5, -1.2, 0.0), (1.5, 0.0, 1.5))[:SOLVES]
-    for log_omega, log_beta, alpha in table:
-        run = solve(ModelParams(10.0 ** log_omega, 10.0 ** log_beta, alpha))
+    for omega, beta, alpha in table_points(SOLVES):
+        run = solve(ModelParams(omega, beta, alpha))
         dense = run.dense
         crossings = len(run.crossings)
-        rows.append({"omega": 10.0 ** log_omega, "beta": 10.0 ** log_beta, "alpha": alpha,
+        rows.append({"omega": omega, "beta": beta, "alpha": alpha,
                      "accepted": dense.accepted, "rejected": dense.rejected,
                      "nfev": dense.nfev, "crossings": crossings,
                      "crossing_evaluations": dense.crossing_evaluations,
@@ -84,26 +103,68 @@ def ledger() -> dict:
     return {"version": __version__, "solves": solve_rows(), "picard": picard_rows()}
 
 
-def test_ledger_matches_the_golden_copy():
-    golden = json.loads(LEDGER.read_bytes())
-    got = ledger()
+def column_rows() -> list[dict]:
+    points = [(*point, 0.0) for point in table_points(COLUMN_SOLVES)] + [EPSILON_RUN]
+    rows = []
+    for omega, beta, alpha, epsilon in points:
+        traj = integrate_floats(ModelParams(omega, beta, alpha), epsilon=epsilon)
+        rows.append({"omega": omega, "beta": beta, "alpha": alpha, "epsilon": epsilon,
+                     **{f"{name}_sha256": sha256(getattr(traj, name))
+                        for name in CSV_HEADER.split(",")}})
+    return rows
+
+
+def regime_rows() -> list[dict]:
+    rows = []
+    for case, beta, alpha, horizon in REGIMES:
+        traj = integrate_regime_floats(RegimeSpec.standard(case), beta=beta, alpha=alpha,
+                                       horizon=horizon)
+        oracle, residual = regime_oracle_residuals(traj)
+        columns = {"t": traj.t, "u": traj.u, "v": traj.v, "h": traj.h, "residual": residual}
+        rows.append({"case": case, "beta": beta, "alpha": alpha, "horizon": horizon,
+                     "oracle": oracle,
+                     **{f"{name}_sha256": sha256(column)
+                        for name, column in columns.items() if column is not None}})
+    return rows
+
+
+def columns() -> dict:
+    return {"version": __version__, "solves": column_rows(), "regimes": regime_rows()}
+
+
+LEDGERS = {LEDGER.name: (LEDGER, ledger), COLUMNS.name: (COLUMNS, columns)}
+
+
+def assert_matches_the_golden_copy(name: str):
+    path, build = LEDGERS[name]
+    golden = json.loads(path.read_bytes())
+    got = build()
     message = ("a ledger row moved. libm (exp, log, pow) and numpy's SIMD kernels set "
                "some of these bits, so another CPU or libm may move rows that this code "
                "does not (ROADMAP, 'Output bits that do not depend on the CPU'); on the "
                "machine that wrote the file, a moved row is a changed program")
-    for kind in ("solves", "picard"):
+    assert got.keys() == golden.keys()
+    for kind in got.keys() - {"version"}:
         assert len(got[kind]) == len(golden[kind])
         for i, (row, want) in enumerate(zip(got[kind], golden[kind])):
-            assert row == want, f"{kind}[{i}]: {message}"
+            assert row == want, f"{name} {kind}[{i}]: {message}"
 
 
-def regenerate(path: Path = LEDGER):
-    """Write the ledger, or exit 1, writing nothing, when the file already
-    records the package's version."""
+def test_ledger_matches_the_golden_copy():
+    assert_matches_the_golden_copy(LEDGER.name)
+
+
+def test_column_ledger_matches_the_golden_copy():
+    assert_matches_the_golden_copy(COLUMNS.name)
+
+
+def regenerate(path: Path = LEDGER, build=ledger):
+    """Write build() to path, or exit 1, writing nothing, when the file
+    already records the package's version."""
     if path.exists() and json.loads(path.read_bytes())["version"] == __version__:
         sys.exit(f"{path.name} already records version {__version__}; bump the version "
                  "first")
-    text = json.dumps(ledger(), indent=1) + "\n"
+    text = json.dumps(build(), indent=1) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
@@ -118,4 +179,5 @@ def test_regeneration_refuses_the_recorded_version(tmp_path):
 
 
 if __name__ == "__main__":
-    regenerate()
+    for name in sys.argv[1:] or LEDGERS:
+        regenerate(*LEDGERS[name])

@@ -1,18 +1,18 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from washburn import params as params_module
+from washburn import dynamics, params as params_module
 from washburn.errors import ConsistencyError, DomainError, InconclusiveError
 from washburn.integrate import integrate
 from washburn.params import ModelParams
-from washburn.dynamics import energy
-from washburn.stability import (FACTORED_WINDOW, ApproachKind, BasinSpec, PointKind,
-                                audit_trajectory, basin, classify_approach,
-                                linearize, lyapunov, lyapunov_columns)
+from washburn.dynamics import FACTORED_WINDOW, energy
+from washburn.stability import (ApproachKind, BasinSpec, PointKind, audit_trajectory, basin,
+                                classify_approach, linearize, lyapunov, lyapunov_columns)
 from washburn.verify import (CheckFailure, _bracket_transition,
                              check_stability_classification_boundary)
 
@@ -135,6 +135,29 @@ class TestLyapunov:
         assert [repr(pair) for pair in scalar] == [repr(pair) for pair in
                                                    zip(E_col.tolist(), V_col.tolist())]
         assert [energy(a, b) for a, b in zip(u.tolist(), v.tolist())] == energy(u, v).tolist()
+
+    def test_float_columns_have_the_bits_of_the_point_rule(self):
+        # The float branch's inline loop against `_energy` and `_lyapunov_float`
+        # row by row, at the window's edges, NaN, infinities, -0.0 and the
+        # negative dust that max(u, 0.0) clamps, and against the array branch.
+        # Small |v| near the equilibrium, where V's last bit shows, as above.
+        rng = np.random.default_rng(44)
+        edges = [0.5 - FACTORED_WINDOW, 0.5 + FACTORED_WINDOW, math.nextafter(0.5 - 1e-3, 1.0),
+                 -0.0, 0.0, -1e-300, -5e-324, math.nan, math.inf, -math.inf, 0.5]
+        u = edges + (0.5 + rng.uniform(-2e-3, 2e-3, 20_000)).tolist() + rng.uniform(
+            -1e-9, 9.0 / 8.0, 3000).tolist()
+        v = [0.0, -0.0, 1e-3, math.nan, -2.0, 0.0, 1e-160, 0.5, 0.0, 0.0, math.inf]
+        v += [0.0] * 5000 + rng.uniform(-1e-3, 1e-3, 15_000).tolist()
+        v += rng.uniform(-2.0, 2.0, len(u) - len(v)).tolist()
+        E_col, V_col = dynamics.lyapunov_columns(u, v)
+        assert (type(E_col), type(V_col)) == (array, array)
+        E_row = array("d", [dynamics._energy(a, b) for a, b in zip(u, v)])
+        V_row = array("d", [dynamics._lyapunov_float(a, b, e) for a, b, e in zip(u, v, E_row)])
+        assert (E_col.tobytes(), V_col.tobytes()) == (E_row.tobytes(), V_row.tobytes())
+        finite = len(edges)
+        E_arr, V_arr = dynamics.lyapunov_columns(np.array(u[finite:]), np.array(v[finite:]))
+        assert (E_arr.tobytes(), V_arr.tobytes()) == (E_col[finite:].tobytes(),
+                                                      V_col[finite:].tobytes())
 
 
 class TestBasin:

@@ -39,6 +39,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
+# An --input file holds eight numbers; reading a longer one whole would
+# let /dev/zero or a huge file exhaust memory.
+INPUT_LIMIT = 64 * 1024
+
 STEP_RANGE_HELP = f"at least horizon/{MAX_INTERVALS} (default: horizon/{DEFAULT_INTERVALS})"
 SAMPLE_STEP_HELP = "output sampling step, " + STEP_RANGE_HELP
 STEP_BUDGET_HELP = f"a run that needs more than {MAX_STEPS} RK steps exits 3"
@@ -71,15 +75,24 @@ def _emit(obj: dict, path: str | None):
 
 def _model_params_from_input(path: str) -> params_module.ModelParams:
     """Nondimensionalize the physical-parameter JSON file at path; a file
-    that does not decode or parse as JSON is a DomainError. The UserWarning
-    of a large h0/h_e is printed as one `warning:` line on stderr, whatever
-    the warning filters say; any other warning is shown as Python shows it."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise DomainError("input", f"{path}: {exc}") from None
-    physical = params_module.physical_params_from_json(obj)
+    that does not decode or parse as JSON, is longer than INPUT_LIMIT
+    characters or nests too deeply to parse is a DomainError. The
+    UserWarning of a large h0/h_e is printed as one `warning:` line on
+    stderr, whatever the warning filters say; any other warning is shown as
+    Python shows it."""
+    try:
+        with open(path) as fh:
+            text = fh.read(INPUT_LIMIT + 1)
+        if len(text) > INPUT_LIMIT:
+            raise DomainError("input", f"{path}: longer than {INPUT_LIMIT} characters "
+                                       "(64 KiB), the most an input file may hold")
+        physical = params_module.physical_params_from_json(json.loads(text))
+    except RecursionError:
+        raise DomainError("input", f"{path}: nested too deeply to parse") from None
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise DomainError("input", f"{path}: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         mp = params_module.nondimensionalize(physical)

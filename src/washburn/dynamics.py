@@ -22,7 +22,6 @@ u* = (h*)^2/2 and come with closed-form or implicit oracles.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from array import array
@@ -296,54 +295,6 @@ def regime_field(spec: RegimeSpec, beta: float):
     return accel
 
 
-class _FloatMath:
-    """The numpy calls of the regime oracles on Python floats, with numpy's
-    values where `math` or `/` would raise: inf for an exp that overflows,
-    -inf for log1p(-1) and NaN below it, NaN for the sqrt of a negative
-    number, and +-inf or NaN for a quotient by zero."""
-
-    @staticmethod
-    def exp(x):
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-
-    @staticmethod
-    def log1p(x):
-        if x <= -1.0:
-            return -math.inf if x == -1.0 else math.nan
-        return math.log1p(x)
-
-    @staticmethod
-    def sqrt(x):
-        return math.nan if x < 0.0 else math.sqrt(x)
-
-    @staticmethod
-    def divide(a, b):
-        if b == 0.0:
-            if a == 0.0 or a != a:
-                return math.nan
-            return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        return a / b
-
-    @staticmethod
-    def where(condition, a, b):
-        return a if condition else b
-
-    @staticmethod
-    def errstate(**_):
-        return _NO_ERRSTATE
-
-
-_NO_ERRSTATE = contextlib.nullcontext()  # reusable: floats raise no numpy warnings
-
-
-def _math_for(x):
-    """numpy for an array x, else `_FloatMath`; it never imports numpy."""
-    return _numpy_if_array(x) or _FloatMath
-
-
 # 1/k! for k = 12 down to 2: the Horner coefficients of case 1's series.
 _CASE1_SERIES = tuple(1 / math.factorial(k) for k in range(12, 1, -1))
 
@@ -353,19 +304,23 @@ def case1_closed_form_u(t, beta: float, u0: float = 0.0):
     u0 + t^2 g(x), x = beta t, g(x) = (x - 1 + e^-x)/x^2. The closed form
     u0 + t/beta - (1 - e^-x)/beta^2 loses up to 2 eps/x to cancellation, so
     below x = 0.1 g is its Taylor series sum_{k>=2} (-x)^(k-2)/k! to k = 12.
-    Takes a float t (returns a float) or an array."""
-    return _case1_solution(beta, u0, _math_for(t))(t)
+    Takes an array t."""
+    import numpy as np
+
+    return _case1_solution(beta, u0, np)(t)
 
 
 def _case1_solution(beta: float, u0: float, xp):
     """`case1_closed_form_u` as a function of t alone, its per-run constants
-    computed once: xp is `_FloatMath` for float times, numpy for arrays. On a
-    float only the branch that is taken is evaluated."""
+    computed once: xp is `math` for float times, numpy for arrays. On a float
+    only the branch that is taken is evaluated, and where numpy gives inf or
+    NaN it may raise instead: OverflowError for an exp that overflows,
+    ZeroDivisionError where beta^2 underflows to 0."""
     try:
         beta2 = beta**2
     except OverflowError:  # beta above about 1.34e154: the last term's limit is 0
         beta2 = math.inf
-    divide, exp = xp.divide, xp.exp
+    exp = xp.exp
 
     def series(t, x):
         g = 0.0
@@ -374,9 +329,9 @@ def _case1_solution(beta: float, u0: float, xp):
         return u0 + t * t * g
 
     def closed(t, x):
-        return u0 + divide(t, beta) - divide(1.0 - exp(-x), beta2)
+        return u0 + t / beta - (1.0 - exp(-x)) / beta2
 
-    if xp is _FloatMath:
+    if xp is math:
         def u(t):
             x = beta * t
             return series(t, x) if abs(x) < 0.1 else closed(t, x)
@@ -394,14 +349,18 @@ def case2_implicit_time(h, beta: float, h0: float):
     """Separable time-height relation t*(h*) for the inertia-free regime.
 
     Valid for heights in [0, 1); diverges logarithmically as h* -> 1.
-    Takes a float h (returns a float) or an array.
+    Takes an array h.
     """
-    return _case2_time(beta, h0, _math_for(h))(h)
+    import numpy as np
+
+    return _case2_time(beta, h0, np)(h)
 
 
 def _case2_time(beta: float, h0: float, xp):
     """`case2_implicit_time` as a function of h alone, with the start's term
-    computed once: xp is `_FloatMath` for float heights, numpy for arrays."""
+    computed once: xp is `math` for float heights, numpy for arrays. On
+    floats, log1p at or below -1 raises ValueError: here for h0 >= 1, in
+    the function for h >= 1."""
     log1p = xp.log1p
 
     def anti(x):
@@ -415,16 +374,18 @@ def _case2_time(beta: float, h0: float, xp):
 
 
 def case3_closed_form_h(t, beta: float, h0: float = 0.0):
-    """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2). Takes a float t
-    (returns a float) or an array."""
-    return _case3_height(beta, h0, _math_for(t))(t)
+    """Square-root growth h*(t*) = sqrt(2 t*/beta + h0^2). Takes an array t."""
+    import numpy as np
+
+    return _case3_height(beta, h0, np)(t)
 
 
 def _case3_height(beta: float, h0: float, xp):
     """`case3_closed_form_h` as a function of t alone, with h0^2 computed
-    once: xp is `_FloatMath` for float times, numpy for arrays."""
-    sqrt, divide, h0_sq = xp.sqrt, xp.divide, h0 * h0
+    once: xp is `math` for float times, numpy for arrays. On floats, the
+    sqrt of a negative number raises ValueError."""
+    sqrt, h0_sq = xp.sqrt, h0 * h0
 
     def h(t):
-        return sqrt(divide(2.0 * t, beta) + h0_sq)
+        return sqrt(2.0 * t / beta + h0_sq)
     return h

@@ -425,16 +425,24 @@ def integrate_regime_floats(spec: RegimeSpec, beta: float, alpha: float = 0.0,
 def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, Column]:
     """Residual of the regime's closed-form / implicit / conservation oracle,
     a read-only numpy array for array columns and a read-only memoryview of
-    doubles for float columns. On floats the case-1 `exp` and case-2 `log1p`
-    are libm's, which can differ from numpy's in the last bit.
+    doubles for float columns. On floats the oracle runs on `math`: its
+    case-1 `exp` and case-2 `log1p` are libm's, which can differ from
+    numpy's in the last bit, and a row where it raises ArithmeticError or
+    ValueError, where numpy gives inf or NaN, is not finite.
 
     Raises NumericError where the oracle is not finite: the case-2
     relation holds only for h* < 1.
     """
     np = dynamics._numpy_if_array(traj.t)
     if np is None:
-        name, columns, error = _regime_error(traj, dynamics._FloatMath)
-        resid = _readonly(array("d", [abs(error(*row)) for row in zip(*columns)]))
+        name, columns, error = _regime_error(traj, math)
+        resid = array("d")
+        for row in zip(*columns):
+            try:
+                resid.append(abs(error(*row)))
+            except (ArithmeticError, ValueError):  # where numpy gives inf or NaN
+                resid.append(math.nan)
+        resid = _readonly(resid)
         bad = [i for i, x in enumerate(resid) if not math.isfinite(x)]
     else:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -450,8 +458,10 @@ def regime_oracle_residuals(traj: RegimeTrajectory) -> tuple[str, Column]:
 
 def _regime_error(traj: RegimeTrajectory, xp):
     """(oracle name, the columns it reads, error at one row of them) for the
-    regime of traj, on floats (xp = `dynamics._FloatMath`) or on arrays
-    (xp = numpy); the oracle's per-run constants are computed once here."""
+    regime of traj, on floats (xp = `math`) or on arrays (xp = numpy); the
+    oracle's per-run constants are computed once here. On floats a case-2
+    start at or above the asymptote h* = 1 makes every row's error NaN, as
+    numpy's start term makes it inf or NaN."""
     case, beta, h0 = traj.spec.case, traj.beta, traj.h0
     if case is dynamics.RegimeCase.NEGLIGIBLE_GRAVITY:
         exact_u = dynamics._case1_solution(beta, u_from_H(h0), xp)
@@ -460,7 +470,11 @@ def _regime_error(traj: RegimeTrajectory, xp):
             return u - exact_u(t)
         return "closed_form_u", (traj.t, traj.u), error
     if case is dynamics.RegimeCase.NEGLIGIBLE_INERTIA:
-        time_at = dynamics._case2_time(beta, h0, xp)
+        try:
+            time_at = dynamics._case2_time(beta, h0, xp)
+        except ValueError:  # math.log1p of -h0 <= -1
+            def time_at(h):
+                return math.nan
 
         def error(t, h):
             return time_at(h) - t
@@ -471,7 +485,7 @@ def _regime_error(traj: RegimeTrajectory, xp):
         def error(t, h):
             return h - exact_h(t)
         return "closed_form_h", (traj.t, traj.h), error
-    energy = dynamics._energy if xp is dynamics._FloatMath else dynamics.energy
+    energy = dynamics._energy if xp is math else dynamics.energy
     e0 = energy(u_from_H(h0), 0.0)
 
     def error(u, v):

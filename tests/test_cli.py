@@ -1,5 +1,8 @@
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from washburn import _rk, cli, dynamics, verify
 from washburn.integrate import REGIME_HORIZON_CAP, integrate
@@ -91,6 +96,65 @@ class TestNondim:
         assert err.startswith(f"configuration error: {field}")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]
+
+
+def nested(depth: int, opener: str, closer: str) -> str:
+    return opener * depth + "0" + closer * depth
+
+
+@pytest.mark.parametrize("command,content,message", [
+    ("nondim", nested(1000, "[", "]"), "nested too deeply to parse"),
+    ("simulate", nested(1000, '{"a": ', "}"), "nested too deeply to parse"),
+    ("nondim", " " * cli.INPUT_LIMIT + json.dumps(WATER_JSON), "longer than 65536 characters"),
+], ids=["nested-arrays", "nested-objects", "oversize"])
+def test_an_input_too_deep_or_too_long_exits_2(tmp_path, capsys, command, content, message):
+    src = tmp_path / "bad.json"
+    src.write_text(content)
+    code, err = run_rejected([command, "--input", str(src), "--output", str(tmp_path / "x")],
+                             capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: input: {src}: {message}")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_input_is_read_no_further_than_the_limit(capsys):
+    code, err = run_rejected(["nondim", "--input", "/dev/zero"], capsys)
+    assert code == 2
+    assert err == ("configuration error: input: /dev/zero: longer than 65536 characters "
+                   "(64 KiB), the most an input file may hold\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(sorted(WATER_JSON)) | st.text(max_size=3),
+                                        children, max_size=4)),
+    max_leaves=20)
+# Water with some keys replaced, so that some files pass the checks and
+# others fail them one key at a time.
+INPUT_OBJECTS = JSON_VALUES | st.builds(
+    lambda changed: {**WATER_JSON, **changed},
+    st.dictionaries(st.sampled_from(sorted(WATER_JSON)), st.floats(0.0, 1e3) | JSON_VALUES,
+                    max_size=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(obj=INPUT_OBJECTS, depth=st.sampled_from([0, 0, 1, 50, 2000]))
+def test_any_json_input_exits_0_or_2_in_one_line(tmp_path_factory, obj, depth):
+    src = tmp_path_factory.getbasetemp() / "any.json"
+    src.write_text(nested(depth, "[", "]").replace("0", json.dumps(obj), 1))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["nondim", "--input", str(src)])
+    err = err.getvalue()
+    if code == 2:
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0, err
+        assert err == "" or err.startswith("warning: ") and err.count("\n") == 1, err
+        assert all(math.isfinite(x) for x in json.loads(out.getvalue()).values())
 
 
 TALL_START = json.dumps({**WATER_JSON, "R": 1e-3, "h0": 0.01})  # h0/h_e = 0.674
@@ -712,6 +776,11 @@ NUMPY_FREE_ARGVS = {  # name: (argv, exit code, modules)
                  "0.3", "-o", "reg"], 0, REGIME),
     "regime4": (["regime", "--case", "4", "--beta", "0.7", "--alpha", "0.5", "-o", "reg"], 0,
                 REGIME),
+    # The oracle fails: h* rounds to 1 mid-run, or the run starts above it.
+    "regime2-past-asymptote": (["regime", "--case", "2", "--beta", "0.5", "-o", "reg"], 3,
+                               REGIME),
+    "regime2-above-asymptote": (["regime", "--case", "2", "--beta", "1", "--alpha", "1.2",
+                                 "--horizon", "4", "-o", "reg"], 3, REGIME),
 }
 
 

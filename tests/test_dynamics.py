@@ -200,8 +200,8 @@ class TestRegimeOracles:
             integrate_regime(spec, beta=beta, alpha=alpha)
 
     def test_case3_with_immersion(self):
-        assert case3_closed_form_h(0.0, 2.0, 0.3) == pytest.approx(0.3)
-        assert case3_closed_form_h(1.0, 2.0, 0.0) == pytest.approx(1.0)
+        assert case3_closed_form_h(np.array([0.0]), 2.0, 0.3) == pytest.approx([0.3])
+        assert case3_closed_form_h(np.array([1.0]), 2.0, 0.0) == pytest.approx([1.0])
 
 
 class TestEnergy:

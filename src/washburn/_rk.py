@@ -42,10 +42,11 @@ them to that):
   coefficients as the stage sum, only when a time leaves the step it
   holds;
 - as numpy arrays, built on the first array call: calling the solution
-  evaluates the interpolants on an array of times from contiguous
-  coefficient blocks (sorted times, every sample grid, fill them by run
-  lengths of times per step), running the Horner sum in place on one
-  accumulator.
+  evaluates the interpolants on a 1-D array of nondecreasing times, the
+  form of every sample grid, from contiguous coefficient blocks filled by
+  run lengths of times per step, running the Horner sum in place on one
+  accumulator. Other times, a float, an N-d array or times in any order,
+  are read with `sample`.
 
 Both build each coefficient as the same explicit sum over the six stages,
 added left to right (no BLAS call, so the bits do not depend on the CPU's
@@ -254,19 +255,19 @@ def solve(accel, y0, t_bound: float, tolerances) -> "DenseSolution":
 class DenseSolution:
     """The accepted steps of one solve and their quartic interpolants.
 
-    Calling it evaluates the interpolants on a float or an array of times
-    (shape (n,) or (n,) + t.shape), the Horner sum running in place on one
-    accumulator; a float is evaluated as an array of one time. Nondecreasing
-    1-D times, every sample grid, take their steps by run lengths: one
-    `searchsorted` of the step times into them and one `repeat` a
-    coefficient block; other times take a binary search and a `take` each.
-    `sample` evaluates the interpolants on a sequence of float times in
-    plain Python, and `refine`, which finds where component 0 crosses a
-    level, evaluates them one float time at a time; both give the bits of
-    calling the solution. All of them take a time to step k by the rule of
-    a left `searchsorted` over the interior step times t[1:-1]: a time on a
-    step boundary takes the earlier step, and times before the first step
-    or past the last extrapolate that end step, as scipy's OdeSolution does.
+    Calling it evaluates the interpolants on a 1-D array of nondecreasing
+    times, every sample grid, as an (n, t.size) array, the Horner sum
+    running in place on one accumulator; the times take their steps by run
+    lengths: one `searchsorted` of the step times into them and one
+    `repeat` a coefficient block. Any other times raise ValueError.
+    `sample` evaluates the interpolants on a sequence of float times in any
+    order in plain Python, and `refine`, which finds where component 0
+    crosses a level, evaluates them one float time at a time; both give the
+    bits of calling the solution. All of them take a time to step k by the
+    rule of a left `searchsorted` over the interior step times t[1:-1]: a
+    time on a step boundary takes the earlier step, and times before the
+    first step or past the last extrapolate that end step, as scipy's
+    OdeSolution does.
 
     `t` holds the step times, the store's first column: each step's start,
     then the last step's end. `n` counts the state's components, without W.
@@ -440,32 +441,27 @@ class DenseSolution:
         import numpy as np
 
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self(t.reshape(1))[:, 0]
+        # A NaN fails a comparison with a neighbour, unless it is t[0] alone.
+        if t.ndim != 1 or not (t[1:] >= t[:-1]).all() or t.size and math.isnan(t[0]):
+            raise ValueError("the dense output takes a 1-D array of nondecreasing times; "
+                             "read other times with `sample`")
         # Each time's step start x, step end h, coefficients and start state,
-        # copied into contiguous blocks: the fancy index self._q[:, :, k]
+        # copied into contiguous blocks: a fancy index self._q[:, :, k]
         # leaves strided views that slow every Horner ufunc about twofold.
-        if t.ndim == 1 and (t[1:] >= t[:-1]).all():
-            # Sorted times come in one run a step: a step takes the times
-            # above its start up to its end (the left rule), so the run ends
-            # where the step's end time would go on the right of equal times.
-            # The run lengths are the differences of the runs' ends, 0 first
-            # and t.size last, taken by one subtraction.
-            ends = np.empty(self.accepted + 1, dtype=np.intp)
-            ends[0] = 0
-            ends[1:-1] = t.searchsorted(self.t[1:-1], side="right")
-            ends[-1] = t.size
-            runs = ends[1:] - ends[:-1]
-            x = self.t[:-1].repeat(runs)
-            h = self.t[1:].repeat(runs)
-            q0, q1, q2, q3 = self._q.repeat(runs, axis=2)  # (4, n) + t.shape
-            y = self._y0.repeat(runs, axis=1)
-        else:
-            k = self.t[1:-1].searchsorted(t, side="left")
-            x = self.t.take(k)
-            h = self.t.take(k + 1)
-            q0, q1, q2, q3 = self._q.take(k, axis=2)
-            y = self._y0.take(k, axis=1)
+        # Sorted times come in one run a step: a step takes the times above
+        # its start up to its end (the left rule), so the run ends where the
+        # step's end time would go on the right of equal times. The run
+        # lengths are the differences of the runs' ends, 0 first and t.size
+        # last, taken by one subtraction.
+        ends = np.empty(self.accepted + 1, dtype=np.intp)
+        ends[0] = 0
+        ends[1:-1] = t.searchsorted(self.t[1:-1], side="right")
+        ends[-1] = t.size
+        runs = ends[1:] - ends[:-1]
+        x = self.t[:-1].repeat(runs)
+        h = self.t[1:].repeat(runs)
+        q0, q1, q2, q3 = self._q.repeat(runs, axis=2)  # (4, n, t.size)
+        y = self._y0.repeat(runs, axis=1)
         h -= x
         np.subtract(t, x, out=x)
         x /= h

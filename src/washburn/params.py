@@ -55,6 +55,9 @@ _OMEGA_CONSISTENCY_RTOL = 1e-12
 
 PHYSICAL_JSON_KEYS = ("rho", "mu", "gamma", "theta_deg", "g", "R", "L", "h0")
 _SCALED_KEYS = ("rho", "mu", "gamma", "g", "R")  # the inputs every scale is built from
+# What `json.loads` makes of each JSON type that is not a number.
+_JSON_TYPES = {str: "string", list: "array", dict: "object", bool: "boolean",
+               type(None): "null"}
 
 
 def check_positive(name: str, value: float):
@@ -264,7 +267,9 @@ def physical_params_from_json(obj: dict) -> PhysicalParams:
     for key in PHYSICAL_JSON_KEYS:
         value = obj[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(key, f"must be a number, got {value!r}")
+            # Its JSON type, not the value, which can be as long as the file.
+            kind = _JSON_TYPES.get(type(value), type(value).__name__)
+            raise DomainError(key, f"must be a number, got a JSON {kind}")
         try:
             values[key] = float(value)
         except OverflowError:

@@ -126,6 +126,18 @@ def test_an_endless_input_is_read_no_further_than_the_limit(capsys):
                    "(64 KiB), the most an input file may hold\n")
 
 
+@pytest.mark.parametrize("value,kind", [
+    ('"' + "x" * 60000 + '"', "string"),
+    (nested(900, "[", "]").replace("0", ""), "array"),
+], ids=["long-string", "deep-array"])
+def test_a_long_or_deep_value_is_named_by_its_json_type(tmp_path, capsys, value, kind):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({**WATER_JSON, "rho": 0}).replace('"rho": 0', f'"rho": {value}'))
+    code, err = run_rejected(["nondim", "--input", str(src)], capsys)
+    assert code == 2
+    assert err == f"configuration error: rho: must be a number, got a JSON {kind}\n"
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda children: (st.lists(children, max_size=4)

@@ -70,21 +70,32 @@ class TestSortedTimes:
     """Calling a solution on nondecreasing times, which find their steps by
     run lengths, gives the bits of its reference on the same times: step
     boundaries, repeats, and times before the first step and past the last
-    included."""
+    included. Any other times are refused with a message naming `sample`."""
 
     SOLVES = {**PROBLEMS, "one-step": one_step}
 
     @pytest.mark.parametrize("name", SOLVES)
     def test_sorted_times_match_the_reference_bit_for_bit(self, name):
         dense, *_ = self.SOLVES[name]()
+        assert dense._q.flags.c_contiguous and dense._y0.flags.c_contiguous
         times = np.sort(reference_times(dense))
         times = np.sort(np.concatenate([times, times[::7], dense.t[:3]]))
         for t in (times, times[:1], times[-5:], times[:0], dense.t, dense.t[1:-1]):
             got, want = dense(t), call_by_fancy_index(dense, t)
             assert got.shape == want.shape == (dense.n, t.size)
             assert np.array_equal(bits(got), bits(want))
-        shuffled = np.random.default_rng(13).permutation(times.size)
-        assert np.array_equal(bits(dense(times)[:, shuffled]), bits(dense(times[shuffled])))
+
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.float64(5e-4), id="0-d"),
+        pytest.param(np.full((2, 3), 5e-4), id="2-d"),
+        pytest.param([5e-4, 4e-4], id="decreasing"),
+        pytest.param([math.nan], id="nan"),
+        pytest.param([1e-4, math.nan, 9e-4], id="nan-inside")])
+    def test_other_times_are_refused_naming_sample(self, times):
+        # Empty, single and repeated times are read: see the test above.
+        dense, = one_step()
+        with pytest.raises(ValueError, match="`sample`"):
+            dense(times)
 
 
 class TestIntegrate:
@@ -235,7 +246,7 @@ class TestCrossings:
     def test_refinement_hits_level(self):
         traj = integrate(mp(1.0, 1.0, 0.0), horizon=20.0, sample_step=0.01)
         for crossing in traj.crossings:
-            u_at = float(traj.dense(crossing.s)[0])
+            [[u_at], _] = traj.dense.sample((crossing.s,))
             assert abs(u_at - 0.5) < 1e-9
 
     def test_detect_at_other_levels(self):
@@ -243,7 +254,8 @@ class TestCrossings:
         quarter = detect_crossings(traj, level=0.25)
         assert len(quarter) >= 1
         assert isinstance(quarter[0], Crossing)
-        assert float(traj.dense(quarter[0].s)[0]) == pytest.approx(0.25, abs=1e-9)
+        [[u_at], _] = traj.dense.sample((quarter[0].s,))
+        assert u_at == pytest.approx(0.25, abs=1e-9)
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_non_finite_level_rejected(self, traj, level):
@@ -508,7 +520,7 @@ class TestCrossingScan:
             end = records[-1, 3 - solution.n:3]
             assert len(records) == solution.accepted + 1
             assert records[-1, 0] == solution.t[-1]
-            assert np.max(np.abs(end - solution(solution.t[-1]))) <= 1e-15
+            assert np.max(np.abs(end - solution(solution.t[-1:])[:, 0])) <= 1e-15
             ends = list(solution.ends(c))
             assert all(type(t) is float and type(y) is float for t, y in ends)
             assert ends == list(zip(solution.t.tolist(),
@@ -542,7 +554,7 @@ class TestCrossingScan:
             dense = traj.dense
             for (lo, hi, direction), crossing in zip(_brackets(dense.ends(0), 0.5),
                                                     traj.crossings):
-                if abs(float(dense(crossing.s)[1])) < 1e-6:
+                if abs(dense.sample((crossing.s,))[1][0]) < 1e-6:
                     continue
                 root = exact_root(dense, crossing.s, lo, hi, direction, 0.5)
                 assert abs(Fraction(crossing.s) - root) <= CROSSING_REFINE_TOL, crossing

@@ -169,8 +169,10 @@ class TestJsonInterface:
             physical_params_from_json({k: v for k, v in good.items() if k != "g"})
         with pytest.raises(DomainError, match="unexpected"):
             physical_params_from_json({**good, "extra": 1.0})
-        with pytest.raises(DomainError, match="rho"):
-            physical_params_from_json({**good, "rho": "1000"})
+        for value, kind in (("1000", "string"), ([1000.0], "array"), ({}, "object"),
+                            (True, "boolean"), (None, "null")):
+            with pytest.raises(DomainError, match=f"^rho: must be a number, got a JSON {kind}$"):
+                physical_params_from_json({**good, "rho": value})
 
     def test_degrees_converted(self):
         obj = {"rho": 1000.0, "mu": 0.001, "gamma": 0.0728, "theta_deg": 30.0,

@@ -24,8 +24,8 @@ _EXPORTS = {
     "errors": ("ConsistencyError", "ConvergenceError", "DomainError", "HorizonError",
                "InconclusiveError", "NumericError", "SingularityError",
                "StepSizeUnderflowError", "WashburnError"),
-    "integrate": ("Crossing", "Run", "Trajectory", "continuous_dependence", "detect_crossings",
-                  "integrate", "integrate_regime", "regime_oracle_residuals", "solve"),
+    "integrate": ("Crossing", "Run", "Trajectory", "detect_crossings", "integrate",
+                  "integrate_regime", "regime_oracle_residuals", "solve"),
     "params": ("ModelParams", "PhysicalParams", "critical_omega", "H_from_u",
                "nondimensionalize", "u_from_H"),
     "stability": ("ApproachKind", "ApproachReport", "BasinAudit", "BasinSpec", "PointKind",

@@ -82,7 +82,10 @@ def dumps_json(obj) -> str:
 
 def write_json(path, obj):
     """Render obj first, so that a refused value leaves no file."""
-    text = dumps_json(obj)
+    write_text(path, dumps_json(obj))
+
+
+def write_text(path, text: str):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 

@@ -28,7 +28,7 @@ import sys
 import warnings
 
 from . import __version__, params as params_module
-from ._format import dumps_json, write_csv, write_json
+from ._format import dumps_json, write_csv, write_json, write_text
 from .errors import ConsistencyError, DomainError, InconclusiveError, NumericError
 from .params import (DEFAULT_INTERVALS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLERANCES,
                      HORIZON_EFOLDS, MAX_INTERVALS, MAX_STEPS, MAX_TOLERANCE, MIN_REL_TOL,
@@ -151,17 +151,28 @@ def _write_run(args, config_names, columns: dict, summary: dict, plot=None):
     """Write a run's file set under the prefix args.output, in this order:
     PREFIX.csv (the columns, headed by their names), PREFIX.json (summary),
     PREFIX.gp when plot = (y_name, y_title, title) names the y column, and
-    the PREFIX.meta.json sidecar echoing the args named in config_names."""
+    the PREFIX.meta.json sidecar echoing the args named in config_names.
+    Every text is rendered before any file is opened, so a refused value
+    leaves no file of the set: the .gp script echoes the output path and
+    the sidecar the input path, and a path that does not encode as UTF-8
+    is a DomainError naming `output` or `input`."""
     prefix = args.output
-    write_csv(prefix + ".csv", ",".join(columns), columns.values())
-    write_json(prefix + ".json", summary)
+    texts = {".json": dumps_json(summary)}
     if plot is not None:
         y_name, *titles = plot
-        with open(prefix + ".gp", "w", newline="\n") as fh:
-            fh.write(_plot_script(prefix + ".csv", list(columns).index(y_name) + 1, *titles))
-    write_json(prefix + ".meta.json",
-               {"tool": "washburn", "version": __version__,
-                "config": {name: getattr(args, name) for name in config_names}})
+        texts[".gp"] = _plot_script(prefix + ".csv", list(columns).index(y_name) + 1, *titles)
+    texts[".meta.json"] = dumps_json({"tool": "washburn", "version": __version__,
+                                      "config": {name: getattr(args, name)
+                                                 for name in config_names}})
+    for suffix, echoed in ((".gp", "output"), (".meta.json", "input")):
+        try:
+            texts.get(suffix, "").encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainError(echoed, f"{getattr(args, echoed)!r} does not encode as UTF-8, "
+                                      "so no file can echo it") from None
+    write_csv(prefix + ".csv", ",".join(columns), columns.values())
+    for suffix, text in texts.items():
+        write_text(prefix + suffix, text)
 
 
 def cmd_nondim(args) -> int:

@@ -28,7 +28,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import _rk, dynamics
 from .dynamics import RegimeSpec, State
@@ -110,12 +110,6 @@ class Trajectory(Run):
     E: Column
     V: Column
     sample_step: float
-
-
-class DependenceRecord(NamedTuple):
-    alpha: float
-    delta_alpha: float
-    distance: float
 
 
 def _initial_state(params: ModelParams) -> State:
@@ -336,25 +330,6 @@ def detect_crossings(run: Run, level: float = U_EQUILIBRIUM) -> tuple[Crossing, 
     if not math.isfinite(level):
         raise DomainError("level", f"must be finite, got {level!r}")
     return _detect_crossings(run.dense, level)
-
-
-def continuous_dependence(params: ModelParams, alpha0: float,
-                          alphas: Sequence[float], horizon: float | None = None,
-                          tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                          sample_step: float | None = None) -> list[DependenceRecord]:
-    """Sup-norm distance of each alpha-run from the alpha0 reference run."""
-    import numpy as np
-
-    reference = integrate(params.replace_alpha(alpha0), horizon=horizon,
-                          tolerances=tolerances, sample_step=sample_step)
-    records = []
-    for alpha in alphas:
-        run = integrate(params.replace_alpha(alpha), horizon=horizon,
-                        tolerances=tolerances, sample_step=sample_step)
-        distance = float(np.max(np.abs(run.u - reference.u)))
-        records.append(DependenceRecord(float(alpha), abs(float(alpha) - float(alpha0)),
-                                        distance))
-    return records
 
 
 @dataclass(frozen=True)

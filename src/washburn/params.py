@@ -55,6 +55,9 @@ _OMEGA_CONSISTENCY_RTOL = 1e-12
 
 PHYSICAL_JSON_KEYS = ("rho", "mu", "gamma", "theta_deg", "g", "R", "L", "h0")
 _SCALED_KEYS = ("rho", "mu", "gamma", "g", "R")  # the inputs every scale is built from
+# The most characters of an unexpected key's repr that an error message repeats:
+# an input may hold thousands of keys, each as long as the file.
+KEY_ECHO_LIMIT = 40
 # What `json.loads` makes of each JSON type that is not a number.
 _JSON_TYPES = {str: "string", list: "array", dict: "object", bool: "boolean",
                type(None): "null"}
@@ -142,10 +145,6 @@ class ModelParams:
     def omega_star(self) -> float:
         """Critical omega separating monotone from oscillatory settling."""
         return critical_omega(self.beta)
-
-    def replace_alpha(self, alpha: float) -> "ModelParams":
-        return ModelParams(self.omega, self.beta, alpha,
-                           self.h_e, self.tau, self.Oh, self.Bo)
 
 
 def _farthest_from_one(p: PhysicalParams) -> str:
@@ -248,7 +247,9 @@ def physical_params_from_json(obj: dict) -> PhysicalParams:
     """Build PhysicalParams from the JSON input object.
 
     The object must have exactly the keys rho, mu, gamma, theta_deg, g, R,
-    L, h0 (SI units; the contact angle in degrees).
+    L, h0 (SI units; the contact angle in degrees). A refusal names the
+    missing keys, and counts the unexpected ones and shows the first in
+    sorted order, its repr clipped to KEY_ECHO_LIMIT characters.
     """
     if not isinstance(obj, dict):
         raise DomainError("input", "expected a JSON object")
@@ -256,12 +257,15 @@ def physical_params_from_json(obj: dict) -> PhysicalParams:
     got = set(obj)
     if got != expected:
         missing = sorted(expected - got)
-        extra = sorted(got - expected)
+        extra = got - expected
         parts = []
         if missing:
             parts.append(f"missing keys {missing}")
         if extra:
-            parts.append(f"unexpected keys {extra}")
+            first = repr(min(extra))
+            if len(first) > KEY_ECHO_LIMIT:
+                first = first[:KEY_ECHO_LIMIT] + "..."
+            parts.append(f"unexpected keys: {len(extra)}, first {first}")
         raise DomainError("input", "; ".join(parts))
     values = {}
     for key in PHYSICAL_JSON_KEYS:

@@ -138,6 +138,17 @@ def test_a_long_or_deep_value_is_named_by_its_json_type(tmp_path, capsys, value,
     assert err == f"configuration error: rho: must be a number, got a JSON {kind}\n"
 
 
+@pytest.mark.parametrize("extra", [{"x" * 60000: 1}, {f"x{i}": 1 for i in range(5000)}],
+                         ids=["one-long-key", "5000-keys"])
+def test_unexpected_keys_are_counted_in_one_short_line(tmp_path, capsys, extra):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({**WATER_JSON, **extra}))
+    code, err = run_rejected(["nondim", "--input", str(src)], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: input: unexpected keys: {len(extra)}, first 'x")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda children: (st.lists(children, max_size=4)
@@ -325,6 +336,42 @@ class TestSimulate:
         assert err.startswith("i/o error: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+NOT_UTF8 = "\udce9"  # the byte 0xe9 of a path that does not decode as UTF-8
+
+
+@pytest.mark.parametrize("argv,echoed", [
+    (["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "-o", NOT_UTF8 + "run"],
+     "output"),
+    (["regime", "--case", "1", "--beta", "1", "-o", NOT_UTF8 + "reg"], "output"),
+    (["simulate", "--input", NOT_UTF8 + ".json", "-o", "enc"], "input"),
+], ids=["simulate-output", "regime-output", "simulate-input"])
+def test_a_path_a_file_echoes_must_encode_as_utf8(tmp_path, monkeypatch, capsys, argv, echoed):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / (NOT_UTF8 + ".json")).write_text(json.dumps(WATER_JSON))
+    code, err = run_rejected(argv, capsys)
+    assert code == 2
+    path = argv[argv.index("-o" if echoed == "output" else "--input") + 1]
+    assert err == (f"configuration error: {echoed}: {path!r} does not encode as UTF-8, "
+                   "so no file can echo it\n")
+    assert os.listdir(tmp_path) == [NOT_UTF8 + ".json"]
+
+
+def test_paths_no_file_echoes_need_not_encode_as_utf8(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["picard", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "2",
+                "-o", NOT_UTF8 + "pic"]) == 0
+    assert sorted(os.listdir(tmp_path)) == [NOT_UTF8 + "pic" + suffix
+                                            for suffix in (".csv", ".json", ".meta.json")]
+
+
+def test_utf8_paths_are_echoed_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "é.json").write_text(json.dumps(WATER_JSON))
+    assert run(["simulate", "--input", "é.json", "--horizon", "1", "-o", "érun"]) == 0
+    assert "plot 'érun.csv' skip 1".encode() in (tmp_path / "érun.gp").read_bytes()
+    assert '"input": "é.json"'.encode() in (tmp_path / "érun.meta.json").read_bytes()
 
 
 class TestPicard:

@@ -11,7 +11,7 @@ from washburn.dynamics import RegimeCase, RegimeSpec
 from washburn.errors import DomainError, HorizonError
 from washburn.integrate import (CROSSING_BAND, CROSSING_REFINE_TOL, HORIZON_CAP,
                                 HORIZON_EFOLDS, REGIME_TOLERANCES, Crossing,
-                                _brackets, _detect_crossings, continuous_dependence,
+                                _brackets, _detect_crossings,
                                 default_horizon, detect_crossings, integrate,
                                 integrate_regime, solve)
 from washburn.params import MAX_INTERVALS, ModelParams, critical_omega
@@ -598,29 +598,26 @@ class TestCrossingScan:
 
 
 class TestContinuousDependence:
-    def test_identical_alpha_gives_zero(self):
-        records = continuous_dependence(mp(1.0, 1.0, 0.0), 0.5, [0.5],
-                                        horizon=10.0, sample_step=0.05)
-        assert records[0].distance == 0.0
+    @staticmethod
+    def distances(params, alphas):
+        """Sup-norm distance of each alpha-run from the run of `params`."""
+        def u(p):
+            return integrate(p, horizon=20.0, sample_step=0.01).u
+        reference = u(params)
+        return [float(np.max(np.abs(u(mp(params.omega, params.beta, alpha)) - reference)))
+                for alpha in alphas]
 
     def test_distances_shrink_with_alpha(self):
-        records = continuous_dependence(mp(1.0, 1.0, 0.0), 0.0,
-                                        [0.2, 0.1, 0.05, 0.025],
-                                        horizon=20.0, sample_step=0.01)
-        distances = [r.distance for r in records]
-        assert all(b < a for a, b in zip(distances, distances[1:]))
+        alphas = (0.2, 0.1, 0.05, 0.025)
         # the initial offset alpha^2/2 is a hard lower bound (the s = 0
-        # sample) and the transient never more than doubles it here
-        for record in records:
-            assert record.alpha**2 / 2.0 <= record.distance <= record.alpha**2
+        # sample) and the transient never more than doubles it here; with
+        # alpha halved each time, the bounds alone make the distances shrink
+        for alpha, distance in zip(alphas, self.distances(mp(1.0, 1.0, 0.0), alphas)):
+            assert alpha**2 / 2.0 <= distance <= alpha**2
 
     def test_near_equilibrium_perturbation(self):
-        records = continuous_dependence(mp(1.0, 1.0, 1.0), 1.0,
-                                        [1.0 + 1e-6, 1.0 - 1e-6],
-                                        horizon=20.0, sample_step=0.01)
-        for record in records:
-            assert record.distance < 1e-4
-            assert record.delta_alpha == pytest.approx(1e-6, rel=1e-6)
+        for distance in self.distances(mp(1.0, 1.0, 1.0), (1.0 + 1e-6, 1.0 - 1e-6)):
+            assert distance < 1e-4
 
 
 class TestCsvFormat:

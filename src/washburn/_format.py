@@ -9,7 +9,7 @@ Types map to JSON as: None, bool, int, float (at fmt17), str, dict and
 list/tuple as themselves, a string and a dict key (as str(key)) escaped
 as `json.dumps(ensure_ascii=False)` escapes them; an Enum as its value; a
 complex as {"re", "im"}; a Fraction as [numerator, denominator]; a
-dataclass or NamedTuple as an object of its fields in declaration order.
+NamedTuple as an object of its fields in declaration order.
 Anything else is refused with TypeError, numpy arrays and numpy integers
 included; numpy's float64 and complex128 subclass float and complex, so
 they are written as those.
@@ -20,7 +20,6 @@ only once `fractions` is loaded, since no Fraction exists before.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -58,8 +57,6 @@ def _emit(obj, level: int) -> str:
     fractions = sys.modules.get("fractions")  # a Fraction exists only once it is loaded
     if fractions is not None and isinstance(obj, fractions.Fraction):
         return _emit([obj.numerator, obj.denominator], level)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, level)
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple
         return _emit(obj._asdict(), level)
     if isinstance(obj, dict):

@@ -134,6 +134,10 @@ def _classification(traj) -> dict:
 
 
 def _plot_script(csv_name: str, y_column: int, y_title: str, title: str) -> str:
+    """A gnuplot script of the y column against scaled time. The CSV name is
+    written in single quotes, each of its quotes doubled as gnuplot reads
+    them; it must hold no line break."""
+    csv_name = csv_name.replace("'", "''")
     return (
         "# gnuplot script; render with: gnuplot -persist <this file>\n"
         "set datafile separator ','\n"
@@ -155,10 +159,14 @@ def _write_run(args, config_names, columns: dict, summary: dict, plot=None):
     Every text is rendered before any file is opened, so a refused value
     leaves no file of the set: the .gp script echoes the output path and
     the sidecar the input path, and a path that does not encode as UTF-8
-    is a DomainError naming `output` or `input`."""
+    is a DomainError naming `output` or `input`, as is an output path with
+    a line break, which would split the script's `plot` line."""
     prefix = args.output
     texts = {".json": dumps_json(summary)}
     if plot is not None:
+        if "\n" in prefix or "\r" in prefix:
+            raise DomainError("output", f"{prefix!r} holds a line break, so no gnuplot "
+                                        "script can echo it")
         y_name, *titles = plot
         texts[".gp"] = _plot_script(prefix + ".csv", list(columns).index(y_name) + 1, *titles)
     texts[".meta.json"] = dumps_json({"tool": "washburn", "version": __version__,
@@ -248,12 +256,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_basin(args) -> int:
-    from dataclasses import asdict
-
     from . import stability
 
     spec = stability.basin(args.alpha)
-    _emit({"alpha": args.alpha, **asdict(spec)}, args.output)
+    _emit({"alpha": args.alpha, **spec._asdict()}, args.output)
     return EXIT_OK
 
 

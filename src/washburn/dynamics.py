@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -218,34 +217,36 @@ def _fixed_exponents(case: RegimeCase) -> tuple[Fraction, Fraction] | None:
     return None if pair is None else tuple(Fraction(*ratio) for ratio in pair)
 
 
-@dataclass(frozen=True)
-class RegimeSpec:
+class _RegimeSpecFields(NamedTuple):
+    case: RegimeCase
+    a: Fraction
+    b: Fraction
+
+
+class RegimeSpec(_RegimeSpecFields):
     """A regime together with one admissible exponent pair.
 
     Cases 1, 2 and 4 fix (a, b); case 3 is the family a = 2b with a in the
     open interval (0, 1).
     """
 
-    case: RegimeCase
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, case: RegimeCase, a: Fraction, b: Fraction):
         from fractions import Fraction
 
-        object.__setattr__(self, "case", RegimeCase(self.case))
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        fixed = _fixed_exponents(self.case)
+        case, a, b = RegimeCase(case), Fraction(a), Fraction(b)
+        fixed = _fixed_exponents(case)
         if fixed is not None:
-            if (self.a, self.b) != fixed:
-                raise DomainError("a", f"case {int(self.case)} fixes (a, b) = {fixed}")
-        elif self.a != 2 * self.b:
+            if (a, b) != fixed:
+                raise DomainError("a", f"case {int(case)} fixes (a, b) = {fixed}")
+        elif a != 2 * b:
             raise DomainError(
-                "a", f"case 3 needs a = 2b with a in (0, 1), got (a, b) = ({self.a}, {self.b})"
+                "a", f"case 3 needs a = 2b with a in (0, 1), got (a, b) = ({a}, {b})"
             )
-        elif not 0 < self.a < 1:
-            raise DomainError("b", f"a = 2b = {self.a} falls outside (0, 1)")
+        elif not 0 < a < 1:
+            raise DomainError("b", f"a = 2b = {a} falls outside (0, 1)")
+        return super().__new__(cls, case, a, b)
 
     @classmethod
     def standard(cls, case: RegimeCase, b: Fraction | None = None) -> "RegimeSpec":

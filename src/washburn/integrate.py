@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -58,18 +57,23 @@ class Crossing(NamedTuple):
     direction: int
 
 
-@dataclass(frozen=True)
 class Run:
     """An unsampled u-form solve: its inputs and dense output over [0, horizon].
     The initial state is rest at the starting height. The final state (the
     dense output at the horizon, with the bits of a sample there) and the
-    equilibrium crossings are computed on first read and kept."""
+    equilibrium crossings are computed on first read and kept. A run is
+    read-only: assigning or deleting an attribute raises AttributeError."""
 
-    params: ModelParams
-    epsilon: float
-    tolerances: tuple[float, float]
-    horizon: float
-    dense: _rk.DenseSolution = field(repr=False, compare=False)
+    def __init__(self, params: ModelParams, epsilon: float, tolerances: tuple[float, float],
+                 horizon: float, dense: _rk.DenseSolution):
+        vars(self).update(params=params, epsilon=epsilon, tolerances=tolerances,
+                          horizon=horizon, dense=dense)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def initial_state(self) -> State:
         return _initial_state(self.params)
@@ -91,7 +95,6 @@ class Run:
         return math.hypot(u - U_EQUILIBRIUM, v)
 
 
-@dataclass(frozen=True)
 class Trajectory(Run):
     """A run sampled every sample_step, with derived columns.
 
@@ -102,14 +105,11 @@ class Trajectory(Run):
     of doubles, with the same bits, from `integrate_floats`.
     """
 
-    s: Column
-    u: Column
-    v: Column
-    H: Column
-    T: Column
-    E: Column
-    V: Column
-    sample_step: float
+    def __init__(self, params: ModelParams, epsilon: float, tolerances: tuple[float, float],
+                 horizon: float, dense: _rk.DenseSolution, s: Column, u: Column, v: Column,
+                 H: Column, T: Column, E: Column, V: Column, sample_step: float):
+        super().__init__(params, epsilon, tolerances, horizon, dense)
+        vars(self).update(s=s, u=u, v=v, H=H, T=T, E=E, V=V, sample_step=sample_step)
 
 
 def _initial_state(params: ModelParams) -> State:
@@ -332,8 +332,7 @@ def detect_crossings(run: Run, level: float = U_EQUILIBRIUM) -> tuple[Crossing, 
     return _detect_crossings(run.dense, level)
 
 
-@dataclass(frozen=True)
-class RegimeTrajectory:
+class RegimeTrajectory(NamedTuple):
     """Sampled reduced-regime run in u* coordinates, with h* = sqrt(2 u*).
 
     The columns t, u, v (None in the first-order cases 2 and 3) and h are

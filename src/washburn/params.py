@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
 
@@ -81,8 +81,18 @@ def check_alpha(alpha: float):
         raise DomainError("alpha", f"must lie in [0, {ALPHA_MAX}], got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class _PhysicalParamsFields(NamedTuple):
+    rho: float
+    mu: float
+    gamma: float
+    theta: float
+    g: float
+    R: float
+    L: float
+    h0: float
+
+
+class PhysicalParams(_PhysicalParamsFields):
     """Dimensional description of the fluid and pipe (SI units).
 
     rho: mass density [kg/m^3]; mu: dynamic viscosity [Pa s]; gamma:
@@ -91,26 +101,30 @@ class PhysicalParams:
     h0: initial column height [m].
     """
 
-    rho: float
-    mu: float
-    gamma: float
-    theta: float
-    g: float
-    R: float
-    L: float = 0.0
-    h0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("rho", "mu", "gamma", "g", "R"):
-            check_positive(name, getattr(self, name))
-        if not 0.0 <= self.theta < math.pi / 2.0:
-            raise DomainError("theta", f"must lie in [0, pi/2), got {self.theta!r}")
-        for name in ("L", "h0"):
-            check_nonnegative(name, getattr(self, name))
+    def __new__(cls, rho: float, mu: float, gamma: float, theta: float, g: float, R: float,
+                L: float = 0.0, h0: float = 0.0):
+        for name, value in (("rho", rho), ("mu", mu), ("gamma", gamma), ("g", g), ("R", R)):
+            check_positive(name, value)
+        if not 0.0 <= theta < math.pi / 2.0:
+            raise DomainError("theta", f"must lie in [0, pi/2), got {theta!r}")
+        check_nonnegative("L", L)
+        check_nonnegative("h0", h0)
+        return super().__new__(cls, rho, mu, gamma, theta, g, R, L, h0)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _ModelParamsFields(NamedTuple):
+    omega: float
+    beta: float
+    alpha: float
+    h_e: float | None
+    tau: float | None
+    Oh: float | None
+    Bo: float | None
+
+
+class ModelParams(_ModelParamsFields):
     """Dimensionless model constants, optionally with the physical scales.
 
     The physical fields (h_e, tau, Oh, Bo) are populated when the instance
@@ -118,23 +132,18 @@ class ModelParams:
     as None.
     """
 
-    omega: float
-    beta: float
-    alpha: float
-    h_e: float | None = None
-    tau: float | None = None
-    Oh: float | None = None
-    Bo: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_positive("omega", self.omega)
-        if not 0.0 < self.beta <= 1.0:
-            raise DomainError("beta", f"must lie in (0, 1], got {self.beta!r}")
-        check_alpha(self.alpha)
-        for name in ("h_e", "tau", "Oh", "Bo"):
-            value = getattr(self, name)
+    def __new__(cls, omega: float, beta: float, alpha: float, h_e: float | None = None,
+                tau: float | None = None, Oh: float | None = None, Bo: float | None = None):
+        check_positive("omega", omega)
+        if not 0.0 < beta <= 1.0:
+            raise DomainError("beta", f"must lie in (0, 1], got {beta!r}")
+        check_alpha(alpha)
+        for name, value in (("h_e", h_e), ("tau", tau), ("Oh", Oh), ("Bo", Bo)):
             if value is not None:
                 check_positive(name, value)
+        return super().__new__(cls, omega, beta, alpha, h_e, tau, Oh, Bo)
 
     @property
     def damping(self) -> float:
@@ -285,4 +294,4 @@ def physical_params_from_json(obj: dict) -> PhysicalParams:
 
 def model_params_report(mp: ModelParams) -> dict:
     """Flat report dict with every ModelParams field, plus omega_star."""
-    return {**asdict(mp), "omega_star": mp.omega_star}
+    return {**mp._asdict(), "omega_star": mp.omega_star}

@@ -11,8 +11,8 @@ attraction for each admissible starting height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import dynamics, params as params_module
 from .dynamics import _lyapunov_float, energy
@@ -42,8 +42,7 @@ class ApproachKind(Enum):
     AT_EQUILIBRIUM = "at-equilibrium"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Eigenvalues and classification of the linearized equilibrium."""
 
     lambda1: complex
@@ -97,24 +96,28 @@ def lyapunov(u: float, v: float) -> tuple[float, float]:
     return E, _lyapunov_float(u, v, E)
 
 
-@dataclass(frozen=True)
-class BasinSpec:
-    """Level constant C and the v = 0 extent [u_min, u_max] of {V <= C}."""
-
+class _BasinSpecFields(NamedTuple):
     C: float
     u_min: float
     u_max: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.u_min <= self.u_max <= U_BOUND + 1e-12:
+
+class BasinSpec(_BasinSpecFields):
+    """Level constant C and the v = 0 extent [u_min, u_max] of {V <= C}."""
+
+    __slots__ = ()
+
+    def __new__(cls, C: float, u_min: float, u_max: float):
+        if not 0.0 <= u_min <= u_max <= U_BOUND + 1e-12:
             raise ConsistencyError(
-                f"basin bounds out of order: ({self.u_min!r}, {self.u_max!r})"
+                f"basin bounds out of order: ({u_min!r}, {u_max!r})"
             )
-        for u in (self.u_min, self.u_max):
-            if abs(energy(u, 0.0) + 1.0 / 6.0 - self.C) >= BASIN_RESIDUAL_TOL:
+        for u in (u_min, u_max):
+            if abs(energy(u, 0.0) + 1.0 / 6.0 - C) >= BASIN_RESIDUAL_TOL:
                 raise ConsistencyError(
-                    f"basin bound {u!r} misses the level equation for C = {self.C!r}"
+                    f"basin bound {u!r} misses the level equation for C = {C!r}"
                 )
+        return super().__new__(cls, C, u_min, u_max)
 
 
 def basin(alpha: float) -> BasinSpec:
@@ -132,8 +135,7 @@ def basin(alpha: float) -> BasinSpec:
     return BasinSpec(C=C, u_min=min(u_init, other), u_max=max(u_init, other))
 
 
-@dataclass(frozen=True)
-class ApproachReport:
+class ApproachReport(NamedTuple):
     """Classification of how a trajectory settles, with its evidence."""
 
     kind: ApproachKind
@@ -179,8 +181,7 @@ def classify_approach(run) -> ApproachReport:
     )
 
 
-@dataclass(frozen=True)
-class BasinAudit:
+class BasinAudit(NamedTuple):
     """Forward-invariance evidence for a trajectory against a basin."""
 
     max_level_excess: float

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -443,7 +443,7 @@ def acceptance_c06_basin_formulas() -> dict:
     b32 = stability.basin(1.5)
     _require(abs(b32.C - 1.0 / 6.0) <= 1e-15 and b32.u_min == 0.0 and b32.u_max == 9.0 / 8.0,
              f"basin(3/2) = {b32}")
-    return {"basin0": asdict(b0), "basin1": asdict(b1), "basin32": asdict(b32)}
+    return {"basin0": b0._asdict(), "basin1": b1._asdict(), "basin32": b32._asdict()}
 
 
 def acceptance_c07_volterra_cross_validation() -> dict:
@@ -565,8 +565,7 @@ CHECKS = {name.removeprefix("check_").replace("_", ".", 1): fn
           and getattr(fn, "__module__", None) == __name__}
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     passed: bool
     seconds: float

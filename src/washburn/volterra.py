@@ -22,7 +22,7 @@ are checkable nodewise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,16 +38,19 @@ SCALING_SLACK = 1e-12
 BLOCK_EXPONENT = 64.0
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Values on a uniform grid 0 = s_0 < ... < s_N."""
-
+class _GridFunctionFields(NamedTuple):
     grid: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+
+class GridFunction(_GridFunctionFields):
+    """Values on a uniform grid 0 = s_0 < ... < s_N."""
+
+    __slots__ = ()
+
+    def __new__(cls, grid: np.ndarray, values: np.ndarray):
+        grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 3:
             raise DomainError("grid", "need at least two intervals")
         if values.shape != grid.shape:
@@ -61,8 +64,7 @@ class GridFunction:
             raise DomainError("values", "must be finite")
         grid.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, grid, values)
 
 
 class KernelOperator:
@@ -167,8 +169,7 @@ def apply_T(f: GridFunction, omega: float, beta: float, alpha: float) -> GridFun
     return GridFunction(f.grid, op.apply(f.values, alpha))
 
 
-@dataclass(frozen=True)
-class PicardResult:
+class PicardResult(NamedTuple):
     """Converged iterate plus the sup-norm difference log."""
 
     solution: GridFunction
@@ -255,8 +256,7 @@ def bracket_upper(s):
     return s * s / 2.0
 
 
-@dataclass(frozen=True)
-class OrderIntervalReport:
+class OrderIntervalReport(NamedTuple):
     """Nodewise margins of T(upper) >= lower and T(lower) <= upper."""
 
     s_star: float
@@ -282,8 +282,7 @@ def order_interval_check(omega: float, beta: float) -> OrderIntervalReport:
                                upper_margin=upper_margin, holds=holds)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     """Worst violation of T(lambda f) <= lambda^{-1/2} T(f)."""
 
     lam: float

@@ -374,6 +374,39 @@ def test_utf8_paths_are_echoed_byte_for_byte(tmp_path, monkeypatch):
     assert '"input": "é.json"'.encode() in (tmp_path / "érun.meta.json").read_bytes()
 
 
+PLOTTED_ARGVS = {  # the commands that write a .gp script, less their -o
+    "simulate": ["simulate", "--omega", "1", "--beta", "1", "--alpha", "0.5", "--horizon", "1"],
+    "regime": ["regime", "--case", "2", "--beta", "1", "--horizon", "1"],
+}
+
+
+@pytest.mark.parametrize("command", PLOTTED_ARGVS)
+def test_a_quote_in_the_output_path_is_doubled_in_the_plot_script(tmp_path, monkeypatch,
+                                                                  command):
+    # gnuplot reads '' inside a single-quoted string as one quote.
+    monkeypatch.chdir(tmp_path)
+    assert run([*PLOTTED_ARGVS[command], "-o", "a'b"]) == 0
+    script = (tmp_path / "a'b.gp").read_text().splitlines()
+    plot = [line for line in script if line.startswith("plot ")]
+    assert len(plot) == 1 and plot[0].startswith("plot 'a''b.csv' skip 1 using 1:")
+    assert len(script) == 9
+    assert sorted(os.listdir(tmp_path)) == ["a'b" + suffix
+                                            for suffix in (".csv", ".gp", ".json", ".meta.json")]
+
+
+@pytest.mark.parametrize("command", PLOTTED_ARGVS)
+@pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+def test_an_output_path_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, command,
+                                                     line_break):
+    monkeypatch.chdir(tmp_path)
+    prefix = f"a{line_break}b"
+    code, err = run_rejected([*PLOTTED_ARGVS[command], "-o", prefix], capsys)
+    assert code == 2
+    assert err == (f"configuration error: output: {prefix!r} holds a line break, "
+                   "so no gnuplot script can echo it\n")
+    assert os.listdir(tmp_path) == []
+
+
 class TestPicard:
     def test_files(self, tmp_path):
         prefix = str(tmp_path / "fp")
@@ -855,6 +888,9 @@ def test_scalar_and_refused_runs_load_no_numpy(tmp_path, name):
     code, modules = main_in_fresh(argv, tmp_path)
     assert code == exit_code
     assert "numpy" not in modules
+    # The records are NamedTuples and plain classes: importing dataclasses
+    # would load inspect (with ast, dis and tokenize) too.
+    assert "dataclasses" not in modules and "inspect" not in modules
     assert package_modules(modules) == loaded
 
 
@@ -865,4 +901,14 @@ def test_a_solving_run_loads_numpy(tmp_path):
     code, modules = main_in_fresh(argv, tmp_path)
     assert code == 0
     assert "numpy" in modules
+    assert "dataclasses" not in modules  # numpy itself loads inspect
     assert package_modules(modules) == BASE | {"washburn.volterra"}
+
+
+def test_no_package_module_loads_dataclasses():
+    names = sorted(f"washburn.{path.stem}" for path in (SRC / "washburn").glob("*.py")
+                   if path.stem != "__init__")
+    assert "washburn.verify" in names
+    modules = fresh("import " + ", ".join(names))[-1]
+    assert set(names) <= set(modules)
+    assert "dataclasses" not in modules

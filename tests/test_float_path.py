@@ -10,7 +10,6 @@ here. Only the case-1 and case-2 residuals may differ, by a few ulps of
 the oracle's largest term, where libm's `exp` and `log1p` round other
 than numpy's."""
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -83,7 +82,7 @@ def test_float_path_has_the_bits_of_the_array_path(name):
             == bits(arrays.final_distance_to_equilibrium()).item())
     assert verdict(floats) == verdict(arrays)
     spec = stability.basin(params.alpha)
-    got, want = (astuple(stability.audit_trajectory(traj, spec)) for traj in (floats, arrays))
+    got, want = (tuple(stability.audit_trajectory(traj, spec)) for traj in (floats, arrays))
     assert np.array_equal(bits(got), bits(want))
     assert (floats.epsilon, floats.tolerances, floats.sample_step) == (
         arrays.epsilon, arrays.tolerances, arrays.sample_step)

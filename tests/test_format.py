@@ -5,8 +5,9 @@ the asdict/.value/numerator unpacking of the command-line front end),
 byte for byte."""
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -129,9 +130,13 @@ class TestResultTypes:
         spec = basin(alpha)
         traj = integrate(ModelParams(omega=1.0, beta=1.0, alpha=alpha), horizon=5.0)
         audit = audit_trajectory(traj, spec)
-        same_json(spec, asdict(spec))
-        same_json(audit, asdict(audit))
-        same_json({"basin": spec, "audit": audit}, {"basin": asdict(spec), "audit": asdict(audit)})
+        spec_dict = {"C": spec.C, "u_min": spec.u_min, "u_max": spec.u_max}
+        audit_dict = {"max_level_excess": audit.max_level_excess,
+                      "max_lyapunov_rise": audit.max_lyapunov_rise,
+                      "final_distance": audit.final_distance}
+        same_json(spec, spec_dict)
+        same_json(audit, audit_dict)
+        same_json({"basin": spec, "audit": audit}, {"basin": spec_dict, "audit": audit_dict})
 
     @pytest.mark.parametrize("outcome", [
         CheckOutcome("stability.basin", True, 0.125, {"worst": 1e-12, "points": [1, 2]}),
@@ -154,11 +159,14 @@ class TestResultTypes:
         same_json(Fraction(-3, 7), [-3, 7])
 
     def test_unknown_types_are_refused(self):
-        @dataclass
-        class Point:
+        class Point(NamedTuple):
             x: float
 
-        for obj in (object(), Point, {1, 2}, np.zeros(2), np.int64(1)):
+        @dataclass
+        class Record:  # records are NamedTuples: a dataclass is not one of the types
+            x: float
+
+        for obj in (object(), Point, {1, 2}, np.zeros(2), np.int64(1), Record(1.0)):
             with pytest.raises(TypeError, match="cannot serialize"):
                 dumps_json(obj)
         same_json(Point(1.0), {"x": 1.0})

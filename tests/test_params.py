@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import warnings
 
@@ -73,7 +72,7 @@ class TestNondimensionalize:
                                            ("mu", 1e300), ("g", 1e-200)])
     def test_scales_out_of_float_range_name_the_input(self, key, value):
         with pytest.raises(DomainError, match=f"^{key}: .* out of the float range"):
-            nondimensionalize(dataclasses.replace(WATER, **{key: value}))
+            nondimensionalize(PhysicalParams(**{**WATER._asdict(), key: value}))
 
     # 8 mu h_e goes subnormal here (8.8e-318), so the direct omega loses
     # digits the Bo/Oh form keeps (5.9112519e127 against 5.9112504e127).

@@ -6,13 +6,14 @@ call. The loops below are the per-call draws the checks made before;
 each table must hold their floats bit for bit, so a numpy release that
 fills a broadcast-bounds table in another order fails here, by name.
 """
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from washburn import verify
 from washburn.dynamics import RegimeCase
+from washburn.integrate import Trajectory
 
 
 def omega_consistency_row(rng):
@@ -86,7 +87,8 @@ def test_c02_names_a_dry_start_that_returns_to_zero(monkeypatch):
             return traj
         u = traj.u.copy()
         u[2] = 0.0  # past the dry start's first sample, u = 0
-        return dataclasses.replace(traj, u=u)
+        return Trajectory(**{name: u if name == "u" else getattr(traj, name)
+                             for name in inspect.signature(Trajectory).parameters})
 
     monkeypatch.setattr(verify, "integrate", touching_zero)
     named = r"^u not strictly positive at \(beta, omega, alpha\) = \(1\.0, 1\.0, 0\.0\)$"
